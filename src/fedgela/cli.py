@@ -263,7 +263,6 @@ def _resolve_out_dir(config: RunConfig) -> Path:
     root = os.environ.get("FEDGELA_OUT_ROOT")
     if root and not out.is_absolute():
         out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -275,9 +274,11 @@ def _final_metrics(logs) -> tuple:
 
 
 def cmd_run(config: RunConfig) -> int:
-    """Run one experiment; write rounds.csv, manifest.json and checkpoints."""
-    out = _resolve_out_dir(config)
+    """Run one experiment; write rounds.csv, manifest.json and checkpoints.
+    The output directory is created only once the run has succeeded."""
     result = fedsim.run_federation(config)
+    out = _resolve_out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     fedsim.write_round_csv(result.logs, out / "rounds.csv")
     fedsim.write_manifest(out / "manifest.json", config, result.dataset)
     server = result.server
@@ -342,8 +343,9 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
             cfg_dict.update(overrides)
             cfg_dict["out_dir"] = str(out / f"{name}_seed{seed}")
             cfg = parse_config(cfg_dict)
-            arm_out = _resolve_out_dir(cfg)
             result = fedsim.run_federation(cfg)
+            arm_out = _resolve_out_dir(cfg)
+            arm_out.mkdir(parents=True, exist_ok=True)
             fedsim.write_round_csv(result.logs, arm_out / "rounds.csv")
             fedsim.write_manifest(arm_out / "manifest.json", cfg, result.dataset)
             ga, pa = _final_metrics(result.logs)
@@ -354,6 +356,7 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
         rows.append((name, len(seeds),
                      float(np.mean(pas)), float(np.std(pas)),
                      float(np.mean(gas)), float(np.std(gas))))
+    out.mkdir(parents=True, exist_ok=True)
     summary = out / "summary.csv"
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write("arm,seeds,pa_mean,pa_std,ga_mean,ga_std\n")
@@ -418,9 +421,10 @@ def cmd_gradcheck(config: RunConfig) -> int:
 
 
 def cmd_partition_report(config: RunConfig) -> int:
-    out = _resolve_out_dir(config)
     ds = fedsim.build_dataset(config)
     shards = fedsim.build_partition(ds, config)
+    out = _resolve_out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "partition.csv"
     write_partition_csv(shards, ds.n_classes, path)
     sizes = [s.n_k for s in shards]

@@ -28,15 +28,14 @@ from .datagen import (
 from .etfgeom import make_etf
 from .neuralnet import (
     BackboneParams,
-    OptimizerState,
     PhiVector,
-    backward,
-    ce_loss,
-    forward,
+    _as_mask,
+    _check_labels,
+    _effective_matrix,
+    flatten,
     init_backbone,
     init_classifier,
-    logits,
-    sgd_step,
+    train_step,
 )
 
 __all__ = [
@@ -251,11 +250,6 @@ class LocalResult:
     epoch_losses: list
 
 
-def _batches(indices: np.ndarray, batch_size: int):
-    for start in range(0, len(indices), batch_size):
-        yield indices[start:start + batch_size]
-
-
 def local_train(client: ClientState, backbone: BackboneParams, classifier,
                 algo: AlgoKind, hp: Hyperparams, ds: Dataset,
                 seed_parts) -> LocalResult:
@@ -264,46 +258,41 @@ def local_train(client: ClientState, backbone: BackboneParams, classifier,
     Batches are a seeded shuffle each epoch (seed derived from seed_parts
     and the epoch index); the last partial batch is kept. Learnable-
     classifier variants update the classifier jointly; fedprox adds
-    lambda_prox * (theta - theta_global) to every gradient.
+    lambda_prox * (theta - theta_global) to every gradient. The local model
+    is one flat vector (neuralnet.flatten) trained by neuralnet.train_step;
+    a numeric failure is re-raised naming the client.
     """
     train_idx = client.shard.train_indices
     if train_idx.size == 0:
         raise ValueError(f"client {client.client_id} has an empty train split")
-    local_bb = backbone.clone()
     learnable = not algo.fixed_classifier
-    local_clf = np.array(classifier, copy=True) if learnable else None
-    eff_classifier = local_clf if learnable else classifier
-    prox_refs = None
+    model = flatten(backbone, classifier if learnable else None)
+    w_eff = model.classifier if learnable else _effective_matrix(classifier)
+    prox_ref = None
     if algo.kind == "fedprox" and algo.lambda_prox > 0:
-        prox_refs = [t.copy() for t in backbone.tensors()]
-        prox_refs.append(np.array(classifier, copy=True))
-    state = OptimizerState.for_params(local_bb, hp.lr, hp.momentum,
-                                      hp.weight_decay, classifier=local_clf)
-    phi = client.phi if algo.adapts_phi else None
-    mask = client.mask if algo.restricted_mask else None
+        prox_ref = model.theta.copy()
+    phi = client.phi.phi if algo.adapts_phi and client.phi is not None else None
+    mask = None
+    if algo.restricted_mask:
+        mask = _as_mask(client.mask, w_eff.shape[1])
+        _check_labels(ds.labels[train_idx], mask)   # once per client, not per batch
+        mask = None if mask.all() else mask
+    step = dict(w_eff=w_eff, phi=phi, mask=mask, e_h=float(hp.e_h), lr=float(hp.lr),
+                momentum=float(hp.momentum), weight_decay=float(hp.weight_decay),
+                lambda_prox=float(algo.lambda_prox), prox_ref=prox_ref)
+    size = hp.batch_size
     epoch_losses = []
-    for epoch in range(hp.epochs):
-        rng = np.random.default_rng(tuple(seed_parts) + (epoch,))
-        order = rng.permutation(train_idx.size)
-        shuffled = train_idx[order]
-        batch_losses = []
-        for batch in _batches(shuffled, hp.batch_size):
-            fb, cache = forward(local_bb, ds.features[batch], hp.e_h)
-            z = logits(fb, eff_classifier, phi)
-            loss = ce_loss(z, ds.labels[batch], mask)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss on client {client.client_id}"
-                )
-            grads = backward(cache, ds.labels[batch], eff_classifier, phi, mask)
-            if prox_refs is not None:
-                cur = local_bb.tensors() + [local_clf]
-                for g, t, r in zip(grads.tensors(), cur, prox_refs):
-                    g += algo.lambda_prox * (t - r)
-            sgd_step(local_bb, grads, state, classifier=local_clf)
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return LocalResult(backbone=local_bb, classifier=local_clf,
+    try:
+        for epoch in range(hp.epochs):
+            rng = np.random.default_rng(tuple(seed_parts) + (epoch,))
+            shuffled = train_idx[rng.permutation(train_idx.size)]
+            xs, ys = ds.features[shuffled], ds.labels[shuffled]
+            losses = [train_step(model, xs[i:i + size], ys[i:i + size], **step)
+                      for i in range(0, len(ys), size)]
+            epoch_losses.append(float(np.mean(losses)))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"client {client.client_id}: {exc}") from exc
+    return LocalResult(backbone=model.params, classifier=model.classifier,
                        epoch_losses=epoch_losses)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etfgeom import mean_pairwise_angle
-from .neuralnet import PhiVector, forward, logits
+from .neuralnet import PhiVector, _as_mask, forward, logits
 
 __all__ = [
     "EvalReport",
@@ -45,17 +45,6 @@ class EvalReport:
     angles: AngleReport | None = None
 
 
-def _mask_bool(class_mask, n_classes: int) -> np.ndarray:
-    if class_mask is None:
-        return np.ones(n_classes, dtype=bool)
-    arr = np.asarray(list(class_mask) if isinstance(class_mask, (set, frozenset)) else class_mask)
-    if arr.dtype == bool:
-        return arr
-    mask = np.zeros(n_classes, dtype=bool)
-    mask[arr.astype(int)] = True
-    return mask
-
-
 def predict(backbone, classifier, inputs, e_h: float = 1.0, class_mask=None,
             phi: PhiVector | None = None) -> np.ndarray:
     """Argmax over (masked, optionally phi-scaled) logits.
@@ -66,9 +55,7 @@ def predict(backbone, classifier, inputs, e_h: float = 1.0, class_mask=None,
     """
     fb, _ = forward(backbone, inputs, e_h)
     z = logits(fb, classifier, phi)
-    mask = _mask_bool(class_mask, z.shape[1])
-    if not mask.any():
-        raise ValueError("class mask must be nonempty")
+    mask = _as_mask(class_mask, z.shape[1])
     z = np.where(mask[None, :], z, -np.inf)
     return np.argmax(z, axis=1)
 

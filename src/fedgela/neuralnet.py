@@ -30,6 +30,9 @@ __all__ = [
     "ce_loss",
     "backward",
     "sgd_step",
+    "FlatModel",
+    "flatten",
+    "train_step",
     "finite_diff_check",
     "lpm_feature_fit",
     "save_checkpoint",
@@ -178,6 +181,19 @@ class PhiVector:
         return float(self.phi.mean())
 
 
+def _check_finite(z: np.ndarray, layer: int) -> None:
+    if not np.isfinite(z).all():
+        raise FloatingPointError(f"numeric overflow: non-finite activation in layer {layer}")
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    if (norms < NORM_EPS).any():
+        bad = int(np.argmin(norms))
+        raise FloatingPointError(
+            f"degenerate feature: row {bad} has norm {norms[bad]:.3g} < {NORM_EPS}"
+        )
+
+
 def forward(params: BackboneParams, inputs, e_h: float = 1.0):
     """Run the MLP and project rows onto the sqrt(e_h) sphere.
 
@@ -197,8 +213,7 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"numeric overflow: non-finite activation in layer {i}")
+        _check_finite(z, i)
         pre_acts.append(z)
         if i < params.n_layers - 1:
             a = np.maximum(z, 0.0)
@@ -207,11 +222,7 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
             a = z
     raw = a
     norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < NORM_EPS):
-        bad = int(np.argmin(norms))
-        raise FloatingPointError(
-            f"degenerate feature: row {bad} has norm {norms[bad]:.3g} < {NORM_EPS}"
-        )
+    _check_norms(norms)
     h = math.sqrt(e_h) * raw / norms[:, None]
     cache = ForwardCache(
         params=params,
@@ -269,6 +280,12 @@ def _as_mask(class_mask, n_classes: int) -> np.ndarray:
     return mask
 
 
+def _check_labels(y: np.ndarray, mask: np.ndarray) -> None:
+    if not mask[y].all():
+        bad = y[~mask[y]][0]
+        raise ValueError(f"invalid label: class {bad} is outside the class mask")
+
+
 def _masked_softmax(z: np.ndarray, mask: np.ndarray):
     """Row softmax over masked columns; excluded columns get probability 0."""
     zm = np.where(mask[None, :], z, -np.inf)
@@ -287,9 +304,7 @@ def ce_loss(z: np.ndarray, labels, class_mask=None) -> float:
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     mask = _as_mask(class_mask, z.shape[1])
-    if not np.all(mask[y]):
-        bad = y[~mask[y]][0]
-        raise ValueError(f"invalid label: class {bad} is outside the class mask")
+    _check_labels(y, mask)
     _, logsumexp = _masked_softmax(z, mask)
     losses = logsumexp[:, 0] - z[np.arange(len(y)), y]
     return float(losses.mean())
@@ -327,9 +342,7 @@ def backward(cache: ForwardCache, labels, classifier, phi: PhiVector | None = No
     w_eff = _effective_matrix(classifier)
     n_classes = w_eff.shape[1]
     mask = _as_mask(class_mask, n_classes)
-    if not np.all(mask[y]):
-        bad = y[~mask[y]][0]
-        raise ValueError(f"invalid label: class {bad} is outside the class mask")
+    _check_labels(y, mask)
     phi_vec = np.ones(n_classes) if phi is None else phi.phi
     batch = len(y)
 
@@ -383,6 +396,112 @@ def sgd_step(params: BackboneParams, grads: Grads, state: OptimizerState,
         p -= state.lr * v
     params.version += 1
     return params, state
+
+
+@dataclass
+class FlatModel:
+    """A backbone, plus a learnable classifier when there is one, held as
+    views of one contiguous float64 vector `theta` (weights, biases, then
+    the classifier); `grad` and `vel` share its layout, so an optimizer
+    update is a few whole-vector operations."""
+
+    theta: np.ndarray
+    grad: np.ndarray
+    vel: np.ndarray
+    params: BackboneParams             # views of theta
+    classifier: np.ndarray | None      # view of theta
+    grads: Grads                       # views of grad
+
+
+def flatten(params: BackboneParams, classifier: np.ndarray | None = None) -> FlatModel:
+    """Copy params (and a learnable d x C classifier) into a FlatModel with
+    zero velocity."""
+    tensors = params.tensors() + ([] if classifier is None else [classifier])
+    theta = np.concatenate([np.ravel(t) for t in tensors])
+    grad = np.zeros_like(theta)
+    cuts = np.cumsum([t.size for t in tensors])[:-1]
+    n, learnable = params.n_layers, classifier is not None
+
+    def views(flat):
+        return [v.reshape(t.shape) for v, t in zip(np.split(flat, cuts), tensors)]
+
+    p, g = views(theta), views(grad)
+    return FlatModel(theta=theta, grad=grad, vel=np.zeros_like(theta),
+                     params=BackboneParams(p[:n], p[n:2 * n], params.layer_sizes),
+                     classifier=p[-1] if learnable else None,
+                     grads=Grads(g[:n], g[n:2 * n], g[-1] if learnable else None))
+
+
+def train_step(model: FlatModel, x: np.ndarray, y: np.ndarray, *, w_eff: np.ndarray,
+               phi: np.ndarray | None, mask: np.ndarray | None, e_h: float,
+               lr: float, momentum: float, weight_decay: float,
+               lambda_prox: float = 0.0, prox_ref: np.ndarray | None = None) -> float:
+    """One momentum-SGD step on a batch, in place on `model`; returns the loss.
+
+    Performs the floating-point operations of forward -> logits -> ce_loss
+    -> backward -> (+ lambda_prox * (theta - prox_ref)) -> sgd_step in the
+    same order, so results match those ops bit for bit, with one masked
+    softmax and gradients written into `model.grad`. `w_eff` is the d x C
+    classifier matrix (model.classifier when learnable); `mask` None means
+    all classes, and the caller checks that the labels lie in it.
+    """
+    params = model.params
+    last = params.n_layers - 1
+    acts = [x]                         # input to each layer
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w
+        z += b
+        _check_finite(z, i)
+        if i < last:
+            acts.append(np.maximum(z, 0.0))
+    raw = z
+    norms = np.sqrt((raw * raw).sum(axis=1))
+    _check_norms(norms)
+    scale = math.sqrt(e_h)
+    h = scale * raw / norms[:, None]
+
+    z = h @ w_eff
+    if phi is not None:
+        z *= phi
+    zm = z if mask is None else np.where(mask, z, -np.inf)
+    zmax = zm.max(axis=1, keepdims=True)
+    probs = np.exp(zm - zmax)
+    denom = probs.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    losses = (zmax + np.log(denom))[:, 0] - z[rows, y]
+    loss = float(losses.sum() / len(y))    # what losses.mean() computes
+    if not math.isfinite(loss):
+        raise FloatingPointError("non-finite loss")
+
+    g = probs
+    g /= denom
+    g[rows, y] -= 1.0
+    g /= len(y)                        # dL/dz
+    if phi is not None:
+        g *= phi                       # dL/d(h @ w_eff)
+    grads = model.grads
+    if grads.classifier is not None:
+        np.matmul(h.T, g, out=grads.classifier)
+    g = g @ w_eff.T                    # dL/dh
+    u = raw / norms[:, None]
+    radial = (g * u).sum(axis=1, keepdims=True)
+    g = (scale / norms)[:, None] * (g - radial * u)
+    for layer in range(last, -1, -1):
+        np.matmul(acts[layer].T, g, out=grads.weights[layer])
+        g.sum(axis=0, out=grads.biases[layer])
+        if layer:
+            g = g @ params.weights[layer].T
+            g *= acts[layer] > 0
+
+    theta, grad, vel = model.theta, model.grad, model.vel
+    if prox_ref is not None:
+        grad += lambda_prox * (theta - prox_ref)
+    vel *= momentum
+    vel += grad
+    if weight_decay:
+        vel += weight_decay * theta
+    theta -= lr * vel
+    return loss
 
 
 def _total_loss(params, x, labels, classifier, phi, mask, e_h,

@@ -5,7 +5,16 @@ classes in 20 input dimensions, dealt 2 classes per client to 10 clients,
 trained for 30 rounds of 10 local epochs. e_h=400 gives realistic feature
 norms (|h| = 20) so the learnable-classifier collapse dynamics surface;
 e_w compensates so the fixed-frame arms see an order-one logit scale.
+
+Every test runs with FEDGELA_OUT_ROOT set to its own tmp_path, so a
+relative (or default) out_dir never writes into the working tree.
 """
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def _out_root_in_tmp(tmp_path, monkeypatch):
+    monkeypatch.setenv("FEDGELA_OUT_ROOT", str(tmp_path))
 
 REFERENCE = {
     "classes": 10,

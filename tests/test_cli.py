@@ -143,6 +143,13 @@ class TestCmdRun:
                                            "csv_path": str(tmp_path / "nope.csv")})
         assert main(["run", "--config", str(cfg_path)]) == 3
 
+    def test_failed_run_creates_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {"dataset": "csv", "out_dir": str(out),
+                                           "csv_path": str(tmp_path / "nope.csv")})
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert not out.exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDGELA_OUT_ROOT", str(tmp_path / "root"))
         cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": "rel"})
@@ -193,6 +200,16 @@ class TestCmdSweep:
             manifest = json.loads(
                 (tmp_path / "ew" / f"ew{p}_seed0" / "manifest.json").read_text())
             assert manifest["config"]["e_w"] == 10.0 ** p
+
+    def test_failed_arm_creates_no_arm_dir(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": str(out)})
+        bad = f"bad:dataset=csv,csv_path={tmp_path / 'nope.csv'}"
+        assert main(["sweep", "--config", str(cfg_path), "--arm", "ok:algo=fedavg",
+                     "--arm", bad, "--seeds", "0"]) == 3
+        assert (out / "ok_seed0" / "rounds.csv").exists()
+        assert not (out / "bad_seed0").exists()
+        assert not (out / "summary.csv").exists()
 
     def test_single_arm_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)

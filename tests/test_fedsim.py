@@ -420,3 +420,129 @@ class TestRoundCsv:
             for col in ("ga", "pa", "global_mean_angle", "local_exist_angle",
                         "clf_exist_angle", "clf_miss_angle", "mean_train_loss"):
                 assert row[col] == getattr(log, col)
+
+
+def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts):
+    """local_train's loop written with the public per-batch ops:
+    forward -> logits -> ce_loss -> backward -> (+ prox) -> sgd_step."""
+    from fedgela.neuralnet import (OptimizerState, backward, ce_loss, forward,
+                                   logits, sgd_step)
+    bb = backbone.clone()
+    learnable = not algo.fixed_classifier
+    clf = np.array(classifier, copy=True) if learnable else None
+    eff = clf if learnable else classifier
+    refs = None
+    if algo.lambda_prox > 0:
+        refs = [t.copy() for t in backbone.tensors()] + [np.array(classifier, copy=True)]
+    state = OptimizerState.for_params(bb, hp.lr, hp.momentum, hp.weight_decay,
+                                      classifier=clf)
+    phi = client.phi if algo.adapts_phi else None
+    mask = client.mask if algo.restricted_mask else None
+    idx = client.shard.train_indices
+    epoch_losses = []
+    for epoch in range(hp.epochs):
+        shuffled = idx[np.random.default_rng(tuple(seed_parts) + (epoch,)).permutation(idx.size)]
+        losses = []
+        for start in range(0, idx.size, hp.batch_size):
+            batch = shuffled[start:start + hp.batch_size]
+            fb, cache = forward(bb, ds.features[batch], hp.e_h)
+            losses.append(ce_loss(logits(fb, eff, phi), ds.labels[batch], mask))
+            grads = backward(cache, ds.labels[batch], eff, phi, mask)
+            if refs is not None:
+                for g, t, r in zip(grads.tensors(), bb.tensors() + [clf], refs):
+                    g += algo.lambda_prox * (t - r)
+            sgd_step(bb, grads, state, classifier=clf)
+        epoch_losses.append(float(np.mean(losses)))
+    return bb, clf, epoch_losses
+
+
+class TestFusedStepMatchesPublicOps:
+    """local_train (flat buffer, fused step) against the public ops, bitwise."""
+
+    ALGOS = [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0), ("fedgela", 0.0),
+             ("laonly", 0.0)]
+
+    def _setup(self, kind, lam, hidden):
+        ds = synth_gaussian_mixture(5, 6, 23, 3.0, 1.0, seed=3)
+        shards = pcdd_partition(ds, PartitionSpec("pcdd", 3, seed=4, classes_per_client=3))
+        algo = AlgoKind(kind, lambda_prox=lam)
+        clients = build_client_states(shards, ds.n_classes, algo)
+        hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=3,
+                         batch_size=7, e_h=4.0)
+        backbone = init_backbone((6,) + hidden + (8,), seed=5)
+        if algo.fixed_classifier:
+            classifier = make_etf(8, 5, 6, e_w=2.0)
+        else:
+            from fedgela.neuralnet import init_classifier
+            classifier = init_classifier(8, 5, seed=7)
+        return ds, clients, algo, hp, backbone, classifier
+
+    def _assert_same(self, res, ref):
+        bb, clf, losses = ref
+        assert len(res.backbone.tensors()) == len(bb.tensors())
+        for a, b in zip(res.backbone.tensors(), bb.tensors()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if clf is None:
+            assert res.classifier is None
+        else:
+            assert res.classifier.tobytes() == clf.tobytes()
+        assert res.epoch_losses == losses
+
+    @pytest.mark.parametrize("hidden", [(16,), (12, 9)])
+    @pytest.mark.parametrize("kind,lam", ALGOS)
+    def test_local_train_bitwise(self, kind, lam, hidden):
+        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        client = clients[1]
+        assert client.shard.train_indices.size % hp.batch_size != 0  # partial last batch
+        res = local_train(client, backbone, classifier, algo, hp, ds, (2, 3, 1, 1))
+        ref = reference_local_train(client, backbone, classifier, algo, hp, ds,
+                                    (2, 3, 1, 1))
+        self._assert_same(res, ref)
+
+    @pytest.mark.parametrize("hidden", [(16,), (12, 9)])
+    @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0)])
+    def test_finetune_personalize_bitwise(self, kind, lam, hidden):
+        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        shard = clients[2].shard
+        res = finetune_personalize(backbone, classifier, shard, algo, hp, 2, ds,
+                                   (2, 4, 1, 2))
+        from fedgela.fedsim import ClientState
+        plain = ClientState(client_id=shard.client_id, shard=shard, phi=None,
+                            mask=np.ones(ds.n_classes, dtype=bool))
+        ref = reference_local_train(plain, backbone, classifier, algo,
+                                    Hyperparams(lr=hp.lr, momentum=hp.momentum,
+                                                weight_decay=hp.weight_decay, epochs=2,
+                                                batch_size=hp.batch_size, e_h=hp.e_h),
+                                    ds, (2, 4, 1, 2))
+        self._assert_same(res, ref)
+
+    def test_backbone_is_one_flat_buffer(self):
+        ds, clients, algo, hp, backbone, classifier = self._setup("fedavg", 0.0, (16,))
+        res = local_train(clients[0], backbone, classifier, algo, hp, ds, (2, 3, 1, 0))
+        base = res.classifier.base
+        assert base is not None
+        assert all(t.base is base for t in res.backbone.tensors())
+
+
+class TestNumericFailuresNameClient:
+    @pytest.mark.parametrize("value,bad_client,match", [
+        (np.inf, 2, "numeric overflow: non-finite activation in layer 0"),
+        (0.0, 1, "degenerate feature"),
+    ])
+    def test_message_names_round_and_client(self, value, bad_client, match):
+        from fedgela.datagen import Dataset
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config(algo="fedgela", rounds=1)
+        ds = build_dataset(cfg)
+        shards = build_partition(ds, cfg)
+        features = ds.features.copy()
+        if value == 0.0:
+            # every train row of the client zero: the zero-bias initial net
+            # maps them to a zero feature on the first step
+            features[shards[bad_client].train_indices] = 0.0
+        else:
+            features[shards[bad_client].train_indices[0]] = value
+        bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError, match=rf"^round 1: client {bad_client}: {match}"):
+            run_federation(cfg, dataset=bad, shards=shards)
