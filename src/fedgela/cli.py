@@ -14,6 +14,7 @@ failure, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -326,23 +327,53 @@ def _parse_arm(spec: str) -> tuple:
     return name, overrides
 
 
+# the partition key each scheme owns; an arm that switches scheme drops the
+# base's key of the other one
+_SCHEME_KEYS = {"dirichlet": "beta", "pcdd": "classes_per_client"}
+
+
+def _sweep_runs(base: RunConfig, arms, seeds, out: Path) -> list:
+    """(arm name, seed, RunConfig) of every run, all parsed before any runs;
+    a bad or duplicate arm raises a ConfigError naming it."""
+    base_dict = base.to_dict()
+    runs, names = [], set()
+    for name, overrides in arms:
+        if name in names:
+            raise ConfigError(f"duplicate arm name '{name}'")
+        names.add(name)
+        for seed in seeds:
+            cfg_dict = dict(base_dict)
+            cfg_dict.update({"seed": seed, "data_seed": seed, "partition_seed": seed})
+            if "scheme" in overrides:
+                for scheme, key in _SCHEME_KEYS.items():
+                    if scheme != str(overrides["scheme"]).strip():
+                        cfg_dict.pop(key, None)
+            cfg_dict.update(overrides)
+            cfg_dict["out_dir"] = str(out / f"{name}_seed{seed}")
+            try:
+                runs.append((name, seed, parse_config(cfg_dict)))
+            except ConfigError as exc:
+                raise ConfigError(f"arm '{name}': {exc}") from None
+    return runs
+
+
 def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
     """Run every arm for every seed on shared data/partition splits and
-    write a per-arm summary of final PA/GA mean and std."""
+    write a per-arm summary of final PA/GA mean and std.
+
+    Every arm x seed config is parsed before the first run. A run that fails
+    leaves sweep_status.json (status, arm, seed, error) in the sweep
+    directory, and no summary.csv."""
     if len(arm_specs) < 2:
         raise ConfigError("sweep needs at least 2 arms")
     arms = [_parse_arm(s) for s in arm_specs]
     out = _resolve_out_dir(base).absolute()
-    base_dict = base.to_dict()
-    rows = []
-    for name, overrides in arms:
-        pas, gas = [], []
-        for seed in seeds:
-            cfg_dict = dict(base_dict)
-            cfg_dict.update({"seed": seed, "data_seed": seed, "partition_seed": seed})
-            cfg_dict.update(overrides)
-            cfg_dict["out_dir"] = str(out / f"{name}_seed{seed}")
-            cfg = parse_config(cfg_dict)
+    runs = _sweep_runs(base, arms, seeds, out)
+    status = out / "sweep_status.json"
+    status.unlink(missing_ok=True)
+    finals = {name: ([], []) for name, _ in arms}
+    for name, seed, cfg in runs:
+        try:
             result = fedsim.run_federation(cfg)
             arm_out = _resolve_out_dir(cfg)
             arm_out.mkdir(parents=True, exist_ok=True)
@@ -351,11 +382,18 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
             ga, pa = _final_metrics(result.logs)
             if ga is None:
                 raise RuntimeError(f"arm '{name}' seed {seed} recorded no evaluation")
-            gas.append(ga)
-            pas.append(pa)
-        rows.append((name, len(seeds),
-                     float(np.mean(pas)), float(np.std(pas)),
-                     float(np.mean(gas)), float(np.std(gas))))
+        except Exception as exc:
+            out.mkdir(parents=True, exist_ok=True)
+            status.write_text(json.dumps({"status": "failed", "arm": name, "seed": seed,
+                                          "error": str(exc)}, indent=2) + "\n",
+                              encoding="utf-8")
+            raise
+        gas, pas = finals[name]
+        gas.append(ga)
+        pas.append(pa)
+    rows = [(name, len(seeds), float(np.mean(pas)), float(np.std(pas)),
+             float(np.mean(gas)), float(np.std(gas)))
+            for name, (gas, pas) in finals.items()]
     out.mkdir(parents=True, exist_ok=True)
     summary = out / "summary.csv"
     with open(summary, "w", encoding="utf-8") as fh:

@@ -29,6 +29,7 @@ from .etfgeom import make_etf
 from .neuralnet import (
     BackboneParams,
     PhiVector,
+    StepFailure,
     _as_mask,
     _check_labels,
     _effective_matrix,
@@ -92,12 +93,8 @@ class AlgoKind:
 
     @property
     def adapts_phi(self) -> bool:
-        """Scales classifier columns by the client's distribution vector."""
-        return self.kind in ("fedgela", "laonly")
-
-    @property
-    def restricted_mask(self) -> bool:
-        """Softmax restricted to the client's existing classes."""
+        """Scales classifier columns by the client's distribution vector and
+        restricts the softmax to the client's existing classes."""
         return self.kind in ("fedgela", "laonly")
 
     @property
@@ -238,7 +235,7 @@ def build_client_states(shards, n_classes: int, algo: AlgoKind,
             client_id=shard.client_id,
             shard=shard,
             phi=phi,
-            mask=mask if algo.restricted_mask else np.ones(n_classes, dtype=bool),
+            mask=mask if algo.adapts_phi else np.ones(n_classes, dtype=bool),
         ))
     return clients
 
@@ -250,50 +247,170 @@ class LocalResult:
     epoch_losses: list
 
 
-def local_train(client: ClientState, backbone: BackboneParams, classifier,
-                algo: AlgoKind, hp: Hyperparams, ds: Dataset,
-                seed_parts) -> LocalResult:
-    """Run `hp.epochs` epochs of mini-batch SGD on the client's train split.
+# Largest rows x parameters of one stacked training step. The REFERENCE net
+# (about 3.4k parameters) then trains 17-19 clients per stack, and a net of
+# more than 2**15 parameters one client at a time: stacking wide nets gains
+# nothing, since their steps are BLAS-bound, while every stacked row adds
+# several parameter-sized buffers to the peak memory.
+STACK_ELEMENTS = 2 ** 16
 
-    Batches are a seeded shuffle each epoch (seed derived from seed_parts
-    and the epoch index); the last partial batch is kept. Learnable-
-    classifier variants update the classifier jointly; fedprox adds
-    lambda_prox * (theta - theta_global) to every gradient. The local model
-    is one flat vector (neuralnet.flatten) trained by neuralnet.train_step;
-    a numeric failure is re-raised naming the client.
+
+class _ClientFailure(Exception):
+    """Training the client at `position` of a local_train call fails with
+    `error`."""
+
+    def __init__(self, position: int, error: Exception):
+        super().__init__(str(error))
+        self.position, self.error = position, error
+
+
+def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
+                hp: Hyperparams, ds: Dataset, seed_parts):
+    """Run `hp.epochs` epochs of mini-batch SGD on each client's train split,
+    every client starting from the given (global) weights.
+
+    `clients` is one ClientState with its shuffle seed `seed_parts`, or a
+    sequence of them with one seed tuple each; the result is one LocalResult
+    or a list in the same order. Batches are a seeded shuffle each epoch (seed
+    derived from the client's seed_parts and the epoch index); the last
+    partial batch is kept. Learnable-classifier variants update the
+    classifier jointly; fedprox adds lambda_prox * (theta - theta_global) to
+    every gradient. The clients train as one stack of models
+    (neuralnet.flatten, neuralnet.train_step), at most STACK_ELEMENTS
+    parameters per step, each bit-identical to training that client alone.
+    An error is the one that training the clients one after another would
+    raise first; a numeric failure is re-raised naming the client.
     """
-    train_idx = client.shard.train_indices
-    if train_idx.size == 0:
-        raise ValueError(f"client {client.client_id} has an empty train split")
+    single = isinstance(clients, ClientState)
+    if single:
+        clients, seed_parts = [clients], [seed_parts]
+    clients, seeds = list(clients), [tuple(s) for s in seed_parts]
+    if len(seeds) != len(clients):
+        raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
+                         f"for {len(clients)} clients")
+    # Trajectories are independent, so once the client at position p fails,
+    # only the clients before p can fail first in sequence: train them alone.
+    n, failure = len(clients), None
+    while True:
+        try:
+            results = _train_clients(clients[:n], seeds[:n], backbone, classifier,
+                                     algo, hp, ds)
+            break
+        except _ClientFailure as exc:
+            n, failure = exc.position, exc
+    if failure is not None:
+        raise failure.error
+    return results[0] if single else results
+
+
+def _train_clients(clients, seeds, backbone, classifier, algo, hp, ds) -> list:
+    """local_train's results in input order. Stacks hold clients sorted by
+    train-split size (descending, stable), so the clients that still have a
+    full batch at an offset are a prefix of the stack."""
+    n_classes = _effective_matrix(classifier).shape[1]
+    masks = []
+    for pos, c in enumerate(clients):
+        train_idx = c.shard.train_indices
+        if train_idx.size == 0:
+            raise _ClientFailure(pos, ValueError(
+                f"client {c.client_id} has an empty train split"))
+        mask = None
+        if algo.adapts_phi:
+            try:
+                mask = _as_mask(c.mask, n_classes)
+                _check_labels(ds.labels[train_idx], mask)  # once, not per batch
+            except ValueError as exc:
+                raise _ClientFailure(pos, exc) from None
+        masks.append(mask)
     learnable = not algo.fixed_classifier
-    model = flatten(backbone, classifier if learnable else None)
-    w_eff = model.classifier if learnable else _effective_matrix(classifier)
+    n_params = sum(t.size for t in backbone.tensors())
+    n_params += np.size(classifier) if learnable else 0
+    cap = max(1, STACK_ELEMENTS // n_params)
+    order = sorted(range(len(clients)), key=lambda p: -clients[p].shard.train_indices.size)
+    results = [None] * len(clients)
+    for g in range(0, len(order), cap):
+        group = order[g:g + cap]
+        stacked = _train_stack(group, clients, seeds, masks, backbone, classifier,
+                               algo, hp, ds)
+        for p, res in zip(group, stacked):
+            results[p] = res
+    return results
+
+
+def _train_stack(positions, clients, seeds, masks, backbone, classifier,
+                 algo, hp, ds) -> list:
+    """Train clients[p] for p in `positions` (train splits of non-increasing
+    size) as one stack of models; one LocalResult each."""
+    k_rows = len(positions)
+    learnable = not algo.fixed_classifier
+    model = flatten(backbone, classifier if learnable else None, k_rows)
+    frame = _effective_matrix(classifier)
+    n_classes = frame.shape[1]
     prox_ref = None
     if algo.kind == "fedprox" and algo.lambda_prox > 0:
-        prox_ref = model.theta.copy()
-    phi = client.phi.phi if algo.adapts_phi and client.phi is not None else None
-    mask = None
-    if algo.restricted_mask:
-        mask = _as_mask(client.mask, w_eff.shape[1])
-        _check_labels(ds.labels[train_idx], mask)   # once per client, not per batch
-        mask = None if mask.all() else mask
-    step = dict(w_eff=w_eff, phi=phi, mask=mask, e_h=float(hp.e_h), lr=float(hp.lr),
-                momentum=float(hp.momentum), weight_decay=float(hp.weight_decay),
+        prox_ref = model.theta[0].copy()
+    phi = mask = None
+    if algo.adapts_phi:
+        phis = [clients[p].phi for p in positions]
+        if any(f is not None for f in phis):
+            phi = np.stack([np.ones(n_classes) if f is None else f.phi
+                            for f in phis])[:, None, :]
+        row_masks = [masks[p] for p in positions]
+        if not all(m.all() for m in row_masks):
+            mask = np.stack(row_masks)[:, None, :]
+    step = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
+                weight_decay=float(hp.weight_decay),
                 lambda_prox=float(algo.lambda_prox), prox_ref=prox_ref)
+
+    # one epoch's steps: (batch number, first row, row stop, batch start, batch
+    # stop); the rows with a full batch at offset i form a prefix, and each
+    # partial last batch is a one-row stack of its own
+    n = [clients[p].shard.train_indices.size for p in positions]
     size = hp.batch_size
-    epoch_losses = []
+    steps = []
+    for j, i in enumerate(range(0, n[0], size)):
+        full = sum(nk >= i + size for nk in n)
+        if full:
+            steps.append((j, 0, full, i, i + size))
+        steps += [(j, k, k + 1, i, n[k]) for k in range(full, k_rows) if n[k] > i]
+    stacks = {}
+    for _, start, stop, _, _ in steps:
+        if (start, stop) not in stacks:
+            rows = model if (start, stop) == (0, k_rows) else model.rows(start, stop)
+            cut = slice(start, stop)
+            stacks[start, stop] = rows, dict(
+                step, w_eff=rows.classifier if learnable else frame,
+                phi=None if phi is None else phi[cut],
+                mask=None if mask is None else mask[cut])
+    n_batches = [-(-nk // size) for nk in n]
+    losses = np.empty((k_rows, n_batches[0]))
+    epoch_losses = [[] for _ in positions]
+    shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
+    classes = np.arange(n_classes)
     try:
         for epoch in range(hp.epochs):
-            rng = np.random.default_rng(tuple(seed_parts) + (epoch,))
-            shuffled = train_idx[rng.permutation(train_idx.size)]
-            xs, ys = ds.features[shuffled], ds.labels[shuffled]
-            losses = [train_step(model, xs[i:i + size], ys[i:i + size], **step)
-                      for i in range(0, len(ys), size)]
-            epoch_losses.append(float(np.mean(losses)))
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"client {client.client_id}: {exc}") from exc
-    return LocalResult(backbone=model.params, classifier=model.classifier,
-                       epoch_losses=epoch_losses)
+            for k, p in enumerate(positions):
+                rng = np.random.default_rng(seeds[p] + (epoch,))
+                train_idx = clients[p].shard.train_indices
+                shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
+            xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
+            for j, start, stop, i, end in steps:
+                rows, kwargs = stacks[start, stop]
+                losses[start:stop, j] = train_step(rows, xs[start:stop, i:end],
+                                                   hot[start:stop, i:end], **kwargs)
+            for k in range(k_rows):
+                epoch_losses[k].append(float(np.mean(losses[k, :n_batches[k]])))
+    except StepFailure as exc:
+        row = min(exc.rows, key=lambda r: positions[start + r])
+        pos = positions[start + row]
+        error = FloatingPointError(f"client {clients[pos].client_id}: {exc.rows[row]}")
+        error.__cause__ = exc
+        raise _ClientFailure(pos, error) from None
+    out = []
+    for k in range(k_rows):
+        bb, clf = model.row(k)
+        out.append(LocalResult(backbone=bb, classifier=clf, epoch_losses=epoch_losses[k]))
+    return out
 
 
 def aggregate_tensors(tensor_sets, weights) -> list:
@@ -327,21 +444,22 @@ def aggregate(updates, weights) -> BackboneParams:
                           layer_sizes=updates[0].layer_sizes)
 
 
-def finetune_personalize(backbone: BackboneParams, classifier, shard: ClientShard,
+def finetune_personalize(backbone: BackboneParams, classifier, shards,
                          algo: AlgoKind, hp: Hyperparams, epochs: int,
-                         ds: Dataset, seed_parts) -> LocalResult:
-    """Continue the algorithm's local training on one shard from the given
-    (global) weights for `epochs` epochs; epochs=0 returns them unchanged."""
+                         ds: Dataset, seed_parts):
+    """Continue the algorithm's local training on each shard from the given
+    (global) weights for `epochs` epochs; epochs=0 returns them unchanged.
+    `shards` is one ClientShard with its `seed_parts`, or a sequence of them
+    with one seed tuple each, as in local_train."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    client = ClientState(
-        client_id=shard.client_id,
-        shard=shard,
-        phi=None,
-        mask=np.ones(ds.n_classes, dtype=bool),
-    )
+    single = isinstance(shards, ClientShard)
+    clients = [ClientState(client_id=s.client_id, shard=s, phi=None,
+                           mask=np.ones(ds.n_classes, dtype=bool))
+               for s in ([shards] if single else shards)]
     ft_hp = replace(hp, epochs=int(epochs))
-    return local_train(client, backbone, classifier, algo, ft_hp, ds, seed_parts)
+    return local_train(clients[0] if single else clients, backbone, classifier, algo,
+                       ft_hp, ds, seed_parts)
 
 
 def build_dataset(config) -> Dataset:
@@ -397,15 +515,14 @@ def _evaluate(server: ServerState, clients, algo: AlgoKind, hp: Hyperparams,
         ds.labels[global_test], hp.e_h,
     )
     if algo.finetunes_for_pa:
-        personal = []
-        for c in clients:
-            res = finetune_personalize(
-                server.backbone, std_classifier, c.shard, algo, hp,
-                finetune_epochs, ds,
-                seed_parts=(master_seed, _SEED_FINETUNE, round_index, c.client_id),
-            )
-            clf = res.classifier if res.classifier is not None else std_classifier
-            personal.append((res.backbone, clf, None, None))
+        tuned = finetune_personalize(
+            server.backbone, std_classifier, [c.shard for c in clients], algo, hp,
+            finetune_epochs, ds,
+            [(master_seed, _SEED_FINETUNE, round_index, c.client_id) for c in clients],
+        )
+        personal = [(res.backbone,
+                     res.classifier if res.classifier is not None else std_classifier,
+                     None, None) for res in tuned]
     else:
         personal = _personal_models(server, clients, algo)
     pa, per_client = metrics.personal_accuracy(
@@ -425,13 +542,26 @@ def _evaluate(server: ServerState, clients, algo: AlgoKind, hp: Hyperparams,
                               angles=angles)
 
 
+def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:
+    """PA needs every client's test split and the global angle needs every
+    class in the global test set."""
+    for s in shards:
+        if s.test_indices.size == 0:
+            raise ValueError(f"client {s.client_id} has an empty test split")
+    absent = np.flatnonzero(np.bincount(ds.labels[global_test], minlength=ds.n_classes) == 0)
+    if absent.size:
+        raise ValueError(f"class {absent[0]} is absent from the global test set")
+
+
 def run_federation(config, dataset: Dataset | None = None,
                    shards: list | None = None) -> FederationResult:
     """Run T federated rounds of sample / broadcast / local train / aggregate.
 
-    Sequential execution in ascending client-id order, so results are
+    Each round trains its sampled clients in one local_train call and
+    aggregates them in ascending client-id order, so results are
     bit-deterministic per master seed. Evaluation metrics are recorded every
-    `eval_every` rounds and on the final round.
+    `eval_every` rounds and on the final round; a partition that cannot be
+    evaluated is rejected before round 1.
     """
     algo = AlgoKind(kind=config.algo, lambda_prox=config.lambda_prox)
     hp = Hyperparams(lr=config.lr, momentum=config.momentum,
@@ -454,24 +584,27 @@ def run_federation(config, dataset: Dataset | None = None,
     clients = build_client_states(shards, n_classes, algo,
                                   gamma=config.gamma, q_kind=config.q_kind)
     global_test = np.sort(np.concatenate([s.test_indices for s in shards]))
+    if config.rounds >= 1 and config.eval_every:
+        _check_evaluable(shards, ds, global_test)
     k = config.clients_per_round
 
     logs = []
     for t in range(1, config.rounds + 1):
         ids = sample_clients(len(clients), k, (seed, _SEED_SAMPLE, t))
+        sampled = [clients[int(cid)] for cid in ids]
+        try:
+            trained = local_train(
+                sampled, server.backbone, server.classifier, algo, hp, ds,
+                [(seed, _SEED_SHUFFLE, t, c.client_id) for c in sampled],
+            )
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"round {t}: {exc}") from exc
         results = {}
-        for cid in ids:
-            cid = int(cid)
-            try:
-                results[cid] = local_train(
-                    clients[cid], server.backbone, server.classifier, algo, hp,
-                    ds, seed_parts=(seed, _SEED_SHUFFLE, t, cid),
-                )
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"round {t}: {exc}") from exc
-            clients[cid].backbone = results[cid].backbone
-            if results[cid].classifier is not None:
-                clients[cid].classifier = results[cid].classifier
+        for c, res in zip(sampled, trained):
+            results[c.client_id] = res
+            c.backbone = res.backbone
+            if res.classifier is not None:
+                c.classifier = res.classifier
         n_sampled = np.array([clients[c].shard.n_k for c in results], dtype=np.float64)
         weights = n_sampled / n_sampled.sum()
         server.backbone = aggregate([results[c].backbone for c in results], weights)

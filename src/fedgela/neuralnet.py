@@ -30,6 +30,7 @@ __all__ = [
     "ce_loss",
     "backward",
     "sgd_step",
+    "StepFailure",
     "FlatModel",
     "flatten",
     "train_step",
@@ -181,17 +182,35 @@ class PhiVector:
         return float(self.phi.mean())
 
 
+class StepFailure(FloatingPointError):
+    """A numeric guard failed on some models of a stack; `rows` maps each
+    failing row of the stack to its message (the lowest row's message is the
+    exception's own)."""
+
+    def __init__(self, rows: dict):
+        super().__init__(rows[min(rows)])
+        self.rows = rows
+
+
 def _check_finite(z: np.ndarray, layer: int) -> None:
-    if not np.isfinite(z).all():
-        raise FloatingPointError(f"numeric overflow: non-finite activation in layer {layer}")
+    """Rejects non-finite activations of a (K, B, n) stack."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        msg = f"numeric overflow: non-finite activation in layer {layer}"
+        raise StepFailure({int(k): msg for k in np.flatnonzero(~finite.all(axis=(1, 2)))})
 
 
 def _check_norms(norms: np.ndarray) -> None:
-    if (norms < NORM_EPS).any():
-        bad = int(np.argmin(norms))
-        raise FloatingPointError(
-            f"degenerate feature: row {bad} has norm {norms[bad]:.3g} < {NORM_EPS}"
-        )
+    """Rejects feature rows of norm below NORM_EPS in a (K, B) stack of norms;
+    the message names the batch row within the failing model's batch."""
+    low = norms < NORM_EPS
+    if low.any():
+        rows = {}
+        for k in np.flatnonzero(low.any(axis=1)):
+            bad = int(np.argmin(norms[k]))
+            rows[int(k)] = (f"degenerate feature: row {bad} has norm "
+                            f"{norms[k, bad]:.3g} < {NORM_EPS}")
+        raise StepFailure(rows)
 
 
 def forward(params: BackboneParams, inputs, e_h: float = 1.0):
@@ -213,7 +232,7 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
-        _check_finite(z, i)
+        _check_finite(z[None], i)
         pre_acts.append(z)
         if i < params.n_layers - 1:
             a = np.maximum(z, 0.0)
@@ -222,7 +241,7 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
             a = z
     raw = a
     norms = np.linalg.norm(raw, axis=1)
-    _check_norms(norms)
+    _check_norms(norms[None])
     h = math.sqrt(e_h) * raw / norms[:, None]
     cache = ForwardCache(
         params=params,
@@ -400,107 +419,156 @@ def sgd_step(params: BackboneParams, grads: Grads, state: OptimizerState,
 
 @dataclass
 class FlatModel:
-    """A backbone, plus a learnable classifier when there is one, held as
-    views of one contiguous float64 vector `theta` (weights, biases, then
-    the classifier); `grad` and `vel` share its layout, so an optimizer
-    update is a few whole-vector operations."""
+    """A stack of K models, each a backbone plus a learnable classifier when
+    there is one, held as the rows of one contiguous (K, P) float64 matrix
+    `theta` (weights, biases, then the classifier). Every layer view is a
+    (K, ...) stack of row views; `grad` and `vel` share the layout, so an
+    optimizer update is a few whole-matrix operations."""
 
     theta: np.ndarray
     grad: np.ndarray
     vel: np.ndarray
-    params: BackboneParams             # views of theta
-    classifier: np.ndarray | None      # view of theta
-    grads: Grads                       # views of grad
+    layer_sizes: tuple
+    cuts: np.ndarray                    # column where each tensor after the first starts
+    shapes: list                        # tensor shapes, biases as (1, fan_out)
+    weights: list                       # (K, fan_in, fan_out) views of theta
+    biases: list                        # (K, 1, fan_out) views of theta
+    classifier: np.ndarray | None       # (K, d, C) view of theta
+    grad_weights: list                  # the same views of grad
+    grad_biases: list
+    grad_classifier: np.ndarray | None
+
+    def rows(self, start: int, stop: int) -> "FlatModel":
+        """Models start..stop-1 as a stack of views of this one."""
+        s = slice(start, stop)
+
+        def cut(ts):
+            return [t[s] for t in ts]
+
+        return FlatModel(
+            theta=self.theta[s], grad=self.grad[s], vel=self.vel[s],
+            layer_sizes=self.layer_sizes, cuts=self.cuts, shapes=self.shapes,
+            weights=cut(self.weights), biases=cut(self.biases),
+            classifier=None if self.classifier is None else self.classifier[s],
+            grad_weights=cut(self.grad_weights), grad_biases=cut(self.grad_biases),
+            grad_classifier=None if self.grad_classifier is None else self.grad_classifier[s])
+
+    def row(self, k: int):
+        """(BackboneParams, classifier or None) of model k, as views of
+        theta[k], copied out of a stack of several so that they do not keep
+        the whole stack alive."""
+        flat = self.theta[k:k + 1]
+        p = _views(flat.copy() if len(self.theta) > 1 else flat, self.cuts, self.shapes)
+        n = len(self.weights)
+        params = BackboneParams([w[0] for w in p[:n]], [b[0, 0] for b in p[n:2 * n]],
+                                self.layer_sizes)
+        return params, p[2 * n][0] if len(p) > 2 * n else None
 
 
-def flatten(params: BackboneParams, classifier: np.ndarray | None = None) -> FlatModel:
-    """Copy params (and a learnable d x C classifier) into a FlatModel with
-    zero velocity."""
+def _views(flat: np.ndarray, cuts, shapes) -> list:
+    """(K, ...) views of the tensors laid out along the rows of flat."""
+    return [v.reshape((len(flat),) + s) for v, s in zip(np.split(flat, cuts, axis=1), shapes)]
+
+
+def flatten(params: BackboneParams, classifier: np.ndarray | None, k: int) -> FlatModel:
+    """Copy params (and a learnable d x C classifier, or None) into each of
+    the k rows of a FlatModel with zero velocity."""
     tensors = params.tensors() + ([] if classifier is None else [classifier])
-    theta = np.concatenate([np.ravel(t) for t in tensors])
-    grad = np.zeros_like(theta)
+    n = params.n_layers
+    shapes = [t.shape for t in tensors]
+    for i in range(n, 2 * n):
+        shapes[i] = (1,) + shapes[i]    # biases broadcast over a batch
+    theta = np.tile(np.concatenate([np.ravel(t) for t in tensors]), (k, 1))
     cuts = np.cumsum([t.size for t in tensors])[:-1]
-    n, learnable = params.n_layers, classifier is not None
-
-    def views(flat):
-        return [v.reshape(t.shape) for v, t in zip(np.split(flat, cuts), tensors)]
-
-    p, g = views(theta), views(grad)
+    grad = np.zeros_like(theta)
+    p, g = _views(theta, cuts, shapes), _views(grad, cuts, shapes)
+    learnable = classifier is not None
     return FlatModel(theta=theta, grad=grad, vel=np.zeros_like(theta),
-                     params=BackboneParams(p[:n], p[n:2 * n], params.layer_sizes),
+                     layer_sizes=params.layer_sizes, cuts=cuts, shapes=shapes,
+                     weights=p[:n], biases=p[n:2 * n],
                      classifier=p[-1] if learnable else None,
-                     grads=Grads(g[:n], g[n:2 * n], g[-1] if learnable else None))
+                     grad_weights=g[:n], grad_biases=g[n:2 * n],
+                     grad_classifier=g[-1] if learnable else None)
 
 
-def train_step(model: FlatModel, x: np.ndarray, y: np.ndarray, *, w_eff: np.ndarray,
+def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.ndarray,
                phi: np.ndarray | None, mask: np.ndarray | None, e_h: float,
                lr: float, momentum: float, weight_decay: float,
-               lambda_prox: float = 0.0, prox_ref: np.ndarray | None = None) -> float:
-    """One momentum-SGD step on a batch, in place on `model`; returns the loss.
+               lambda_prox: float = 0.0, prox_ref: np.ndarray | None = None) -> np.ndarray:
+    """One momentum-SGD step of each of the m models of a stack, each on its
+    own batch, in place on `model`; returns the m losses.
 
-    Performs the floating-point operations of forward -> logits -> ce_loss
-    -> backward -> (+ lambda_prox * (theta - prox_ref)) -> sgd_step in the
-    same order, so results match those ops bit for bit, with one masked
-    softmax and gradients written into `model.grad`. `w_eff` is the d x C
-    classifier matrix (model.classifier when learnable); `mask` None means
-    all classes, and the caller checks that the labels lie in it.
+    `x` is (m, B, d) and `hot` the (m, B, C) one-hot boolean stack of the
+    labels. Each model runs the floating-point operations of forward ->
+    logits -> ce_loss -> backward -> (+ lambda_prox * (theta - prox_ref)) ->
+    sgd_step in the same order, so its results match those ops bit for bit,
+    with one masked softmax and gradients written into `model.grad` (which
+    the update then reuses as scratch). `w_eff` is the (m, d, C) learnable
+    classifier stack (model.classifier) or one shared d x C frame matrix;
+    `phi` and `mask` are (m, 1, C) stacks or None (all ones, all classes),
+    and the caller checks that the labels lie in the mask. `prox_ref` is one
+    (P,) row. A failed numeric guard raises StepFailure naming the rows.
     """
-    params = model.params
-    last = params.n_layers - 1
+    weights = model.weights
+    last = len(weights) - 1
     acts = [x]                         # input to each layer
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w
+    for i, (w, b) in enumerate(zip(weights, model.biases)):
+        z = np.matmul(acts[-1], w)
         z += b
         _check_finite(z, i)
         if i < last:
-            acts.append(np.maximum(z, 0.0))
+            acts.append(np.maximum(z, 0.0, out=z))
     raw = z
-    norms = np.sqrt((raw * raw).sum(axis=1))
+    norms = np.sqrt((raw * raw).sum(axis=2))
     _check_norms(norms)
     scale = math.sqrt(e_h)
-    h = scale * raw / norms[:, None]
+    norms = norms[..., None]
+    h = np.multiply(raw, scale)
+    h /= norms
 
-    z = h @ w_eff
+    z = np.matmul(h, w_eff)
     if phi is not None:
         z *= phi
     zm = z if mask is None else np.where(mask, z, -np.inf)
-    zmax = zm.max(axis=1, keepdims=True)
+    zmax = zm.max(axis=2, keepdims=True)
     probs = np.exp(zm - zmax)
-    denom = probs.sum(axis=1, keepdims=True)
-    rows = np.arange(len(y))
-    losses = (zmax + np.log(denom))[:, 0] - z[rows, y]
-    loss = float(losses.sum() / len(y))    # what losses.mean() computes
-    if not math.isfinite(loss):
-        raise FloatingPointError("non-finite loss")
+    denom = probs.sum(axis=2, keepdims=True)
+    m, batch = hot.shape[:2]
+    losses = (zmax + np.log(denom))[..., 0] - z[hot].reshape(m, batch)
+    loss = losses.sum(axis=1) / batch  # what each row's losses.mean() computes
+    finite = np.isfinite(loss)
+    if not finite.all():
+        raise StepFailure({int(k): "non-finite loss" for k in np.flatnonzero(~finite)})
 
     g = probs
     g /= denom
-    g[rows, y] -= 1.0
-    g /= len(y)                        # dL/dz
+    g[hot] -= 1.0
+    g /= batch                         # dL/dz
     if phi is not None:
         g *= phi                       # dL/d(h @ w_eff)
-    grads = model.grads
-    if grads.classifier is not None:
-        np.matmul(h.T, g, out=grads.classifier)
-    g = g @ w_eff.T                    # dL/dh
-    u = raw / norms[:, None]
-    radial = (g * u).sum(axis=1, keepdims=True)
-    g = (scale / norms)[:, None] * (g - radial * u)
+    if model.grad_classifier is not None:
+        np.matmul(h.swapaxes(1, 2), g, out=model.grad_classifier)
+    g = np.matmul(g, w_eff.swapaxes(-1, -2))   # dL/dh
+    u = np.divide(raw, norms, out=raw)
+    radial = (g * u).sum(axis=2, keepdims=True)
+    u *= radial
+    g -= u
+    g *= scale / norms                 # (scale / norms) * (g - radial * u)
     for layer in range(last, -1, -1):
-        np.matmul(acts[layer].T, g, out=grads.weights[layer])
-        g.sum(axis=0, out=grads.biases[layer])
+        np.matmul(acts[layer].swapaxes(1, 2), g, out=model.grad_weights[layer])
+        g.sum(axis=1, keepdims=True, out=model.grad_biases[layer])
         if layer:
-            g = g @ params.weights[layer].T
+            g = np.matmul(g, weights[layer].swapaxes(1, 2))
             g *= acts[layer] > 0
 
     theta, grad, vel = model.theta, model.grad, model.vel
     if prox_ref is not None:
         grad += lambda_prox * (theta - prox_ref)
     vel *= momentum
-    vel += grad
+    vel += grad                        # grad is spent: the rest reuse it
     if weight_decay:
-        vel += weight_decay * theta
-    theta -= lr * vel
+        vel += np.multiply(theta, weight_decay, out=grad)
+    theta -= np.multiply(vel, lr, out=grad)
     return loss
 
 

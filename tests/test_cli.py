@@ -320,3 +320,52 @@ class TestCmdLpmOracle:
         rc = main(["lpm-oracle", "--label-counts", "10,10", "--dim", "4",
                    "--iters", "1", "--lr", "0.001"])
         assert rc == 1
+
+
+class TestSweepFailsBeforeCompute:
+    def _sweep(self, tmp_path, *arms, base=None):
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, (base or SMALL) | {"rounds": 1, "out_dir": str(out)})
+        rc = main(["sweep", "--config", str(cfg_path),
+                   *sum((["--arm", a] for a in arms), []), "--seeds", "0"])
+        return rc, out
+
+    @pytest.mark.parametrize("bad", ["b:algo=nosuch", "b:lr=-1"])
+    def test_bad_arm_rejected_before_any_run(self, tmp_path, capsys, bad):
+        rc, out = self._sweep(tmp_path, "a:algo=fedavg", bad)
+        assert rc == 2
+        assert "arm 'b'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_arm_names_rejected(self, tmp_path, capsys):
+        rc, out = self._sweep(tmp_path, "a:algo=fedavg", "a:algo=fedgela")
+        assert rc == 2
+        assert "duplicate arm name 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_arm_switches_partition_scheme(self, tmp_path):
+        base = SMALL | {"scheme": "dirichlet", "beta": 0.5}
+        del base["classes_per_client"]
+        rc, out = self._sweep(tmp_path, "a:algo=fedavg",
+                              "b:scheme=pcdd,classes_per_client=2", base=base)
+        assert rc == 0
+        names = [line.split(",")[0] for line in
+                 (out / "summary.csv").read_text().splitlines()[1:]]
+        assert names == ["a", "b"]
+        for arm, scheme in (("a", "dirichlet"), ("b", "pcdd")):
+            manifest = json.loads((out / f"{arm}_seed0" / "manifest.json").read_text())
+            assert manifest["config"]["scheme"] == scheme
+
+    def test_run_time_failure_writes_status(self, tmp_path):
+        bad = f"bad:dataset=csv,csv_path={tmp_path / 'nope.csv'}"
+        rc, out = self._sweep(tmp_path, "ok:algo=fedavg", bad)
+        assert rc == 3
+        status = json.loads((out / "sweep_status.json").read_text())
+        assert status["status"] == "failed"
+        assert (status["arm"], status["seed"]) == ("bad", 0)
+        assert "nope.csv" in status["error"]
+        assert not (out / "summary.csv").exists()
+        # a rerun that succeeds leaves no stale failure record
+        rc, out = self._sweep(tmp_path, "ok:algo=fedavg", "ok2:algo=fedge")
+        assert rc == 0
+        assert not (out / "sweep_status.json").exists()

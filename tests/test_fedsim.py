@@ -437,7 +437,7 @@ def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts
     state = OptimizerState.for_params(bb, hp.lr, hp.momentum, hp.weight_decay,
                                       classifier=clf)
     phi = client.phi if algo.adapts_phi else None
-    mask = client.mask if algo.restricted_mask else None
+    mask = client.mask if algo.adapts_phi else None
     idx = client.shard.train_indices
     epoch_losses = []
     for epoch in range(hp.epochs):
@@ -546,3 +546,153 @@ class TestNumericFailuresNameClient:
         with np.errstate(invalid="ignore"), pytest.raises(
                 FloatingPointError, match=rf"^round 1: client {bad_client}: {match}"):
             run_federation(cfg, dataset=bad, shards=shards)
+
+    def _first_shuffle(self, cfg, shard):
+        """Train indices of the shard in its round-1, epoch-0 batch order."""
+        idx = shard.train_indices
+        return idx[np.random.default_rng((cfg.seed, 3, 1, shard.client_id, 0))
+                   .permutation(idx.size)]
+
+    def test_lower_client_failing_later_is_named(self):
+        # client 2 fails in its first batch, client 1 only in its last; trained
+        # one after another, client 1 fails first
+        from fedgela.datagen import Dataset
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config(algo="fedgela", rounds=1)
+        ds = build_dataset(cfg)
+        shards = build_partition(ds, cfg)
+        features = ds.features.copy()
+        late = self._first_shuffle(cfg, shards[1])
+        assert late.size > cfg.batch_size
+        features[late[-1]] = np.inf
+        features[self._first_shuffle(cfg, shards[2])[0]] = 0.0
+        features[self._first_shuffle(cfg, shards[2])[1:]] = np.inf
+        bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError,
+                match=r"^round 1: client 1: numeric overflow: non-finite activation "
+                      r"in layer 0$"):
+            run_federation(cfg, dataset=bad, shards=shards)
+
+    def test_degenerate_row_is_indexed_within_the_client_batch(self):
+        from fedgela.datagen import Dataset
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config(algo="fedgela", rounds=1)
+        ds = build_dataset(cfg)
+        shards = build_partition(ds, cfg)
+        features = ds.features.copy()
+        features[self._first_shuffle(cfg, shards[3])[4]] = 0.0
+        bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
+                FloatingPointError,
+                match=r"^round 1: client 3: degenerate feature: row 4 has norm 0 < 1e-12$"):
+            run_federation(cfg, dataset=bad, shards=shards)
+
+
+class TestStackedMatchesSingle:
+    """One local_train call over many clients (stacked models) against one
+    call per client, bitwise, on ragged Dirichlet shards."""
+
+    ALGOS = TestFusedStepMatchesPublicOps.ALGOS
+
+    def _setup(self, kind, lam, hidden):
+        from fedgela.neuralnet import init_classifier
+        ds = synth_gaussian_mixture(5, 6, 30, 3.0, 1.0, seed=8)
+        shards = dirichlet_partition(ds, PartitionSpec("dirichlet", 6, seed=2, beta=0.5,
+                                                       min_size=5))
+        algo = AlgoKind(kind, lambda_prox=lam)
+        clients = build_client_states(shards, ds.n_classes, algo)
+        hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=2,
+                         batch_size=7, e_h=4.0)
+        backbone = init_backbone((6,) + hidden + (8,), seed=5)
+        if algo.fixed_classifier:
+            classifier = make_etf(8, 5, 6, e_w=2.0)
+        else:
+            classifier = init_classifier(8, 5, seed=7)
+        sizes = [c.shard.train_indices.size for c in clients]
+        assert any(n % hp.batch_size for n in sizes)               # partial last batches
+        assert len({-(-n // hp.batch_size) for n in sizes}) > 1    # epochs end at different steps
+        assert sizes != sorted(sizes, reverse=True)                # stacking reorders them
+        return ds, clients, algo, hp, backbone, classifier
+
+    _assert_same_as_ref = TestFusedStepMatchesPublicOps._assert_same
+
+    def _assert_same(self, res, other):
+        self._assert_same_as_ref(res, (other.backbone, other.classifier,
+                                       other.epoch_losses))
+
+    @pytest.mark.parametrize("hidden", [(16,), (120, 100)])
+    @pytest.mark.parametrize("kind,lam", ALGOS)
+    def test_local_train_list_equals_one_by_one(self, kind, lam, hidden):
+        from fedgela import fedsim
+        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        n_params = sum(t.size for t in backbone.tensors())
+        n_params += 0 if algo.fixed_classifier else classifier.size
+        if hidden == (120, 100):   # the row cap splits the clients into several stacks
+            assert fedsim.STACK_ELEMENTS // n_params < len(clients)
+        seeds = [(4, 3, 1, c.client_id) for c in clients]
+        stacked = local_train(clients, backbone, classifier, algo, hp, ds, seeds)
+        assert len(stacked) == len(clients)
+        for c, s, res in zip(clients, seeds, stacked):
+            self._assert_same(res, local_train(c, backbone, classifier, algo, hp, ds, s))
+        self._assert_same_as_ref(stacked[0], reference_local_train(
+            clients[0], backbone, classifier, algo, hp, ds, seeds[0]))
+
+    @pytest.mark.parametrize("hidden", [(16,), (120, 100)])
+    @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0)])
+    def test_finetune_personalize_list_equals_one_by_one(self, kind, lam, hidden):
+        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        shards = [c.shard for c in clients]
+        seeds = [(4, 4, 1, s.client_id) for s in shards]
+        tuned = finetune_personalize(backbone, classifier, shards, algo, hp, 2, ds, seeds)
+        for shard, s, res in zip(shards, seeds, tuned):
+            self._assert_same(res, finetune_personalize(backbone, classifier, shard, algo,
+                                                        hp, 2, ds, s))
+
+    def test_one_seed_per_client_required(self):
+        ds, clients, algo, hp, backbone, classifier = self._setup("fedgela", 0.0, (16,))
+        with pytest.raises(ValueError, match="one seed_parts per client"):
+            local_train(clients, backbone, classifier, algo, hp, ds, [(0, 3, 1, 0)])
+
+
+class TestPartitionCheckedBeforeTraining:
+    def _no_training(self, monkeypatch):
+        from fedgela import fedsim
+
+        def never(*args, **kwargs):
+            raise AssertionError("local_train was called")
+
+        monkeypatch.setattr(fedsim, "local_train", never)
+
+    def test_empty_test_split_named_before_round_1(self, tmp_path, monkeypatch):
+        from fedgela.cli import main
+        self._no_training(monkeypatch)
+        sets = {"classes": 10, "n_per_class": 6, "clients": 10, "beta": 0.1,
+                "min_size": 1, "rounds": 2}
+        with pytest.raises(ValueError, match=r"^client 1 has an empty test split"):
+            run_federation(parse_config(sets))
+        out = tmp_path / "run"
+        argv = sum((["--set", f"{k}={v}"] for k, v in sets.items()), [])
+        assert main(["run", *argv, "--set", f"out_dir={out}"]) == 3
+        assert not out.exists()
+
+    def test_class_absent_from_global_test_set_named(self, monkeypatch):
+        import dataclasses
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config()
+        ds = build_dataset(cfg)
+        shards = []
+        for s in build_partition(ds, cfg):
+            moved = s.test_indices[ds.labels[s.test_indices] == 0]
+            shards.append(dataclasses.replace(
+                s, test_indices=np.setdiff1d(s.test_indices, moved),
+                train_indices=np.union1d(s.train_indices, moved)))
+        assert all(s.test_indices.size for s in shards)
+        self._no_training(monkeypatch)
+        with pytest.raises(ValueError, match=r"^class 0 is absent from the global test set"):
+            run_federation(cfg, dataset=ds, shards=shards)
+
+    def test_no_check_without_rounds(self):
+        cfg = parse_config({"classes": 10, "n_per_class": 6, "clients": 10, "beta": 0.1,
+                            "min_size": 1, "rounds": 0})
+        assert run_federation(cfg).logs == []
