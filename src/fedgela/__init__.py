@@ -17,7 +17,6 @@ from .fedsim import (
     AlgoKind,
     Hyperparams,
     aggregate,
-    alt_phi,
     compute_phi,
     finetune_personalize,
     local_train,

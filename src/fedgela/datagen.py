@@ -7,6 +7,7 @@ class histograms and a stratified train/test split.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,7 +330,7 @@ def pcdd_partition(
 
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV: header f0,...,f{d-1},label then one row per
-    sample of d reals and one non-negative integer label."""
+    sample of d finite reals and one non-negative integer label."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
@@ -350,6 +351,10 @@ def load_csv(path) -> Dataset:
             label = int(cells[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+        bad = [j for j, v in enumerate(feats[-1]) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{path}:{lineno}: non-finite feature "
+                             f"f{bad[0]} = {feats[-1][bad[0]]}")
         if label < 0:
             raise ValueError(f"{path}:{lineno}: label must be >= 0, got {label}")
         labels.append(label)

@@ -68,7 +68,6 @@ class EtfClassifier:
 
     m: np.ndarray
     scale: float
-    u: OrthoMatrix
 
     def __post_init__(self):
         object.__setattr__(self, "m", _frozen(self.m))
@@ -139,7 +138,7 @@ def make_etf(d: int, n_classes: int, seed, e_w: float = 1.0) -> EtfClassifier:
     u = random_rotation(d, c, seed)
     centering = np.eye(c) - np.full((c, c), 1.0 / c)
     m = math.sqrt(c / (c - 1.0)) * (u.entries @ centering)
-    return EtfClassifier(m=m, scale=float(e_w), u=u)
+    return EtfClassifier(m=m, scale=float(e_w))
 
 
 def verify_etf(etf: EtfClassifier, tol: float = 1e-9) -> EtfReport:

@@ -29,7 +29,6 @@ from .etfgeom import make_etf
 from .neuralnet import (
     BackboneParams,
     PhiVector,
-    StepFailure,
     _as_mask,
     _check_labels,
     _effective_matrix,
@@ -47,7 +46,6 @@ __all__ = [
     "RoundLog",
     "FederationResult",
     "compute_phi",
-    "alt_phi",
     "sample_clients",
     "local_train",
     "aggregate",
@@ -164,11 +162,14 @@ class FederationResult:
     global_test_indices: np.ndarray
 
 
-def compute_phi(counts, n_k: int, gamma: float) -> PhiVector:
-    """Distribution vector phi_c = n_{k,c} / (n_k * gamma).
+def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> PhiVector:
+    """Distribution vector phi_c = Q(n_{k,c} / n_k) / gamma with Q identity,
+    exp, or sqrt.
 
-    With gamma = 1/C this is C * n_{k,c} / n_k: zero exactly on missing
-    classes and averaging to one over all classes.
+    Identity computes n_{k,c} / (n_k * gamma). With gamma = 1/C this is
+    C * n_{k,c} / n_k: zero exactly on missing classes and averaging to one
+    over all classes. exp/sqrt give nonzero weight to missing classes; the
+    class mask, not phi, is what excludes them from training.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if n_k <= 0:
@@ -177,31 +178,12 @@ def compute_phi(counts, n_k: int, gamma: float) -> PhiVector:
         raise ValueError(f"counts sum {counts.sum():.0f} does not match n_k={n_k}")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return PhiVector(phi=counts / (n_k * gamma))
-
-
-def alt_phi(counts, n_k: int, q_kind: str, gamma: float) -> PhiVector:
-    """Distribution vector through an alternative map Q of class fractions:
-    phi_c = Q(n_{k,c}/n_k) / gamma with Q identity, exp, or sqrt.
-
-    Identity reduces to compute_phi. exp/sqrt give nonzero weight to missing
-    classes; the class mask, not phi, is what excludes them from training.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    if n_k <= 0:
-        raise ValueError("empty client: n_k must be positive")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = counts / n_k
     if q_kind == "identity":
-        q = x
-    elif q_kind == "exp":
-        q = np.exp(x)
-    elif q_kind == "sqrt":
-        q = np.sqrt(x)
-    else:
+        return PhiVector(phi=counts / (n_k * gamma))
+    if q_kind not in ("exp", "sqrt"):
         raise ValueError(f"unknown q_kind '{q_kind}', expected identity/exp/sqrt")
-    return PhiVector(phi=q / gamma)
+    q = np.exp if q_kind == "exp" else np.sqrt
+    return PhiVector(phi=q(counts / n_k) / gamma)
 
 
 def sample_clients(n_clients: int, k: int, round_seed) -> np.ndarray:
@@ -217,20 +199,13 @@ def sample_clients(n_clients: int, k: int, round_seed) -> np.ndarray:
     return np.sort(ids)
 
 
-def _client_phi(shard: ClientShard, n_classes: int, gamma: float | None,
-                q_kind: str) -> PhiVector:
-    g = gamma if gamma is not None else 1.0 / n_classes
-    if q_kind == "identity":
-        return compute_phi(shard.counts, shard.n_k, g)
-    return alt_phi(shard.counts, shard.n_k, q_kind, g)
-
-
 def build_client_states(shards, n_classes: int, algo: AlgoKind,
                         gamma: float | None = None, q_kind: str = "identity") -> list:
+    g = gamma if gamma is not None else 1.0 / n_classes
     clients = []
     for shard in shards:
         mask = shard.counts > 0
-        phi = _client_phi(shard, n_classes, gamma, q_kind) if algo.adapts_phi else None
+        phi = compute_phi(shard.counts, shard.n_k, g, q_kind) if algo.adapts_phi else None
         clients.append(ClientState(
             client_id=shard.client_id,
             shard=shard,
@@ -255,15 +230,6 @@ class LocalResult:
 STACK_ELEMENTS = 2 ** 16
 
 
-class _ClientFailure(Exception):
-    """Training the client at `position` of a local_train call fails with
-    `error`."""
-
-    def __init__(self, position: int, error: Exception):
-        super().__init__(str(error))
-        self.position, self.error = position, error
-
-
 def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
                 hp: Hyperparams, ds: Dataset, seed_parts):
     """Run `hp.epochs` epochs of mini-batch SGD on each client's train split,
@@ -278,8 +244,9 @@ def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
     every gradient. The clients train as one stack of models
     (neuralnet.flatten, neuralnet.train_step), at most STACK_ELEMENTS
     parameters per step, each bit-identical to training that client alone.
-    An error is the one that training the clients one after another would
-    raise first; a numeric failure is re-raised naming the client.
+    If the stack fails, the clients train again one at a time in input
+    order, so the error raised is the one that training them one after
+    another raises first; a numeric failure is re-raised naming the client.
     """
     single = isinstance(clients, ClientState)
     if single:
@@ -288,18 +255,17 @@ def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
     if len(seeds) != len(clients):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
                          f"for {len(clients)} clients")
-    # Trajectories are independent, so once the client at position p fails,
-    # only the clients before p can fail first in sequence: train them alone.
-    n, failure = len(clients), None
-    while True:
-        try:
-            results = _train_clients(clients[:n], seeds[:n], backbone, classifier,
-                                     algo, hp, ds)
-            break
-        except _ClientFailure as exc:
-            n, failure = exc.position, exc
-    if failure is not None:
-        raise failure.error
+    try:
+        results = _train_clients(clients, seeds, backbone, classifier, algo, hp, ds)
+    except (ValueError, FloatingPointError):
+        # trajectories are independent, so the first client that fails alone
+        # is the one the sequential loop fails on
+        for c, s in zip(clients, seeds):
+            try:
+                _train_clients([c], [s], backbone, classifier, algo, hp, ds)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"client {c.client_id}: {exc}") from exc
+        raise
     return results[0] if single else results
 
 
@@ -309,18 +275,14 @@ def _train_clients(clients, seeds, backbone, classifier, algo, hp, ds) -> list:
     full batch at an offset are a prefix of the stack."""
     n_classes = _effective_matrix(classifier).shape[1]
     masks = []
-    for pos, c in enumerate(clients):
+    for c in clients:
         train_idx = c.shard.train_indices
         if train_idx.size == 0:
-            raise _ClientFailure(pos, ValueError(
-                f"client {c.client_id} has an empty train split"))
+            raise ValueError(f"client {c.client_id} has an empty train split")
         mask = None
         if algo.adapts_phi:
-            try:
-                mask = _as_mask(c.mask, n_classes)
-                _check_labels(ds.labels[train_idx], mask)  # once, not per batch
-            except ValueError as exc:
-                raise _ClientFailure(pos, exc) from None
+            mask = _as_mask(c.mask, n_classes)
+            _check_labels(ds.labels[train_idx], mask)  # once, not per batch
         masks.append(mask)
     learnable = not algo.fixed_classifier
     n_params = sum(t.size for t in backbone.tensors())
@@ -387,25 +349,18 @@ def _train_stack(positions, clients, seeds, masks, backbone, classifier,
     epoch_losses = [[] for _ in positions]
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
     classes = np.arange(n_classes)
-    try:
-        for epoch in range(hp.epochs):
-            for k, p in enumerate(positions):
-                rng = np.random.default_rng(seeds[p] + (epoch,))
-                train_idx = clients[p].shard.train_indices
-                shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
-            xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
-            for j, start, stop, i, end in steps:
-                rows, kwargs = stacks[start, stop]
-                losses[start:stop, j] = train_step(rows, xs[start:stop, i:end],
-                                                   hot[start:stop, i:end], **kwargs)
-            for k in range(k_rows):
-                epoch_losses[k].append(float(np.mean(losses[k, :n_batches[k]])))
-    except StepFailure as exc:
-        row = min(exc.rows, key=lambda r: positions[start + r])
-        pos = positions[start + row]
-        error = FloatingPointError(f"client {clients[pos].client_id}: {exc.rows[row]}")
-        error.__cause__ = exc
-        raise _ClientFailure(pos, error) from None
+    for epoch in range(hp.epochs):
+        for k, p in enumerate(positions):
+            rng = np.random.default_rng(seeds[p] + (epoch,))
+            train_idx = clients[p].shard.train_indices
+            shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
+        xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
+        for j, start, stop, i, end in steps:
+            rows, kwargs = stacks[start, stop]
+            losses[start:stop, j] = train_step(rows, xs[start:stop, i:end],
+                                               hot[start:stop, i:end], **kwargs)
+        for k in range(k_rows):
+            epoch_losses[k].append(float(np.mean(losses[k, :n_batches[k]])))
     out = []
     for k in range(k_rows):
         bb, clf = model.row(k)
@@ -622,10 +577,13 @@ def run_federation(config, dataset: Dataset | None = None,
             client_losses=client_losses, mean_train_loss=mean_loss,
         )
         if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
-            report = _evaluate(
-                server, clients, algo, hp, ds, global_test,
-                set(int(i) for i in ids), t, seed, config.finetune_epochs,
-            )
+            try:
+                report = _evaluate(
+                    server, clients, algo, hp, ds, global_test,
+                    set(int(i) for i in ids), t, seed, config.finetune_epochs,
+                )
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"round {t}: {exc}") from exc
             log.ga, log.pa = report.ga, report.pa
             angles = report.angles
             log.global_mean_angle = angles.global_all_class_mean_angle

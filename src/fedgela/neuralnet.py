@@ -30,7 +30,6 @@ __all__ = [
     "ce_loss",
     "backward",
     "sgd_step",
-    "StepFailure",
     "FlatModel",
     "flatten",
     "train_step",
@@ -182,35 +181,21 @@ class PhiVector:
         return float(self.phi.mean())
 
 
-class StepFailure(FloatingPointError):
-    """A numeric guard failed on some models of a stack; `rows` maps each
-    failing row of the stack to its message (the lowest row's message is the
-    exception's own)."""
-
-    def __init__(self, rows: dict):
-        super().__init__(rows[min(rows)])
-        self.rows = rows
-
-
 def _check_finite(z: np.ndarray, layer: int) -> None:
     """Rejects non-finite activations of a (K, B, n) stack."""
-    finite = np.isfinite(z)
-    if not finite.all():
-        msg = f"numeric overflow: non-finite activation in layer {layer}"
-        raise StepFailure({int(k): msg for k in np.flatnonzero(~finite.all(axis=(1, 2)))})
+    if not np.isfinite(z).all():
+        raise FloatingPointError(f"numeric overflow: non-finite activation in layer {layer}")
 
 
 def _check_norms(norms: np.ndarray) -> None:
     """Rejects feature rows of norm below NORM_EPS in a (K, B) stack of norms;
-    the message names the batch row within the failing model's batch."""
+    the message names the batch row within the first failing model's batch."""
     low = norms < NORM_EPS
     if low.any():
-        rows = {}
-        for k in np.flatnonzero(low.any(axis=1)):
-            bad = int(np.argmin(norms[k]))
-            rows[int(k)] = (f"degenerate feature: row {bad} has norm "
-                            f"{norms[k, bad]:.3g} < {NORM_EPS}")
-        raise StepFailure(rows)
+        k = int(np.flatnonzero(low.any(axis=1))[0])
+        bad = int(np.argmin(norms[k]))
+        raise FloatingPointError(f"degenerate feature: row {bad} has norm "
+                                 f"{norms[k, bad]:.3g} < {NORM_EPS}")
 
 
 def forward(params: BackboneParams, inputs, e_h: float = 1.0):
@@ -507,7 +492,7 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.nd
     classifier stack (model.classifier) or one shared d x C frame matrix;
     `phi` and `mask` are (m, 1, C) stacks or None (all ones, all classes),
     and the caller checks that the labels lie in the mask. `prox_ref` is one
-    (P,) row. A failed numeric guard raises StepFailure naming the rows.
+    (P,) row. A failed numeric guard raises FloatingPointError.
     """
     weights = model.weights
     last = len(weights) - 1
@@ -536,9 +521,8 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.nd
     m, batch = hot.shape[:2]
     losses = (zmax + np.log(denom))[..., 0] - z[hot].reshape(m, batch)
     loss = losses.sum(axis=1) / batch  # what each row's losses.mean() computes
-    finite = np.isfinite(loss)
-    if not finite.all():
-        raise StepFailure({int(k): "non-finite loss" for k in np.flatnonzero(~finite)})
+    if not np.isfinite(loss).all():
+        raise FloatingPointError("non-finite loss")
 
     g = probs
     g /= denom

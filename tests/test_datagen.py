@@ -222,6 +222,16 @@ class TestCsv:
         with pytest.raises(ValueError, match=":3"):
             load_csv(p)
 
+    @pytest.mark.parametrize("rows,match", [
+        ("1.0,nan,1\ninf,2.0,0\n", "f1 = nan"),
+        ("inf,2.0,0\n1.0,nan,1\n", "f0 = inf"),
+    ])
+    def test_non_finite_feature_names_line(self, tmp_path, rows, match):
+        p = tmp_path / "bad.csv"
+        p.write_text("f0,f1,label\n1.0,2.0,0\n" + rows)
+        with pytest.raises(ValueError, match=rf":3: non-finite feature {match}$"):
+            load_csv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

@@ -9,7 +9,6 @@ from fedgela.fedsim import (
     Hyperparams,
     aggregate,
     aggregate_tensors,
-    alt_phi,
     build_client_states,
     compute_phi,
     finetune_personalize,
@@ -71,21 +70,21 @@ class TestComputePhi:
 class TestAltPhi:
     def test_identity_equals_compute_phi(self):
         counts = np.array([7, 3, 0, 10])
-        a = alt_phi(counts, 20, "identity", gamma=0.25)
+        a = compute_phi(counts, 20, gamma=0.25, q_kind="identity")
         b = compute_phi(counts, 20, gamma=0.25)
         np.testing.assert_allclose(a.phi, b.phi)
 
     def test_sqrt_ratio(self):
-        phi = alt_phi(np.array([4, 1]), 5, "sqrt", gamma=0.5)
+        phi = compute_phi(np.array([4, 1]), 5, gamma=0.5, q_kind="sqrt")
         assert abs(phi.phi[0] / phi.phi[1] - 2.0) < 1e-12
 
     def test_exp_uniform_counts_equal(self):
-        phi = alt_phi(np.full(5, 8), 40, "exp", gamma=0.2)
+        phi = compute_phi(np.full(5, 8), 40, gamma=0.2, q_kind="exp")
         assert np.ptp(phi.phi) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="q_kind"):
-            alt_phi(np.array([1, 1]), 2, "log", gamma=0.5)
+            compute_phi(np.array([1, 1]), 2, gamma=0.5, q_kind="log")
 
 
 class TestPhiAggregationIdentity:
@@ -586,6 +585,44 @@ class TestNumericFailuresNameClient:
         with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
                 FloatingPointError,
                 match=r"^round 1: client 3: degenerate feature: row 4 has norm 0 < 1e-12$"):
+            run_federation(cfg, dataset=bad, shards=shards)
+
+
+    def test_numeric_failure_before_a_later_empty_split(self):
+        # the stack rejects client 2's empty train split before any step, but
+        # trained one after another, client 1 overflows first
+        import dataclasses
+        from fedgela.datagen import Dataset
+        ds, clients, algo, hp, backbone, etf = TestLocalTrain()._setup()
+        features = ds.features.copy()
+        features[clients[1].shard.train_indices[0]] = np.inf
+        bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
+        clients[2].shard = dataclasses.replace(
+            clients[2].shard, train_indices=np.empty(0, dtype=np.int64),
+            test_indices=clients[2].shard.indices)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError,
+                match=r"^client 1: numeric overflow: non-finite activation in layer 0$"):
+            local_train(clients[:3], backbone, etf, algo, hp, bad,
+                        [(0, 3, 1, c.client_id) for c in clients[:3]])
+
+    def test_pa_finetune_failure_names_round(self):
+        # a client that round 1 does not sample fails only in the PA fine-tune
+        from fedgela.datagen import Dataset
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config(algo="fedavg", clients_per_round=2, rounds=1)
+        ds = build_dataset(cfg)
+        shards = build_partition(ds, cfg)
+        # round 1's draw from the sampling stream (tag 2)
+        sampled = sample_clients(cfg.clients, cfg.clients_per_round, (cfg.seed, 2, 1))
+        idle = min(set(range(cfg.clients)) - set(sampled.tolist()))
+        features = ds.features.copy()
+        features[shards[idle].train_indices[0]] = np.inf
+        bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError,
+                match=rf"^round 1: client {idle}: numeric overflow: non-finite "
+                      rf"activation in layer 0$"):
             run_federation(cfg, dataset=bad, shards=shards)
 
 
