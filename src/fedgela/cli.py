@@ -208,6 +208,8 @@ def parse_config(source, overrides=None) -> RunConfig:
             raise ConfigError(f"config key 'hidden': cannot parse {hidden!r}") from None
     else:
         merged["hidden"] = tuple(int(x) for x in hidden)
+    if any(h < 1 for h in merged["hidden"]):
+        raise ConfigError(f"config key 'hidden': every width must be >= 1, got {hidden!r}")
 
     # range validation, each error naming its key
     if merged["dataset"] not in ("synthetic", "csv"):
@@ -255,6 +257,12 @@ def parse_config(source, overrides=None) -> RunConfig:
     if merged["feature_dim"] is not None and merged["feature_dim"] < 1:
         raise ConfigError(
             f"config key 'feature_dim' must be >= 1, got {merged['feature_dim']}"
+        )
+    if (fedsim.AlgoKind(merged["algo"]).fixed_classifier and merged["dataset"] == "synthetic"
+            and (merged["feature_dim"] or merged["classes"]) < merged["classes"]):
+        raise ConfigError(
+            f"config key 'feature_dim' must be >= classes ({merged['classes']}) for the "
+            f"simplex frame of algo={merged['algo']}, got {merged['feature_dim']}"
         )
     return RunConfig(**merged)
 

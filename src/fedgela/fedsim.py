@@ -131,7 +131,6 @@ class ClientState:
 class ServerState:
     backbone: BackboneParams
     classifier: object                     # EtfClassifier or learnable ndarray
-    algo: AlgoKind
     round: int = 0
 
 
@@ -444,55 +443,30 @@ def build_partition(ds: Dataset, config) -> list:
     return pcdd_partition(ds, spec, test_frac=config.test_frac)
 
 
-def _personal_models(server: ServerState, clients, algo: AlgoKind):
-    """(backbone, classifier, phi, mask) per client for direct PA evaluation.
-
-    Clients that never trained fall back to the current global weights (what
-    they would have just received).
-    """
-    out = []
-    for c in clients:
-        bb = c.backbone if c.backbone is not None else server.backbone
-        if algo.fixed_classifier:
-            clf = server.classifier
-        else:
-            clf = c.classifier if c.classifier is not None else server.classifier
-        out.append((bb, clf, c.phi, c.mask))
-    return out
-
-
 def _evaluate(server: ServerState, clients, algo: AlgoKind, hp: Hyperparams,
               ds: Dataset, global_test: np.ndarray, participants, round_index: int,
               master_seed, finetune_epochs: int):
-    std_classifier = server.classifier
+    """GA, PA and angles at one evaluation point. A client's personal model is
+    its fine-tune for finetunes_for_pa algorithms, else its client state; the
+    global weights fill in what is None."""
     ga = metrics.generic_accuracy(
-        server.backbone, std_classifier, ds.features[global_test],
+        server.backbone, server.classifier, ds.features[global_test],
         ds.labels[global_test], hp.e_h,
     )
+    shards = [c.shard for c in clients]
+    models = clients
     if algo.finetunes_for_pa:
-        tuned = finetune_personalize(
-            server.backbone, std_classifier, [c.shard for c in clients], algo, hp,
-            finetune_epochs, ds,
+        models = finetune_personalize(
+            server.backbone, server.classifier, shards, algo, hp, finetune_epochs, ds,
             [(master_seed, _SEED_FINETUNE, round_index, c.client_id) for c in clients],
         )
-        personal = [(res.backbone,
-                     res.classifier if res.classifier is not None else std_classifier,
-                     None, None) for res in tuned]
-    else:
-        personal = _personal_models(server, clients, algo)
-    pa, per_client = metrics.personal_accuracy(
-        personal, [c.shard for c in clients], ds, hp.e_h
-    )
-    local_entries = []
-    for c in clients:
-        if c.client_id in participants and c.backbone is not None:
-            local_entries.append(
-                (c.shard, c.backbone, c.classifier if not algo.fixed_classifier else None)
-            )
-    angles = metrics.angle_report(
-        server.backbone, std_classifier, [c.shard for c in clients], ds,
-        global_test, hp.e_h, local_entries=local_entries,
-    )
+    personal = [(m.backbone if m.backbone is not None else server.backbone,
+                 m.classifier if m.classifier is not None else server.classifier,
+                 c.phi, c.mask) for m, c in zip(models, clients)]
+    pa, per_client = metrics.personal_accuracy(personal, shards, ds, hp.e_h)
+    local_entries = [(c.shard, c.backbone, c.classifier) for c in participants]
+    angles = metrics.angle_report(server.backbone, ds, global_test, hp.e_h,
+                                  local_entries=local_entries)
     return metrics.EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client),
                               angles=angles)
 
@@ -529,13 +503,12 @@ def run_federation(config, dataset: Dataset | None = None,
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed
 
-    etf = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
     backbone = init_backbone(layer_sizes, (seed, _SEED_INIT))
     if algo.fixed_classifier:
-        classifier = etf
+        classifier = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
     else:
         classifier = init_classifier(feat_dim, n_classes, (seed, _SEED_INIT, 1))
-    server = ServerState(backbone=backbone, classifier=classifier, algo=algo)
+    server = ServerState(backbone=backbone, classifier=classifier)
     clients = build_client_states(shards, n_classes, algo,
                                   gamma=config.gamma, q_kind=config.q_kind)
     global_test = np.sort(np.concatenate([s.test_indices for s in shards]))
@@ -554,23 +527,19 @@ def run_federation(config, dataset: Dataset | None = None,
             )
         except FloatingPointError as exc:
             raise FloatingPointError(f"round {t}: {exc}") from exc
-        results = {}
         for c, res in zip(sampled, trained):
-            results[c.client_id] = res
-            c.backbone = res.backbone
-            if res.classifier is not None:
-                c.classifier = res.classifier
-        n_sampled = np.array([clients[c].shard.n_k for c in results], dtype=np.float64)
+            c.backbone, c.classifier = res.backbone, res.classifier
+        n_sampled = np.array([c.shard.n_k for c in sampled], dtype=np.float64)
         weights = n_sampled / n_sampled.sum()
-        server.backbone = aggregate([results[c].backbone for c in results], weights)
+        server.backbone = aggregate([res.backbone for res in trained], weights)
         if not algo.fixed_classifier:
             server.classifier = aggregate_tensors(
-                [[results[c].classifier] for c in results], weights
+                [[res.classifier] for res in trained], weights
             )[0]
         server.round = t
 
-        client_losses = {c: float(np.mean(r.epoch_losses))
-                         for c, r in results.items() if r.epoch_losses}
+        client_losses = {c.client_id: float(np.mean(res.epoch_losses))
+                         for c, res in zip(sampled, trained) if res.epoch_losses}
         mean_loss = float(np.mean(list(client_losses.values()))) if client_losses else None
         log = RoundLog(
             round=t, algo=algo.kind, participants=tuple(int(i) for i in ids),
@@ -578,10 +547,8 @@ def run_federation(config, dataset: Dataset | None = None,
         )
         if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
             try:
-                report = _evaluate(
-                    server, clients, algo, hp, ds, global_test,
-                    set(int(i) for i in ids), t, seed, config.finetune_epochs,
-                )
+                report = _evaluate(server, clients, algo, hp, ds, global_test, sampled,
+                                   t, seed, config.finetune_epochs)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"round {t}: {exc}") from exc
             log.ga, log.pa = report.ga, report.pa

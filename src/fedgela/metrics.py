@@ -106,8 +106,8 @@ def _class_means(backbone, ds, indices, e_h, classes) -> np.ndarray:
     return np.asarray(means)
 
 
-def angle_report(backbone, classifier, shards, ds, global_test_indices,
-                 e_h: float = 1.0, local_entries=None) -> AngleReport:
+def angle_report(backbone, ds, global_test_indices, e_h: float = 1.0,
+                 local_entries=None) -> AngleReport:
     """Angle diagnostics for one evaluation point.
 
     Global: mean pairwise angle between all C class means of the global

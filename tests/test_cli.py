@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from fedgela.cli import ConfigError, RunConfig, main, parse_config
 from fedgela.fedsim import read_round_csv
 
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = {
     "classes": 4, "input_dim": 6, "n_per_class": 30, "class_sep": 3.0,
@@ -93,6 +98,18 @@ class TestParseConfig:
         assert parse_config({"hidden": "64,32"}).hidden == (64, 32)
         assert parse_config({"hidden": ""}).hidden == ()
 
+    @pytest.mark.parametrize("hidden", ["0", "64,0", "-3"])
+    def test_non_positive_hidden_width_rejected(self, hidden):
+        with pytest.raises(ConfigError, match="'hidden'"):
+            parse_config({"hidden": hidden})
+
+    @pytest.mark.parametrize("algo", ["fedge", "fedgela"])
+    def test_frame_needs_feature_dim_at_least_classes(self, algo):
+        with pytest.raises(ConfigError, match="'feature_dim'"):
+            parse_config({"algo": algo, "classes": 10, "feature_dim": 5})
+        assert parse_config({"algo": algo, "classes": 10, "feature_dim": 10}).feature_dim == 10
+        assert parse_config({"algo": "fedavg", "classes": 10, "feature_dim": 5}).feature_dim == 5
+
     def test_to_dict_round_trip_identical(self):
         cfg = parse_config(dict(SMALL))
         again = parse_config(cfg.to_dict())
@@ -155,6 +172,27 @@ class TestCmdRun:
         cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": "rel"})
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "rel" / "rounds.csv").exists()
+
+
+class TestModuleEntryPoint:
+    """`python -m fedgela` maps each outcome to its exit code."""
+
+    def _run(self, tmp_path, *args):
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        return subprocess.run([sys.executable, "-m", "fedgela", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_gradcheck_exits_zero(self, tmp_path):
+        proc = self._run(tmp_path, "gradcheck")
+        assert proc.returncode == 0, proc.stderr
+        assert "gradcheck passed" in proc.stdout
+
+    def test_config_error_exits_two_and_writes_nothing(self, tmp_path):
+        proc = self._run(tmp_path, "run", "--set", "algo=bogus")
+        assert proc.returncode == 2
+        assert "algo" in proc.stderr
+        assert not any(tmp_path.iterdir())
 
 
 class TestCmdSweep:

@@ -18,6 +18,8 @@ from fedgela.fedsim import (
     sample_clients,
     write_round_csv,
 )
+from fedgela import metrics
+from fedgela.metrics import personal_accuracy
 from fedgela.neuralnet import init_backbone
 
 
@@ -337,6 +339,45 @@ class TestRunFederation:
         result = run_federation(cfg)
         for log in result.logs:
             assert len(log.participants) == 2
+
+    @pytest.mark.parametrize("algo", ["fedgela", "laonly"])
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_pa_scores_local_model_else_global(self, algo, rounds, monkeypatch):
+        # one client per round: after round 2, client 2 holds its round-1
+        # model, client 3 this round's and clients 0 and 1 never trained
+        scored = []
+
+        def spy(models, *args):
+            scored.append(models)
+            return personal_accuracy(models, *args)
+
+        monkeypatch.setattr(metrics, "personal_accuracy", spy)
+        cfg = small_config(algo=algo, clients=4, clients_per_round=1, rounds=rounds)
+        result = run_federation(cfg)
+        server = result.server
+        trained = {i for log in result.logs for i in log.participants}
+        assert 0 < len(trained) < len(result.clients)
+        personal = []
+        for c in result.clients:
+            if c.client_id in trained:
+                if algo == "fedgela":
+                    assert c.classifier is None
+                clf = c.classifier if algo == "laonly" else server.classifier
+                personal.append((c.backbone, clf, c.phi, c.mask))
+            else:
+                assert c.backbone is None and c.classifier is None
+                personal.append((server.backbone, server.classifier, c.phi, c.mask))
+        # the very objects, since a tiny test split often scores two models alike
+        assert all(a is b for got, want in zip(scored[-1], personal) for a, b in zip(got, want))
+        pa, _ = personal_accuracy(personal, result.shards, result.dataset, cfg.e_h)
+        assert result.logs[-1].pa == pa
+
+    @pytest.mark.parametrize("algo,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("laonly", 0.0)])
+    def test_learnable_classifier_needs_no_frame_width(self, algo, lam):
+        # feature_dim < classes: no simplex frame fits, but these never use one
+        result = run_federation(small_config(algo=algo, lambda_prox=lam, feature_dim=3))
+        assert result.logs[-1].ga is not None
+        assert result.server.classifier.shape == (3, 4)
 
     def test_learnable_classifier_aggregated(self):
         cfg = small_config(algo="fedavg", rounds=2)

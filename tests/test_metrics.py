@@ -118,7 +118,7 @@ class TestAngleReport:
         ds = Dataset(features=x, labels=y, n_classes=5)
         shard = make_client_shard(ds, 0, np.arange(ds.n), 0.4, np.random.default_rng(0))
         params = identity_net(5)
-        report = angle_report(params, etf, [shard], ds, shard.test_indices, 1.0)
+        report = angle_report(params, ds, shard.test_indices, 1.0)
         expected = math.degrees(math.acos(-0.25))
         assert abs(report.global_all_class_mean_angle - expected) < 1e-6
 
@@ -132,7 +132,7 @@ class TestAngleReport:
                                    np.random.default_rng(1))
         params = identity_net(4)
         report = angle_report(
-            params, etf, [full, single], ds, full.test_indices, 1.0,
+            params, ds, full.test_indices, 1.0,
             local_entries=[(single, params, None)],
         )
         assert report.per_client_existing_class_mean_angle is None
@@ -150,7 +150,7 @@ class TestAngleReport:
         params = identity_net(6)
         clf = np.eye(6)  # orthogonal columns: every pairwise angle is 90
         report = angle_report(
-            params, etf, [shard], ds, global_shard.test_indices, 1.0,
+            params, ds, global_shard.test_indices, 1.0,
             local_entries=[(shard, params, clf)],
         )
         assert abs(report.classifier_existing_angle - 90.0) < 1e-9
@@ -164,7 +164,7 @@ class TestAngleReport:
         params = identity_net(4)
         only_two = np.nonzero(y <= 1)[0]
         with pytest.raises(ValueError, match="absent"):
-            angle_report(params, etf, [], ds, only_two, 1.0)
+            angle_report(params, ds, only_two, 1.0)
 
 
 class TestNc1Variability:
