@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Check the hand-derived gradients against central finite differences.
 
-The backward pass differentiates the full pipeline: linear/ReLU layers,
-the projection of features onto the sqrt(e_h) sphere, the phi-scaled
-bilinear logits, and the class-masked softmax cross-entropy. Each probe
-perturbs one randomly chosen scalar parameter by +-step and compares
-(loss(+) - loss(-)) / (2 step) with the analytic partial derivative.
+The gradient pass of the training kernel (neuralnet.gradient_pass, the
+first half of train_step) differentiates the full pipeline: linear/ReLU
+layers, the projection of features onto the sqrt(e_h) sphere, the
+phi-scaled bilinear logits, the class-masked softmax cross-entropy and the
+fedprox proximal term. Each probe perturbs one randomly chosen scalar
+parameter by +-step and compares (loss(+) - loss(-)) / (2 step) with the
+analytic partial derivative.
 """
 import numpy as np
 
 from fedgela import finite_diff_check, init_backbone, make_etf
-from fedgela.neuralnet import PhiVector, init_classifier
+from fedgela.neuralnet import PhiVector, flatten, gradient_pass, init_classifier
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal((12, 8))
@@ -31,9 +33,11 @@ print(f"learnable classifier + proximal term:         worst rel err {err:.2e}")
 
 # the probe is sensitive: a sabotaged gradient reads as error ~ 1
 small = init_backbone((8, 6), seed=6)
-_, cache = __import__("fedgela").neuralnet.forward(small, x, 1.0)
-grads = __import__("fedgela").neuralnet.backward(cache, labels, etf, phi, mask)
-analytic = grads.weights[0][0, 0]
+model = flatten(small, None, 1)      # one model as row 0 of a (1, P) stack
+hot = (labels[:, None] == np.arange(6))[None]
+gradient_pass(model, x[None], hot, w_eff=etf.classifier, phi=phi.phi[None, None],
+              mask=mask[None, None], e_h=1.0)
+analytic = model.grad_weights[0][0, 0, 0]
 print(f"example probe: dL/dW[0,0] = {analytic:+.6e}")
 
 # steps much below ~1e-7 lose digits to cancellation; 1e-5 is the sweet spot

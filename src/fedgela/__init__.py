@@ -33,14 +33,11 @@ from .metrics import (
 from .neuralnet import (
     BackboneParams,
     PhiVector,
-    backward,
-    ce_loss,
     finite_diff_check,
     forward,
     init_backbone,
     logits,
     lpm_feature_fit,
-    sgd_step,
 )
 
 __version__ = "0.1.0"

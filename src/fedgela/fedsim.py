@@ -111,8 +111,12 @@ class Hyperparams:
     e_h: float = 1.0
 
     def __post_init__(self):
-        if not self.lr > 0 or self.epochs < 0 or self.batch_size < 1 or not self.e_h > 0:
-            raise ValueError("invalid hyperparameters")
+        for name, ok, rule in (("lr", self.lr > 0, "> 0"), ("epochs", self.epochs >= 0, ">= 0"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("e_h", self.e_h > 0, "> 0")):
+            if not ok:
+                raise ValueError(f"invalid hyperparameter {name} = "
+                                 f"{getattr(self, name)!r}, must be {rule}")
 
 
 @dataclass
@@ -497,9 +501,15 @@ def run_federation(config, dataset: Dataset | None = None,
                      weight_decay=config.weight_decay, epochs=config.epochs,
                      batch_size=config.batch_size, e_h=config.e_h)
     ds = dataset if dataset is not None else build_dataset(config)
-    shards = shards if shards is not None else build_partition(ds, config)
     n_classes = ds.n_classes
     feat_dim = getattr(config, "feature_dim", None) or n_classes
+    if algo.fixed_classifier and feat_dim < n_classes:
+        # parse_config checks synthetic data; a csv's class count is known here
+        source = (f"csv_path {config.csv_path}" if dataset is None and config.dataset == "csv"
+                  else "the dataset")
+        raise ValueError(f"config key 'feature_dim' must be >= the {n_classes} classes of "
+                         f"{source} for the simplex frame of algo={algo.kind}, got {feat_dim}")
+    shards = shards if shards is not None else build_partition(ds, config)
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed
 

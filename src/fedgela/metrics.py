@@ -53,7 +53,7 @@ def predict(backbone, classifier, inputs, e_h: float = 1.0, class_mask=None,
     phi and the full mask; personal evaluation passes the client's phi and
     its existing-class mask.
     """
-    fb, _ = forward(backbone, inputs, e_h)
+    fb = forward(backbone, inputs, e_h)
     z = logits(fb, classifier, phi)
     mask = _as_mask(class_mask, z.shape[1])
     z = np.where(mask[None, :], z, -np.inf)
@@ -95,7 +95,7 @@ def personal_accuracy(personal_models, shards, ds, e_h: float = 1.0):
 
 def _class_means(backbone, ds, indices, e_h, classes) -> np.ndarray:
     """Mean normalized feature per class over the given sample indices."""
-    fb, _ = forward(backbone, ds.features[indices], e_h)
+    fb = forward(backbone, ds.features[indices], e_h)
     labels = ds.labels[indices]
     means = []
     for c in classes:

@@ -3,9 +3,10 @@
 Forward passes project features onto the sqrt(E_H) sphere, logits are a
 bilinear form against a fixed simplex frame (optionally column-scaled by a
 per-client phi vector) or a learnable matrix, and the cross-entropy softmax
-can be restricted to a class mask. Gradients are hand-derived, including
-through the sphere projection, and checked against central finite
-differences by finite_diff_check.
+can be restricted to a class mask. Training runs train_step: gradient_pass,
+whose gradients are hand-derived, including through the sphere projection,
+then the momentum-SGD update. finite_diff_check checks gradient_pass against
+central finite differences of its own loss.
 """
 from __future__ import annotations
 
@@ -18,20 +19,15 @@ from .etfgeom import EtfClassifier
 
 __all__ = [
     "BackboneParams",
-    "OptimizerState",
     "FeatureBatch",
-    "ForwardCache",
     "PhiVector",
-    "Grads",
     "init_backbone",
     "init_classifier",
     "forward",
     "logits",
-    "ce_loss",
-    "backward",
-    "sgd_step",
     "FlatModel",
     "flatten",
+    "gradient_pass",
     "train_step",
     "finite_diff_check",
     "lpm_feature_fit",
@@ -50,7 +46,6 @@ class BackboneParams:
     weights: list
     biases: list
     layer_sizes: tuple
-    version: int = 0  # bumped by sgd_step; lets caches detect staleness
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -76,14 +71,6 @@ class BackboneParams:
     def tensors(self) -> list:
         return list(self.weights) + list(self.biases)
 
-    def clone(self) -> "BackboneParams":
-        return BackboneParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            layer_sizes=self.layer_sizes,
-            version=0,
-        )
-
 
 def init_backbone(layer_sizes, seed) -> BackboneParams:
     """Seeded uniform [-s, s] init with s = sqrt(6 / (fan_in + fan_out))."""
@@ -104,56 +91,11 @@ def init_classifier(feature_dim: int, n_classes: int, seed) -> np.ndarray:
     return rng.uniform(-s, s, size=(feature_dim, n_classes))
 
 
-@dataclass
-class OptimizerState:
-    """Momentum buffers for one parameter set.
-
-    Update rule: buf <- momentum * buf + grad + weight_decay * param;
-    param <- param - lr * buf.
-    """
-
-    lr: float
-    momentum: float
-    weight_decay: float
-    vel_weights: list
-    vel_biases: list
-    vel_classifier: np.ndarray | None = None
-
-    @classmethod
-    def for_params(cls, params: BackboneParams, lr, momentum, weight_decay,
-                   classifier: np.ndarray | None = None) -> "OptimizerState":
-        if not lr > 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        return cls(
-            lr=float(lr),
-            momentum=float(momentum),
-            weight_decay=float(weight_decay),
-            vel_weights=[np.zeros_like(w) for w in params.weights],
-            vel_biases=[np.zeros_like(b) for b in params.biases],
-            vel_classifier=None if classifier is None else np.zeros_like(classifier),
-        )
-
-
 @dataclass(frozen=True)
 class FeatureBatch:
     """Raw last-layer outputs and their projection onto the sqrt(e_h) sphere."""
 
     raw: np.ndarray
-    h: np.ndarray
-    e_h: float
-
-
-@dataclass
-class ForwardCache:
-    """Everything backward() needs: per-layer inputs, pre-activations, and
-    the normalization state."""
-
-    params: BackboneParams
-    params_version: int
-    layer_inputs: list   # input to each layer (x, then post-ReLU activations)
-    pre_acts: list       # pre-activation of each layer
-    raw: np.ndarray
-    norms: np.ndarray
     h: np.ndarray
     e_h: float
 
@@ -198,12 +140,11 @@ def _check_norms(norms: np.ndarray) -> None:
                                  f"{norms[k, bad]:.3g} < {NORM_EPS}")
 
 
-def forward(params: BackboneParams, inputs, e_h: float = 1.0):
+def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> FeatureBatch:
     """Run the MLP and project rows onto the sqrt(e_h) sphere.
 
-    Returns (FeatureBatch, ForwardCache). The projection is exact
-    (h = sqrt(e_h) * raw / |raw|) and rows with |raw| < 1e-12 are rejected
-    rather than silently rescaled.
+    The projection is exact (h = sqrt(e_h) * raw / |raw|) and rows with
+    |raw| < 1e-12 are rejected rather than silently rescaled.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
@@ -213,32 +154,16 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
         )
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
-    layer_inputs, pre_acts = [x], []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
         _check_finite(z[None], i)
-        pre_acts.append(z)
-        if i < params.n_layers - 1:
-            a = np.maximum(z, 0.0)
-            layer_inputs.append(a)
-        else:
-            a = z
+        a = np.maximum(z, 0.0) if i < params.n_layers - 1 else z
     raw = a
     norms = np.linalg.norm(raw, axis=1)
     _check_norms(norms[None])
     h = math.sqrt(e_h) * raw / norms[:, None]
-    cache = ForwardCache(
-        params=params,
-        params_version=params.version,
-        layer_inputs=layer_inputs,
-        pre_acts=pre_acts,
-        raw=raw,
-        norms=norms,
-        h=h,
-        e_h=float(e_h),
-    )
-    return FeatureBatch(raw=raw, h=h, e_h=float(e_h)), cache
+    return FeatureBatch(raw=raw, h=h, e_h=float(e_h))
 
 
 def _effective_matrix(classifier) -> np.ndarray:
@@ -269,6 +194,8 @@ def logits(features, classifier, phi: PhiVector | None = None) -> np.ndarray:
 
 
 def _as_mask(class_mask, n_classes: int) -> np.ndarray:
+    """Boolean (n_classes,) mask from None (all classes), a boolean vector
+    or a collection of class ids in [0, n_classes)."""
     if class_mask is None:
         return np.ones(n_classes, dtype=bool)
     mask = np.zeros(n_classes, dtype=bool)
@@ -278,13 +205,21 @@ def _as_mask(class_mask, n_classes: int) -> np.ndarray:
             raise ValueError("boolean mask length must equal class count")
         mask = arr.copy()
     else:
-        mask[arr.astype(int)] = True
+        ids = arr.astype(int)
+        bad = ids[(ids < 0) | (ids >= n_classes)]
+        if bad.size:
+            raise ValueError(f"class mask names class {bad[0]}, outside "
+                             f"0..{n_classes - 1} for C={n_classes} classes")
+        mask[ids] = True
     if not mask.any():
         raise ValueError("class mask must be nonempty")
     return mask
 
 
 def _check_labels(y: np.ndarray, mask: np.ndarray) -> None:
+    out = y[(y < 0) | (y >= len(mask))]
+    if out.size:
+        raise ValueError(f"invalid label: class {out[0]} is outside 0..{len(mask) - 1}")
     if not mask[y].all():
         bad = y[~mask[y]][0]
         raise ValueError(f"invalid label: class {bad} is outside the class mask")
@@ -298,108 +233,6 @@ def _masked_softmax(z: np.ndarray, mask: np.ndarray):
     denom = ez.sum(axis=1, keepdims=True)
     logsumexp = zmax + np.log(denom)
     return ez / denom, logsumexp
-
-
-def ce_loss(z: np.ndarray, labels, class_mask=None) -> float:
-    """Mean -log softmax(z)[label] with the softmax restricted to class_mask.
-
-    Uses max-subtraction stabilization. Every label must lie in the mask.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    mask = _as_mask(class_mask, z.shape[1])
-    _check_labels(y, mask)
-    _, logsumexp = _masked_softmax(z, mask)
-    losses = logsumexp[:, 0] - z[np.arange(len(y)), y]
-    return float(losses.mean())
-
-
-@dataclass
-class Grads:
-    """Gradients matching BackboneParams (plus the classifier when learnable)."""
-
-    weights: list
-    biases: list
-    classifier: np.ndarray | None = None
-
-    def tensors(self) -> list:
-        out = list(self.weights) + list(self.biases)
-        if self.classifier is not None:
-            out.append(self.classifier)
-        return out
-
-
-def backward(cache: ForwardCache, labels, classifier, phi: PhiVector | None = None,
-             class_mask=None) -> Grads:
-    """Exact gradients of ce_loss(logits(forward(...))) w.r.t. the backbone
-    (and the classifier matrix when it is learnable; a fixed frame gets none).
-
-    The chain rule runs through the sphere projection:
-    dL/draw = (sqrt(e_h)/|raw|) * (dL/dh - (dL/dh . u) u), u = raw/|raw|.
-    """
-    if cache.params_version != cache.params.version:
-        raise RuntimeError(
-            "cache mismatch: parameters were updated after this forward pass"
-        )
-    params = cache.params
-    y = np.asarray(labels, dtype=np.int64)
-    w_eff = _effective_matrix(classifier)
-    n_classes = w_eff.shape[1]
-    mask = _as_mask(class_mask, n_classes)
-    _check_labels(y, mask)
-    phi_vec = np.ones(n_classes) if phi is None else phi.phi
-    batch = len(y)
-
-    z = (cache.h @ w_eff) * phi_vec[None, :]
-    probs, _ = _masked_softmax(z, mask)
-    g_z = probs.copy()
-    g_z[np.arange(batch), y] -= 1.0
-    g_z /= batch
-
-    g_zpre = g_z * phi_vec[None, :]          # z = (h @ W) * phi
-    clf_grad = None
-    if not isinstance(classifier, EtfClassifier):
-        clf_grad = cache.h.T @ g_zpre
-    g_h = g_zpre @ w_eff.T
-
-    u = cache.raw / cache.norms[:, None]
-    radial = np.sum(g_h * u, axis=1, keepdims=True)
-    g = (math.sqrt(cache.e_h) / cache.norms)[:, None] * (g_h - radial * u)
-
-    grads_w = [None] * params.n_layers
-    grads_b = [None] * params.n_layers
-    for layer in reversed(range(params.n_layers)):
-        grads_w[layer] = cache.layer_inputs[layer].T @ g
-        grads_b[layer] = g.sum(axis=0)
-        if layer > 0:
-            g = (g @ params.weights[layer].T) * (cache.pre_acts[layer - 1] > 0)
-    return Grads(weights=grads_w, biases=grads_b, classifier=clf_grad)
-
-
-def sgd_step(params: BackboneParams, grads: Grads, state: OptimizerState,
-             classifier: np.ndarray | None = None):
-    """One momentum-SGD step in place; returns (params, state).
-
-    buf <- momentum * buf + grad + weight_decay * param, then
-    param <- param - lr * buf. When a learnable classifier and its gradient
-    are present they are updated the same way.
-    """
-    tensors = list(zip(params.weights, grads.weights, state.vel_weights))
-    tensors += list(zip(params.biases, grads.biases, state.vel_biases))
-    if classifier is not None:
-        if grads.classifier is None or state.vel_classifier is None:
-            raise ValueError("classifier update requested without gradient/state")
-        tensors.append((classifier, grads.classifier, state.vel_classifier))
-    for p, g, v in tensors:
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        v *= state.momentum
-        v += g
-        if state.weight_decay:
-            v += state.weight_decay * p
-        p -= state.lr * v
-    params.version += 1
-    return params, state
 
 
 @dataclass
@@ -476,23 +309,23 @@ def flatten(params: BackboneParams, classifier: np.ndarray | None, k: int) -> Fl
                      grad_classifier=g[-1] if learnable else None)
 
 
-def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.ndarray,
-               phi: np.ndarray | None, mask: np.ndarray | None, e_h: float,
-               lr: float, momentum: float, weight_decay: float,
-               lambda_prox: float = 0.0, prox_ref: np.ndarray | None = None) -> np.ndarray:
-    """One momentum-SGD step of each of the m models of a stack, each on its
-    own batch, in place on `model`; returns the m losses.
+def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
+                  w_eff: np.ndarray, phi: np.ndarray | None, mask: np.ndarray | None,
+                  e_h: float, lambda_prox: float = 0.0,
+                  prox_ref: np.ndarray | None = None) -> np.ndarray:
+    """Loss and gradient of each of the m models of a stack, each on its own
+    batch: writes the gradient into `model.grad` and returns the m losses.
 
     `x` is (m, B, d) and `hot` the (m, B, C) one-hot boolean stack of the
-    labels. Each model runs the floating-point operations of forward ->
-    logits -> ce_loss -> backward -> (+ lambda_prox * (theta - prox_ref)) ->
-    sgd_step in the same order, so its results match those ops bit for bit,
-    with one masked softmax and gradients written into `model.grad` (which
-    the update then reuses as scratch). `w_eff` is the (m, d, C) learnable
-    classifier stack (model.classifier) or one shared d x C frame matrix;
-    `phi` and `mask` are (m, 1, C) stacks or None (all ones, all classes),
-    and the caller checks that the labels lie in the mask. `prox_ref` is one
-    (P,) row. A failed numeric guard raises FloatingPointError.
+    labels. The loss is the mean cross-entropy of the phi-scaled logits
+    against `w_eff` under the masked softmax; with `prox_ref` (one (P,)
+    row), the gradient also carries lambda_prox * (theta - prox_ref), the
+    gradient of 0.5 * lambda_prox * |theta - prox_ref|^2, which the returned
+    losses leave out. `w_eff` is the (m, d, C) learnable classifier stack
+    (model.classifier) or one shared d x C frame matrix; `phi` and `mask`
+    are (m, 1, C) stacks or None (all ones, all classes), and the caller
+    checks that the labels lie in the mask. A failed numeric guard raises
+    FloatingPointError.
     """
     weights = model.weights
     last = len(weights) - 1
@@ -545,9 +378,28 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.nd
             g = np.matmul(g, weights[layer].swapaxes(1, 2))
             g *= acts[layer] > 0
 
-    theta, grad, vel = model.theta, model.grad, model.vel
     if prox_ref is not None:
-        grad += lambda_prox * (theta - prox_ref)
+        model.grad += lambda_prox * (model.theta - prox_ref)
+    return loss
+
+
+def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.ndarray,
+               phi: np.ndarray | None, mask: np.ndarray | None, e_h: float,
+               lr: float, momentum: float, weight_decay: float,
+               lambda_prox: float = 0.0, prox_ref: np.ndarray | None = None) -> np.ndarray:
+    """One momentum-SGD step of each of the m models of a stack, each on its
+    own batch, in place on `model`; returns the m losses.
+
+    gradient_pass (same arguments) fills `model.grad`; then, per entry,
+    vel <- momentum * vel + grad + weight_decay * theta and
+    theta <- theta - lr * vel, with `model.grad` reused as scratch. Each row
+    runs the floating-point operations of the per-op path kept in
+    tests/reference_ops.py (forward -> logits -> ce_loss -> backward ->
+    + prox -> sgd_step) in the same order, so it matches that path bit for bit.
+    """
+    loss = gradient_pass(model, x, hot, w_eff=w_eff, phi=phi, mask=mask, e_h=e_h,
+                         lambda_prox=lambda_prox, prox_ref=prox_ref)
+    theta, grad, vel = model.theta, model.grad, model.vel
     vel *= momentum
     vel += grad                        # grad is spent: the rest reuse it
     if weight_decay:
@@ -556,68 +408,72 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.nd
     return loss
 
 
-def _total_loss(params, x, labels, classifier, phi, mask, e_h,
-                lambda_prox=0.0, ref_tensors=None) -> float:
-    fb, _ = forward(params, x, e_h)
-    loss = ce_loss(logits(fb, classifier, phi), labels, mask)
-    if lambda_prox:
-        cur = params.tensors()
-        if not isinstance(classifier, EtfClassifier) and classifier is not None:
-            cur = cur + [classifier]
-        for t, r in zip(cur, ref_tensors):
-            loss += 0.5 * lambda_prox * float(np.sum((t - r) ** 2))
-    return loss
-
-
 def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
                       phi: PhiVector | None = None, class_mask=None,
                       e_h: float = 1.0, step: float = 1e-5, n_probes: int = 16,
                       seed=0, lambda_prox: float = 0.0) -> float:
-    """Worst relative error between analytic and central-difference gradients.
+    """Worst relative error between the gradient train_step steps on and
+    central differences of the loss.
 
-    Probes n_probes randomly selected scalar parameters (classifier entries
-    included when it is learnable). Steps much below ~1e-7 are unreliable
-    due to cancellation; the default 1e-5 balances truncation and roundoff.
-    The denominator is floored at 1e-4 so probes whose true gradient is
-    essentially zero (dead ReLU paths) do not divide rounding noise by ~0.
+    The model is one row of flatten(params, classifier, 1), the classifier
+    included when it is learnable. The analytic gradient is gradient_pass's,
+    and the numeric loss is gradient_pass's loss plus
+    0.5 * lambda_prox * |theta - ref|^2. The proximal reference ref lies at a
+    seeded offset theta + 0.1 * N(0, 1) from the probe point, where the
+    proximal gradient is non-zero. Probes n_probes randomly selected scalar
+    parameters: a tensor, then an entry of it. Steps much below ~1e-7 are
+    unreliable due to cancellation; the default 1e-5 balances truncation and
+    roundoff. The denominator is floored at 1e-4 so probes whose true
+    gradient is essentially zero (dead ReLU paths) do not divide rounding
+    noise by ~0.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    x = np.asarray(inputs, dtype=np.float64)
+    if not e_h > 0:
+        raise ValueError(f"e_h must be positive, got {e_h}")
     learnable = not isinstance(classifier, EtfClassifier)
-    ref_tensors = None
+    frame = _effective_matrix(classifier)
+    n_classes = frame.shape[1]
+    if phi is not None and phi.n_classes != n_classes:
+        raise ValueError(f"phi length {phi.n_classes} does not match class count {n_classes}")
+    y = np.asarray(labels, dtype=np.int64)
+    mask = _as_mask(class_mask, n_classes)
+    _check_labels(y, mask)
+    model = flatten(params, frame if learnable else None, 1)
+    theta = model.theta[0]
+    x = np.asarray(inputs, dtype=np.float64)[None]
+    hot = (y[:, None] == np.arange(n_classes))[None]
+    ref = None
     if lambda_prox:
-        ref_tensors = [t.copy() for t in params.tensors()]
-        if learnable:
-            ref_tensors.append(classifier.copy())
+        offset = np.random.default_rng(np.append(seed, 1)).standard_normal(theta.size)
+        ref = theta + 0.1 * offset
+    pass_args = dict(w_eff=model.classifier if learnable else frame,
+                     phi=None if phi is None else phi.phi[None, None, :],
+                     mask=None if mask.all() else mask[None, None, :], e_h=float(e_h),
+                     lambda_prox=float(lambda_prox), prox_ref=ref)
 
-    fb, cache = forward(params, x, e_h)
-    del fb
-    grads = backward(cache, labels, classifier, phi, class_mask)
-    if lambda_prox:
-        cur = params.tensors() + ([classifier] if learnable else [])
-        gts = grads.tensors()
-        for g, t, r in zip(gts, cur, ref_tensors):
-            g += lambda_prox * (t - r)
+    def loss() -> float:
+        value = float(gradient_pass(model, x, hot, **pass_args)[0])
+        if ref is not None:
+            value += 0.5 * lambda_prox * float(np.sum((theta - ref) ** 2))
+        return value
 
-    tensors = params.tensors() + ([classifier] if learnable else [])
-    grad_tensors = grads.tensors()
+    gradient_pass(model, x, hot, **pass_args)
+    analytic_grad = model.grad[0].copy()
+    bounds = np.concatenate([[0], model.cuts, [theta.size]])   # tensor ti: bounds[ti:ti+2]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(n_probes)):
-        ti = int(rng.integers(len(tensors)))
-        flat = tensors[ti].reshape(-1)
-        gi = int(rng.integers(flat.size))
-        old = flat[gi]
-        flat[gi] = old + step
-        loss_plus = _total_loss(params, x, labels, classifier, phi, class_mask,
-                                e_h, lambda_prox, ref_tensors)
-        flat[gi] = old - step
-        loss_minus = _total_loss(params, x, labels, classifier, phi, class_mask,
-                                 e_h, lambda_prox, ref_tensors)
-        flat[gi] = old
+        ti = int(rng.integers(len(bounds) - 1))
+        j = int(bounds[ti] + rng.integers(bounds[ti + 1] - bounds[ti]))
+        old = theta[j]
+        theta[j] = old + step
+        loss_plus = loss()
+        theta[j] = old - step
+        loss_minus = loss()
+        theta[j] = old
         numeric = (loss_plus - loss_minus) / (2.0 * step)
-        analytic = float(grad_tensors[ti].reshape(-1)[gi])
+        analytic = float(analytic_grad[j])
         denom = max(abs(numeric), abs(analytic), 1e-4)
         worst = max(worst, abs(numeric - analytic) / denom)
     return worst

@@ -270,15 +270,14 @@ class TestCmdGradcheck:
 
     def test_broken_backward_fails(self, monkeypatch, capsys):
         import fedgela.neuralnet as nn
-        real = nn.backward
+        real = nn.gradient_pass
 
-        def zeroed(*args, **kwargs):
-            g = real(*args, **kwargs)
-            for t in g.tensors():
-                t[...] = 0.0
-            return g
+        def zeroed(model, *args, **kwargs):
+            loss = real(model, *args, **kwargs)
+            model.grad[...] = 0.0
+            return loss
 
-        monkeypatch.setattr(nn, "backward", zeroed)
+        monkeypatch.setattr(nn, "gradient_pass", zeroed)
         assert main(["gradcheck"]) == 1
         assert "worst offender" in capsys.readouterr().out
 

@@ -21,6 +21,7 @@ from fedgela.fedsim import (
 from fedgela import metrics
 from fedgela.metrics import personal_accuracy
 from fedgela.neuralnet import init_backbone
+from reference_ops import clone
 
 
 def small_config(**kw):
@@ -48,6 +49,14 @@ class TestAlgoKind:
         AlgoKind("fedprox", lambda_prox=0.5)
         with pytest.raises(ValueError, match="only meaningful"):
             AlgoKind("fedavg", lambda_prox=0.5)
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1),
+                                              ("batch_size", 0), ("e_h", -2.0)])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"hyperparameter {field} = "):
+            Hyperparams(**{field: value})
 
 
 class TestComputePhi:
@@ -218,7 +227,7 @@ class TestLocalTrain:
 class TestAggregate:
     def test_identical_updates_fixed_point(self):
         p = init_backbone((3, 4), seed=0)
-        out = aggregate([p, p.clone()], [0.3, 0.7])
+        out = aggregate([p, clone(p)], [0.3, 0.7])
         for a, b in zip(out.tensors(), p.tensors()):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
@@ -245,7 +254,7 @@ class TestAggregate:
     def test_bad_weights(self):
         p = init_backbone((3, 4), seed=0)
         with pytest.raises(ValueError, match="sum to 1"):
-            aggregate([p, p.clone()], [0.5, 0.6])
+            aggregate([p, clone(p)], [0.5, 0.6])
 
     def test_shape_mismatch(self):
         a, b = init_backbone((3, 4), seed=0), init_backbone((3, 5), seed=0)
@@ -271,8 +280,8 @@ class TestAggregate:
         weights = np.array([4.0, 4.0]) / 8.0
         agg = aggregate([r.backbone for r in res], weights)
         # centralized comparator: analytic single step on the union mean loss
-        from fedgela.neuralnet import backward, forward, sgd_step, OptimizerState
-        central = backbone.clone()
+        from reference_ops import backward, forward, sgd_step, OptimizerState
+        central = clone(backbone)
         fb, cache = forward(central, ds.features, 1.0)
         grads = backward(cache, ds.labels, etf)
         sgd_step(central, grads, OptimizerState.for_params(central, 0.1, 0.0, 0.0))
@@ -465,9 +474,9 @@ class TestRoundCsv:
 def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts):
     """local_train's loop written with the public per-batch ops:
     forward -> logits -> ce_loss -> backward -> (+ prox) -> sgd_step."""
-    from fedgela.neuralnet import (OptimizerState, backward, ce_loss, forward,
-                                   logits, sgd_step)
-    bb = backbone.clone()
+    from reference_ops import (OptimizerState, backward, ce_loss, forward,
+                               logits, sgd_step)
+    bb = clone(backbone)
     learnable = not algo.fixed_classifier
     clf = np.array(classifier, copy=True) if learnable else None
     eff = clf if learnable else classifier
@@ -769,6 +778,22 @@ class TestPartitionCheckedBeforeTraining:
         self._no_training(monkeypatch)
         with pytest.raises(ValueError, match=r"^class 0 is absent from the global test set"):
             run_federation(cfg, dataset=ds, shards=shards)
+
+    @pytest.mark.parametrize("algo", ["fedge", "fedgela"])
+    def test_csv_classes_above_feature_dim_named(self, tmp_path, monkeypatch, capsys, algo):
+        from fedgela.cli import main
+        csv_path = tmp_path / "ten.csv"
+        assert main(["gen-data", "--set", "classes=10", "--set", "n_per_class=6",
+                     "--out", str(csv_path)]) == 0
+        self._no_training(monkeypatch)
+        out = tmp_path / "run"
+        argv = ["run", "--set", "dataset=csv", "--set", f"csv_path={csv_path}",
+                "--set", f"algo={algo}", "--set", "feature_dim=5", "--set", f"out_dir={out}"]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "'feature_dim'" in err and "10 classes" in err and str(csv_path) in err
+        assert not out.exists()
 
     def test_no_check_without_rounds(self):
         cfg = parse_config({"classes": 10, "n_per_class": 6, "clients": 10, "beta": 0.1,

@@ -7,20 +7,16 @@ from fedgela.etfgeom import make_etf
 from fedgela.metrics import nc1_variability
 from fedgela.neuralnet import (
     BackboneParams,
-    OptimizerState,
     PhiVector,
-    backward,
-    ce_loss,
     finite_diff_check,
-    forward,
     init_backbone,
     init_classifier,
     load_checkpoint,
     logits,
     lpm_feature_fit,
     save_checkpoint,
-    sgd_step,
 )
+from reference_ops import OptimizerState, backward, ce_loss, forward, sgd_step
 
 
 def identity_net(d):
@@ -204,15 +200,14 @@ class TestBackward:
 
     def test_broken_gradient_detected(self, monkeypatch):
         import fedgela.neuralnet as nn
-        real = nn.backward
+        real = nn.gradient_pass
 
-        def zeroed(*args, **kwargs):
-            g = real(*args, **kwargs)
-            for t in g.tensors():
-                t[...] = 0.0
-            return g
+        def zeroed(model, *args, **kwargs):
+            loss = real(model, *args, **kwargs)
+            model.grad[...] = 0.0
+            return loss
 
-        monkeypatch.setattr(nn, "backward", zeroed)
+        monkeypatch.setattr(nn, "gradient_pass", zeroed)
         params = init_backbone((4, 8, 3), seed=1)
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(2).standard_normal((6, 4))
@@ -221,13 +216,82 @@ class TestBackward:
         assert err > 0.5
 
 
+class TestGradientOracle:
+    """finite_diff_check checks gradient_pass, the gradient train_step steps on."""
+
+    def test_wrong_sign_prox_gradient_detected(self, monkeypatch, capsys):
+        import fedgela.neuralnet as nn
+        from fedgela.cli import main
+        real = nn.gradient_pass
+
+        def flipped(model, *args, **kwargs):
+            loss = real(model, *args, **kwargs)
+            if kwargs["prox_ref"] is not None:
+                model.grad -= 2.0 * kwargs["lambda_prox"] * (model.theta - kwargs["prox_ref"])
+            return loss
+
+        monkeypatch.setattr(nn, "gradient_pass", flipped)
+        params = init_backbone((6, 12, 5), seed=20)
+        clf = init_classifier(5, 5, seed=21)
+        x = np.random.default_rng(22).standard_normal((9, 6))
+        y = np.array([0, 2, 3, 4, 0, 2, 3, 4, 0])
+        err = nn.finite_diff_check(params, x, y, clf, n_probes=48, seed=23,
+                                   lambda_prox=0.05)
+        assert err > 0.5
+        assert main(["gradcheck"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert len(failed) == 4 and all(" fedprox/" in line for line in failed)
+
+
+class TestClassMaskIds:
+    @pytest.mark.parametrize("ids", [[-1], [4]])
+    def test_out_of_range_class_rejected(self, ids):
+        from fedgela.metrics import predict
+        params = init_backbone((4, 4), seed=0)
+        etf = make_etf(4, 4, seed=0)
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        pattern = rf"class {ids[0]}\b.*C=4"
+        with pytest.raises(ValueError, match=pattern):
+            predict(params, etf, x, 1.0, class_mask=ids)
+        with pytest.raises(ValueError, match=pattern):
+            finite_diff_check(params, x, [0, 0, 0], etf, class_mask=ids)
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_out_of_range_label_rejected(self, label):
+        params = init_backbone((4, 4), seed=0)
+        etf = make_etf(4, 4, seed=0)
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        with pytest.raises(ValueError, match=rf"invalid label: class {label}\b"):
+            finite_diff_check(params, x, [0, 1, label], etf)
+
+
+class TestShippedForward:
+    def test_matches_reference_forward_bitwise(self):
+        from fedgela.neuralnet import forward as shipped
+        params = init_backbone((5, 16, 8, 4), seed=3)
+        x = np.random.default_rng(4).standard_normal((9, 5))
+        fb = shipped(params, x, 2.0)
+        ref, _ = forward(params, x, 2.0)
+        assert fb.h.tobytes() == ref.h.tobytes()
+        assert fb.raw.tobytes() == ref.raw.tobytes()
+
+    def test_rejects_bad_inputs(self):
+        from fedgela.neuralnet import forward as shipped
+        params = identity_net(3)
+        with pytest.raises(FloatingPointError, match="degenerate feature"):
+            shipped(params, np.zeros((1, 3)), 1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            shipped(params, np.ones((2, 4)), 1.0)
+
+
 class TestSgdStep:
     def test_plain_sgd(self):
         params = identity_net(2)
         grads_w = [np.full((2, 2), 0.5)]
         grads_b = [np.full(2, 0.25)]
         state = OptimizerState.for_params(params, lr=0.1, momentum=0.0, weight_decay=0.0)
-        from fedgela.neuralnet import Grads
+        from reference_ops import Grads
         sgd_step(params, Grads(grads_w, grads_b), state)
         np.testing.assert_allclose(params.weights[0], np.eye(2) - 0.05)
         np.testing.assert_allclose(params.biases[0], -0.025 * np.ones(2))
@@ -235,7 +299,7 @@ class TestSgdStep:
     def test_zero_grad_fixed_point(self):
         params = identity_net(2)
         before = [t.copy() for t in params.tensors()]
-        from fedgela.neuralnet import Grads
+        from reference_ops import Grads
         state = OptimizerState.for_params(params, lr=0.1, momentum=0.9, weight_decay=0.0)
         sgd_step(params, Grads([np.zeros((2, 2))], [np.zeros(2)]), state)
         for t, b in zip(params.tensors(), before):
@@ -243,7 +307,7 @@ class TestSgdStep:
 
     def test_two_step_momentum_unroll(self):
         # buf1 = g, buf2 = 0.9 g + g -> total displacement lr * g * (1 + 1.9)
-        from fedgela.neuralnet import Grads
+        from reference_ops import Grads
         params = identity_net(2)
         start = params.weights[0].copy()
         g = np.full((2, 2), 0.3)
@@ -254,7 +318,7 @@ class TestSgdStep:
                                    atol=1e-15)
 
     def test_weight_decay_enters_buffer(self):
-        from fedgela.neuralnet import Grads
+        from reference_ops import Grads
         params = identity_net(2)
         start = params.weights[0].copy()
         state = OptimizerState.for_params(params, lr=0.1, momentum=0.0, weight_decay=0.5)
@@ -262,7 +326,7 @@ class TestSgdStep:
         np.testing.assert_allclose(params.weights[0], start - 0.1 * 0.5 * start)
 
     def test_shape_mismatch(self):
-        from fedgela.neuralnet import Grads
+        from reference_ops import Grads
         params = identity_net(2)
         state = OptimizerState.for_params(params, lr=0.1, momentum=0.0, weight_decay=0.0)
         with pytest.raises(ValueError, match="shape"):
@@ -272,7 +336,7 @@ class TestSgdStep:
 class TestTrainingBehaviour:
     def test_loss_decreases_on_separable_toy(self):
         from fedgela.datagen import synth_gaussian_mixture
-        from fedgela.neuralnet import Grads  # noqa: F401
+        from reference_ops import Grads  # noqa: F401
 
         ds = synth_gaussian_mixture(3, 4, 30, class_sep=6.0, noise_sigma=0.3, seed=0)
         params = init_backbone((4, 16, 3), seed=1)
