@@ -1,10 +1,11 @@
 """Configuration-driven entry point.
 
 Subcommands: run (one federated experiment), sweep (compare arms over a
-seed list on shared splits), gradcheck (finite-difference verification of
-every training path), partition-report (client-by-class count heatmap),
-gen-data (write a synthetic CSV), lpm-oracle (free-feature fit under the
-fixed frame, reporting per-class cosines and within-class variability).
+seed list on shared splits, running them concurrently on the usable CPUs),
+gradcheck (finite-difference verification of every training path),
+partition-report (client-by-class count heatmap), gen-data (write a
+synthetic CSV), lpm-oracle (free-feature fit under the fixed frame,
+reporting per-class cosines and within-class variability).
 
 Configs are flat `key = value` text files; any key can be overridden on the
 command line with --set key=value. Relative output directories are placed
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -369,9 +371,11 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
     """Run every arm for every seed on shared data/partition splits and
     write a per-arm summary of final PA/GA mean and std.
 
-    Every arm x seed config is parsed before the first run. A run that fails
-    leaves sweep_status.json (status, arm, seed, error) in the sweep
-    directory, and no summary.csv."""
+    Every arm x seed config is parsed before the first run. The runs go to
+    fedsim.run_many, and this process alone writes their outputs, in (arm,
+    seed) order. The first run in that order that fails leaves
+    sweep_status.json (status, arm, seed, error) in the sweep directory, no
+    later run's directory, and no summary.csv."""
     if len(arm_specs) < 2:
         raise ConfigError("sweep needs at least 2 arms")
     arms = [_parse_arm(s) for s in arm_specs]
@@ -380,25 +384,26 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
     status = out / "sweep_status.json"
     status.unlink(missing_ok=True)
     finals = {name: ([], []) for name, _ in arms}
-    for name, seed, cfg in runs:
-        try:
-            result = fedsim.run_federation(cfg)
-            arm_out = _resolve_out_dir(cfg)
-            arm_out.mkdir(parents=True, exist_ok=True)
-            fedsim.write_round_csv(result.logs, arm_out / "rounds.csv")
-            fedsim.write_manifest(arm_out / "manifest.json", cfg, result.dataset)
-            ga, pa = _final_metrics(result.logs)
-            if ga is None:
-                raise RuntimeError(f"arm '{name}' seed {seed} recorded no evaluation")
-        except Exception as exc:
-            out.mkdir(parents=True, exist_ok=True)
-            status.write_text(json.dumps({"status": "failed", "arm": name, "seed": seed,
-                                          "error": str(exc)}, indent=2) + "\n",
-                              encoding="utf-8")
-            raise
-        gas, pas = finals[name]
-        gas.append(ga)
-        pas.append(pa)
+    with closing(fedsim.run_many(cfg for _, _, cfg in runs)) as results:
+        for name, seed, cfg in runs:
+            try:
+                logs, dataset = next(results)
+                arm_out = _resolve_out_dir(cfg)
+                arm_out.mkdir(parents=True, exist_ok=True)
+                fedsim.write_round_csv(logs, arm_out / "rounds.csv")
+                fedsim.write_manifest(arm_out / "manifest.json", cfg, dataset)
+                ga, pa = _final_metrics(logs)
+                if ga is None:
+                    raise RuntimeError(f"arm '{name}' seed {seed} recorded no evaluation")
+            except Exception as exc:
+                out.mkdir(parents=True, exist_ok=True)
+                status.write_text(json.dumps({"status": "failed", "arm": name, "seed": seed,
+                                              "error": str(exc)}, indent=2) + "\n",
+                                  encoding="utf-8")
+                raise
+            gas, pas = finals[name]
+            gas.append(ga)
+            pas.append(pa)
     rows = [(name, len(seeds), float(np.mean(pas)), float(np.std(pas)),
              float(np.mean(gas)), float(np.std(gas)))
             for name, (gas, pas) in finals.items()]

@@ -10,6 +10,7 @@ softmax to locally existing classes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "aggregate_tensors",
     "finetune_personalize",
     "run_federation",
+    "run_many",
     "build_dataset",
     "build_partition",
     "write_round_csv",
@@ -494,7 +496,8 @@ def run_federation(config, dataset: Dataset | None = None,
     aggregates them in ascending client-id order, so results are
     bit-deterministic per master seed. Evaluation metrics are recorded every
     `eval_every` rounds and on the final round; a partition that cannot be
-    evaluated is rejected before round 1.
+    evaluated, or a loaded csv whose class count is not `classes`, is
+    rejected before round 1.
     """
     algo = AlgoKind(kind=config.algo, lambda_prox=config.lambda_prox)
     hp = Hyperparams(lr=config.lr, momentum=config.momentum,
@@ -502,11 +505,14 @@ def run_federation(config, dataset: Dataset | None = None,
                      batch_size=config.batch_size, e_h=config.e_h)
     ds = dataset if dataset is not None else build_dataset(config)
     n_classes = ds.n_classes
+    # parse_config checks synthetic data; a csv's class count is known here
+    from_csv = dataset is None and config.dataset == "csv"
+    if from_csv and config.classes != n_classes:
+        raise ValueError(f"config key 'classes' is {config.classes}, but csv_path "
+                         f"{config.csv_path} has {n_classes} classes")
     feat_dim = getattr(config, "feature_dim", None) or n_classes
     if algo.fixed_classifier and feat_dim < n_classes:
-        # parse_config checks synthetic data; a csv's class count is known here
-        source = (f"csv_path {config.csv_path}" if dataset is None and config.dataset == "csv"
-                  else "the dataset")
+        source = f"csv_path {config.csv_path}" if from_csv else "the dataset"
         raise ValueError(f"config key 'feature_dim' must be >= the {n_classes} classes of "
                          f"{source} for the simplex frame of algo={algo.kind}, got {feat_dim}")
     shards = shards if shards is not None else build_partition(ds, config)
@@ -571,6 +577,51 @@ def run_federation(config, dataset: Dataset | None = None,
     return FederationResult(logs=logs, server=server, clients=clients,
                             dataset=ds, shards=shards,
                             global_test_indices=global_test)
+
+
+def _logs_and_dataset(config) -> tuple:
+    result = run_federation(config)
+    return result.logs, result.dataset
+
+
+def run_many(configs):
+    """Yield (logs, dataset) of run_federation(config) for each config, in
+    input order.
+
+    The runs share a pool of forked worker processes, one per usable CPU (the
+    affinity mask, so `taskset` sets the count) and at most one per config.
+    With one worker, or where fork is unavailable, each run happens in this
+    process when its result is asked for. Either way a run stays in one
+    process and gives the same bytes. The first failing config in input
+    order raises its own error, and the configs not yet started are
+    cancelled.
+    """
+    configs = list(configs)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(configs))
+    if workers > 1:
+        # imported here: `run` never pays for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a worker starts with numpy and this package
+        # imported, and the executor forks every worker before it starts
+        # its own thread
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                # popped in input order, so a result is dropped once consumed
+                pending = [pool.submit(_logs_and_dataset, c) for c in configs][::-1]
+                while pending:
+                    yield pending.pop().result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    for config in configs:
+        yield _logs_and_dataset(config)
 
 
 ROUND_CSV_COLUMNS = (

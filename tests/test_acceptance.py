@@ -22,6 +22,7 @@ from fedgela.fedsim import (
     local_train,
     read_round_csv,
     run_federation,
+    run_many,
 )
 from fedgela.metrics import nc1_variability
 from fedgela.neuralnet import init_backbone, init_classifier, lpm_feature_fit
@@ -38,12 +39,11 @@ def ref_config(algo, seed, **overrides):
 
 @pytest.fixture(scope="module")
 def reference_runs():
-    """Final-round logs and full trajectories per (algorithm, seed)."""
-    runs = {}
-    for algo in ("fedavg", "fedge", "fedgela"):
-        for seed in SEEDS:
-            runs[(algo, seed)] = run_federation(ref_config(algo, seed)).logs
-    return runs
+    """Final-round logs and full trajectories per (algorithm, seed), run
+    concurrently on the usable CPUs."""
+    keys = [(algo, seed) for algo in ("fedavg", "fedge", "fedgela") for seed in SEEDS]
+    results = run_many(ref_config(algo, seed) for algo, seed in keys)
+    return {key: logs for key, (logs, _) in zip(keys, results)}
 
 
 def _report(num, ok, detail):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,38 @@ class TestCmdSweep:
         assert not (out / "bad_seed0").exists()
         assert not (out / "summary.csv").exists()
 
+    def test_pool_writes_the_bytes_of_the_serial_sweep(self, tmp_path, monkeypatch, capsys):
+        # one usable CPU runs in-process; two fork a pool, even on a 1-CPU host
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, SMALL | {"out_dir": str(out)})
+        argv = ["sweep", "--config", str(cfg_path), "--arm", "avg:algo=fedavg",
+                "--arm", "gela:algo=fedgela", "--seeds", "0,1,2"]
+        outputs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            capsys.readouterr()
+            assert main(argv) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                     if p.is_file()}
+            outputs.append((files, capsys.readouterr().out))
+            shutil.rmtree(out)
+        assert len(outputs[0][0]) == 2 * 3 * 2 + 1
+        assert outputs[0] == outputs[1]
+
+    def test_status_names_first_failure_in_arm_order(self, tmp_path, monkeypatch):
+        # fast_bad fails at load, before slow_bad overflows in round 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": str(out)})
+        rc = main(["sweep", "--config", str(cfg_path), "--arm", "slow_bad:lr=1e300",
+                   "--arm", f"fast_bad:dataset=csv,csv_path={tmp_path / 'nope.csv'}",
+                   "--arm", "ok:algo=fedavg", "--seeds", "0"])
+        assert rc == 3
+        status = json.loads((out / "sweep_status.json").read_text())
+        assert (status["arm"], status["seed"]) == ("slow_bad", 0)
+        assert status["error"].startswith("round 1: ")
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_status.json"]
+
     def test_single_arm_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)
         assert main(["sweep", "--config", str(cfg_path),
@@ -343,6 +376,19 @@ class TestCmdGenData:
             "run.txt",
         )
         assert main(["run", "--config", str(run_cfg)]) == 0
+
+    def test_classes_must_match_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "ten.csv"
+        assert main(["gen-data", "--set", "classes=10", "--set", "n_per_class=6",
+                     "--out", str(csv_path)]) == 0
+        out = tmp_path / "run"
+        run_cfg = write_config(tmp_path, SMALL | {"dataset": "csv", "csv_path": str(csv_path),
+                                                  "classes": 4, "out_dir": str(out)})
+        capsys.readouterr()
+        assert main(["run", "--config", str(run_cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "'classes' is 4" in err and "has 10 classes" in err and str(csv_path) in err
+        assert not out.exists()
 
 
 class TestCmdLpmOracle:

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -15,10 +20,11 @@ from fedgela.fedsim import (
     local_train,
     read_round_csv,
     run_federation,
+    run_many,
     sample_clients,
     write_round_csv,
 )
-from fedgela import metrics
+from fedgela import fedsim, metrics
 from fedgela.metrics import personal_accuracy
 from fedgela.neuralnet import init_backbone
 from reference_ops import clone
@@ -406,6 +412,49 @@ class TestRunFederation:
                 if q_kind == "exp" and missing.any():
                     assert np.all(c.phi.phi[missing] > 0)
                 assert np.array_equal(c.mask, ~missing)
+
+
+class TestRunMany:
+    """run_many's placement and ordering, with run_federation replaced by a
+    stand-in that reports the process it ran in."""
+
+    @pytest.fixture(autouse=True)
+    def _stand_in(self, monkeypatch):
+        def run(config):
+            if config == "slow":
+                time.sleep(0.3)
+                raise FileNotFoundError(2, "No such file or directory", "slow.csv")
+            if config == "fast":
+                raise FloatingPointError("fast")
+            return types.SimpleNamespace(logs=os.getpid(), dataset=config)
+
+        monkeypatch.setattr(fedsim, "run_federation", run)
+
+    @pytest.mark.parametrize("cpus, methods, pooled", [
+        ({0}, None, False),
+        ({0, 1}, None, True),
+        ({0, 1}, ["spawn"], False),
+    ])
+    def test_placement_and_order(self, monkeypatch, cpus, methods, pooled):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if methods is not None:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        out = list(run_many(["a", "b", "c"]))
+        assert [config for _, config in out] == ["a", "b", "c"]
+        assert [pid != os.getpid() for pid, _ in out] == [pooled] * 3
+
+    def test_cpu_count_without_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert [pid for pid, _ in run_many(["a", "b"])] == [os.getpid()] * 2
+
+    def test_first_failure_in_input_order_raises_its_own_error(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        results = run_many(["a", "slow", "fast"])
+        assert next(results)[1] == "a"
+        with pytest.raises(FileNotFoundError) as info:
+            next(results)
+        assert str(info.value) == "[Errno 2] No such file or directory: 'slow.csv'"
 
 
 class TestFinetunePersonalize:
