@@ -237,7 +237,7 @@ def parse_config(source, overrides=None) -> RunConfig:
     for key in ("class_sep", "noise_sigma", "lr", "e_w", "e_h"):
         if not merged[key] > 0:
             raise ConfigError(f"config key '{key}' must be positive, got {merged[key]}")
-    for key in ("rounds", "epochs", "finetune_epochs"):
+    for key in ("rounds", "epochs", "finetune_epochs", "seed", "data_seed", "partition_seed"):
         if merged[key] < 0:
             raise ConfigError(f"config key '{key}' must be >= 0, got {merged[key]}")
     for key in ("lambda_prox", "momentum", "weight_decay"):
@@ -365,6 +365,23 @@ def _sweep_runs(base: RunConfig, arms, seeds, out: Path) -> list:
             except ConfigError as exc:
                 raise ConfigError(f"arm '{name}': {exc}") from None
     return runs
+
+
+def _parse_seeds(text: str) -> list:
+    """The distinct non-negative master seeds of a --seeds list; a bad entry
+    raises a ConfigError naming it."""
+    seeds = []
+    for entry in (e.strip() for e in text.split(",")):
+        if not entry:
+            continue
+        if not entry.isdecimal():
+            raise ConfigError(f"--seeds: '{entry}' is not a non-negative integer")
+        if int(entry) in seeds:
+            raise ConfigError(f"--seeds: seed {int(entry)} is listed twice")
+        seeds.append(int(entry))
+    if not seeds:
+        raise ConfigError(f"--seeds {text!r} names no seed")
+    return seeds
 
 
 def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
@@ -568,8 +585,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(config)
         if args.command == "sweep":
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-            return cmd_sweep(config, args.arms, seeds)
+            return cmd_sweep(config, args.arms, _parse_seeds(args.seeds))
         if args.command == "gradcheck":
             return cmd_gradcheck(config)
         if args.command == "partition-report":

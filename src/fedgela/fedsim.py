@@ -310,12 +310,11 @@ def _train_stack(positions, clients, seeds, masks, backbone, classifier,
     size) as one stack of models; one LocalResult each."""
     k_rows = len(positions)
     learnable = not algo.fixed_classifier
-    model = flatten(backbone, classifier if learnable else None, k_rows)
+    prox = algo.kind == "fedprox" and algo.lambda_prox > 0
+    model = flatten(backbone, classifier if learnable else None, k_rows, prox)
     frame = _effective_matrix(classifier)
     n_classes = frame.shape[1]
-    prox_ref = None
-    if algo.kind == "fedprox" and algo.lambda_prox > 0:
-        prox_ref = model.theta[0].copy()
+    prox_ref = model.theta[0].copy() if prox else None
     phi = mask = None
     if algo.adapts_phi:
         phis = [clients[p].phi for p in positions]

@@ -241,11 +241,14 @@ class FlatModel:
     there is one, held as the rows of one contiguous (K, P) float64 matrix
     `theta` (weights, biases, then the classifier). Every layer view is a
     (K, ...) stack of row views; `grad` and `vel` share the layout, so an
-    optimizer update is a few whole-matrix operations."""
+    optimizer update is a few whole-matrix operations. `prox`, present only
+    on a stack built for a proximal term, is the (K, P) scratch matrix that
+    term is computed in."""
 
     theta: np.ndarray
     grad: np.ndarray
     vel: np.ndarray
+    prox: np.ndarray | None
     layer_sizes: tuple
     cuts: np.ndarray                    # column where each tensor after the first starts
     shapes: list                        # tensor shapes, biases as (1, fan_out)
@@ -265,6 +268,7 @@ class FlatModel:
 
         return FlatModel(
             theta=self.theta[s], grad=self.grad[s], vel=self.vel[s],
+            prox=None if self.prox is None else self.prox[s],
             layer_sizes=self.layer_sizes, cuts=self.cuts, shapes=self.shapes,
             weights=cut(self.weights), biases=cut(self.biases),
             classifier=None if self.classifier is None else self.classifier[s],
@@ -288,9 +292,11 @@ def _views(flat: np.ndarray, cuts, shapes) -> list:
     return [v.reshape((len(flat),) + s) for v, s in zip(np.split(flat, cuts, axis=1), shapes)]
 
 
-def flatten(params: BackboneParams, classifier: np.ndarray | None, k: int) -> FlatModel:
+def flatten(params: BackboneParams, classifier: np.ndarray | None, k: int,
+            prox: bool = False) -> FlatModel:
     """Copy params (and a learnable d x C classifier, or None) into each of
-    the k rows of a FlatModel with zero velocity."""
+    the k rows of a FlatModel with zero velocity; with `prox`, the stack
+    also owns the scratch matrix of the proximal term."""
     tensors = params.tensors() + ([] if classifier is None else [classifier])
     n = params.n_layers
     shapes = [t.shape for t in tensors]
@@ -302,6 +308,7 @@ def flatten(params: BackboneParams, classifier: np.ndarray | None, k: int) -> Fl
     p, g = _views(theta, cuts, shapes), _views(grad, cuts, shapes)
     learnable = classifier is not None
     return FlatModel(theta=theta, grad=grad, vel=np.zeros_like(theta),
+                     prox=np.empty_like(theta) if prox else None,
                      layer_sizes=params.layer_sizes, cuts=cuts, shapes=shapes,
                      weights=p[:n], biases=p[n:2 * n],
                      classifier=p[-1] if learnable else None,
@@ -321,11 +328,13 @@ def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
     against `w_eff` under the masked softmax; with `prox_ref` (one (P,)
     row), the gradient also carries lambda_prox * (theta - prox_ref), the
     gradient of 0.5 * lambda_prox * |theta - prox_ref|^2, which the returned
-    losses leave out. `w_eff` is the (m, d, C) learnable classifier stack
-    (model.classifier) or one shared d x C frame matrix; `phi` and `mask`
-    are (m, 1, C) stacks or None (all ones, all classes), and the caller
-    checks that the labels lie in the mask. A failed numeric guard raises
-    FloatingPointError.
+    losses leave out. That term is computed in `model.prox`, so on a stack
+    built with flatten(..., prox=True) a pass allocates no parameter-sized
+    array (on any other stack it allocates one). `w_eff` is the (m, d, C)
+    learnable classifier stack (model.classifier) or one shared d x C frame
+    matrix; `phi` and `mask` are (m, 1, C) stacks or None (all ones, all
+    classes), and the caller checks that the labels lie in the mask. A
+    failed numeric guard raises FloatingPointError.
     """
     weights = model.weights
     last = len(weights) - 1
@@ -379,7 +388,9 @@ def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
             g *= acts[layer] > 0
 
     if prox_ref is not None:
-        model.grad += lambda_prox * (model.theta - prox_ref)
+        diff = np.subtract(model.theta, prox_ref, out=model.prox)
+        diff *= lambda_prox            # the roundings of lambda_prox * (theta - prox_ref)
+        model.grad += diff
     return loss
 
 
@@ -392,8 +403,10 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.nd
 
     gradient_pass (same arguments) fills `model.grad`; then, per entry,
     vel <- momentum * vel + grad + weight_decay * theta and
-    theta <- theta - lr * vel, with `model.grad` reused as scratch. Each row
-    runs the floating-point operations of the per-op path kept in
+    theta <- theta - lr * vel, with `model.grad` reused as scratch. So a step
+    allocates no parameter-sized array; with a proximal term, that holds on a
+    stack built with flatten(..., prox=True). Each row runs the
+    floating-point operations of the per-op path kept in
     tests/reference_ops.py (forward -> logits -> ce_loss -> backward ->
     + prox -> sgd_step) in the same order, so it matches that path bit for bit.
     """

@@ -73,6 +73,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lambda_prox"):
             parse_config({"algo": "fedavg", "lambda_prox": 0.1})
 
+    @pytest.mark.parametrize("key", ["seed", "data_seed", "partition_seed"])
+    def test_negative_seed_names_key(self, key):
+        with pytest.raises(ConfigError, match=rf"'{key}' must be >= 0, got -1"):
+            parse_config({key: -1})
+
+    def test_negative_seed_on_command_line_names_key(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["run", "--config", str(write_config(tmp_path, SMALL)),
+                   "--set", "seed=-1", "--set", f"out_dir={out}"])
+        assert rc == 2
+        assert "'seed' must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_chaining(self):
         cfg = parse_config({"seed": 7})
         assert cfg.data_seed == 7 and cfg.partition_seed == 7
@@ -424,6 +437,19 @@ class TestSweepFailsBeforeCompute:
         rc, out = self._sweep(tmp_path, "a:algo=fedavg", "a:algo=fedgela")
         assert rc == 2
         assert "duplicate arm name 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds,named", [(",", "','"), ("x", "'x'"), ("0,x", "'x'"),
+                                             ("-1", "'-1'"), ("1,1", "seed 1"),
+                                             ("0, 2,0", "seed 0")])
+    def test_bad_seed_list_rejected_before_any_run(self, tmp_path, capsys, seeds, named):
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": str(out)})
+        rc = main(["sweep", "--config", str(cfg_path), "--arm", "a:algo=fedavg",
+                   "--arm", "b:algo=fedgela", "--seeds", seeds])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seeds") and named in err
         assert not out.exists()
 
     def test_arm_switches_partition_scheme(self, tmp_path):

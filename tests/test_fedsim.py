@@ -197,6 +197,26 @@ class TestLocalTrain:
         assert any(a.tobytes() != b.tobytes() for a, b in
                    zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()))
 
+    @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.0), ("fedprox", 0.1),
+                                          ("fedge", 0.0), ("fedgela", 0.0), ("laonly", 0.0)])
+    def test_only_a_proximal_stack_owns_a_prox_buffer(self, kind, lam, monkeypatch):
+        ds, clients, algo, hp, backbone, etf = self._setup(kind, lambda_prox=lam)
+        real, stacks = fedsim.flatten, []
+
+        def recording(*args):
+            stacks.append(real(*args))
+            return stacks[-1]
+
+        monkeypatch.setattr(fedsim, "flatten", recording)
+        from fedgela.neuralnet import init_classifier
+        clf = etf if algo.fixed_classifier else init_classifier(ds.n_classes, ds.n_classes, 5)
+        local_train(clients, backbone, clf, algo, hp, ds, [(0, 3, 1, k) for k in range(4)])
+        assert len(stacks) == 1 and len(stacks[0].theta) == 4
+        if lam:
+            assert stacks[0].prox.shape == stacks[0].theta.shape
+        else:
+            assert stacks[0].prox is None
+
     def test_fedgela_learns_its_shard(self):
         # separable two-class shard: 10 epochs reach high train accuracy
         cfg = small_config(algo="fedgela", classes=10, input_dim=12,

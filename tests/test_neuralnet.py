@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from fedgela.neuralnet import (
     BackboneParams,
     PhiVector,
     finite_diff_check,
+    flatten,
     init_backbone,
     init_classifier,
     load_checkpoint,
     logits,
     lpm_feature_fit,
     save_checkpoint,
+    train_step,
 )
 from reference_ops import OptimizerState, backward, ce_loss, forward, sgd_step
 
@@ -366,6 +369,46 @@ class TestTrainingBehaviour:
             grads = backward(cache, y, etf)
             sgd_step(params, grads, state)
         assert etf.m.tobytes() == frozen
+
+
+class TestStepAllocations:
+    """A train_step allocates no parameter-sized array, proximal term included:
+    (theta - prox_ref) is computed in the stack's own `prox` matrix."""
+
+    K, BATCH = 10, 20
+
+    def _stack(self, prox):
+        params = init_backbone((20, 64, 32), seed=0)
+        return flatten(params, init_classifier(32, 10, seed=1), self.K, prox)
+
+    def _peak(self, model, lambda_prox):
+        m = len(model.theta)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((m, self.BATCH, 20))
+        hot = rng.integers(10, size=(m, self.BATCH))[..., None] == np.arange(10)
+        kwargs = dict(w_eff=model.classifier, phi=None, mask=None, e_h=400.0, lr=0.02,
+                      momentum=0.9, weight_decay=1e-4, lambda_prox=lambda_prox,
+                      prox_ref=model.theta[0].copy() if lambda_prox else None)
+        train_step(model, x, hot, **kwargs)              # warm-up
+        tracemalloc.start()
+        try:
+            train_step(model, x, hot, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_prox_step_peak_within_plain_step_peak(self):
+        assert self._stack(False).prox is None
+        plain = self._peak(self._stack(False), 0.0)
+        assert self._peak(self._stack(True), 0.01) <= plain
+
+    def test_prefix_view_slices_the_stack_buffer(self):
+        stack = self._stack(True)
+        view = stack.rows(0, 6)
+        assert view.prox.shape == (6, stack.theta.shape[1])
+        assert np.shares_memory(view.prox, stack.prox[:6])
+        assert not np.shares_memory(view.prox, stack.prox[6:])
+        assert self._peak(view, 0.01) <= self._peak(self._stack(False).rows(0, 6), 0.0)
 
 
 class TestPhiVector:
