@@ -25,6 +25,7 @@ from .fedsim import (
 )
 from .metrics import (
     angle_report,
+    evaluate,
     generic_accuracy,
     nc1_variability,
     personal_accuracy,

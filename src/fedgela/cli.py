@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import closing
@@ -109,14 +110,17 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 def _coerce(key: str, value) -> object:
     if isinstance(value, str):
         value = value.strip()
+    if key not in _INT_KEYS and key not in _FLOAT_KEYS:
+        return str(value)
     try:
         if key in _INT_KEYS:
             return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key '{key}': cannot parse {value!r}") from None
-    return str(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"config key '{key}' must be finite, got {value!r}")
+    return number
 
 
 def _read_config_file(path) -> dict:
@@ -329,9 +333,14 @@ def _parse_arm(spec: str) -> tuple:
             k, v = k.strip(), v.strip()
             if k == "loge_w":
                 try:
-                    overrides["e_w"] = 10.0 ** float(v)
+                    e_w = 10.0 ** float(v)
                 except ValueError:
                     raise ConfigError(f"arm '{spec}': cannot parse loge_w={v!r}") from None
+                except OverflowError:
+                    e_w = math.inf
+                if not math.isfinite(e_w):
+                    raise ConfigError(f"arm '{spec}': loge_w={v!r} gives a non-finite e_w")
+                overrides["e_w"] = e_w
             else:
                 overrides[k] = v
     return name, overrides
@@ -509,11 +518,35 @@ def cmd_gen_data(config: RunConfig, out_path) -> int:
     return 0
 
 
+def _parse_label_counts(text: str) -> list:
+    """The per-class sample counts of --label-counts, at least two; a bad
+    entry raises a ConfigError naming it."""
+    counts = []
+    for i, entry in enumerate(e.strip() for e in text.split(",")):
+        if not entry.isdecimal() or int(entry) < 1:
+            raise ConfigError(f"--label-counts: entry {i} ({entry!r}) is not a positive integer")
+        counts.append(int(entry))
+    if len(counts) < 2:
+        raise ConfigError(f"--label-counts {text!r} names one class, need >= 2")
+    return counts
+
+
 def cmd_lpm_oracle(config: RunConfig, feature_dim, label_counts, iterations,
                    lr, threshold) -> int:
-    counts = [int(x) for x in label_counts.split(",")]
+    """Fit free features under the frame and check each one's cosine to its
+    class vector; every argument is checked before the fit."""
+    counts = _parse_label_counts(label_counts)
+    if feature_dim != 0 and feature_dim < len(counts):
+        raise ConfigError(f"--dim must be 0 (2C) or >= the {len(counts)} classes of "
+                          f"--label-counts, got {feature_dim}")
+    if iterations < 1:
+        raise ConfigError(f"--iters must be >= 1, got {iterations}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"--lr must be finite and positive, got {lr}")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"--threshold must be finite, got {threshold}")
     labels = np.repeat(np.arange(len(counts)), counts)
-    d = feature_dim if feature_dim else max(len(counts), 2 * len(counts))
+    d = feature_dim if feature_dim else 2 * len(counts)
     etf = make_etf(d, len(counts), config.seed, e_w=config.e_w)
     feats = lpm_feature_fit(len(counts), d, config.e_h, etf, labels,
                             iterations=iterations, lr=lr, seed=config.seed)

@@ -39,28 +39,12 @@ from .neuralnet import (
     train_step,
 )
 
-__all__ = [
-    "AlgoKind",
-    "Hyperparams",
-    "ClientState",
-    "ServerState",
-    "RoundLog",
-    "FederationResult",
-    "compute_phi",
-    "sample_clients",
-    "local_train",
-    "aggregate",
-    "aggregate_tensors",
-    "finetune_personalize",
-    "run_federation",
-    "run_many",
-    "build_dataset",
-    "build_partition",
-    "write_round_csv",
-    "read_round_csv",
-    "write_manifest",
-    "ROUND_CSV_COLUMNS",
-]
+__all__ = ["AlgoKind", "Hyperparams", "ClientState", "ServerState", "RoundLog",
+           "FederationResult", "compute_phi", "sample_clients", "local_train",
+           "aggregate", "aggregate_tensors", "finetune_personalize",
+           "run_federation", "run_many", "build_dataset", "build_partition",
+           "write_round_csv", "read_round_csv", "write_manifest",
+           "ROUND_CSV_COLUMNS"]
 
 VALID_ALGOS = ("fedavg", "fedprox", "fedge", "fedgela", "laonly")
 
@@ -94,13 +78,9 @@ class AlgoKind:
     @property
     def adapts_phi(self) -> bool:
         """Scales classifier columns by the client's distribution vector and
-        restricts the softmax to the client's existing classes."""
+        restricts the softmax to the client's existing classes; the other
+        algorithms personalize by fine-tuning the global model on each shard."""
         return self.kind in ("fedgela", "laonly")
-
-    @property
-    def finetunes_for_pa(self) -> bool:
-        """Personal accuracy via on-shard fine-tuning of the global model."""
-        return self.kind in ("fedavg", "fedprox", "fedge")
 
 
 @dataclass(frozen=True)
@@ -451,29 +431,21 @@ def build_partition(ds: Dataset, config) -> list:
 def _evaluate(server: ServerState, clients, algo: AlgoKind, hp: Hyperparams,
               ds: Dataset, global_test: np.ndarray, participants, round_index: int,
               master_seed, finetune_epochs: int):
-    """GA, PA and angles at one evaluation point. A client's personal model is
-    its fine-tune for finetunes_for_pa algorithms, else its client state; the
-    global weights fill in what is None."""
-    ga = metrics.generic_accuracy(
-        server.backbone, server.classifier, ds.features[global_test],
-        ds.labels[global_test], hp.e_h,
-    )
-    shards = [c.shard for c in clients]
+    """GA, PA and angles at one evaluation point (metrics.evaluate). A client's
+    personal model is its client state if the algorithm adapts phi, else its
+    fine-tune; the global weights fill in what is None."""
     models = clients
-    if algo.finetunes_for_pa:
+    if not algo.adapts_phi:
         models = finetune_personalize(
-            server.backbone, server.classifier, shards, algo, hp, finetune_epochs, ds,
-            [(master_seed, _SEED_FINETUNE, round_index, c.client_id) for c in clients],
-        )
-    personal = [(m.backbone if m.backbone is not None else server.backbone,
+            server.backbone, server.classifier, [c.shard for c in clients], algo, hp,
+            finetune_epochs, ds,
+            [(master_seed, _SEED_FINETUNE, round_index, c.client_id) for c in clients])
+    personal = [(c.shard, m.backbone if m.backbone is not None else server.backbone,
                  m.classifier if m.classifier is not None else server.classifier,
                  c.phi, c.mask) for m, c in zip(models, clients)]
-    pa, per_client = metrics.personal_accuracy(personal, shards, ds, hp.e_h)
-    local_entries = [(c.shard, c.backbone, c.classifier) for c in participants]
-    angles = metrics.angle_report(server.backbone, ds, global_test, hp.e_h,
-                                  local_entries=local_entries)
-    return metrics.EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client),
-                              angles=angles)
+    return metrics.evaluate((server.backbone, server.classifier), personal,
+                            [(c.shard, c.backbone, c.classifier) for c in participants],
+                            ds, global_test, hp.e_h)
 
 
 def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:

@@ -7,6 +7,10 @@ client's on-shard test accuracy under its own personal model. Angle reports
 track the mean pairwise angle between class means (globally over all
 classes, locally over each client's existing classes) and, for learnable
 classifiers, between classifier columns split by existing/missing classes.
+
+The scores are functions of features: a FeatureBatch from
+neuralnet.forward or a B x d array of projected features. `evaluate` is the
+one place that forwards models, each (model, split) pair once.
 """
 from __future__ import annotations
 
@@ -15,17 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etfgeom import mean_pairwise_angle
-from .neuralnet import PhiVector, _as_mask, forward, logits
+from .neuralnet import PhiVector, _as_mask, _feature_rows, forward, logits
 
-__all__ = [
-    "EvalReport",
-    "AngleReport",
-    "predict",
-    "generic_accuracy",
-    "personal_accuracy",
-    "angle_report",
-    "nc1_variability",
-]
+__all__ = ["EvalReport", "AngleReport", "predict", "generic_accuracy",
+           "personal_accuracy", "angle_report", "evaluate", "nc1_variability"]
 
 
 @dataclass(frozen=True)
@@ -45,35 +42,42 @@ class EvalReport:
     angles: AngleReport | None = None
 
 
-def predict(backbone, classifier, inputs, e_h: float = 1.0, class_mask=None,
+def predict(features, classifier, class_mask=None,
             phi: PhiVector | None = None) -> np.ndarray:
-    """Argmax over (masked, optionally phi-scaled) logits.
+    """Argmax over (masked, optionally phi-scaled) logits of the features.
 
     Ties break toward the lowest class index. Global evaluation passes no
     phi and the full mask; personal evaluation passes the client's phi and
     its existing-class mask.
     """
-    fb = forward(backbone, inputs, e_h)
-    z = logits(fb, classifier, phi)
+    z = logits(features, classifier, phi)
     mask = _as_mask(class_mask, z.shape[1])
     z = np.where(mask[None, :], z, -np.inf)
     return np.argmax(z, axis=1)
 
 
-def generic_accuracy(backbone, classifier, inputs, labels, e_h: float = 1.0) -> float:
-    """Accuracy of the global model over a (nonempty) global test set."""
+def _rows(features, labels) -> np.ndarray:
+    """The feature matrix, checked to hold one row per label."""
+    h = _feature_rows(features)
+    if len(h) != len(labels):
+        raise ValueError(f"{len(h)} feature rows for {len(labels)} labels")
+    return h
+
+
+def generic_accuracy(features, classifier, labels) -> float:
+    """Accuracy of the global model's features over a (nonempty) global test set."""
     y = np.asarray(labels)
     if y.size == 0:
         raise ValueError("empty test set")
-    pred = predict(backbone, classifier, inputs, e_h)
-    return float(np.mean(pred == y))
+    return float(np.mean(predict(_rows(features, y), classifier) == y))
 
 
-def personal_accuracy(personal_models, shards, ds, e_h: float = 1.0):
+def personal_accuracy(personal_models, shards, ds):
     """Mean over clients of on-shard test accuracy.
 
-    `personal_models` is one (backbone, classifier, phi, mask) tuple per
-    shard: phi/mask are None for fine-tuned global baselines and the
+    `personal_models` is one (features, classifier, phi, mask) tuple per
+    shard, the features those of the client's personal model on its test
+    split: phi/mask are None for fine-tuned global baselines and the
     client's own adaptation for distribution-adapted arms.
     """
     if len(personal_models) != len(shards):
@@ -81,38 +85,35 @@ def personal_accuracy(personal_models, shards, ds, e_h: float = 1.0):
             f"need one model per client: {len(personal_models)} models for {len(shards)} shards"
         )
     per_client = []
-    for (backbone, classifier, phi, mask), shard in zip(personal_models, shards):
-        if backbone is None or classifier is None:
+    for (features, classifier, phi, mask), shard in zip(personal_models, shards):
+        if features is None or classifier is None:
             raise ValueError(f"missing model for client {shard.client_id}")
-        idx = shard.test_indices
-        if idx.size == 0:
+        y = ds.labels[shard.test_indices]
+        if y.size == 0:
             raise ValueError(f"client {shard.client_id} has an empty test split")
-        pred = predict(backbone, classifier, ds.features[idx], e_h,
-                       class_mask=mask, phi=phi)
-        per_client.append(float(np.mean(pred == ds.labels[idx])))
+        pred = predict(_rows(features, y), classifier, class_mask=mask, phi=phi)
+        per_client.append(float(np.mean(pred == y)))
     return float(np.mean(per_client)), per_client
 
 
-def _class_means(backbone, ds, indices, e_h, classes) -> np.ndarray:
-    """Mean normalized feature per class over the given sample indices."""
-    fb = forward(backbone, ds.features[indices], e_h)
-    labels = ds.labels[indices]
+def _class_means(features, labels, classes) -> np.ndarray:
+    """Mean feature per class over rows labelled `labels`."""
+    h = _rows(features, labels)
     means = []
     for c in classes:
-        rows = fb.h[labels == c]
+        rows = h[labels == c]
         if rows.size == 0:
             raise ValueError(f"class {c} absent from the evaluation set")
         means.append(rows.mean(axis=0))
     return np.asarray(means)
 
 
-def angle_report(backbone, ds, global_test_indices, e_h: float = 1.0,
-                 local_entries=None) -> AngleReport:
+def angle_report(features, ds, global_test_indices, local_entries=None) -> AngleReport:
     """Angle diagnostics for one evaluation point.
 
     Global: mean pairwise angle between all C class means of the global
-    model's features on the global test set (every class must appear there).
-    Local: for each entry (shard, local_backbone, local_classifier or None),
+    model's `features` on the global test set (every class must appear there).
+    Local: for each entry (shard, local_features, local_classifier or None),
     the mean pairwise angle between that client's existing-class means of
     its own model's features on its test split, averaged over clients with
     >= 2 usable classes; local classifiers (learnable variants) additionally
@@ -120,18 +121,17 @@ def angle_report(backbone, ds, global_test_indices, e_h: float = 1.0,
     class sets. Clients with fewer than two classes in a set are skipped.
     """
     all_classes = range(ds.n_classes)
-    global_means = _class_means(backbone, ds, global_test_indices, e_h, all_classes)
+    global_means = _class_means(features, ds.labels[global_test_indices], all_classes)
     global_angle = mean_pairwise_angle(global_means)
 
     local_angles, exist_angles, miss_angles = [], [], []
     skipped = 0
-    for shard, local_bb, local_clf in (local_entries or []):
-        test_idx = shard.test_indices
-        present = [c for c in shard.existing_classes
-                   if np.any(ds.labels[test_idx] == c)]
+    for shard, local_features, local_clf in (local_entries or []):
+        labels = ds.labels[shard.test_indices]
+        present = [c for c in shard.existing_classes if np.any(labels == c)]
         if len(present) >= 2:
-            means = _class_means(local_bb, ds, test_idx, e_h, present)
-            local_angles.append(mean_pairwise_angle(means))
+            local_angles.append(mean_pairwise_angle(
+                _class_means(local_features, labels, present)))
         else:
             skipped += 1
         if local_clf is not None:
@@ -153,6 +153,33 @@ def angle_report(backbone, ds, global_test_indices, e_h: float = 1.0,
         classifier_missing_angle=_mean(miss_angles),
         skipped_clients=skipped,
     )
+
+
+def evaluate(global_model, personal_models, local_models, ds, global_test,
+             e_h: float = 1.0) -> EvalReport:
+    """GA, PA and angles at one evaluation point, forwarding each (backbone,
+    split) pair once. `global_model` is (backbone, classifier) on
+    `global_test`; `personal_models` holds one (shard, backbone, classifier,
+    phi, mask) per client and `local_models` one (shard, backbone,
+    classifier) per participant, each on its shard's test split."""
+    backbone, classifier = global_model
+    features = forward(backbone, ds.features[global_test], e_h)
+    ga = generic_accuracy(features, classifier, ds.labels[global_test])
+    split_features = {}   # (client id, id of backbone) -> features on its test split
+
+    def on_split(shard, bb):
+        key = (shard.client_id, id(bb))
+        if key not in split_features:
+            split_features[key] = None if bb is None else forward(
+                bb, ds.features[shard.test_indices], e_h)
+        return split_features[key]
+
+    pa, per_client = personal_accuracy(
+        [(on_split(s, bb), clf, phi, mask) for s, bb, clf, phi, mask in personal_models],
+        [m[0] for m in personal_models], ds)
+    angles = angle_report(features, ds, global_test,
+                          [(s, on_split(s, bb), clf) for s, bb, clf in local_models])
+    return EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client), angles=angles)
 
 
 def nc1_variability(features, labels) -> float:

@@ -173,13 +173,18 @@ def _effective_matrix(classifier) -> np.ndarray:
     return np.asarray(classifier, dtype=np.float64)
 
 
+def _feature_rows(features) -> np.ndarray:
+    """The B x d projected features of a FeatureBatch or of a B x d array."""
+    return features.h if isinstance(features, FeatureBatch) else np.asarray(features, float)
+
+
 def logits(features, classifier, phi: PhiVector | None = None) -> np.ndarray:
     """Bilinear logits z[b, c] = phi_c * <classifier_c, h_b> (no bias).
 
     `features` is a FeatureBatch or a B x d array; `classifier` is an
     EtfClassifier or a learnable d x C matrix; phi=None means all-ones.
     """
-    h = features.h if isinstance(features, FeatureBatch) else np.asarray(features, float)
+    h = _feature_rows(features)
     w = _effective_matrix(classifier)
     if h.ndim != 2 or h.shape[1] != w.shape[0]:
         raise ValueError(f"feature dim {h.shape} does not match classifier {w.shape}")

@@ -418,6 +418,53 @@ class TestCmdLpmOracle:
         assert rc == 1
 
 
+class TestCmdLpmOracleArguments:
+    @pytest.mark.parametrize("args,named", [
+        (["--label-counts", "x,1"], "--label-counts: entry 0 ('x')"),
+        (["--label-counts", ","], "--label-counts: entry 0 ('')"),
+        (["--label-counts", "10,-1"], "--label-counts: entry 1 ('-1')"),
+        (["--label-counts", "0,0,3"], "--label-counts: entry 0 ('0')"),
+        (["--label-counts", "5"], "--label-counts '5' names one class"),
+        (["--iters", "-5"], "--iters must be >= 1, got -5"),
+        (["--lr", "0"], "--lr must be finite and positive"),
+        (["--lr", "inf"], "--lr must be finite and positive"),
+        (["--threshold", "nan"], "--threshold must be finite"),
+        (["--dim", "2"], "--dim must be 0 (2C) or >= the 4 classes"),
+    ])
+    def test_bad_argument_is_config_error_naming_it(self, capsys, args, named):
+        assert main(["lpm-oracle", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
+
+class TestNonFiniteConfigRejected:
+    @pytest.mark.parametrize("key,value", [("e_h", "inf"), ("e_w", "inf"), ("lr", "inf"),
+                                           ("class_sep", "inf"), ("momentum", "inf"),
+                                           ("weight_decay", "nan"), ("gamma", "-inf")])
+    def test_run_names_key_and_writes_nothing(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, SMALL | {"out_dir": str(out)})
+        assert main(["run", "--config", str(cfg_path), "--set", f"{key}={value}"]) == 2
+        assert f"config key '{key}' must be finite, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mapping_value_rejected(self):
+        with pytest.raises(ConfigError, match="'beta' must be finite"):
+            parse_config({"beta": float("inf")})
+        with pytest.raises(ConfigError, match="'rounds': cannot parse inf"):
+            parse_config({"rounds": float("inf")})
+
+    @pytest.mark.parametrize("loge_w", ["400", "inf", "nan"])
+    def test_sweep_arm_with_non_finite_e_w_rejected(self, tmp_path, capsys, loge_w):
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": str(out)})
+        rc = main(["sweep", "--config", str(cfg_path), "--arm", "a:loge_w=1",
+                   "--arm", f"b:loge_w={loge_w}", "--seeds", "0"])
+        assert rc == 2
+        assert f"loge_w='{loge_w}' gives a non-finite e_w" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepFailsBeforeCompute:
     def _sweep(self, tmp_path, *arms, base=None):
         out = tmp_path / "sweep"

@@ -25,8 +25,8 @@ from fedgela.fedsim import (
     write_round_csv,
 )
 from fedgela import fedsim, metrics
-from fedgela.metrics import personal_accuracy
-from fedgela.neuralnet import init_backbone
+from fedgela.metrics import angle_report, personal_accuracy
+from fedgela.neuralnet import forward, init_backbone
 from reference_ops import clone
 
 
@@ -233,7 +233,7 @@ class TestLocalTrain:
         res = local_train(clients[0], backbone, etf, algo, hp, ds, (0, 3, 1, 0))
         from fedgela.metrics import predict
         idx = clients[0].shard.train_indices
-        pred = predict(res.backbone, etf, ds.features[idx], 1.0,
+        pred = predict(forward(res.backbone, ds.features[idx], 1.0), etf,
                        class_mask=clients[0].mask, phi=clients[0].phi)
         assert np.mean(pred == ds.labels[idx]) > 0.95
 
@@ -381,12 +381,13 @@ class TestRunFederation:
         # one client per round: after round 2, client 2 holds its round-1
         # model, client 3 this round's and clients 0 and 1 never trained
         scored = []
+        evaluate = metrics.evaluate
 
-        def spy(models, *args):
-            scored.append(models)
-            return personal_accuracy(models, *args)
+        def spy(global_model, models, *args):
+            scored.append([m[1:] for m in models])   # drop the shard
+            return evaluate(global_model, models, *args)
 
-        monkeypatch.setattr(metrics, "personal_accuracy", spy)
+        monkeypatch.setattr(metrics, "evaluate", spy)
         cfg = small_config(algo=algo, clients=4, clients_per_round=1, rounds=rounds)
         result = run_federation(cfg)
         server = result.server
@@ -404,7 +405,10 @@ class TestRunFederation:
                 personal.append((server.backbone, server.classifier, c.phi, c.mask))
         # the very objects, since a tiny test split often scores two models alike
         assert all(a is b for got, want in zip(scored[-1], personal) for a, b in zip(got, want))
-        pa, _ = personal_accuracy(personal, result.shards, result.dataset, cfg.e_h)
+        features = [forward(bb, result.dataset.features[s.test_indices], cfg.e_h)
+                    for (bb, *_), s in zip(personal, result.shards)]
+        pa, _ = personal_accuracy([(f, *m[1:]) for f, m in zip(features, personal)],
+                                  result.shards, result.dataset)
         assert result.logs[-1].pa == pa
 
     @pytest.mark.parametrize("algo,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("laonly", 0.0)])
@@ -432,6 +436,40 @@ class TestRunFederation:
                 if q_kind == "exp" and missing.any():
                     assert np.all(c.phi.phi[missing] > 0)
                 assert np.array_equal(c.mask, ~missing)
+
+
+class TestEvaluationForwardsOnce:
+    @pytest.mark.parametrize("algo", ["fedgela", "fedavg"])
+    def test_each_model_and_split_forwarded_once(self, algo, monkeypatch):
+        # per evaluation: the global model on the global test set, each
+        # client's personal model on its test split, and each participant's
+        # local model unless it is that very personal model (fedgela)
+        calls = []
+        real_forward = metrics.forward
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "forward", counting)
+        cfg = small_config(algo=algo, clients=4, clients_per_round=2, rounds=3, eval_every=1)
+        run_federation(cfg)
+        unshared = 0 if algo == "fedgela" else cfg.clients_per_round
+        assert len(calls) == cfg.rounds * (1 + cfg.clients + unshared)
+
+    @pytest.mark.parametrize("algo", ["fedavg", "fedge"])
+    def test_local_angle_scores_local_model_not_finetune(self, algo):
+        cfg = small_config(algo=algo, clients=4, clients_per_round=2, rounds=2)
+        result = run_federation(cfg)
+        ds, test, last = result.dataset, result.global_test_indices, result.logs[-1]
+        local = [(c.shard, forward(c.backbone, ds.features[c.shard.test_indices], cfg.e_h),
+                  c.classifier) for c in result.clients if c.client_id in last.participants]
+        report = angle_report(forward(result.server.backbone, ds.features[test], cfg.e_h),
+                              ds, test, local)
+        assert last.local_exist_angle is not None
+        assert last.local_exist_angle == report.per_client_existing_class_mean_angle
+        assert last.global_mean_angle == report.global_all_class_mean_angle
+        assert last.clf_exist_angle == report.classifier_existing_angle
 
 
 class TestRunMany:
@@ -506,13 +544,13 @@ class TestFinetunePersonalize:
                              batch_size=cfg.batch_size, e_h=cfg.e_h)
             for shard in result.shards:
                 idx = shard.test_indices
-                before = np.mean(predict(server.backbone, server.classifier,
-                                         ds.features[idx], cfg.e_h) == ds.labels[idx])
+                before = np.mean(predict(forward(server.backbone, ds.features[idx], cfg.e_h),
+                                         server.classifier) == ds.labels[idx])
                 res = finetune_personalize(server.backbone, server.classifier,
                                            shard, AlgoKind("fedavg"), hp, 10,
                                            ds, (seed, 4, 99, shard.client_id))
-                after = np.mean(predict(res.backbone, res.classifier,
-                                        ds.features[idx], cfg.e_h) == ds.labels[idx])
+                after = np.mean(predict(forward(res.backbone, ds.features[idx], cfg.e_h),
+                                        res.classifier) == ds.labels[idx])
                 deltas.append(after - before)
         assert np.mean(deltas) > -0.01
 

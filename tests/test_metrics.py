@@ -14,7 +14,7 @@ from fedgela.metrics import (
     personal_accuracy,
     predict,
 )
-from fedgela.neuralnet import BackboneParams, PhiVector, init_backbone
+from fedgela.neuralnet import BackboneParams, PhiVector, forward, init_backbone
 
 
 def identity_net(d):
@@ -27,37 +27,37 @@ class TestPredict:
         etf = make_etf(4, 4, seed=0)
         params = identity_net(4)
         x = etf.m[:, 3][None, :] * 5.0  # normalization removes the scale
-        assert predict(params, etf, x, 1.0)[0] == 3
+        assert predict(forward(params, x, 1.0), etf)[0] == 3
 
     def test_tie_breaks_to_lowest_index(self):
         params = identity_net(2)
         clf = np.array([[0.0, 1.0, 0.0, 0.0, 1.0],
                         [1.0, 0.0, 1.0, 1.0, 0.0]])
         x = np.array([[1.0, 0.0]])  # logits [0,1,0,0,1]: classes 1 and 4 tie
-        assert predict(params, clf, x, 1.0)[0] == 1
+        assert predict(forward(params, x, 1.0), clf)[0] == 1
 
     def test_singleton_mask(self):
         etf = make_etf(4, 4, seed=0)
         params = identity_net(4)
         x = np.random.default_rng(0).standard_normal((6, 4))
-        pred = predict(params, etf, x, 1.0, class_mask=[3])
+        pred = predict(forward(params, x, 1.0), etf, class_mask=[3])
         assert np.all(pred == 3)
 
     def test_scaling_invariance_of_argmax(self):
         etf = make_etf(4, 4, seed=1)
         params = identity_net(4)
         x = np.random.default_rng(1).standard_normal((10, 4))
-        base = predict(params, etf, x, 1.0)
+        base = predict(forward(params, x, 1.0), etf)
         import dataclasses
         scaled = dataclasses.replace(etf, scale=etf.scale * 37.5)
-        np.testing.assert_array_equal(predict(params, scaled, x, 1.0), base)
+        np.testing.assert_array_equal(predict(forward(params, x, 1.0), scaled), base)
 
     def test_phi_changes_ranking(self):
         etf = make_etf(3, 3, seed=0)
         params = identity_net(3)
         x = (etf.m[:, 0] + etf.m[:, 1])[None, :]  # between vertices 0 and 1
         phi = PhiVector(np.array([0.1, 5.0, 1.0]))
-        assert predict(params, etf, x, 1.0, phi=phi)[0] == 1
+        assert predict(forward(params, x, 1.0), etf, phi=phi)[0] == 1
 
 
 class TestAccuracies:
@@ -66,7 +66,7 @@ class TestAccuracies:
         params = identity_net(4)
         x = etf.m.T * 3.0
         y = np.arange(4)
-        assert generic_accuracy(params, etf, x, y, 1.0) == 1.0
+        assert generic_accuracy(forward(params, x, 1.0), etf, y) == 1.0
 
     def test_constant_predictor_balanced(self):
         params = identity_net(3)
@@ -74,31 +74,34 @@ class TestAccuracies:
         clf[0, 0] = 1.0  # class 0 wins whenever feature[0] > 0, ties -> 0
         x = np.tile(np.array([[1.0, 0.3, -0.2]]), (30, 1))
         y = np.repeat(np.arange(3), 10)
-        acc = generic_accuracy(params, clf, x, y, 1.0)
+        acc = generic_accuracy(forward(params, x, 1.0), clf, y)
         assert abs(acc - 1.0 / 3.0) < 1e-12
 
     def test_empty_test_set_rejected(self):
         params = identity_net(3)
         with pytest.raises(ValueError, match="empty test set"):
-            generic_accuracy(params, np.eye(3), np.zeros((0, 3)), [], 1.0)
+            generic_accuracy(forward(params, np.zeros((0, 3)), 1.0), np.eye(3), [])
 
     def test_personal_accuracy_sample_order_invariant(self):
         ds = synth_gaussian_mixture(4, 6, 30, 4.0, 0.8, seed=0)
         shards = pcdd_partition(ds, PartitionSpec("pcdd", 4, seed=0, classes_per_client=2))
         params = init_backbone((6, 8, 4), seed=0)
         etf = make_etf(4, 4, seed=0)
-        models = [(params, etf, None, s.counts > 0) for s in shards]
-        pa1, per1 = personal_accuracy(models, shards, ds, 1.0)
+        models = [(forward(params, ds.features[s.test_indices], 1.0), etf, None, s.counts > 0)
+                  for s in shards]
+        pa1, per1 = personal_accuracy(models, shards, ds)
         assert abs(pa1 - np.mean(per1)) < 1e-12
-        pa2, _ = personal_accuracy(models, shards, ds, 1.0)
+        pa2, _ = personal_accuracy(models, shards, ds)
         assert pa1 == pa2
 
     def test_missing_model_rejected(self):
         ds = synth_gaussian_mixture(4, 6, 30, 4.0, 0.8, seed=0)
         shards = pcdd_partition(ds, PartitionSpec("pcdd", 2, seed=0, classes_per_client=2))
-        models = [(None, None, None, None), (identity_net(6), np.eye(6, 4), None, None)]
+        models = [(None, None, None, None),
+                  (forward(identity_net(6), ds.features[shards[1].test_indices]), np.eye(6, 4),
+                   None, None)]
         with pytest.raises(ValueError, match="missing model"):
-            personal_accuracy(models, shards, ds, 1.0)
+            personal_accuracy(models, shards, ds)
 
 
 class TestAngleReport:
@@ -118,7 +121,7 @@ class TestAngleReport:
         ds = Dataset(features=x, labels=y, n_classes=5)
         shard = make_client_shard(ds, 0, np.arange(ds.n), 0.4, np.random.default_rng(0))
         params = identity_net(5)
-        report = angle_report(params, ds, shard.test_indices, 1.0)
+        report = angle_report(forward(params, x[shard.test_indices], 1.0), ds, shard.test_indices)
         expected = math.degrees(math.acos(-0.25))
         assert abs(report.global_all_class_mean_angle - expected) < 1e-6
 
@@ -132,8 +135,8 @@ class TestAngleReport:
                                    np.random.default_rng(1))
         params = identity_net(4)
         report = angle_report(
-            params, ds, full.test_indices, 1.0,
-            local_entries=[(single, params, None)],
+            forward(params, x[full.test_indices], 1.0), ds, full.test_indices,
+            local_entries=[(single, forward(params, x[single.test_indices], 1.0), None)],
         )
         assert report.per_client_existing_class_mean_angle is None
         assert report.skipped_clients == 1
@@ -150,8 +153,8 @@ class TestAngleReport:
         params = identity_net(6)
         clf = np.eye(6)  # orthogonal columns: every pairwise angle is 90
         report = angle_report(
-            params, ds, global_shard.test_indices, 1.0,
-            local_entries=[(shard, params, clf)],
+            forward(params, x[global_shard.test_indices], 1.0), ds, global_shard.test_indices,
+            local_entries=[(shard, forward(params, x[shard.test_indices], 1.0), clf)],
         )
         assert abs(report.classifier_existing_angle - 90.0) < 1e-9
         assert abs(report.classifier_missing_angle - 90.0) < 1e-9
@@ -164,7 +167,7 @@ class TestAngleReport:
         params = identity_net(4)
         only_two = np.nonzero(y <= 1)[0]
         with pytest.raises(ValueError, match="absent"):
-            angle_report(params, ds, only_two, 1.0)
+            angle_report(forward(params, x[only_two], 1.0), ds, only_two)
 
 
 class TestNc1Variability:

@@ -256,7 +256,7 @@ class TestClassMaskIds:
         x = np.random.default_rng(0).standard_normal((3, 4))
         pattern = rf"class {ids[0]}\b.*C=4"
         with pytest.raises(ValueError, match=pattern):
-            predict(params, etf, x, 1.0, class_mask=ids)
+            predict(forward(params, x, 1.0)[0].h, etf, class_mask=ids)
         with pytest.raises(ValueError, match=pattern):
             finite_diff_check(params, x, [0, 0, 0], etf, class_mask=ids)
 
