@@ -33,7 +33,7 @@ print(f"learnable classifier + proximal term:         worst rel err {err:.2e}")
 
 # the probe is sensitive: a sabotaged gradient reads as error ~ 1
 small = init_backbone((8, 6), seed=6)
-model = flatten(small, None, 1)      # one model as row 0 of a (1, P) stack
+model = flatten(small, 1)            # one model as row 0 of a (1, P) stack
 hot = (labels[:, None] == np.arange(6))[None]
 gradient_pass(model, x[None], hot, w_eff=etf.classifier, phi=phi.phi[None, None],
               mask=mask[None, None], e_h=1.0)

@@ -113,11 +113,14 @@ def _coerce(key: str, value) -> object:
     if key not in _INT_KEYS and key not in _FLOAT_KEYS:
         return str(value)
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        number = float(value)
+        number = int(value) if key in _INT_KEYS else float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key '{key}': cannot parse {value!r}") from None
+    if key in _INT_KEYS:
+        # int() truncates 2.5 to 2; a string already had to spell an integer
+        if not isinstance(value, str) and number != value:
+            raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+        return number
     if not math.isfinite(number):
         raise ConfigError(f"config key '{key}' must be finite, got {value!r}")
     return number

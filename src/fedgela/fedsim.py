@@ -41,7 +41,7 @@ from .neuralnet import (
 
 __all__ = ["AlgoKind", "Hyperparams", "ClientState", "ServerState", "RoundLog",
            "FederationResult", "compute_phi", "sample_clients", "local_train",
-           "aggregate", "aggregate_tensors", "finetune_personalize",
+           "aggregate", "finetune_personalize",
            "run_federation", "run_many", "build_dataset", "build_partition",
            "write_round_csv", "read_round_csv", "write_manifest",
            "ROUND_CSV_COLUMNS"]
@@ -116,7 +116,7 @@ class ClientState:
 @dataclass
 class ServerState:
     backbone: BackboneParams
-    classifier: object                     # EtfClassifier or learnable ndarray
+    classifier: object                     # EtfClassifier, or backbone.classifier
     round: int = 0
 
 
@@ -220,12 +220,12 @@ def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
     """Run `hp.epochs` epochs of mini-batch SGD on each client's train split,
     every client starting from the given (global) weights.
 
-    `clients` is one ClientState with its shuffle seed `seed_parts`, or a
-    sequence of them with one seed tuple each; the result is one LocalResult
-    or a list in the same order. Batches are a seeded shuffle each epoch (seed
-    derived from the client's seed_parts and the epoch index); the last
-    partial batch is kept. Learnable-classifier variants update the
-    classifier jointly; fedprox adds lambda_prox * (theta - theta_global) to
+    `clients` is a sequence of ClientStates and `seed_parts` one shuffle seed
+    tuple per client; the result is a list of LocalResults in the same order.
+    Batches are a seeded shuffle each epoch (seed derived from the client's
+    seed_parts and the epoch index); the last partial batch is kept.
+    Learnable-classifier variants update the classifier jointly, as part of
+    the model's row; fedprox adds lambda_prox * (theta - theta_global) to
     every gradient. The clients train as one stack of models
     (neuralnet.flatten, neuralnet.train_step), at most STACK_ELEMENTS
     parameters per step, each bit-identical to training that client alone.
@@ -233,9 +233,6 @@ def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
     order, so the error raised is the one that training them one after
     another raises first; a numeric failure is re-raised naming the client.
     """
-    single = isinstance(clients, ClientState)
-    if single:
-        clients, seed_parts = [clients], [seed_parts]
     clients, seeds = list(clients), [tuple(s) for s in seed_parts]
     if len(seeds) != len(clients):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
@@ -251,7 +248,7 @@ def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
             except FloatingPointError as exc:
                 raise FloatingPointError(f"client {c.client_id}: {exc}") from exc
         raise
-    return results[0] if single else results
+    return results
 
 
 def _train_clients(clients, seeds, backbone, classifier, algo, hp, ds) -> list:
@@ -269,32 +266,32 @@ def _train_clients(clients, seeds, backbone, classifier, algo, hp, ds) -> list:
             mask = _as_mask(c.mask, n_classes)
             _check_labels(ds.labels[train_idx], mask)  # once, not per batch
         masks.append(mask)
-    learnable = not algo.fixed_classifier
-    n_params = sum(t.size for t in backbone.tensors())
-    n_params += np.size(classifier) if learnable else 0
-    cap = max(1, STACK_ELEMENTS // n_params)
+    start = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
+                           None if algo.fixed_classifier else classifier)
+    cap = max(1, STACK_ELEMENTS // start.theta.size)
     order = sorted(range(len(clients)), key=lambda p: -clients[p].shard.train_indices.size)
     results = [None] * len(clients)
     for g in range(0, len(order), cap):
         group = order[g:g + cap]
-        stacked = _train_stack(group, clients, seeds, masks, backbone, classifier,
+        stacked = _train_stack(group, clients, seeds, masks, start, classifier,
                                algo, hp, ds)
         for p, res in zip(group, stacked):
             results[p] = res
     return results
 
 
-def _train_stack(positions, clients, seeds, masks, backbone, classifier,
+def _train_stack(positions, clients, seeds, masks, start, classifier,
                  algo, hp, ds) -> list:
     """Train clients[p] for p in `positions` (train splits of non-increasing
-    size) as one stack of models; one LocalResult each."""
+    size) as one stack of models, each starting from the model `start` (with
+    the learnable classifier, if any); one LocalResult each."""
     k_rows = len(positions)
     learnable = not algo.fixed_classifier
     prox = algo.kind == "fedprox" and algo.lambda_prox > 0
-    model = flatten(backbone, classifier if learnable else None, k_rows, prox)
+    model = flatten(start, k_rows, prox)
     frame = _effective_matrix(classifier)
     n_classes = frame.shape[1]
-    prox_ref = model.theta[0].copy() if prox else None
+    prox_ref = start.theta if prox else None
     phi = mask = None
     if algo.adapts_phi:
         phis = [clients[p].phi for p in positions]
@@ -347,40 +344,30 @@ def _train_stack(positions, clients, seeds, masks, backbone, classifier,
             epoch_losses[k].append(float(np.mean(losses[k, :n_batches[k]])))
     out = []
     for k in range(k_rows):
-        bb, clf = model.row(k)
-        out.append(LocalResult(backbone=bb, classifier=clf, epoch_losses=epoch_losses[k]))
-    return out
-
-
-def aggregate_tensors(tensor_sets, weights) -> list:
-    """Entrywise convex combination of parallel tensor lists."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(tensor_sets) != len(weights) or len(tensor_sets) == 0:
-        raise ValueError("need one weight per update")
-    if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be positive and sum to 1")
-    first = tensor_sets[0]
-    for ts in tensor_sets[1:]:
-        if len(ts) != len(first) or any(a.shape != b.shape for a, b in zip(ts, first)):
-            raise ValueError("shape mismatch across updates")
-    out = []
-    for j in range(len(first)):
-        acc = weights[0] * first[j]
-        for i in range(1, len(tensor_sets)):
-            acc = acc + weights[i] * tensor_sets[i][j]
-        out.append(acc)
+        bb = model.row(k)
+        out.append(LocalResult(backbone=bb, classifier=bb.classifier,
+                               epoch_losses=epoch_losses[k]))
     return out
 
 
 def aggregate(updates, weights) -> BackboneParams:
-    """Weighted average of backbone parameter sets (reduced in list order)."""
-    sizes = {u.layer_sizes for u in updates}
-    if len(sizes) != 1:
-        raise ValueError(f"shape mismatch across updates: {sizes}")
-    merged = aggregate_tensors([u.tensors() for u in updates], weights)
-    n = updates[0].n_layers
-    return BackboneParams(weights=merged[:n], biases=merged[n:],
-                          layer_sizes=updates[0].layer_sizes)
+    """Weighted average of models of one layout, the learnable classifier
+    included when they carry one: their rows theta are reduced in list order."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(updates) != len(weights) or len(updates) == 0:
+        raise ValueError("need one weight per update")
+    if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must be positive and sum to 1")
+    first = updates[0]
+    for u in updates[1:]:
+        if u.layer_sizes != first.layer_sizes or u.theta.shape != first.theta.shape:
+            raise ValueError(f"shape mismatch across updates: {first.layer_sizes} with "
+                             f"{first.theta.size} parameters against {u.layer_sizes} "
+                             f"with {u.theta.size}")
+    acc = weights[0] * first.theta
+    for w, u in zip(weights[1:], updates[1:]):
+        acc = acc + w * u.theta
+    return first._on(acc)
 
 
 def finetune_personalize(backbone: BackboneParams, classifier, shards,
@@ -388,17 +375,14 @@ def finetune_personalize(backbone: BackboneParams, classifier, shards,
                          ds: Dataset, seed_parts):
     """Continue the algorithm's local training on each shard from the given
     (global) weights for `epochs` epochs; epochs=0 returns them unchanged.
-    `shards` is one ClientShard with its `seed_parts`, or a sequence of them
-    with one seed tuple each, as in local_train."""
+    `shards` is a sequence of ClientShards and `seed_parts` one seed tuple
+    per shard, as in local_train; the result is a list of LocalResults."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    single = isinstance(shards, ClientShard)
     clients = [ClientState(client_id=s.client_id, shard=s, phi=None,
-                           mask=np.ones(ds.n_classes, dtype=bool))
-               for s in ([shards] if single else shards)]
+                           mask=np.ones(ds.n_classes, dtype=bool)) for s in shards]
     ft_hp = replace(hp, epochs=int(epochs))
-    return local_train(clients[0] if single else clients, backbone, classifier, algo,
-                       ft_hp, ds, seed_parts)
+    return local_train(clients, backbone, classifier, algo, ft_hp, ds, seed_parts)
 
 
 def build_dataset(config) -> Dataset:
@@ -494,7 +478,9 @@ def run_federation(config, dataset: Dataset | None = None,
     if algo.fixed_classifier:
         classifier = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
     else:
-        classifier = init_classifier(feat_dim, n_classes, (seed, _SEED_INIT, 1))
+        backbone = BackboneParams(backbone.weights, backbone.biases, layer_sizes,
+                                  init_classifier(feat_dim, n_classes, (seed, _SEED_INIT, 1)))
+        classifier = backbone.classifier
     server = ServerState(backbone=backbone, classifier=classifier)
     clients = build_client_states(shards, n_classes, algo,
                                   gamma=config.gamma, q_kind=config.q_kind)
@@ -520,9 +506,7 @@ def run_federation(config, dataset: Dataset | None = None,
         weights = n_sampled / n_sampled.sum()
         server.backbone = aggregate([res.backbone for res in trained], weights)
         if not algo.fixed_classifier:
-            server.classifier = aggregate_tensors(
-                [[res.classifier] for res in trained], weights
-            )[0]
+            server.classifier = server.backbone.classifier
         server.round = t
 
         client_losses = {c.client_id: float(np.mean(res.epoch_losses))

@@ -10,8 +10,9 @@ central finite differences of its own loss.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +42,15 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class BackboneParams:
-    """Weight matrices and biases of an MLP (ReLU hidden, linear output)."""
+    """An MLP (ReLU hidden, linear output) and, for the algorithms that learn
+    it, a d x C classifier matrix. All tensors are views of one contiguous
+    float64 row `theta`: the weights, the biases, then the classifier."""
 
     weights: list
     biases: list
     layer_sizes: tuple
+    classifier: np.ndarray | None = None
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -58,7 +63,14 @@ class BackboneParams:
                 raise ValueError(
                     f"layer {i} shapes {w.shape}/{b.shape} do not chain for {sizes}"
                 )
+        clf = self.classifier
+        if clf is not None and (np.ndim(clf) != 2 or np.shape(clf)[0] != sizes[-1]):
+            raise ValueError(f"classifier shape {np.shape(clf)} does not match the "
+                             f"feature shape (B, {sizes[-1]}): expected ({sizes[-1]}, C)")
         self.layer_sizes = sizes
+        tensors = self.tensors() + ([] if clf is None else [clf])
+        self.theta = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
+        self.weights, self.biases, self.classifier = _views(self.theta, self)
 
     @property
     def n_layers(self) -> int:
@@ -69,7 +81,28 @@ class BackboneParams:
         return self.layer_sizes[-1]
 
     def tensors(self) -> list:
+        """The backbone's weights and biases (not the classifier)."""
         return list(self.weights) + list(self.biases)
+
+    def _on(self, theta: np.ndarray) -> "BackboneParams":
+        """A model of this one's layout whose tensors are views of the row theta."""
+        model = copy.copy(self)
+        model.theta = theta
+        model.weights, model.biases, model.classifier = _views(theta, self)
+        return model
+
+
+def _views(flat: np.ndarray, model: BackboneParams, bias: tuple = ()) -> tuple:
+    """(weights, biases, classifier or None) of model's layout as views of
+    flat: of a (P,) row the tensors, of a (K, P) stack (K, ...) stacks of
+    them; each bias is shaped bias + (fan_out,)."""
+    pairs = list(zip(model.layer_sizes[:-1], model.layer_sizes[1:]))
+    shapes = pairs + [bias + (fan_out,) for _, fan_out in pairs]
+    shapes += [] if model.classifier is None else [np.shape(model.classifier)]
+    cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    v = [t.reshape(flat.shape[:-1] + s) for t, s in zip(np.split(flat, cuts, axis=-1), shapes)]
+    n = len(pairs)
+    return v[:n], v[n:2 * n], v[2 * n] if len(v) > 2 * n else None
 
 
 def init_backbone(layer_sizes, seed) -> BackboneParams:
@@ -140,8 +173,31 @@ def _check_norms(norms: np.ndarray) -> None:
                                  f"{norms[k, bad]:.3g} < {NORM_EPS}")
 
 
+def _forward_half(weights, biases, x: np.ndarray, e_h: float):
+    """The kernel's forward half: K models (weight and (K, 1, fan_out) bias
+    stacks), each on its batch of the (K, B, d) stack x, projected onto the
+    sqrt(e_h) sphere. Returns each layer's input, the raw outputs, their
+    (K, B, 1) norms and the projections."""
+    last = len(weights) - 1
+    acts = [x]                         # input to each layer
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[-1], w)
+        z += b
+        _check_finite(z, i)
+        if i < last:
+            acts.append(np.maximum(z, 0.0, out=z))
+    raw = z
+    norms = np.sqrt((raw * raw).sum(axis=2))
+    _check_norms(norms)
+    norms = norms[..., None]
+    h = np.multiply(raw, math.sqrt(e_h))
+    h /= norms
+    return acts, raw, norms, h
+
+
 def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> FeatureBatch:
-    """Run the MLP and project rows onto the sqrt(e_h) sphere.
+    """Run the MLP and project rows onto the sqrt(e_h) sphere: the training
+    kernel's forward half on a one-model stack.
 
     The projection is exact (h = sqrt(e_h) * raw / |raw|) and rows with
     |raw| < 1e-12 are rejected rather than silently rescaled.
@@ -154,16 +210,9 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> FeatureBatch:
         )
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
-    a = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        _check_finite(z[None], i)
-        a = np.maximum(z, 0.0) if i < params.n_layers - 1 else z
-    raw = a
-    norms = np.linalg.norm(raw, axis=1)
-    _check_norms(norms[None])
-    h = math.sqrt(e_h) * raw / norms[:, None]
-    return FeatureBatch(raw=raw, h=h, e_h=float(e_h))
+    _, raw, _, h = _forward_half([w[None] for w in params.weights],
+                                 [b[None, None] for b in params.biases], x[None], e_h)
+    return FeatureBatch(raw=raw[0], h=h[0], e_h=float(e_h))
 
 
 def _effective_matrix(classifier) -> np.ndarray:
@@ -242,83 +291,43 @@ def _masked_softmax(z: np.ndarray, mask: np.ndarray):
 
 @dataclass
 class FlatModel:
-    """A stack of K models, each a backbone plus a learnable classifier when
-    there is one, held as the rows of one contiguous (K, P) float64 matrix
-    `theta` (weights, biases, then the classifier). Every layer view is a
-    (K, ...) stack of row views; `grad` and `vel` share the layout, so an
-    optimizer update is a few whole-matrix operations. `prox`, present only
-    on a stack built for a proximal term, is the (K, P) scratch matrix that
-    term is computed in."""
+    """A stack of K models held as the rows of one contiguous (K, P) float64
+    matrix `theta`, each laid out as the `template` model's theta. `grad` and
+    `vel` share the layout, so an optimizer update is a few whole-matrix
+    operations. `prox`, present only on a stack built for a proximal term, is
+    the (K, P) scratch matrix that term is computed in. The (K, ...) stacks
+    `weights`, `biases` (K, 1, fan_out), `classifier` and their `grad_*`
+    twins are views of theta and grad, derived on construction."""
 
     theta: np.ndarray
     grad: np.ndarray
     vel: np.ndarray
     prox: np.ndarray | None
-    layer_sizes: tuple
-    cuts: np.ndarray                    # column where each tensor after the first starts
-    shapes: list                        # tensor shapes, biases as (1, fan_out)
-    weights: list                       # (K, fan_in, fan_out) views of theta
-    biases: list                        # (K, 1, fan_out) views of theta
-    classifier: np.ndarray | None       # (K, d, C) view of theta
-    grad_weights: list                  # the same views of grad
-    grad_biases: list
-    grad_classifier: np.ndarray | None
+    template: BackboneParams
+
+    def __post_init__(self):
+        self.weights, self.biases, self.classifier = _views(self.theta, self.template, (1,))
+        self.grad_weights, self.grad_biases, self.grad_classifier = _views(
+            self.grad, self.template, (1,))
 
     def rows(self, start: int, stop: int) -> "FlatModel":
         """Models start..stop-1 as a stack of views of this one."""
         s = slice(start, stop)
+        return FlatModel(self.theta[s], self.grad[s], self.vel[s],
+                         None if self.prox is None else self.prox[s], self.template)
 
-        def cut(ts):
-            return [t[s] for t in ts]
-
-        return FlatModel(
-            theta=self.theta[s], grad=self.grad[s], vel=self.vel[s],
-            prox=None if self.prox is None else self.prox[s],
-            layer_sizes=self.layer_sizes, cuts=self.cuts, shapes=self.shapes,
-            weights=cut(self.weights), biases=cut(self.biases),
-            classifier=None if self.classifier is None else self.classifier[s],
-            grad_weights=cut(self.grad_weights), grad_biases=cut(self.grad_biases),
-            grad_classifier=None if self.grad_classifier is None else self.grad_classifier[s])
-
-    def row(self, k: int):
-        """(BackboneParams, classifier or None) of model k, as views of
-        theta[k], copied out of a stack of several so that they do not keep
-        the whole stack alive."""
-        flat = self.theta[k:k + 1]
-        p = _views(flat.copy() if len(self.theta) > 1 else flat, self.cuts, self.shapes)
-        n = len(self.weights)
-        params = BackboneParams([w[0] for w in p[:n]], [b[0, 0] for b in p[n:2 * n]],
-                                self.layer_sizes)
-        return params, p[2 * n][0] if len(p) > 2 * n else None
+    def row(self, k: int) -> BackboneParams:
+        """Model k, on a copy of theta[k] so that it does not keep the stack alive."""
+        return self.template._on(self.theta[k].copy())
 
 
-def _views(flat: np.ndarray, cuts, shapes) -> list:
-    """(K, ...) views of the tensors laid out along the rows of flat."""
-    return [v.reshape((len(flat),) + s) for v, s in zip(np.split(flat, cuts, axis=1), shapes)]
-
-
-def flatten(params: BackboneParams, classifier: np.ndarray | None, k: int,
-            prox: bool = False) -> FlatModel:
-    """Copy params (and a learnable d x C classifier, or None) into each of
-    the k rows of a FlatModel with zero velocity; with `prox`, the stack
-    also owns the scratch matrix of the proximal term."""
-    tensors = params.tensors() + ([] if classifier is None else [classifier])
-    n = params.n_layers
-    shapes = [t.shape for t in tensors]
-    for i in range(n, 2 * n):
-        shapes[i] = (1,) + shapes[i]    # biases broadcast over a batch
-    theta = np.tile(np.concatenate([np.ravel(t) for t in tensors]), (k, 1))
-    cuts = np.cumsum([t.size for t in tensors])[:-1]
-    grad = np.zeros_like(theta)
-    p, g = _views(theta, cuts, shapes), _views(grad, cuts, shapes)
-    learnable = classifier is not None
-    return FlatModel(theta=theta, grad=grad, vel=np.zeros_like(theta),
-                     prox=np.empty_like(theta) if prox else None,
-                     layer_sizes=params.layer_sizes, cuts=cuts, shapes=shapes,
-                     weights=p[:n], biases=p[n:2 * n],
-                     classifier=p[-1] if learnable else None,
-                     grad_weights=g[:n], grad_biases=g[n:2 * n],
-                     grad_classifier=g[-1] if learnable else None)
+def flatten(model: BackboneParams, k: int, prox: bool = False) -> FlatModel:
+    """A stack of k copies of model (its classifier included, if it has one)
+    with zero velocity; with `prox`, the stack also owns the scratch matrix
+    of the proximal term."""
+    theta = np.tile(model.theta, (k, 1))
+    return FlatModel(theta=theta, grad=np.zeros_like(theta), vel=np.zeros_like(theta),
+                     prox=np.empty_like(theta) if prox else None, template=model)
 
 
 def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
@@ -342,22 +351,7 @@ def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
     failed numeric guard raises FloatingPointError.
     """
     weights = model.weights
-    last = len(weights) - 1
-    acts = [x]                         # input to each layer
-    for i, (w, b) in enumerate(zip(weights, model.biases)):
-        z = np.matmul(acts[-1], w)
-        z += b
-        _check_finite(z, i)
-        if i < last:
-            acts.append(np.maximum(z, 0.0, out=z))
-    raw = z
-    norms = np.sqrt((raw * raw).sum(axis=2))
-    _check_norms(norms)
-    scale = math.sqrt(e_h)
-    norms = norms[..., None]
-    h = np.multiply(raw, scale)
-    h /= norms
-
+    acts, raw, norms, h = _forward_half(weights, model.biases, x, e_h)
     z = np.matmul(h, w_eff)
     if phi is not None:
         z *= phi
@@ -384,8 +378,8 @@ def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
     radial = (g * u).sum(axis=2, keepdims=True)
     u *= radial
     g -= u
-    g *= scale / norms                 # (scale / norms) * (g - radial * u)
-    for layer in range(last, -1, -1):
+    g *= math.sqrt(e_h) / norms        # (sqrt(e_h) / norms) * (g - radial * u)
+    for layer in range(len(weights) - 1, -1, -1):
         np.matmul(acts[layer].swapaxes(1, 2), g, out=model.grad_weights[layer])
         g.sum(axis=1, keepdims=True, out=model.grad_biases[layer])
         if layer:
@@ -433,8 +427,8 @@ def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
     """Worst relative error between the gradient train_step steps on and
     central differences of the loss.
 
-    The model is one row of flatten(params, classifier, 1), the classifier
-    included when it is learnable. The analytic gradient is gradient_pass's,
+    The model is params with the classifier when it is learnable, as the one
+    row of a flatten(model, 1) stack. The analytic gradient is gradient_pass's,
     and the numeric loss is gradient_pass's loss plus
     0.5 * lambda_prox * |theta - ref|^2. The proximal reference ref lies at a
     seeded offset theta + 0.1 * N(0, 1) from the probe point, where the
@@ -457,7 +451,9 @@ def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
     y = np.asarray(labels, dtype=np.int64)
     mask = _as_mask(class_mask, n_classes)
     _check_labels(y, mask)
-    model = flatten(params, frame if learnable else None, 1)
+    start = BackboneParams(params.weights, params.biases, params.layer_sizes,
+                           frame if learnable else None)
+    model = flatten(start, 1)
     theta = model.theta[0]
     x = np.asarray(inputs, dtype=np.float64)[None]
     hot = (y[:, None] == np.arange(n_classes))[None]
@@ -478,7 +474,8 @@ def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
 
     gradient_pass(model, x, hot, **pass_args)
     analytic_grad = model.grad[0].copy()
-    bounds = np.concatenate([[0], model.cuts, [theta.size]])   # tensor ti: bounds[ti:ti+2]
+    tensors = start.tensors() + ([start.classifier] if learnable else [])
+    bounds = np.cumsum([0] + [t.size for t in tensors])   # tensor ti: bounds[ti:ti+2]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(n_probes)):

@@ -177,8 +177,8 @@ def test_criterion_5_reductions():
                              (single.seed, 1))
     clf = init_classifier(ds.n_classes, ds.n_classes, (single.seed, 1, 1))
     for t in (1, 2):
-        out = local_train(clients[0], backbone, clf, algo, hp, ds,
-                          (single.seed, 3, t, 0))
+        out = local_train([clients[0]], backbone, clf, algo, hp, ds,
+                          [(single.seed, 3, t, 0)])[0]
         backbone, clf = out.backbone, out.classifier
     same_c = all(a.tobytes() == b.tobytes()
                  for a, b in zip(result.server.backbone.tensors(), backbone.tensors()))

@@ -57,6 +57,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'beta'"):
             parse_config({"scheme": "dirichlet", "beta": -1})
 
+    @pytest.mark.parametrize("key,value", [("rounds", 2.5), ("clients", 3.9), ("seed", -0.5)])
+    def test_non_integral_number_for_int_key_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"'{key}' must be an integer, got {value}"):
+            parse_config({key: value})
+
+    def test_integral_float_for_int_key_accepted(self):
+        cfg = parse_config({"rounds": 2.0, "clients": 3.0})
+        assert (cfg.rounds, cfg.clients) == (2, 3)
+        assert type(cfg.rounds) is int
+
     def test_dirichlet_and_pcdd_conflict(self):
         with pytest.raises(ConfigError, match="conflicting partition settings"):
             parse_config({"beta": 0.5, "classes_per_client": 2})

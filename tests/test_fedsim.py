@@ -13,7 +13,6 @@ from fedgela.fedsim import (
     AlgoKind,
     Hyperparams,
     aggregate,
-    aggregate_tensors,
     build_client_states,
     compute_phi,
     finetune_personalize,
@@ -167,7 +166,7 @@ class TestLocalTrain:
         ds, clients, algo, hp, backbone, etf = self._setup()
         hp0 = Hyperparams(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay,
                           epochs=0, batch_size=hp.batch_size, e_h=hp.e_h)
-        res = local_train(clients[0], backbone, etf, algo, hp0, ds, (0, 3, 1, 0))
+        res = local_train([clients[0]], backbone, etf, algo, hp0, ds, [(0, 3, 1, 0)])[0]
         for a, b in zip(res.backbone.tensors(), backbone.tensors()):
             np.testing.assert_array_equal(a, b)
         assert res.epoch_losses == []
@@ -176,11 +175,11 @@ class TestLocalTrain:
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
         from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        res_avg = local_train(clients[1], backbone, clf, AlgoKind("fedavg"),
-                              hp, ds, (0, 3, 1, 1))
-        res_prox = local_train(clients[1], backbone, clf,
+        res_avg = local_train([clients[1]], backbone, clf, AlgoKind("fedavg"),
+                              hp, ds, [(0, 3, 1, 1)])[0]
+        res_prox = local_train([clients[1]], backbone, clf,
                                AlgoKind("fedprox", lambda_prox=0.0),
-                               hp, ds, (0, 3, 1, 1))
+                               hp, ds, [(0, 3, 1, 1)])[0]
         for a, b in zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()):
             assert a.tobytes() == b.tobytes()
         assert res_avg.classifier.tobytes() == res_prox.classifier.tobytes()
@@ -189,11 +188,11 @@ class TestLocalTrain:
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
         from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        res_avg = local_train(clients[1], backbone, clf, AlgoKind("fedavg"),
-                              hp, ds, (0, 3, 1, 1))
-        res_prox = local_train(clients[1], backbone, clf,
+        res_avg = local_train([clients[1]], backbone, clf, AlgoKind("fedavg"),
+                              hp, ds, [(0, 3, 1, 1)])[0]
+        res_prox = local_train([clients[1]], backbone, clf,
                                AlgoKind("fedprox", lambda_prox=1.0),
-                               hp, ds, (0, 3, 1, 1))
+                               hp, ds, [(0, 3, 1, 1)])[0]
         assert any(a.tobytes() != b.tobytes() for a, b in
                    zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()))
 
@@ -230,7 +229,7 @@ class TestLocalTrain:
                          batch_size=10, e_h=1.0)
         backbone = init_backbone((12, 16, 10), seed=0)
         etf = make_etf(10, 10, 1, e_w=25.0)
-        res = local_train(clients[0], backbone, etf, algo, hp, ds, (0, 3, 1, 0))
+        res = local_train([clients[0]], backbone, etf, algo, hp, ds, [(0, 3, 1, 0)])[0]
         from fedgela.metrics import predict
         idx = clients[0].shard.train_indices
         pred = predict(forward(res.backbone, ds.features[idx], 1.0), etf,
@@ -247,7 +246,7 @@ class TestLocalTrain:
         )
         clients[0].shard = bad_shard
         with pytest.raises(ValueError, match="empty train split"):
-            local_train(clients[0], backbone, etf, algo, hp, ds, (0, 3, 1, 0))
+            local_train([clients[0]], backbone, etf, algo, hp, ds, [(0, 3, 1, 0)])
 
 
 class TestAggregate:
@@ -287,6 +286,33 @@ class TestAggregate:
         with pytest.raises(ValueError, match="shape mismatch"):
             aggregate([a, b], [0.5, 0.5])
 
+    def _learnable(self, seed, layer_sizes=(3, 5, 4)):
+        from fedgela.neuralnet import BackboneParams, init_classifier
+        p = init_backbone(layer_sizes, seed=seed)
+        return BackboneParams(p.weights, p.biases, p.layer_sizes,
+                              init_classifier(layer_sizes[-1], 3, seed=seed + 10))
+
+    def test_learnable_models_average_backbone_and_classifier_in_one_pass(self):
+        parts = [self._learnable(s) for s in range(3)]
+        w = np.array([0.2, 0.3, 0.5])
+        out = aggregate(parts, w)
+        # the per-tensor reduction w0*t0 + w1*t1 + ..., in list order
+        for j, got in enumerate(out.tensors() + [out.classifier]):
+            tensors = [p.tensors() + [p.classifier] for p in parts]
+            want = w[0] * tensors[0][j]
+            for i in range(1, len(parts)):
+                want = want + w[i] * tensors[i][j]
+            assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(out.classifier, out.theta)
+
+    def test_learnable_and_fixed_frame_models_rejected(self):
+        learnable = self._learnable(0)
+        fixed = init_backbone(learnable.layer_sizes, seed=1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            aggregate([learnable, fixed], [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            aggregate([fixed, learnable], [0.5, 0.5])
+
     def test_one_round_equals_centralized_step(self):
         # K = N, one full-batch step, no momentum/decay: the aggregated
         # update equals one weighted-gradient step on the union objective
@@ -301,7 +327,7 @@ class TestAggregate:
                          batch_size=100, e_h=1.0)
         backbone = init_backbone((4, 6, 2), seed=3)
         etf = make_etf(2, 2, 0, e_w=1.0)
-        res = [local_train(c, backbone, etf, algo, hp, ds, (9, 9, 9, c.client_id))
+        res = [local_train([c], backbone, etf, algo, hp, ds, [(9, 9, 9, c.client_id)])[0]
                for c in clients]
         weights = np.array([4.0, 4.0]) / 8.0
         agg = aggregate([r.backbone for r in res], weights)
@@ -337,8 +363,8 @@ class TestRunFederation:
                                  (cfg.seed, 1))
         clf = init_classifier(ds.n_classes, ds.n_classes, (cfg.seed, 1, 1))
         for t in (1, 2):
-            res = local_train(clients[0], backbone, clf, algo, hp, ds,
-                              (cfg.seed, 3, t, 0))
+            res = local_train([clients[0]], backbone, clf, algo, hp, ds,
+                              [(cfg.seed, 3, t, 0)])[0]
             backbone, clf = res.backbone, res.classifier
         for a, b in zip(result.server.backbone.tensors(), backbone.tensors()):
             assert a.tobytes() == b.tobytes()
@@ -524,9 +550,9 @@ class TestFinetunePersonalize:
         cfg, result = self._run()
         server = result.server
         res = finetune_personalize(server.backbone, server.classifier,
-                                   result.shards[0], AlgoKind("fedavg"),
+                                   [result.shards[0]], AlgoKind("fedavg"),
                                    Hyperparams(lr=cfg.lr, epochs=2, batch_size=10),
-                                   0, result.dataset, (0, 4, 1, 0))
+                                   0, result.dataset, [(0, 4, 1, 0)])[0]
         for a, b in zip(res.backbone.tensors(), server.backbone.tensors()):
             np.testing.assert_array_equal(a, b)
 
@@ -547,8 +573,8 @@ class TestFinetunePersonalize:
                 before = np.mean(predict(forward(server.backbone, ds.features[idx], cfg.e_h),
                                          server.classifier) == ds.labels[idx])
                 res = finetune_personalize(server.backbone, server.classifier,
-                                           shard, AlgoKind("fedavg"), hp, 10,
-                                           ds, (seed, 4, 99, shard.client_id))
+                                           [shard], AlgoKind("fedavg"), hp, 10,
+                                           ds, [(seed, 4, 99, shard.client_id)])[0]
                 after = np.mean(predict(forward(res.backbone, ds.features[idx], cfg.e_h),
                                         res.classifier) == ds.labels[idx])
                 deltas.append(after - before)
@@ -650,7 +676,7 @@ class TestFusedStepMatchesPublicOps:
         ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
         client = clients[1]
         assert client.shard.train_indices.size % hp.batch_size != 0  # partial last batch
-        res = local_train(client, backbone, classifier, algo, hp, ds, (2, 3, 1, 1))
+        res = local_train([client], backbone, classifier, algo, hp, ds, [(2, 3, 1, 1)])[0]
         ref = reference_local_train(client, backbone, classifier, algo, hp, ds,
                                     (2, 3, 1, 1))
         self._assert_same(res, ref)
@@ -660,8 +686,8 @@ class TestFusedStepMatchesPublicOps:
     def test_finetune_personalize_bitwise(self, kind, lam, hidden):
         ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
         shard = clients[2].shard
-        res = finetune_personalize(backbone, classifier, shard, algo, hp, 2, ds,
-                                   (2, 4, 1, 2))
+        res = finetune_personalize(backbone, classifier, [shard], algo, hp, 2, ds,
+                                   [(2, 4, 1, 2)])[0]
         from fedgela.fedsim import ClientState
         plain = ClientState(client_id=shard.client_id, shard=shard, phi=None,
                             mask=np.ones(ds.n_classes, dtype=bool))
@@ -674,7 +700,7 @@ class TestFusedStepMatchesPublicOps:
 
     def test_backbone_is_one_flat_buffer(self):
         ds, clients, algo, hp, backbone, classifier = self._setup("fedavg", 0.0, (16,))
-        res = local_train(clients[0], backbone, classifier, algo, hp, ds, (2, 3, 1, 0))
+        res = local_train([clients[0]], backbone, classifier, algo, hp, ds, [(2, 3, 1, 0)])[0]
         base = res.classifier.base
         assert base is not None
         assert all(t.base is base for t in res.backbone.tensors())
@@ -828,7 +854,7 @@ class TestStackedMatchesSingle:
         stacked = local_train(clients, backbone, classifier, algo, hp, ds, seeds)
         assert len(stacked) == len(clients)
         for c, s, res in zip(clients, seeds, stacked):
-            self._assert_same(res, local_train(c, backbone, classifier, algo, hp, ds, s))
+            self._assert_same(res, local_train([c], backbone, classifier, algo, hp, ds, [s])[0])
         self._assert_same_as_ref(stacked[0], reference_local_train(
             clients[0], backbone, classifier, algo, hp, ds, seeds[0]))
 
@@ -840,8 +866,8 @@ class TestStackedMatchesSingle:
         seeds = [(4, 4, 1, s.client_id) for s in shards]
         tuned = finetune_personalize(backbone, classifier, shards, algo, hp, 2, ds, seeds)
         for shard, s, res in zip(shards, seeds, tuned):
-            self._assert_same(res, finetune_personalize(backbone, classifier, shard, algo,
-                                                        hp, 2, ds, s))
+            self._assert_same(res, finetune_personalize(backbone, classifier, [shard], algo,
+                                                        hp, 2, ds, [s])[0])
 
     def test_one_seed_per_client_required(self):
         ds, clients, algo, hp, backbone, classifier = self._setup("fedgela", 0.0, (16,))

@@ -27,6 +27,28 @@ def identity_net(d):
                           layer_sizes=(d, d))
 
 
+class TestBackboneParams:
+    def _model(self, classifier):
+        return BackboneParams(weights=[np.ones((2, 3)), np.ones((3, 2))],
+                              biases=[np.zeros(3), np.zeros(2)], layer_sizes=(2, 3, 2),
+                              classifier=classifier)
+
+    def test_tensors_are_views_of_theta(self):
+        params = self._model(np.eye(2))
+        tensors = params.tensors() + [params.classifier]
+        assert params.theta.shape == (sum(t.size for t in tensors),)
+        np.testing.assert_array_equal(params.theta,
+                                      np.concatenate([t.ravel() for t in tensors]))
+        params.theta[0] = 7.0
+        params.theta[-1] = 5.0
+        assert params.weights[0][0, 0] == 7.0 and params.classifier[1, 1] == 5.0
+        assert all(np.shares_memory(t, params.theta) for t in tensors)
+
+    def test_classifier_must_take_the_features(self):
+        with pytest.raises(ValueError, match=r"classifier shape \(3, 4\).*\(2, C\)"):
+            self._model(np.zeros((3, 4)))
+
+
 class TestForward:
     def test_identity_net_normalizes(self):
         params = identity_net(3)
@@ -379,7 +401,8 @@ class TestStepAllocations:
 
     def _stack(self, prox):
         params = init_backbone((20, 64, 32), seed=0)
-        return flatten(params, init_classifier(32, 10, seed=1), self.K, prox)
+        return flatten(BackboneParams(params.weights, params.biases, params.layer_sizes,
+                                      init_classifier(32, 10, seed=1)), self.K, prox)
 
     def _peak(self, model, lambda_prox):
         m = len(model.theta)
