@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -142,6 +143,61 @@ class TestParseConfig:
         cfg2 = parse_config({"scheme": "dirichlet", "beta": 0.3, "algo": "fedprox",
                              "lambda_prox": 0.5})
         assert parse_config(cfg2.to_dict()) == cfg2
+
+
+# one out-of-range setting per config rule: (settings, key the message names,
+# the bad value as the message shows it, or None where the rule is a
+# conflict between keys rather than a bad value)
+RULE_CASES = [
+    ({"dataset": "mnist"}, "dataset", "'mnist'"),
+    ({"scheme": "iid"}, "scheme", "'iid'"),
+    ({"q_kind": "log"}, "q_kind", "'log'"),
+    ({"algo": "fedsgd"}, "algo", "'fedsgd'"),
+    ({"classes": 1}, "classes", "1"),
+    ({"input_dim": -3}, "input_dim", "-3"),
+    ({"n_per_class": -3}, "n_per_class", "-3"),
+    ({"clients": -3}, "clients", "-3"),
+    ({"clients_per_round": -3}, "clients_per_round", "-3"),
+    ({"min_size": -3}, "min_size", "-3"),
+    ({"batch_size": -3, "min_size": 5}, "batch_size", "-3"),
+    ({"eval_every": -3}, "eval_every", "-3"),
+    ({"feature_dim": -3}, "feature_dim", "-3"),
+    ({"classes_per_client": -3}, "classes_per_client", "-3"),
+    ({"hidden": "64,-3"}, "hidden", "-3"),
+    ({"beta": -2.5}, "beta", "-2.5"),
+    ({"class_sep": -2.5}, "class_sep", "-2.5"),
+    ({"noise_sigma": -2.5}, "noise_sigma", "-2.5"),
+    ({"lr": -2.5}, "lr", "-2.5"),
+    ({"e_w": -2.5}, "e_w", "-2.5"),
+    ({"e_h": -2.5}, "e_h", "-2.5"),
+    ({"gamma": -2.5}, "gamma", "-2.5"),
+    ({"rounds": -3}, "rounds", "-3"),
+    ({"epochs": -3}, "epochs", "-3"),
+    ({"finetune_epochs": -3}, "finetune_epochs", "-3"),
+    ({"seed": -3}, "seed", "-3"),
+    ({"data_seed": -3}, "data_seed", "-3"),
+    ({"partition_seed": -3}, "partition_seed", "-3"),
+    ({"algo": "fedprox", "lambda_prox": -2.5}, "lambda_prox", "-2.5"),
+    ({"momentum": -2.5}, "momentum", "-2.5"),
+    ({"weight_decay": -2.5}, "weight_decay", "-2.5"),
+    ({"test_frac": 1.5}, "test_frac", "1.5"),
+    ({"algo": "fedgela", "classes": 10, "feature_dim": 7}, "feature_dim", "7"),
+    ({"algo": "fedavg", "lambda_prox": 0.5}, "lambda_prox", None),
+    ({"beta": 0.5, "classes_per_client": 2}, "classes_per_client", None),
+    ({"scheme": "pcdd"}, "classes_per_client", "'pcdd'"),
+    ({"dataset": "csv"}, "csv_path", "csv"),
+    ({"clients": 5, "clients_per_round": 6}, "clients_per_round", "6"),
+]
+
+
+@pytest.mark.parametrize("settings,key,shown", RULE_CASES,
+                         ids=[f"{key}-{i}" for i, (_, key, _) in enumerate(RULE_CASES)])
+def test_every_config_rule_names_key_and_value(settings, key, shown):
+    with pytest.raises(ConfigError) as info:
+        parse_config(settings)
+    message = str(info.value)
+    assert re.search(rf"\b{key}\b", message), message
+    assert shown is None or shown in message, message
 
 
 class TestCmdRun:
