@@ -93,30 +93,24 @@ class RunConfig:
         return out
 
 
-_INT_KEYS = {
-    "classes", "input_dim", "n_per_class", "classes_per_client", "clients",
-    "clients_per_round", "min_size", "rounds", "epochs", "batch_size",
-    "eval_every", "finetune_epochs", "seed", "data_seed", "partition_seed",
-    "feature_dim",
-}
-_FLOAT_KEYS = {
-    "class_sep", "noise_sigma", "beta", "test_frac", "lambda_prox", "gamma",
-    "lr", "momentum", "weight_decay", "e_w", "e_h",
-}
-_STR_KEYS = {"dataset", "csv_path", "scheme", "algo", "q_kind", "out_dir", "hidden"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# each key's type, read from RunConfig's annotations: int, float, str or
+# tuple (hidden), with " | None" on the keys that may stay unset
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, value) -> object:
+    kind = _KEY_TYPES[key].removesuffix(" | None")
+    if kind == "tuple":
+        return _parse_hidden(value)
     if isinstance(value, str):
         value = value.strip()
-    if key not in _INT_KEYS and key not in _FLOAT_KEYS:
+    if kind == "str":
         return str(value)
     try:
-        number = int(value) if key in _INT_KEYS else float(value)
+        number = int(value) if kind == "int" else float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key '{key}': cannot parse {value!r}") from None
-    if key in _INT_KEYS:
+    if kind == "int":
         # int() truncates 2.5 to 2; a string already had to spell an integer
         if not isinstance(value, str) and number != value:
             raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
@@ -124,6 +118,48 @@ def _coerce(key: str, value) -> object:
     if not math.isfinite(number):
         raise ConfigError(f"config key '{key}' must be finite, got {value!r}")
     return number
+
+
+def _parse_hidden(value) -> tuple:
+    """The hidden-layer widths of a comma-separated string or a sequence."""
+    try:
+        widths = tuple(int(x) for x in (value.split(",") if isinstance(value, str) else value)
+                       if str(x).strip())
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key 'hidden': cannot parse {value!r}") from None
+    if any(h < 1 for h in widths):
+        raise ConfigError(f"config key 'hidden': every width must be >= 1, got {value!r}")
+    return widths
+
+
+# (keys, test, phrase): a key whose value fails the test raises "config key
+# '<key>' must be <phrase>, got <value>"; an unset optional key (None) passes
+_RULES = (
+    (("dataset",), lambda v: v in ("synthetic", "csv"), "synthetic or csv"),
+    (("scheme",), lambda v: v in ("dirichlet", "pcdd"), "dirichlet or pcdd"),
+    (("q_kind",), lambda v: v in ("identity", "exp", "sqrt"), "identity/exp/sqrt"),
+    (("classes",), lambda v: v >= 2, ">= 2"),
+    (("input_dim", "n_per_class", "clients", "clients_per_round", "min_size", "eval_every",
+      "classes_per_client", "feature_dim"), lambda v: v >= 1, ">= 1"),
+    (("beta", "class_sep", "noise_sigma", "e_w", "gamma"), lambda v: v > 0, "positive"),
+    (("rounds", "finetune_epochs", "seed", "data_seed", "partition_seed", "momentum",
+      "weight_decay"), lambda v: v >= 0, ">= 0"),
+    (("test_frac",), lambda v: 0 <= v < 1, "in [0, 1)"),
+)
+
+# (test, message): a config for which test(keys given, config) holds raises
+# the message, formatted with the config
+_CROSS_RULES = (
+    (lambda given, c: "beta" in given and "classes_per_client" in given,
+     "conflicting partition settings: both 'beta' (dirichlet) and "
+     "'classes_per_client' (pcdd) given"),
+    (lambda given, c: c["scheme"] == "pcdd" and c["classes_per_client"] is None,
+     "scheme 'pcdd' requires 'classes_per_client'"),
+    (lambda given, c: c["dataset"] == "csv" and not c["csv_path"],
+     "missing required config key 'csv_path' for dataset=csv"),
+    (lambda given, c: c["clients_per_round"] > c["clients"],
+     "config key 'clients_per_round' ({clients_per_round}) exceeds 'clients' ({clients})"),
+)
 
 
 def _read_config_file(path) -> dict:
@@ -147,132 +183,58 @@ def parse_config(source, overrides=None) -> RunConfig:
     """Build a validated RunConfig from a file path or a key/value mapping.
 
     Unknown keys are rejected; `overrides` (an iterable of 'key=value'
-    strings or a mapping) wins over the file.
+    strings or a mapping) wins over the file. Each rule is checked once:
+    the single-key rules of _RULES, the cross-key rules of _CROSS_RULES, the
+    algorithm and optimizer rules of fedsim.AlgoKind and fedsim.Hyperparams,
+    and, for synthetic data, fedsim.feature_width's frame rule.
     """
     if isinstance(source, (str, os.PathLike)):
         raw = _read_config_file(source)
     else:
         # None means "unset" so config echoes (to_dict) re-parse cleanly
         raw = {k: v for k, v in dict(source).items() if v is not None}
-    if overrides:
-        items = overrides.items() if isinstance(overrides, dict) else []
-        if not isinstance(overrides, dict):
-            items = []
-            for ov in overrides:
-                if "=" not in ov:
-                    raise ConfigError(f"override '{ov}' is not of the form key=value")
-                k, v = ov.split("=", 1)
-                items.append((k.strip(), v.strip()))
-        for k, v in items:
-            raw[k] = v
+    if isinstance(overrides, dict):
+        raw.update(overrides)
+    else:
+        for ov in overrides or ():
+            if "=" not in ov:
+                raise ConfigError(f"override '{ov}' is not of the form key=value")
+            k, v = ov.split("=", 1)
+            raw[k.strip()] = v.strip()
 
-    unknown = set(raw) - _ALL_KEYS
+    unknown = set(raw) - set(_KEY_TYPES)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    given = {key: _coerce(key, value) for key, value in raw.items()}
 
-    if "beta" in raw and "classes_per_client" in raw:
-        raise ConfigError(
-            "conflicting partition settings: both 'beta' (dirichlet) and "
-            "'classes_per_client' (pcdd) given"
-        )
+    merged = {f.name: f.default for f in fields(RunConfig)} | given
+    # the scheme follows the partition key given; the other scheme's key is unset
+    merged["scheme"] = given.get("scheme", "pcdd" if "classes_per_client" in given
+                                 else "dirichlet")
+    merged["beta" if merged["scheme"] == "pcdd" else "classes_per_client"] = None
+    # chained defaults: data seed follows master, partition seed follows data
+    for key, default in (("data_seed", "seed"), ("partition_seed", "data_seed"),
+                         ("clients_per_round", "clients"), ("min_size", "batch_size")):
+        if key not in given:
+            merged[key] = merged[default]
 
-    cfg = {}
-    for key, value in raw.items():
-        if key == "hidden":
-            cfg[key] = value
-        else:
-            cfg[key] = _coerce(key, value)
-
-    # scheme-dependent defaults and pairings
-    scheme = cfg.get("scheme", "dirichlet" if "classes_per_client" not in cfg else "pcdd")
-    if scheme not in ("dirichlet", "pcdd"):
-        raise ConfigError(f"config key 'scheme' must be dirichlet or pcdd, got '{scheme}'")
-    cfg["scheme"] = scheme
-    if scheme == "pcdd":
-        if "classes_per_client" not in cfg:
-            raise ConfigError("scheme 'pcdd' requires 'classes_per_client'")
-        cfg["beta"] = None
-    else:
-        cfg.setdefault("beta", 0.5)
-        cfg["classes_per_client"] = None
-
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    merged = dict(defaults)
-    merged.update(cfg)
-    # chained seed defaults: data follows master, partition follows data
-    if "data_seed" not in cfg:
-        merged["data_seed"] = merged["seed"]
-    if "partition_seed" not in cfg:
-        merged["partition_seed"] = merged["data_seed"]
-    if "clients_per_round" not in cfg:
-        merged["clients_per_round"] = merged["clients"]
-    if "min_size" not in cfg:
-        merged["min_size"] = merged["batch_size"]
-
-    hidden = merged["hidden"]
-    if isinstance(hidden, str):
-        try:
-            merged["hidden"] = tuple(int(x) for x in hidden.split(",") if x.strip())
-        except ValueError:
-            raise ConfigError(f"config key 'hidden': cannot parse {hidden!r}") from None
-    else:
-        merged["hidden"] = tuple(int(x) for x in hidden)
-    if any(h < 1 for h in merged["hidden"]):
-        raise ConfigError(f"config key 'hidden': every width must be >= 1, got {hidden!r}")
-
-    # range validation, each error naming its key
-    if merged["dataset"] not in ("synthetic", "csv"):
-        raise ConfigError(f"config key 'dataset' must be synthetic or csv, got '{merged['dataset']}'")
-    if merged["dataset"] == "csv" and not merged["csv_path"]:
-        raise ConfigError("missing required config key 'csv_path' for dataset=csv")
-    if merged["algo"] not in fedsim.VALID_ALGOS:
-        raise ConfigError(
-            f"config key 'algo' must be one of {fedsim.VALID_ALGOS}, got '{merged['algo']}'"
-        )
-    if merged["q_kind"] not in ("identity", "exp", "sqrt"):
-        raise ConfigError(f"config key 'q_kind' must be identity/exp/sqrt, got '{merged['q_kind']}'")
-    if merged["scheme"] == "dirichlet" and not merged["beta"] > 0:
-        raise ConfigError(f"config key 'beta' must be positive, got {merged['beta']}")
-    if merged["scheme"] == "pcdd" and merged["classes_per_client"] < 1:
-        raise ConfigError(
-            f"config key 'classes_per_client' must be >= 1, got {merged['classes_per_client']}"
-        )
-    for key in ("classes", "input_dim", "n_per_class", "clients", "clients_per_round",
-                "min_size", "batch_size", "eval_every"):
-        if merged[key] < 1:
-            raise ConfigError(f"config key '{key}' must be >= 1, got {merged[key]}")
-    for key in ("class_sep", "noise_sigma", "lr", "e_w", "e_h"):
-        if not merged[key] > 0:
-            raise ConfigError(f"config key '{key}' must be positive, got {merged[key]}")
-    for key in ("rounds", "epochs", "finetune_epochs", "seed", "data_seed", "partition_seed"):
-        if merged[key] < 0:
-            raise ConfigError(f"config key '{key}' must be >= 0, got {merged[key]}")
-    for key in ("lambda_prox", "momentum", "weight_decay"):
-        if merged[key] < 0:
-            raise ConfigError(f"config key '{key}' must be >= 0, got {merged[key]}")
-    if merged["lambda_prox"] > 0 and merged["algo"] != "fedprox":
-        raise ConfigError("config key 'lambda_prox' is only meaningful for algo=fedprox")
-    if not 0.0 <= merged["test_frac"] < 1.0:
-        raise ConfigError(f"config key 'test_frac' must be in [0, 1), got {merged['test_frac']}")
-    if merged["gamma"] is not None and not merged["gamma"] > 0:
-        raise ConfigError(f"config key 'gamma' must be positive, got {merged['gamma']}")
-    if merged["clients_per_round"] > merged["clients"]:
-        raise ConfigError(
-            f"config key 'clients_per_round' ({merged['clients_per_round']}) exceeds "
-            f"'clients' ({merged['clients']})"
-        )
-    if merged["classes"] < 2:
-        raise ConfigError(f"config key 'classes' must be >= 2, got {merged['classes']}")
-    if merged["feature_dim"] is not None and merged["feature_dim"] < 1:
-        raise ConfigError(
-            f"config key 'feature_dim' must be >= 1, got {merged['feature_dim']}"
-        )
-    if (fedsim.AlgoKind(merged["algo"]).fixed_classifier and merged["dataset"] == "synthetic"
-            and (merged["feature_dim"] or merged["classes"]) < merged["classes"]):
-        raise ConfigError(
-            f"config key 'feature_dim' must be >= classes ({merged['classes']}) for the "
-            f"simplex frame of algo={merged['algo']}, got {merged['feature_dim']}"
-        )
+    for keys, ok, phrase in _RULES:
+        for key in keys:
+            if merged[key] is not None and not ok(merged[key]):
+                raise ConfigError(f"config key '{key}' must be {phrase}, got {merged[key]!r}")
+    for broken, message in _CROSS_RULES:
+        if broken(given, merged):
+            raise ConfigError(message.format(**merged))
+    try:
+        algo = fedsim.AlgoKind(merged["algo"], merged["lambda_prox"])
+        fedsim.Hyperparams(lr=merged["lr"], momentum=merged["momentum"],
+                           weight_decay=merged["weight_decay"], epochs=merged["epochs"],
+                           batch_size=merged["batch_size"], e_h=merged["e_h"])
+        if merged["dataset"] == "synthetic":
+            fedsim.feature_width(algo, merged["feature_dim"], merged["classes"],
+                                 "the synthetic data")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return RunConfig(**merged)
 
 
@@ -454,7 +416,9 @@ GRADCHECK_THRESHOLD = 1e-4
 
 def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     """Finite-difference check over every algorithm kind, phi pattern, and
-    mask pattern on a small two-layer net. Yields (label, worst_rel_error).
+    mask pattern on a small two-layer net, each at the config's e_h and at
+    4 * e_h, where sqrt(e_h) is not 1 even at the default e_h = 1. Yields
+    (label, worst_rel_error), the worse of the two errors.
     """
     n_classes, feat_dim, d_in, hidden = 5, 5, 6, 12
     rng = np.random.default_rng(config.seed)
@@ -478,11 +442,11 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
                 params = init_backbone((d_in, hidden, feat_dim), (config.seed, 11))
                 classifier = etf if fixed else init_classifier(feat_dim, n_classes,
                                                                (config.seed, 12))
-                err = finite_diff_check(
+                err = max(finite_diff_check(
                     params, x, labels, classifier, phi=phi, class_mask=mask,
-                    e_h=config.e_h, step=1e-5, n_probes=n_probes,
+                    e_h=e_h, step=1e-5, n_probes=n_probes,
                     seed=(config.seed, 13), lambda_prox=lam,
-                )
+                ) for e_h in (config.e_h, 4 * config.e_h))
                 yield f"{algo}/{phi_name}/{mask_name}", err
 
 

@@ -39,8 +39,8 @@ from .neuralnet import (
     train_step,
 )
 
-__all__ = ["AlgoKind", "Hyperparams", "ClientState", "ServerState", "RoundLog",
-           "FederationResult", "compute_phi", "sample_clients", "local_train",
+__all__ = ["AlgoKind", "Hyperparams", "feature_width", "ClientState", "ServerState",
+           "RoundLog", "FederationResult", "compute_phi", "sample_clients", "local_train",
            "aggregate", "finetune_personalize",
            "run_federation", "run_many", "build_dataset", "build_partition",
            "write_round_csv", "read_round_csv", "write_manifest",
@@ -65,11 +65,13 @@ class AlgoKind:
 
     def __post_init__(self):
         if self.kind not in VALID_ALGOS:
-            raise ValueError(f"unknown algorithm '{self.kind}', expected one of {VALID_ALGOS}")
+            raise ValueError(f"unknown algorithm '{self.kind}', "
+                             f"algo must be one of {VALID_ALGOS}")
         if self.lambda_prox < 0:
             raise ValueError(f"lambda_prox must be >= 0, got {self.lambda_prox}")
         if self.lambda_prox > 0 and self.kind != "fedprox":
-            raise ValueError("lambda_prox is only meaningful for fedprox")
+            raise ValueError(f"lambda_prox = {self.lambda_prox} is only meaningful for "
+                             f"fedprox, not {self.kind}")
 
     @property
     def fixed_classifier(self) -> bool:
@@ -99,6 +101,18 @@ class Hyperparams:
             if not ok:
                 raise ValueError(f"invalid hyperparameter {name} = "
                                  f"{getattr(self, name)!r}, must be {rule}")
+
+
+def feature_width(algo: AlgoKind, feature_dim: int | None, n_classes: int,
+                  source: str) -> int:
+    """The width of a run's features: `feature_dim`, or the class count when
+    it is None. The simplex frame of a fixed classifier needs one dimension
+    per class; `source` names where the class count comes from."""
+    width = feature_dim or n_classes
+    if algo.fixed_classifier and width < n_classes:
+        raise ValueError(f"config key 'feature_dim' must be >= the {n_classes} classes of "
+                         f"{source} for the simplex frame of algo={algo.kind}, got {width}")
+    return width
 
 
 @dataclass
@@ -465,11 +479,8 @@ def run_federation(config, dataset: Dataset | None = None,
     if from_csv and config.classes != n_classes:
         raise ValueError(f"config key 'classes' is {config.classes}, but csv_path "
                          f"{config.csv_path} has {n_classes} classes")
-    feat_dim = getattr(config, "feature_dim", None) or n_classes
-    if algo.fixed_classifier and feat_dim < n_classes:
-        source = f"csv_path {config.csv_path}" if from_csv else "the dataset"
-        raise ValueError(f"config key 'feature_dim' must be >= the {n_classes} classes of "
-                         f"{source} for the simplex frame of algo={algo.kind}, got {feat_dim}")
+    feat_dim = feature_width(algo, getattr(config, "feature_dim", None), n_classes,
+                             f"csv_path {config.csv_path}" if from_csv else "the dataset")
     shards = shards if shards is not None else build_partition(ds, config)
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed

@@ -8,9 +8,9 @@ track the mean pairwise angle between class means (globally over all
 classes, locally over each client's existing classes) and, for learnable
 classifiers, between classifier columns split by existing/missing classes.
 
-The scores are functions of features: a FeatureBatch from
-neuralnet.forward or a B x d array of projected features. `evaluate` is the
-one place that forwards models, each (model, split) pair once.
+The scores are functions of features: the B x d projected features that
+neuralnet.forward returns. `evaluate` is the one place that forwards
+models, each (model, split) pair once.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etfgeom import mean_pairwise_angle
-from .neuralnet import PhiVector, _as_mask, _feature_rows, forward, logits
+from .neuralnet import PhiVector, _as_mask, forward, logits
 
 __all__ = ["EvalReport", "AngleReport", "predict", "generic_accuracy",
            "personal_accuracy", "angle_report", "evaluate", "nc1_variability"]
@@ -58,7 +58,7 @@ def predict(features, classifier, class_mask=None,
 
 def _rows(features, labels) -> np.ndarray:
     """The feature matrix, checked to hold one row per label."""
-    h = _feature_rows(features)
+    h = np.asarray(features, dtype=np.float64)
     if len(h) != len(labels):
         raise ValueError(f"{len(h)} feature rows for {len(labels)} labels")
     return h

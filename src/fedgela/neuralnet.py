@@ -20,7 +20,6 @@ from .etfgeom import EtfClassifier
 
 __all__ = [
     "BackboneParams",
-    "FeatureBatch",
     "PhiVector",
     "init_backbone",
     "init_classifier",
@@ -125,15 +124,6 @@ def init_classifier(feature_dim: int, n_classes: int, seed) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureBatch:
-    """Raw last-layer outputs and their projection onto the sqrt(e_h) sphere."""
-
-    raw: np.ndarray
-    h: np.ndarray
-    e_h: float
-
-
-@dataclass(frozen=True)
 class PhiVector:
     """Per-class non-negative column scalings of the classifier."""
 
@@ -195,9 +185,10 @@ def _forward_half(weights, biases, x: np.ndarray, e_h: float):
     return acts, raw, norms, h
 
 
-def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> FeatureBatch:
-    """Run the MLP and project rows onto the sqrt(e_h) sphere: the training
-    kernel's forward half on a one-model stack.
+def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> np.ndarray:
+    """The B x d features of the B input rows: the MLP's outputs projected
+    onto the sqrt(e_h) sphere by the training kernel's forward half, run on
+    a one-model stack.
 
     The projection is exact (h = sqrt(e_h) * raw / |raw|) and rows with
     |raw| < 1e-12 are rejected rather than silently rescaled.
@@ -210,9 +201,9 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> FeatureBatch:
         )
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
-    _, raw, _, h = _forward_half([w[None] for w in params.weights],
-                                 [b[None, None] for b in params.biases], x[None], e_h)
-    return FeatureBatch(raw=raw[0], h=h[0], e_h=float(e_h))
+    _, _, _, h = _forward_half([w[None] for w in params.weights],
+                               [b[None, None] for b in params.biases], x[None], e_h)
+    return h[0]
 
 
 def _effective_matrix(classifier) -> np.ndarray:
@@ -222,18 +213,13 @@ def _effective_matrix(classifier) -> np.ndarray:
     return np.asarray(classifier, dtype=np.float64)
 
 
-def _feature_rows(features) -> np.ndarray:
-    """The B x d projected features of a FeatureBatch or of a B x d array."""
-    return features.h if isinstance(features, FeatureBatch) else np.asarray(features, float)
-
-
 def logits(features, classifier, phi: PhiVector | None = None) -> np.ndarray:
     """Bilinear logits z[b, c] = phi_c * <classifier_c, h_b> (no bias).
 
-    `features` is a FeatureBatch or a B x d array; `classifier` is an
-    EtfClassifier or a learnable d x C matrix; phi=None means all-ones.
+    `features` is a B x d array; `classifier` is an EtfClassifier or a
+    learnable d x C matrix; phi=None means all-ones.
     """
-    h = _feature_rows(features)
+    h = np.asarray(features, dtype=np.float64)
     w = _effective_matrix(classifier)
     if h.ndim != 2 or h.shape[1] != w.shape[0]:
         raise ValueError(f"feature dim {h.shape} does not match classifier {w.shape}")
@@ -277,16 +263,6 @@ def _check_labels(y: np.ndarray, mask: np.ndarray) -> None:
     if not mask[y].all():
         bad = y[~mask[y]][0]
         raise ValueError(f"invalid label: class {bad} is outside the class mask")
-
-
-def _masked_softmax(z: np.ndarray, mask: np.ndarray):
-    """Row softmax over masked columns; excluded columns get probability 0."""
-    zm = np.where(mask[None, :], z, -np.inf)
-    zmax = zm.max(axis=1, keepdims=True)
-    ez = np.exp(zm - zmax)
-    denom = ez.sum(axis=1, keepdims=True)
-    logsumexp = zmax + np.log(denom)
-    return ez / denom, logsumexp
 
 
 @dataclass
@@ -514,10 +490,10 @@ def lpm_feature_fit(n_classes: int, feature_dim: int, e_h: float,
     h = math.sqrt(e_h) * h / np.linalg.norm(h, axis=1, keepdims=True)
     onehot = np.zeros((len(y), n_classes))
     onehot[np.arange(len(y)), y] = 1.0
-    full_mask = np.ones(n_classes, dtype=bool)
     for _ in range(int(iterations)):
         z = h @ w
-        probs, _ = _masked_softmax(z, full_mask)
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = ez / ez.sum(axis=1, keepdims=True)
         g = (probs - onehot) @ w.T   # per-sample loss, no 1/n
         h = h - lr * g
         h = math.sqrt(e_h) * h / np.linalg.norm(h, axis=1, keepdims=True)

@@ -18,14 +18,12 @@ import numpy as np
 from fedgela.etfgeom import EtfClassifier
 from fedgela.neuralnet import (
     BackboneParams,
-    FeatureBatch,
     PhiVector,
     _as_mask,
     _check_finite,
     _check_labels,
     _check_norms,
     _effective_matrix,
-    _masked_softmax,
     logits,
 )
 
@@ -71,6 +69,29 @@ class OptimizerState:
             vel_biases=[np.zeros_like(b) for b in params.biases],
             vel_classifier=None if classifier is None else np.zeros_like(classifier),
         )
+
+
+@dataclass(frozen=True)
+class FeatureBatch:
+    """Raw last-layer outputs and their projection onto the sqrt(e_h)
+    sphere; as an array (logits, predict) it is the projection."""
+
+    raw: np.ndarray
+    h: np.ndarray
+    e_h: float
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.h, dtype=dtype)
+
+
+def _masked_softmax(z: np.ndarray, mask: np.ndarray):
+    """Row softmax over masked columns; excluded columns get probability 0."""
+    zm = np.where(mask[None, :], z, -np.inf)
+    zmax = zm.max(axis=1, keepdims=True)
+    ez = np.exp(zm - zmax)
+    denom = ez.sum(axis=1, keepdims=True)
+    logsumexp = zmax + np.log(denom)
+    return ez / denom, logsumexp
 
 
 @dataclass

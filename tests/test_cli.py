@@ -393,6 +393,15 @@ class TestCmdGradcheck:
         assert main(["gradcheck"]) == 1
         assert "worst offender" in capsys.readouterr().out
 
+    def test_forward_without_sqrt_e_h_scale_fails(self, monkeypatch, capsys):
+        # at the default e_h = 1 the scale is 1, so only the 4 * e_h probe sees it
+        import fedgela.neuralnet as nn
+        real = nn._forward_half
+        monkeypatch.setattr(nn, "_forward_half",
+                            lambda weights, biases, x, e_h: real(weights, biases, x, 1.0))
+        assert main(["gradcheck"]) == 1
+        assert "worst offender" in capsys.readouterr().out
+
 
 class TestCmdPartitionReport:
     def test_pcdd_rows_have_exactly_two_classes(self, tmp_path):
