@@ -155,6 +155,8 @@ _CROSS_RULES = (
      "'classes_per_client' (pcdd) given"),
     (lambda given, c: c["scheme"] == "pcdd" and c["classes_per_client"] is None,
      "scheme 'pcdd' requires 'classes_per_client'"),
+    (lambda given, c: c["scheme"] == "dirichlet" and "classes_per_client" in given,
+     "config key 'classes_per_client' is a pcdd setting, but scheme is {scheme!r}"),
     (lambda given, c: c["dataset"] == "csv" and not c["csv_path"],
      "missing required config key 'csv_path' for dataset=csv"),
     (lambda given, c: c["clients_per_round"] > c["clients"],
@@ -256,21 +258,21 @@ def _final_metrics(logs) -> tuple:
 def cmd_run(config: RunConfig) -> int:
     """Run one experiment; write rounds.csv, manifest.json and checkpoints.
     The output directory is created only once the run has succeeded."""
-    result = fedsim.run_federation(config)
+    state = fedsim.run_federation(config)
+    inputs = state.inputs
     out = _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-    fedsim.write_round_csv(result.logs, out / "rounds.csv")
-    fedsim.write_manifest(out / "manifest.json", config, result.dataset)
-    server = result.server
-    clf = server.classifier if isinstance(server.classifier, np.ndarray) else None
-    save_checkpoint(out / "global_model.npz", server.backbone, classifier=clf)
+    fedsim.write_round_csv(state.logs, out / "rounds.csv")
+    fedsim.write_manifest(out / "manifest.json", config, inputs.dataset)
+    server = inputs.template._on(state.server_theta)
+    save_checkpoint(out / "global_model.npz", server, classifier=server.classifier)
     clients_dir = out / "clients"
     clients_dir.mkdir(exist_ok=True)
-    for c in result.clients:
-        if c.backbone is not None:
-            save_checkpoint(clients_dir / f"client_{c.client_id:03d}.npz",
-                            c.backbone, classifier=c.classifier)
-    ga, pa = _final_metrics(result.logs)
+    for i in np.flatnonzero(state.trained):
+        model = inputs.template._on(state.client_theta[i])
+        save_checkpoint(clients_dir / f"client_{inputs.shards[i].client_id:03d}.npz",
+                        model, classifier=model.classifier)
+    ga, pa = _final_metrics(state.logs)
     if ga is not None:
         print(f"run complete: algo={config.algo} rounds={config.rounds} "
               f"GA={ga:.4f} PA={pa:.4f} -> {out}")

@@ -25,7 +25,6 @@ __all__ = [
     "make_client_shard",
     "load_csv",
     "save_csv",
-    "class_histogram",
     "partition_table",
     "write_partition_csv",
     "dataset_sha256",
@@ -374,16 +373,6 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write(",".join([f"f{i}" for i in range(ds.input_dim)] + ["label"]) + "\n")
         for row, label in zip(ds.features, ds.labels):
             fh.write(",".join(f"{x:.17g}" for x in row) + f",{int(label)}\n")
-
-
-def class_histogram(shard: ClientShard, ds: Dataset) -> np.ndarray:
-    """Recompute a shard's per-class counts from the dataset."""
-    idx = shard.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= ds.n):
-        raise ValueError(
-            f"shard corruption: client {shard.client_id} has index outside [0, {ds.n})"
-        )
-    return np.bincount(ds.labels[idx], minlength=ds.n_classes)
 
 
 def partition_table(shards, n_classes: int) -> np.ndarray:

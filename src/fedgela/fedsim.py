@@ -6,6 +6,9 @@ keep the classifier fixed as a simplex frame and only ever exchange
 backbones, with FedGELA (and the LA-only ablation arm) scaling classifier
 columns by each client's class-distribution vector and restricting the
 softmax to locally existing classes.
+
+A run's whole state is a RunState of a few arrays: `init_state` builds it
+and `step` runs one round on it.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from . import metrics
 from .datagen import (
-    ClientShard,
     Dataset,
     PartitionSpec,
     dataset_sha256,
@@ -30,7 +32,6 @@ from .etfgeom import make_etf
 from .neuralnet import (
     BackboneParams,
     PhiVector,
-    _as_mask,
     _check_labels,
     _effective_matrix,
     flatten,
@@ -39,9 +40,9 @@ from .neuralnet import (
     train_step,
 )
 
-__all__ = ["AlgoKind", "Hyperparams", "feature_width", "ClientState", "ServerState",
-           "RoundLog", "FederationResult", "compute_phi", "sample_clients", "local_train",
-           "aggregate", "finetune_personalize",
+__all__ = ["AlgoKind", "Hyperparams", "feature_width", "RunInputs", "RunState",
+           "RoundLog", "compute_phi", "sample_clients", "local_train",
+           "aggregate", "finetune_personalize", "init_state", "step",
            "run_federation", "run_many", "build_dataset", "build_partition",
            "write_round_csv", "read_round_csv", "write_manifest",
            "ROUND_CSV_COLUMNS"]
@@ -115,23 +116,41 @@ def feature_width(algo: AlgoKind, feature_dim: int | None, n_classes: int,
     return width
 
 
+@dataclass(frozen=True)
+class RunInputs:
+    """What a run reads and never writes: its config (and the AlgoKind and
+    Hyperparams built from it), data set and shards, the per-client (N, C)
+    phi and boolean class-mask arrays (None unless the algorithm adapts
+    phi), the `template` every model row is laid out as (the initial server
+    model, learnable classifier included), the fixed simplex `frame` (None
+    for a learnable classifier) and the global test indices."""
+
+    config: object
+    algo: AlgoKind
+    hp: Hyperparams
+    dataset: Dataset
+    shards: tuple
+    phi: np.ndarray | None
+    mask: np.ndarray | None
+    template: BackboneParams
+    frame: object
+    global_test: np.ndarray
+
+
 @dataclass
-class ClientState:
-    """One client's shard, adaptation vector, and last local model."""
+class RunState:
+    """A run after `round` rounds: the server's model row, one row per
+    client (its last local model, where `trained`) and one RoundLog per
+    round. Every random draw is seeded from the master seed, the round and
+    the client, and the optimizer state starts afresh each round, so this is
+    the whole state of a run: a copy stepped on matches the original."""
 
-    client_id: int
-    shard: ClientShard
-    phi: PhiVector | None
-    mask: np.ndarray                       # boolean, True on existing classes
-    backbone: BackboneParams | None = None
-    classifier: np.ndarray | None = None   # learnable variants only
-
-
-@dataclass
-class ServerState:
-    backbone: BackboneParams
-    classifier: object                     # EtfClassifier, or backbone.classifier
-    round: int = 0
+    inputs: RunInputs
+    round: int
+    server_theta: np.ndarray      # (P,)
+    client_theta: np.ndarray      # (N, P)
+    trained: np.ndarray           # (N,) bool
+    logs: list
 
 
 @dataclass
@@ -149,16 +168,6 @@ class RoundLog:
     local_exist_angle: float | None = None
     clf_exist_angle: float | None = None
     clf_miss_angle: float | None = None
-
-
-@dataclass
-class FederationResult:
-    logs: list
-    server: ServerState
-    clients: list
-    dataset: Dataset
-    shards: list
-    global_test_indices: np.ndarray
 
 
 def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> PhiVector:
@@ -198,29 +207,6 @@ def sample_clients(n_clients: int, k: int, round_seed) -> np.ndarray:
     return np.sort(ids)
 
 
-def build_client_states(shards, n_classes: int, algo: AlgoKind,
-                        gamma: float | None = None, q_kind: str = "identity") -> list:
-    g = gamma if gamma is not None else 1.0 / n_classes
-    clients = []
-    for shard in shards:
-        mask = shard.counts > 0
-        phi = compute_phi(shard.counts, shard.n_k, g, q_kind) if algo.adapts_phi else None
-        clients.append(ClientState(
-            client_id=shard.client_id,
-            shard=shard,
-            phi=phi,
-            mask=mask if algo.adapts_phi else np.ones(n_classes, dtype=bool),
-        ))
-    return clients
-
-
-@dataclass
-class LocalResult:
-    backbone: BackboneParams
-    classifier: np.ndarray | None
-    epoch_losses: list
-
-
 # Largest rows x parameters of one stacked training step. The REFERENCE net
 # (about 3.4k parameters) then trains 17-19 clients per stack, and a net of
 # more than 2**15 parameters one client at a time: stacking wide nets gains
@@ -229,13 +215,23 @@ class LocalResult:
 STACK_ELEMENTS = 2 ** 16
 
 
-def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
-                hp: Hyperparams, ds: Dataset, seed_parts):
-    """Run `hp.epochs` epochs of mini-batch SGD on each client's train split,
+def _pick(rows, sel):
+    """rows[sel], or None for no rows."""
+    return None if rows is None else rows[sel]
+
+
+def local_train(shards, backbone: BackboneParams, classifier, algo: AlgoKind,
+                hp: Hyperparams, ds: Dataset, seed_parts, phi=None, mask=None):
+    """Run `hp.epochs` epochs of mini-batch SGD on each shard's train split,
     every client starting from the given (global) weights.
 
-    `clients` is a sequence of ClientStates and `seed_parts` one shuffle seed
-    tuple per client; the result is a list of LocalResults in the same order.
+    `seed_parts` is one shuffle seed tuple per shard; `phi` and `mask` are
+    (m, C) arrays of the clients' class weights and existing classes, or
+    None for all ones and all classes, and a train label outside its
+    client's mask is rejected. Returns the (m, P) matrix of the trained
+    model rows, in input order and laid out as the start model (the
+    learnable classifier last, for the variants that have one), and the
+    (m, epochs) matrix of each client's mean batch loss per epoch.
     Batches are a seeded shuffle each epoch (seed derived from the client's
     seed_parts and the epoch index); the last partial batch is kept.
     Learnable-classifier variants update the classifier jointly, as part of
@@ -247,74 +243,69 @@ def local_train(clients, backbone: BackboneParams, classifier, algo: AlgoKind,
     order, so the error raised is the one that training them one after
     another raises first; a numeric failure is re-raised naming the client.
     """
-    clients, seeds = list(clients), [tuple(s) for s in seed_parts]
-    if len(seeds) != len(clients):
+    shards, seeds = list(shards), [tuple(s) for s in seed_parts]
+    if len(seeds) != len(shards):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
-                         f"for {len(clients)} clients")
+                         f"for {len(shards)} clients")
     try:
-        results = _train_clients(clients, seeds, backbone, classifier, algo, hp, ds)
+        return _train_clients(shards, seeds, backbone, classifier, algo, hp, ds, phi, mask)
     except (ValueError, FloatingPointError):
         # trajectories are independent, so the first client that fails alone
         # is the one the sequential loop fails on
-        for c, s in zip(clients, seeds):
+        for k, (s, seed) in enumerate(zip(shards, seeds)):
+            one = slice(k, k + 1)
             try:
-                _train_clients([c], [s], backbone, classifier, algo, hp, ds)
+                _train_clients([s], [seed], backbone, classifier, algo, hp, ds,
+                               _pick(phi, one), _pick(mask, one))
             except FloatingPointError as exc:
-                raise FloatingPointError(f"client {c.client_id}: {exc}") from exc
+                raise FloatingPointError(f"client {s.client_id}: {exc}") from exc
         raise
-    return results
 
 
-def _train_clients(clients, seeds, backbone, classifier, algo, hp, ds) -> list:
-    """local_train's results in input order. Stacks hold clients sorted by
+def _train_clients(shards, seeds, backbone, classifier, algo, hp, ds, phi, mask) -> tuple:
+    """local_train's row and loss matrices. Stacks hold clients sorted by
     train-split size (descending, stable), so the clients that still have a
     full batch at an offset are a prefix of the stack."""
     n_classes = _effective_matrix(classifier).shape[1]
-    masks = []
-    for c in clients:
-        train_idx = c.shard.train_indices
-        if train_idx.size == 0:
-            raise ValueError(f"client {c.client_id} has an empty train split")
-        mask = None
-        if algo.adapts_phi:
-            mask = _as_mask(c.mask, n_classes)
-            _check_labels(ds.labels[train_idx], mask)  # once, not per batch
-        masks.append(mask)
+    for name, rows in (("phi", phi), ("mask", mask)):
+        if rows is not None and np.shape(rows) != (len(shards), n_classes):
+            raise ValueError(f"{name} must hold one row of {n_classes} classes per "
+                             f"client, got shape {np.shape(rows)} for {len(shards)} clients")
+    for k, s in enumerate(shards):
+        if s.train_indices.size == 0:
+            raise ValueError(f"client {s.client_id} has an empty train split")
+        if mask is not None:
+            _check_labels(ds.labels[s.train_indices], mask[k])  # once, not per batch
     start = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
                            None if algo.fixed_classifier else classifier)
     cap = max(1, STACK_ELEMENTS // start.theta.size)
-    order = sorted(range(len(clients)), key=lambda p: -clients[p].shard.train_indices.size)
-    results = [None] * len(clients)
+    order = sorted(range(len(shards)), key=lambda p: -shards[p].train_indices.size)
+    rows = np.empty((len(shards), start.theta.size))
+    losses = np.empty((len(shards), hp.epochs))
     for g in range(0, len(order), cap):
         group = order[g:g + cap]
-        stacked = _train_stack(group, clients, seeds, masks, start, classifier,
-                               algo, hp, ds)
-        for p, res in zip(group, stacked):
-            results[p] = res
-    return results
+        rows[group], losses[group] = _train_stack(group, shards, seeds, start, classifier,
+                                                  algo, hp, ds, _pick(phi, group),
+                                                  _pick(mask, group))
+    return rows, losses
 
 
-def _train_stack(positions, clients, seeds, masks, start, classifier,
-                 algo, hp, ds) -> list:
-    """Train clients[p] for p in `positions` (train splits of non-increasing
-    size) as one stack of models, each starting from the model `start` (with
-    the learnable classifier, if any); one LocalResult each."""
+def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
+                 phi, mask) -> tuple:
+    """Train shards[p] for p in `positions` (train splits of non-increasing
+    size) as one stack of models, each starting from the model `init` (with
+    the learnable classifier, if any), with the (k, C) `phi` and `mask` rows
+    of those clients. Returns the (k, P) trained rows and (k, epochs)
+    losses."""
     k_rows = len(positions)
     learnable = not algo.fixed_classifier
     prox = algo.kind == "fedprox" and algo.lambda_prox > 0
-    model = flatten(start, k_rows, prox)
+    model = flatten(init, k_rows, prox)
     frame = _effective_matrix(classifier)
     n_classes = frame.shape[1]
-    prox_ref = start.theta if prox else None
-    phi = mask = None
-    if algo.adapts_phi:
-        phis = [clients[p].phi for p in positions]
-        if any(f is not None for f in phis):
-            phi = np.stack([np.ones(n_classes) if f is None else f.phi
-                            for f in phis])[:, None, :]
-        row_masks = [masks[p] for p in positions]
-        if not all(m.all() for m in row_masks):
-            mask = np.stack(row_masks)[:, None, :]
+    prox_ref = init.theta if prox else None
+    phi = None if phi is None else phi[:, None, :]
+    mask = None if mask is None or mask.all() else mask[:, None, :]
     step = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
                 weight_decay=float(hp.weight_decay),
                 lambda_prox=float(algo.lambda_prox), prox_ref=prox_ref)
@@ -322,7 +313,7 @@ def _train_stack(positions, clients, seeds, masks, start, classifier,
     # one epoch's steps: (batch number, first row, row stop, batch start, batch
     # stop); the rows with a full batch at offset i form a prefix, and each
     # partial last batch is a one-row stack of its own
-    n = [clients[p].shard.train_indices.size for p in positions]
+    n = [shards[p].train_indices.size for p in positions]
     size = hp.batch_size
     steps = []
     for j, i in enumerate(range(0, n[0], size)):
@@ -341,13 +332,13 @@ def _train_stack(positions, clients, seeds, masks, start, classifier,
                 mask=None if mask is None else mask[cut])
     n_batches = [-(-nk // size) for nk in n]
     losses = np.empty((k_rows, n_batches[0]))
-    epoch_losses = [[] for _ in positions]
+    epoch_losses = np.empty((k_rows, hp.epochs))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
     classes = np.arange(n_classes)
     for epoch in range(hp.epochs):
         for k, p in enumerate(positions):
             rng = np.random.default_rng(seeds[p] + (epoch,))
-            train_idx = clients[p].shard.train_indices
+            train_idx = shards[p].train_indices
             shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
         xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
         for j, start, stop, i, end in steps:
@@ -355,48 +346,38 @@ def _train_stack(positions, clients, seeds, masks, start, classifier,
             losses[start:stop, j] = train_step(rows, xs[start:stop, i:end],
                                                hot[start:stop, i:end], **kwargs)
         for k in range(k_rows):
-            epoch_losses[k].append(float(np.mean(losses[k, :n_batches[k]])))
-    out = []
-    for k in range(k_rows):
-        bb = model.row(k)
-        out.append(LocalResult(backbone=bb, classifier=bb.classifier,
-                               epoch_losses=epoch_losses[k]))
-    return out
+            epoch_losses[k, epoch] = np.mean(losses[k, :n_batches[k]])
+    return model.theta, epoch_losses
 
 
-def aggregate(updates, weights) -> BackboneParams:
-    """Weighted average of models of one layout, the learnable classifier
-    included when they carry one: their rows theta are reduced in list order."""
+def aggregate(rows, weights) -> np.ndarray:
+    """Weighted average of model rows of one layout (an (m, P) matrix or a
+    list of rows): w0 * r0 + w1 * r1 + ..., reduced in list order."""
     weights = np.asarray(weights, dtype=np.float64)
-    if len(updates) != len(weights) or len(updates) == 0:
-        raise ValueError("need one weight per update")
+    if len(rows) != len(weights) or len(rows) == 0:
+        raise ValueError("need one weight per row")
     if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be positive and sum to 1")
-    first = updates[0]
-    for u in updates[1:]:
-        if u.layer_sizes != first.layer_sizes or u.theta.shape != first.theta.shape:
-            raise ValueError(f"shape mismatch across updates: {first.layer_sizes} with "
-                             f"{first.theta.size} parameters against {u.layer_sizes} "
-                             f"with {u.theta.size}")
-    acc = weights[0] * first.theta
-    for w, u in zip(weights[1:], updates[1:]):
-        acc = acc + w * u.theta
-    return first._on(acc)
+    shapes = {np.shape(r) for r in rows}
+    if len(shapes) > 1:
+        raise ValueError(f"shape mismatch across rows: {sorted(shapes)}")
+    acc = weights[0] * rows[0]
+    for w, r in zip(weights[1:], rows[1:]):
+        acc = acc + w * r
+    return acc
 
 
 def finetune_personalize(backbone: BackboneParams, classifier, shards,
                          algo: AlgoKind, hp: Hyperparams, epochs: int,
                          ds: Dataset, seed_parts):
     """Continue the algorithm's local training on each shard from the given
-    (global) weights for `epochs` epochs; epochs=0 returns them unchanged.
-    `shards` is a sequence of ClientShards and `seed_parts` one seed tuple
-    per shard, as in local_train; the result is a list of LocalResults."""
+    (global) weights for `epochs` epochs, with no phi and every class;
+    epochs=0 returns them unchanged. Otherwise as local_train: the (m, P)
+    rows and the (m, epochs) losses."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    clients = [ClientState(client_id=s.client_id, shard=s, phi=None,
-                           mask=np.ones(ds.n_classes, dtype=bool)) for s in shards]
-    ft_hp = replace(hp, epochs=int(epochs))
-    return local_train(clients, backbone, classifier, algo, ft_hp, ds, seed_parts)
+    return local_train(shards, backbone, classifier, algo, replace(hp, epochs=int(epochs)),
+                       ds, seed_parts)
 
 
 def build_dataset(config) -> Dataset:
@@ -426,26 +407,6 @@ def build_partition(ds: Dataset, config) -> list:
     return pcdd_partition(ds, spec, test_frac=config.test_frac)
 
 
-def _evaluate(server: ServerState, clients, algo: AlgoKind, hp: Hyperparams,
-              ds: Dataset, global_test: np.ndarray, participants, round_index: int,
-              master_seed, finetune_epochs: int):
-    """GA, PA and angles at one evaluation point (metrics.evaluate). A client's
-    personal model is its client state if the algorithm adapts phi, else its
-    fine-tune; the global weights fill in what is None."""
-    models = clients
-    if not algo.adapts_phi:
-        models = finetune_personalize(
-            server.backbone, server.classifier, [c.shard for c in clients], algo, hp,
-            finetune_epochs, ds,
-            [(master_seed, _SEED_FINETUNE, round_index, c.client_id) for c in clients])
-    personal = [(c.shard, m.backbone if m.backbone is not None else server.backbone,
-                 m.classifier if m.classifier is not None else server.classifier,
-                 c.phi, c.mask) for m, c in zip(models, clients)]
-    return metrics.evaluate((server.backbone, server.classifier), personal,
-                            [(c.shard, c.backbone, c.classifier) for c in participants],
-                            ds, global_test, hp.e_h)
-
-
 def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:
     """PA needs every client's test split and the global angle needs every
     class in the global test set."""
@@ -457,17 +418,36 @@ def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:
         raise ValueError(f"class {absent[0]} is absent from the global test set")
 
 
-def run_federation(config, dataset: Dataset | None = None,
-                   shards: list | None = None) -> FederationResult:
-    """Run T federated rounds of sample / broadcast / local train / aggregate.
+def _evaluate(state: RunState, ids, t: int):
+    """GA, PA and angles after round t (metrics.evaluate). A client's
+    personal model is its row, or the server row until it has trained, if
+    the algorithm adapts phi; else its fine-tune of the server row."""
+    inp = state.inputs
+    shards, n = inp.shards, len(inp.shards)
+    if inp.algo.adapts_phi:
+        personal = [state.client_theta[i] if state.trained[i] else state.server_theta
+                    for i in range(n)]
+        phis, masks = [PhiVector(p) for p in inp.phi], list(inp.mask)
+    else:
+        server = inp.template._on(state.server_theta)
+        personal, _ = finetune_personalize(
+            server, server.classifier if inp.frame is None else inp.frame, shards, inp.algo,
+            inp.hp, inp.config.finetune_epochs, inp.dataset,
+            [(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in shards])
+        phis = masks = [None] * n
+    return metrics.evaluate(inp.template, inp.frame, state.server_theta,
+                            list(zip(shards, personal, phis, masks)),
+                            [(int(i), state.client_theta[i]) for i in ids],
+                            inp.dataset, inp.global_test, inp.hp.e_h,
+                            local_is_personal=inp.algo.adapts_phi)
 
-    Each round trains its sampled clients in one local_train call and
-    aggregates them in ascending client-id order, so results are
-    bit-deterministic per master seed. Evaluation metrics are recorded every
-    `eval_every` rounds and on the final round; a partition that cannot be
-    evaluated, or a loaded csv whose class count is not `classes`, is
-    rejected before round 1.
-    """
+
+def init_state(config, dataset: Dataset | None = None,
+               shards: list | None = None) -> RunState:
+    """A run before round 1: the data set and partition of `config` (or the
+    given ones), the initial models and the clients' phi and masks. A
+    partition that cannot be evaluated, or a loaded csv whose class count
+    is not `classes`, is rejected here."""
     algo = AlgoKind(kind=config.algo, lambda_prox=config.lambda_prox)
     hp = Hyperparams(lr=config.lr, momentum=config.momentum,
                      weight_decay=config.weight_decay, epochs=config.epochs,
@@ -481,73 +461,91 @@ def run_federation(config, dataset: Dataset | None = None,
                          f"{config.csv_path} has {n_classes} classes")
     feat_dim = feature_width(algo, getattr(config, "feature_dim", None), n_classes,
                              f"csv_path {config.csv_path}" if from_csv else "the dataset")
-    shards = shards if shards is not None else build_partition(ds, config)
+    shards = tuple(shards if shards is not None else build_partition(ds, config))
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed
 
-    backbone = init_backbone(layer_sizes, (seed, _SEED_INIT))
+    template = init_backbone(layer_sizes, (seed, _SEED_INIT))
+    frame = None
     if algo.fixed_classifier:
-        classifier = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
+        frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
     else:
-        backbone = BackboneParams(backbone.weights, backbone.biases, layer_sizes,
+        template = BackboneParams(template.weights, template.biases, layer_sizes,
                                   init_classifier(feat_dim, n_classes, (seed, _SEED_INIT, 1)))
-        classifier = backbone.classifier
-    server = ServerState(backbone=backbone, classifier=classifier)
-    clients = build_client_states(shards, n_classes, algo,
-                                  gamma=config.gamma, q_kind=config.q_kind)
+    phi = mask = None
+    if algo.adapts_phi:
+        gamma = config.gamma if config.gamma is not None else 1.0 / n_classes
+        phi = np.stack([compute_phi(s.counts, s.n_k, gamma, config.q_kind).phi
+                        for s in shards])
+        mask = np.stack([s.counts > 0 for s in shards])
     global_test = np.sort(np.concatenate([s.test_indices for s in shards]))
     if config.rounds >= 1 and config.eval_every:
         _check_evaluable(shards, ds, global_test)
-    k = config.clients_per_round
+    inputs = RunInputs(config=config, algo=algo, hp=hp, dataset=ds, shards=shards,
+                       phi=phi, mask=mask, template=template, frame=frame,
+                       global_test=global_test)
+    return RunState(inputs=inputs, round=0, server_theta=template.theta,
+                    client_theta=np.zeros((len(shards), template.theta.size)),
+                    trained=np.zeros(len(shards), dtype=bool), logs=[])
 
-    logs = []
-    for t in range(1, config.rounds + 1):
-        ids = sample_clients(len(clients), k, (seed, _SEED_SAMPLE, t))
-        sampled = [clients[int(cid)] for cid in ids]
+
+def step(state: RunState, t: int) -> RoundLog:
+    """Round t on `state`: sample clients, train them from the server row in
+    one local_train call, aggregate their rows in ascending client-id order
+    and, every `eval_every` rounds and on the last, evaluate. Appends the
+    round's log to state.logs and returns it."""
+    inp = state.inputs
+    config, algo, seed = inp.config, inp.algo, inp.config.seed
+    ids = sample_clients(len(inp.shards), config.clients_per_round, (seed, _SEED_SAMPLE, t))
+    sampled = [inp.shards[i] for i in ids]
+    server = inp.template._on(state.server_theta)
+    try:
+        rows, losses = local_train(
+            sampled, server, server.classifier if inp.frame is None else inp.frame, algo,
+            inp.hp, inp.dataset, [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
+            _pick(inp.phi, ids), _pick(inp.mask, ids))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {t}: {exc}") from exc
+    state.client_theta[ids] = rows
+    state.trained[ids] = True
+    n_sampled = np.array([s.n_k for s in sampled], dtype=np.float64)
+    state.server_theta = aggregate(rows, n_sampled / n_sampled.sum())
+    state.round = t
+
+    client_losses = {s.client_id: float(np.mean(row))
+                     for s, row in zip(sampled, losses) if row.size}
+    mean_loss = float(np.mean(list(client_losses.values()))) if client_losses else None
+    log = RoundLog(round=t, algo=algo.kind, participants=tuple(int(i) for i in ids),
+                   client_losses=client_losses, mean_train_loss=mean_loss)
+    if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
         try:
-            trained = local_train(
-                sampled, server.backbone, server.classifier, algo, hp, ds,
-                [(seed, _SEED_SHUFFLE, t, c.client_id) for c in sampled],
-            )
+            report = _evaluate(state, ids, t)
         except FloatingPointError as exc:
             raise FloatingPointError(f"round {t}: {exc}") from exc
-        for c, res in zip(sampled, trained):
-            c.backbone, c.classifier = res.backbone, res.classifier
-        n_sampled = np.array([c.shard.n_k for c in sampled], dtype=np.float64)
-        weights = n_sampled / n_sampled.sum()
-        server.backbone = aggregate([res.backbone for res in trained], weights)
-        if not algo.fixed_classifier:
-            server.classifier = server.backbone.classifier
-        server.round = t
+        log.ga, log.pa = report.ga, report.pa
+        angles = report.angles
+        log.global_mean_angle = angles.global_all_class_mean_angle
+        log.local_exist_angle = angles.per_client_existing_class_mean_angle
+        log.clf_exist_angle = angles.classifier_existing_angle
+        log.clf_miss_angle = angles.classifier_missing_angle
+    state.logs.append(log)
+    return log
 
-        client_losses = {c.client_id: float(np.mean(res.epoch_losses))
-                         for c, res in zip(sampled, trained) if res.epoch_losses}
-        mean_loss = float(np.mean(list(client_losses.values()))) if client_losses else None
-        log = RoundLog(
-            round=t, algo=algo.kind, participants=tuple(int(i) for i in ids),
-            client_losses=client_losses, mean_train_loss=mean_loss,
-        )
-        if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
-            try:
-                report = _evaluate(server, clients, algo, hp, ds, global_test, sampled,
-                                   t, seed, config.finetune_epochs)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"round {t}: {exc}") from exc
-            log.ga, log.pa = report.ga, report.pa
-            angles = report.angles
-            log.global_mean_angle = angles.global_all_class_mean_angle
-            log.local_exist_angle = angles.per_client_existing_class_mean_angle
-            log.clf_exist_angle = angles.classifier_existing_angle
-            log.clf_miss_angle = angles.classifier_missing_angle
-        logs.append(log)
-    return FederationResult(logs=logs, server=server, clients=clients,
-                            dataset=ds, shards=shards,
-                            global_test_indices=global_test)
+
+def run_federation(config, dataset: Dataset | None = None,
+                   shards: list | None = None) -> RunState:
+    """Run T federated rounds of sample / broadcast / local train / aggregate
+    (init_state, then step for t = 1..T) and return the final RunState.
+    Results are bit-deterministic per master seed."""
+    state = init_state(config, dataset, shards)
+    for t in range(1, config.rounds + 1):
+        step(state, t)
+    return state
 
 
 def _logs_and_dataset(config) -> tuple:
-    result = run_federation(config)
-    return result.logs, result.dataset
+    state = run_federation(config)
+    return state.logs, state.inputs.dataset
 
 
 def run_many(configs):

@@ -155,30 +155,36 @@ def angle_report(features, ds, global_test_indices, local_entries=None) -> Angle
     )
 
 
-def evaluate(global_model, personal_models, local_models, ds, global_test,
-             e_h: float = 1.0) -> EvalReport:
-    """GA, PA and angles at one evaluation point, forwarding each (backbone,
-    split) pair once. `global_model` is (backbone, classifier) on
-    `global_test`; `personal_models` holds one (shard, backbone, classifier,
-    phi, mask) per client and `local_models` one (shard, backbone,
-    classifier) per participant, each on its shard's test split."""
-    backbone, classifier = global_model
-    features = forward(backbone, ds.features[global_test], e_h)
+def evaluate(template, frame, global_row, personal_models, local_models, ds, global_test,
+             e_h: float = 1.0, local_is_personal: bool = False) -> EvalReport:
+    """GA, PA and angles at one evaluation point, forwarding each (model,
+    split) pair once. A model is a row laid out as the `template` model,
+    scored with its own learnable classifier when the layout has one, else
+    with the fixed `frame`. `global_row` is scored on `global_test`;
+    `personal_models` holds one (shard, row, phi, mask) per client and
+    `local_models` one (client index, row) per participant, each on its
+    shard's test split. With `local_is_personal`, each participant's local
+    model is its personal model, whose features are reused."""
+    def model(row):
+        m = template._on(row)
+        return m, frame if m.classifier is None else m.classifier
+
+    server, classifier = model(global_row)
+    features = forward(server, ds.features[global_test], e_h)
     ga = generic_accuracy(features, classifier, ds.labels[global_test])
-    split_features = {}   # (client id, id of backbone) -> features on its test split
-
-    def on_split(shard, bb):
-        key = (shard.client_id, id(bb))
-        if key not in split_features:
-            split_features[key] = None if bb is None else forward(
-                bb, ds.features[shard.test_indices], e_h)
-        return split_features[key]
-
-    pa, per_client = personal_accuracy(
-        [(on_split(s, bb), clf, phi, mask) for s, bb, clf, phi, mask in personal_models],
-        [m[0] for m in personal_models], ds)
-    angles = angle_report(features, ds, global_test,
-                          [(s, on_split(s, bb), clf) for s, bb, clf in local_models])
+    scored = []
+    for shard, row, phi, mask in personal_models:
+        m, clf = model(row)
+        scored.append((forward(m, ds.features[shard.test_indices], e_h), clf, phi, mask))
+    shards = [m[0] for m in personal_models]
+    pa, per_client = personal_accuracy(scored, shards, ds)
+    local = []
+    for i, row in local_models:
+        m = template._on(row)
+        f = scored[i][0] if local_is_personal else forward(
+            m, ds.features[shards[i].test_indices], e_h)
+        local.append((shards[i], f, m.classifier))
+    angles = angle_report(features, ds, global_test, local)
     return EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client), angles=angles)
 
 

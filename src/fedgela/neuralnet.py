@@ -292,10 +292,6 @@ class FlatModel:
         return FlatModel(self.theta[s], self.grad[s], self.vel[s],
                          None if self.prox is None else self.prox[s], self.template)
 
-    def row(self, k: int) -> BackboneParams:
-        """Model k, on a copy of theta[k] so that it does not keep the stack alive."""
-        return self.template._on(self.theta[k].copy())
-
 
 def flatten(model: BackboneParams, k: int, prox: bool = False) -> FlatModel:
     """A stack of k copies of model (its classifier included, if it has one)

@@ -17,7 +17,6 @@ from fedgela.etfgeom import make_etf, verify_etf
 from fedgela.fedsim import (
     AlgoKind,
     Hyperparams,
-    build_client_states,
     compute_phi,
     local_train,
     read_round_csv,
@@ -141,14 +140,9 @@ def test_criterion_5_reductions():
     res_ge = run_federation(parse_config(small | {"algo": "fedge"}))
     same_a = all(_log_fields(a) == _log_fields(b)
                  for a, b in zip(res_gela.logs, res_ge.logs))
-    same_a = same_a and all(
-        x.tobytes() == y.tobytes()
-        for x, y in zip(res_gela.server.backbone.tensors(),
-                        res_ge.server.backbone.tensors()))
-    same_a = same_a and all(
-        x.tobytes() == y.tobytes()
-        for ca, cb in zip(res_gela.clients, res_ge.clients)
-        for x, y in zip(ca.backbone.tensors(), cb.backbone.tensors()))
+    same_a = same_a and res_gela.server_theta.tobytes() == res_ge.server_theta.tobytes()
+    same_a = same_a and res_gela.trained.all() and res_ge.trained.all()
+    same_a = same_a and res_gela.client_theta.tobytes() == res_ge.client_theta.tobytes()
 
     # (b) FedProx(lambda=0) == FedAvg, bitwise
     res_avg = run_federation(parse_config(small | {"algo": "fedavg",
@@ -158,18 +152,14 @@ def test_criterion_5_reductions():
                                                     "lambda_prox": 0.0}))
     same_b = all(_log_fields(a) == _log_fields(b)
                  for a, b in zip(res_avg.logs, res_prox.logs))
-    same_b = same_b and all(
-        x.tobytes() == y.tobytes()
-        for x, y in zip(res_avg.server.backbone.tensors(),
-                        res_prox.server.backbone.tensors()))
+    same_b = same_b and res_avg.server_theta.tobytes() == res_prox.server_theta.tobytes()
 
     # (c) single-client federation == centralized sequential training
     single = parse_config(small | {"algo": "fedavg", "clients": 1,
                                    "classes_per_client": 4, "rounds": 2})
     result = run_federation(single)
-    ds, shards = result.dataset, result.shards
+    ds, shards = result.inputs.dataset, result.inputs.shards
     algo = AlgoKind("fedavg")
-    clients = build_client_states(shards, ds.n_classes, algo)
     hp = Hyperparams(lr=single.lr, momentum=single.momentum,
                      weight_decay=single.weight_decay, epochs=single.epochs,
                      batch_size=single.batch_size, e_h=single.e_h)
@@ -177,12 +167,14 @@ def test_criterion_5_reductions():
                              (single.seed, 1))
     clf = init_classifier(ds.n_classes, ds.n_classes, (single.seed, 1, 1))
     for t in (1, 2):
-        out = local_train([clients[0]], backbone, clf, algo, hp, ds,
-                          [(single.seed, 3, t, 0)])[0]
-        backbone, clf = out.backbone, out.classifier
+        rows, _ = local_train([shards[0]], backbone, clf, algo, hp, ds,
+                              [(single.seed, 3, t, 0)])
+        out = result.inputs.template._on(rows[0])
+        backbone, clf = out, out.classifier
+    server = result.inputs.template._on(result.server_theta)
     same_c = all(a.tobytes() == b.tobytes()
-                 for a, b in zip(result.server.backbone.tensors(), backbone.tensors()))
-    same_c = same_c and result.server.classifier.tobytes() == clf.tobytes()
+                 for a, b in zip(server.tensors(), backbone.tensors()))
+    same_c = same_c and server.classifier.tobytes() == clf.tobytes()
 
     elapsed = time.time() - start
     _report(5, same_a and same_b and same_c and elapsed < 120.0,

@@ -185,6 +185,7 @@ RULE_CASES = [
     ({"algo": "fedavg", "lambda_prox": 0.5}, "lambda_prox", None),
     ({"beta": 0.5, "classes_per_client": 2}, "classes_per_client", None),
     ({"scheme": "pcdd"}, "classes_per_client", "'pcdd'"),
+    ({"scheme": "dirichlet", "classes_per_client": -3}, "classes_per_client", "'dirichlet'"),
     ({"dataset": "csv"}, "csv_path", "csv"),
     ({"clients": 5, "clients_per_round": 6}, "clients_per_round", "6"),
 ]
@@ -573,6 +574,22 @@ class TestSweepFailsBeforeCompute:
         err = capsys.readouterr().err
         assert err.startswith("config error: --seeds") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("base_settings, arm, scheme", [
+        ({"scheme": "dirichlet", "beta": 0.5}, {"scheme": "pcdd", "classes_per_client": "2"},
+         "pcdd"),
+        ({"scheme": "pcdd", "classes_per_client": 2}, {"scheme": "dirichlet", "beta": "0.3"},
+         "dirichlet"),
+        ({"scheme": "pcdd", "classes_per_client": 2}, {"scheme": "dirichlet"}, "dirichlet"),
+    ])
+    def test_arm_switching_scheme_drops_the_base_partition_key(self, tmp_path, base_settings,
+                                                               arm, scheme):
+        from fedgela.cli import _sweep_runs
+        base = {k: v for k, v in SMALL.items() if k != "classes_per_client"} | base_settings
+        (_, _, cfg), = _sweep_runs(parse_config(base), [("b", arm)], [0], tmp_path)
+        assert cfg.scheme == scheme
+        assert (cfg.beta is None) == (scheme == "pcdd")
+        assert (cfg.classes_per_client is None) == (scheme == "dirichlet")
 
     def test_arm_switches_partition_scheme(self, tmp_path):
         base = SMALL | {"scheme": "dirichlet", "beta": 0.5}

@@ -5,7 +5,6 @@ from fedgela.datagen import (
     Dataset,
     PartitionInfeasibleError,
     PartitionSpec,
-    class_histogram,
     dirichlet_partition,
     load_csv,
     make_client_shard,
@@ -179,27 +178,6 @@ class TestClientShard:
         shard = make_client_shard(ds, 0, idx, test_frac=0.2, rng=np.random.default_rng(1))
         assert shard.test_indices.size == 1
         assert shard.train_indices.size == 3
-
-
-class TestClassHistogram:
-    def test_matches_shard_counts(self):
-        ds = balanced_ds(n_classes=3, n_per_class=10, input_dim=4)
-        idx = np.nonzero(ds.labels == 0)[0][:3]
-        shard = make_client_shard(ds, 0, idx, 0.2, np.random.default_rng(0))
-        np.testing.assert_array_equal(class_histogram(shard, ds), [3, 0, 0])
-        np.testing.assert_array_equal(class_histogram(shard, ds), shard.counts)
-
-    def test_full_dataset_histogram(self):
-        ds = balanced_ds(n_classes=3, n_per_class=10, input_dim=4)
-        shard = make_client_shard(ds, 0, np.arange(ds.n), 0.2, np.random.default_rng(0))
-        np.testing.assert_array_equal(class_histogram(shard, ds), [10, 10, 10])
-
-    def test_out_of_range_index(self):
-        ds = balanced_ds(n_classes=3, n_per_class=10, input_dim=4)
-        shard = make_client_shard(ds, 0, np.arange(ds.n), 0.2, np.random.default_rng(0))
-        small = Dataset(features=ds.features[:5], labels=ds.labels[:5], n_classes=3)
-        with pytest.raises(ValueError, match="shard corruption"):
-            class_histogram(shard, small)
 
 
 class TestCsv:

@@ -1,5 +1,7 @@
+import copy
 import multiprocessing
 import os
+import pickle
 import time
 import types
 
@@ -13,19 +15,20 @@ from fedgela.fedsim import (
     AlgoKind,
     Hyperparams,
     aggregate,
-    build_client_states,
     compute_phi,
     finetune_personalize,
+    init_state,
     local_train,
     read_round_csv,
     run_federation,
     run_many,
     sample_clients,
+    step,
     write_round_csv,
 )
 from fedgela import fedsim, metrics
 from fedgela.metrics import angle_report, personal_accuracy
-from fedgela.neuralnet import forward, init_backbone
+from fedgela.neuralnet import BackboneParams, forward, init_backbone
 from reference_ops import clone
 
 
@@ -39,6 +42,57 @@ def small_config(**kw):
     }
     base.update(kw)
     return parse_config(base)
+
+
+def clients_of(shards, n_classes, algo):
+    """One namespace per shard with its shard, phi (a PhiVector) and mask, as
+    init_state computes them: phi None and every class for the algorithms
+    that do not adapt phi."""
+    adapts = algo.adapts_phi
+    return [types.SimpleNamespace(
+        client_id=s.client_id, shard=s, mask=s.counts > 0 if adapts else np.ones(n_classes, bool),
+        phi=compute_phi(s.counts, s.n_k, 1.0 / n_classes) if adapts else None) for s in shards]
+
+
+def train(clients, backbone, classifier, algo, hp, ds, seed_parts):
+    """local_train on the clients' shards, with their phi and mask rows when
+    the algorithm adapts phi, as one namespace per client: its model
+    (backbone, and classifier views of its row; the classifier None for a
+    fixed frame) and its epoch losses."""
+    phi = mask = None
+    if algo.adapts_phi:
+        phi = np.stack([c.phi.phi for c in clients])
+        mask = np.stack([c.mask for c in clients])
+    out = local_train([c.shard for c in clients], backbone, classifier, algo, hp, ds,
+                      seed_parts, phi, mask)
+    return as_results(out, backbone, classifier, algo, hp.epochs)
+
+
+def as_results(out, backbone, classifier, algo, epochs):
+    """local_train's (rows, losses) as one namespace per client."""
+    rows, losses = out
+    layout = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
+                            None if algo.fixed_classifier else classifier)
+    assert rows.shape == (len(losses), layout.theta.size)
+    assert losses.shape == (len(rows), epochs)
+    models = [layout._on(row) for row in rows]
+    return [types.SimpleNamespace(backbone=m, classifier=m.classifier, epoch_losses=list(loss))
+            for m, loss in zip(models, losses)]
+
+
+def finetune(backbone, classifier, shards, algo, hp, epochs, ds, seed_parts):
+    """finetune_personalize's output, as train's."""
+    return as_results(finetune_personalize(backbone, classifier, shards, algo, hp, epochs,
+                                           ds, seed_parts),
+                      backbone, classifier, algo, epochs)
+
+
+def server_of(state):
+    """The server model of a RunState and the classifier it scores with."""
+    model = state.inputs.template._on(state.server_theta)
+    frame = state.inputs.frame
+    return types.SimpleNamespace(backbone=model,
+                                 classifier=model.classifier if frame is None else frame)
 
 
 class TestAlgoKind:
@@ -155,7 +209,7 @@ class TestLocalTrain:
                              classes_per_client=cfg.classes_per_client)
         shards = pcdd_partition(ds, spec)
         algo = AlgoKind(algo_kind, lambda_prox=cfg.lambda_prox)
-        clients = build_client_states(shards, ds.n_classes, algo)
+        clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                          epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
         backbone = init_backbone((cfg.input_dim, 16, ds.n_classes), seed=0)
@@ -166,7 +220,7 @@ class TestLocalTrain:
         ds, clients, algo, hp, backbone, etf = self._setup()
         hp0 = Hyperparams(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay,
                           epochs=0, batch_size=hp.batch_size, e_h=hp.e_h)
-        res = local_train([clients[0]], backbone, etf, algo, hp0, ds, [(0, 3, 1, 0)])[0]
+        res = train([clients[0]], backbone, etf, algo, hp0, ds, [(0, 3, 1, 0)])[0]
         for a, b in zip(res.backbone.tensors(), backbone.tensors()):
             np.testing.assert_array_equal(a, b)
         assert res.epoch_losses == []
@@ -175,9 +229,9 @@ class TestLocalTrain:
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
         from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        res_avg = local_train([clients[1]], backbone, clf, AlgoKind("fedavg"),
+        res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
                               hp, ds, [(0, 3, 1, 1)])[0]
-        res_prox = local_train([clients[1]], backbone, clf,
+        res_prox = train([clients[1]], backbone, clf,
                                AlgoKind("fedprox", lambda_prox=0.0),
                                hp, ds, [(0, 3, 1, 1)])[0]
         for a, b in zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()):
@@ -188,9 +242,9 @@ class TestLocalTrain:
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
         from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        res_avg = local_train([clients[1]], backbone, clf, AlgoKind("fedavg"),
+        res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
                               hp, ds, [(0, 3, 1, 1)])[0]
-        res_prox = local_train([clients[1]], backbone, clf,
+        res_prox = train([clients[1]], backbone, clf,
                                AlgoKind("fedprox", lambda_prox=1.0),
                                hp, ds, [(0, 3, 1, 1)])[0]
         assert any(a.tobytes() != b.tobytes() for a, b in
@@ -209,7 +263,7 @@ class TestLocalTrain:
         monkeypatch.setattr(fedsim, "flatten", recording)
         from fedgela.neuralnet import init_classifier
         clf = etf if algo.fixed_classifier else init_classifier(ds.n_classes, ds.n_classes, 5)
-        local_train(clients, backbone, clf, algo, hp, ds, [(0, 3, 1, k) for k in range(4)])
+        train(clients, backbone, clf, algo, hp, ds, [(0, 3, 1, k) for k in range(4)])
         assert len(stacks) == 1 and len(stacks[0].theta) == 4
         if lam:
             assert stacks[0].prox.shape == stacks[0].theta.shape
@@ -224,12 +278,12 @@ class TestLocalTrain:
         ds = synth_gaussian_mixture(10, 12, 40, 4.0, 1.0, cfg.data_seed)
         shards = pcdd_partition(ds, PartitionSpec("pcdd", 10, seed=0, classes_per_client=2))
         algo = AlgoKind("fedgela")
-        clients = build_client_states(shards, 10, algo)
+        clients = clients_of(shards, 10, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-4, epochs=10,
                          batch_size=10, e_h=1.0)
         backbone = init_backbone((12, 16, 10), seed=0)
         etf = make_etf(10, 10, 1, e_w=25.0)
-        res = local_train([clients[0]], backbone, etf, algo, hp, ds, [(0, 3, 1, 0)])[0]
+        res = train([clients[0]], backbone, etf, algo, hp, ds, [(0, 3, 1, 0)])[0]
         from fedgela.metrics import predict
         idx = clients[0].shard.train_indices
         pred = predict(forward(res.backbone, ds.features[idx], 1.0), etf,
@@ -246,45 +300,65 @@ class TestLocalTrain:
         )
         clients[0].shard = bad_shard
         with pytest.raises(ValueError, match="empty train split"):
-            local_train([clients[0]], backbone, etf, algo, hp, ds, [(0, 3, 1, 0)])
+            train([clients[0]], backbone, etf, algo, hp, ds, [(0, 3, 1, 0)])
 
 
 class TestAggregate:
     def test_identical_updates_fixed_point(self):
         p = init_backbone((3, 4), seed=0)
-        out = aggregate([p, clone(p)], [0.3, 0.7])
+        out = p._on(aggregate([p.theta, clone(p).theta], [0.3, 0.7]))
         for a, b in zip(out.tensors(), p.tensors()):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_equal_weights_midpoint(self):
         a, b = init_backbone((3, 4), seed=0), init_backbone((3, 4), seed=1)
-        out = aggregate([a, b], [0.5, 0.5])
+        out = a._on(aggregate([a.theta, b.theta], [0.5, 0.5]))
         for o, x, y in zip(out.tensors(), a.tensors(), b.tensors()):
             np.testing.assert_allclose(o, (x + y) / 2.0, atol=1e-15)
 
     def test_single_client_identity(self):
         p = init_backbone((3, 4), seed=2)
-        out = aggregate([p], [1.0])
+        out = p._on(aggregate([p.theta], [1.0]))
         for a, b in zip(out.tensors(), p.tensors()):
             np.testing.assert_array_equal(a, b)
 
     def test_permutation_invariant(self):
         parts = [init_backbone((4, 5), seed=s) for s in range(3)]
         w = [0.2, 0.3, 0.5]
-        out1 = aggregate(parts, w)
-        out2 = aggregate([parts[2], parts[0], parts[1]], [0.5, 0.2, 0.3])
+        rows = [p.theta for p in parts]
+        out1 = parts[0]._on(aggregate(rows, w))
+        out2 = parts[0]._on(aggregate([rows[2], rows[0], rows[1]], [0.5, 0.2, 0.3]))
         for a, b in zip(out1.tensors(), out2.tensors()):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_permuting_rows_with_weights_changes_at_most_rounding(self):
+        from fedgela.neuralnet import init_classifier
+        parts = [init_backbone((4, 6, 3), seed=s) for s in range(7)]
+        rows = np.stack([BackboneParams(p.weights, p.biases, p.layer_sizes,
+                                        init_classifier(3, 5, seed=s + 10)).theta
+                         for s, p in enumerate(parts)])
+        w = np.random.default_rng(0).uniform(0.1, 1.0, len(rows))
+        w /= w.sum()
+        base = aggregate(rows, w)
+        want = w[0] * rows[0]   # the left-to-right reference sum
+        for i in range(1, len(rows)):
+            want = want + w[i] * rows[i]
+        assert base.tobytes() == want.tobytes()
+        scale = w @ np.abs(rows)   # what the rounding of each sum is relative to
+        for seed in range(10):
+            perm = np.random.default_rng(seed).permutation(len(rows))
+            got = aggregate(rows[perm], w[perm])
+            np.testing.assert_array_less(np.abs(got - base), 1e-12 * scale + 1e-300)
 
     def test_bad_weights(self):
         p = init_backbone((3, 4), seed=0)
         with pytest.raises(ValueError, match="sum to 1"):
-            aggregate([p, clone(p)], [0.5, 0.6])
+            aggregate([p.theta, clone(p).theta], [0.5, 0.6])
 
     def test_shape_mismatch(self):
         a, b = init_backbone((3, 4), seed=0), init_backbone((3, 5), seed=0)
         with pytest.raises(ValueError, match="shape mismatch"):
-            aggregate([a, b], [0.5, 0.5])
+            aggregate([a.theta, b.theta], [0.5, 0.5])
 
     def _learnable(self, seed, layer_sizes=(3, 5, 4)):
         from fedgela.neuralnet import BackboneParams, init_classifier
@@ -295,7 +369,7 @@ class TestAggregate:
     def test_learnable_models_average_backbone_and_classifier_in_one_pass(self):
         parts = [self._learnable(s) for s in range(3)]
         w = np.array([0.2, 0.3, 0.5])
-        out = aggregate(parts, w)
+        out = parts[0]._on(aggregate(np.stack([p.theta for p in parts]), w))
         # the per-tensor reduction w0*t0 + w1*t1 + ..., in list order
         for j, got in enumerate(out.tensors() + [out.classifier]):
             tensors = [p.tensors() + [p.classifier] for p in parts]
@@ -309,9 +383,9 @@ class TestAggregate:
         learnable = self._learnable(0)
         fixed = init_backbone(learnable.layer_sizes, seed=1)
         with pytest.raises(ValueError, match="shape mismatch"):
-            aggregate([learnable, fixed], [0.5, 0.5])
+            aggregate([learnable.theta, fixed.theta], [0.5, 0.5])
         with pytest.raises(ValueError, match="shape mismatch"):
-            aggregate([fixed, learnable], [0.5, 0.5])
+            aggregate([fixed.theta, learnable.theta], [0.5, 0.5])
 
     def test_one_round_equals_centralized_step(self):
         # K = N, one full-batch step, no momentum/decay: the aggregated
@@ -322,15 +396,15 @@ class TestAggregate:
         shard_a = make_client_shard(ds, 0, np.arange(0, 4), 0.0, rng)
         shard_b = make_client_shard(ds, 1, np.arange(4, 8), 0.0, rng)
         algo = AlgoKind("fedge")
-        clients = build_client_states([shard_a, shard_b], 2, algo)
+        clients = clients_of([shard_a, shard_b], 2, algo)
         hp = Hyperparams(lr=0.1, momentum=0.0, weight_decay=0.0, epochs=1,
                          batch_size=100, e_h=1.0)
         backbone = init_backbone((4, 6, 2), seed=3)
         etf = make_etf(2, 2, 0, e_w=1.0)
-        res = [local_train([c], backbone, etf, algo, hp, ds, [(9, 9, 9, c.client_id)])[0]
+        res = [train([c], backbone, etf, algo, hp, ds, [(9, 9, 9, c.client_id)])[0]
                for c in clients]
         weights = np.array([4.0, 4.0]) / 8.0
-        agg = aggregate([r.backbone for r in res], weights)
+        agg = backbone._on(aggregate([r.backbone.theta for r in res], weights))
         # centralized comparator: analytic single step on the union mean loss
         from reference_ops import backward, forward, sgd_step, OptimizerState
         central = clone(backbone)
@@ -341,39 +415,75 @@ class TestAggregate:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+class TestRunState:
+    @pytest.mark.parametrize("algo,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0),
+                                          ("fedgela", 0.0), ("laonly", 0.0)])
+    def test_a_copy_after_round_3_continues_bitwise(self, algo, lam):
+        # one client per round, so some client is untrained at the copy, and
+        # an evaluation on either side of it
+        cfg = small_config(algo=algo, lambda_prox=lam, clients_per_round=1, rounds=6,
+                           eval_every=2)
+        whole = run_federation(cfg)
+        state = init_state(cfg)
+        for t in (1, 2, 3):
+            step(state, t)
+        assert not state.trained.all()
+        copied = copy.deepcopy(state)
+        for resumed in (state, copied):
+            for t in (4, 5, 6):
+                step(resumed, t)
+            assert resumed.round == whole.round == 6
+            assert pickle.dumps(resumed.logs) == pickle.dumps(whole.logs)
+            assert resumed.server_theta.tobytes() == whole.server_theta.tobytes()
+            assert resumed.client_theta.tobytes() == whole.client_theta.tobytes()
+            assert resumed.trained.tolist() == whole.trained.tolist()
+        assert whole.logs[-1].ga is not None
+
+    def test_rows_start_untrained(self):
+        cfg = small_config(algo="fedavg")
+        state = init_state(cfg)
+        inputs = state.inputs
+        assert state.round == 0 and state.logs == []
+        assert state.server_theta.tobytes() == inputs.template.theta.tobytes()
+        assert state.client_theta.shape == (cfg.clients, inputs.template.theta.size)
+        assert not state.trained.any()
+        assert inputs.phi is None and inputs.mask is None and inputs.frame is None
+
+
 class TestRunFederation:
     def test_zero_rounds(self):
         cfg = small_config(rounds=0)
         result = run_federation(cfg)
         assert result.logs == []
-        assert result.server.round == 0
+        assert result.round == 0
 
     def test_single_client_equals_centralized(self):
         cfg = small_config(algo="fedavg", clients=1, classes_per_client=4,
                            rounds=2, epochs=3)
         result = run_federation(cfg)
+        server = server_of(result)
         # replay: same init, same shard, sequential local training
         from fedgela.neuralnet import init_classifier
-        ds, shards = result.dataset, result.shards
+        ds, shards = result.inputs.dataset, result.inputs.shards
         algo = AlgoKind("fedavg")
-        clients = build_client_states(shards, ds.n_classes, algo)
+        clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                          epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
         backbone = init_backbone((cfg.input_dim,) + cfg.hidden + (ds.n_classes,),
                                  (cfg.seed, 1))
         clf = init_classifier(ds.n_classes, ds.n_classes, (cfg.seed, 1, 1))
         for t in (1, 2):
-            res = local_train([clients[0]], backbone, clf, algo, hp, ds,
+            res = train([clients[0]], backbone, clf, algo, hp, ds,
                               [(cfg.seed, 3, t, 0)])[0]
             backbone, clf = res.backbone, res.classifier
-        for a, b in zip(result.server.backbone.tensors(), backbone.tensors()):
+        for a, b in zip(server.backbone.tensors(), backbone.tensors()):
             assert a.tobytes() == b.tobytes()
-        assert result.server.classifier.tobytes() == clf.tobytes()
+        assert server.classifier.tobytes() == clf.tobytes()
 
     def test_fixed_classifier_conserved_bitwise(self):
         cfg = small_config(algo="fedgela", rounds=3)
         result = run_federation(cfg)
-        etf = result.server.classifier
+        etf = result.inputs.frame
         fresh = make_etf(cfg.classes, cfg.classes, (cfg.seed, 5), e_w=cfg.e_w)
         assert etf.m.tobytes() == fresh.m.tobytes()
 
@@ -409,32 +519,35 @@ class TestRunFederation:
         scored = []
         evaluate = metrics.evaluate
 
-        def spy(global_model, models, *args):
-            scored.append([m[1:] for m in models])   # drop the shard
-            return evaluate(global_model, models, *args)
+        def spy(template, frame, global_row, models, *args, **kwargs):
+            scored.append((frame, [m[1:] for m in models]))   # drop the shard
+            return evaluate(template, frame, global_row, models, *args, **kwargs)
 
         monkeypatch.setattr(metrics, "evaluate", spy)
         cfg = small_config(algo=algo, clients=4, clients_per_round=1, rounds=rounds)
         result = run_federation(cfg)
-        server = result.server
+        inputs = result.inputs
         trained = {i for log in result.logs for i in log.participants}
-        assert 0 < len(trained) < len(result.clients)
+        assert 0 < len(trained) < len(inputs.shards)
+        assert np.flatnonzero(result.trained).tolist() == sorted(trained)
+        frame, got = scored[-1]
+        if algo == "fedgela":
+            assert frame is inputs.frame and inputs.template.classifier is None
+        else:   # each laonly row carries its own learnable classifier
+            assert frame is None and inputs.template.classifier is not None
         personal = []
-        for c in result.clients:
-            if c.client_id in trained:
-                if algo == "fedgela":
-                    assert c.classifier is None
-                clf = c.classifier if algo == "laonly" else server.classifier
-                personal.append((c.backbone, clf, c.phi, c.mask))
-            else:
-                assert c.backbone is None and c.classifier is None
-                personal.append((server.backbone, server.classifier, c.phi, c.mask))
-        # the very objects, since a tiny test split often scores two models alike
-        assert all(a is b for got, want in zip(scored[-1], personal) for a, b in zip(got, want))
-        features = [forward(bb, result.dataset.features[s.test_indices], cfg.e_h)
-                    for (bb, *_), s in zip(personal, result.shards)]
+        for i, (row, phi, mask) in enumerate(got):
+            want = result.client_theta[i] if i in trained else result.server_theta
+            # the very rows, since a tiny test split often scores two models alike
+            assert np.shares_memory(row, want) and row.tobytes() == want.tobytes()
+            assert phi.phi.tobytes() == inputs.phi[i].tobytes()
+            assert np.array_equal(mask, inputs.mask[i])
+            model = inputs.template._on(want)
+            personal.append((model, model.classifier if frame is None else frame, phi, mask))
+        features = [forward(bb, inputs.dataset.features[s.test_indices], cfg.e_h)
+                    for (bb, *_), s in zip(personal, inputs.shards)]
         pa, _ = personal_accuracy([(f, *m[1:]) for f, m in zip(features, personal)],
-                                  result.shards, result.dataset)
+                                  inputs.shards, inputs.dataset)
         assert result.logs[-1].pa == pa
 
     @pytest.mark.parametrize("algo,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("laonly", 0.0)])
@@ -442,13 +555,14 @@ class TestRunFederation:
         # feature_dim < classes: no simplex frame fits, but these never use one
         result = run_federation(small_config(algo=algo, lambda_prox=lam, feature_dim=3))
         assert result.logs[-1].ga is not None
-        assert result.server.classifier.shape == (3, 4)
+        assert server_of(result).classifier.shape == (3, 4)
 
     def test_learnable_classifier_aggregated(self):
         cfg = small_config(algo="fedavg", rounds=2)
         result = run_federation(cfg)
-        assert isinstance(result.server.classifier, np.ndarray)
-        assert result.server.classifier.shape == (cfg.classes, cfg.classes)
+        server = server_of(result)
+        assert isinstance(server.classifier, np.ndarray)
+        assert server.classifier.shape == (cfg.classes, cfg.classes)
 
     def test_alternative_phi_maps_run(self):
         # exp/sqrt class-fraction maps give nonzero weight to missing classes;
@@ -457,11 +571,12 @@ class TestRunFederation:
             cfg = small_config(algo="fedgela", rounds=2, q_kind=q_kind)
             result = run_federation(cfg)
             assert result.logs[-1].ga is not None
-            for c in result.clients:
-                missing = c.shard.counts == 0
+            inputs = result.inputs
+            for shard, phi, mask in zip(inputs.shards, inputs.phi, inputs.mask):
+                missing = shard.counts == 0
                 if q_kind == "exp" and missing.any():
-                    assert np.all(c.phi.phi[missing] > 0)
-                assert np.array_equal(c.mask, ~missing)
+                    assert np.all(phi[missing] > 0)
+                assert np.array_equal(mask, ~missing)
 
 
 class TestEvaluationForwardsOnce:
@@ -487,10 +602,12 @@ class TestEvaluationForwardsOnce:
     def test_local_angle_scores_local_model_not_finetune(self, algo):
         cfg = small_config(algo=algo, clients=4, clients_per_round=2, rounds=2)
         result = run_federation(cfg)
-        ds, test, last = result.dataset, result.global_test_indices, result.logs[-1]
-        local = [(c.shard, forward(c.backbone, ds.features[c.shard.test_indices], cfg.e_h),
-                  c.classifier) for c in result.clients if c.client_id in last.participants]
-        report = angle_report(forward(result.server.backbone, ds.features[test], cfg.e_h),
+        inputs, last = result.inputs, result.logs[-1]
+        ds, test = inputs.dataset, inputs.global_test
+        models = {i: inputs.template._on(result.client_theta[i]) for i in last.participants}
+        local = [(inputs.shards[i], forward(m, ds.features[inputs.shards[i].test_indices],
+                                            cfg.e_h), m.classifier) for i, m in models.items()]
+        report = angle_report(forward(server_of(result).backbone, ds.features[test], cfg.e_h),
                               ds, test, local)
         assert last.local_exist_angle is not None
         assert last.local_exist_angle == report.per_client_existing_class_mean_angle
@@ -510,7 +627,8 @@ class TestRunMany:
                 raise FileNotFoundError(2, "No such file or directory", "slow.csv")
             if config == "fast":
                 raise FloatingPointError("fast")
-            return types.SimpleNamespace(logs=os.getpid(), dataset=config)
+            return types.SimpleNamespace(logs=os.getpid(),
+                                         inputs=types.SimpleNamespace(dataset=config))
 
         monkeypatch.setattr(fedsim, "run_federation", run)
 
@@ -548,11 +666,11 @@ class TestFinetunePersonalize:
 
     def test_zero_epochs_unchanged(self):
         cfg, result = self._run()
-        server = result.server
-        res = finetune_personalize(server.backbone, server.classifier,
-                                   [result.shards[0]], AlgoKind("fedavg"),
-                                   Hyperparams(lr=cfg.lr, epochs=2, batch_size=10),
-                                   0, result.dataset, [(0, 4, 1, 0)])[0]
+        server = server_of(result)
+        res = finetune(server.backbone, server.classifier,
+                       [result.inputs.shards[0]], AlgoKind("fedavg"),
+                       Hyperparams(lr=cfg.lr, epochs=2, batch_size=10),
+                       0, result.inputs.dataset, [(0, 4, 1, 0)])[0]
         for a, b in zip(res.backbone.tensors(), server.backbone.tensors()):
             np.testing.assert_array_equal(a, b)
 
@@ -564,17 +682,17 @@ class TestFinetunePersonalize:
                                classes=10, clients=5, classes_per_client=2,
                                n_per_class=30, input_dim=12)
             result = run_federation(cfg)
-            ds, server = result.dataset, result.server
+            ds, server = result.inputs.dataset, server_of(result)
             hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum,
                              weight_decay=cfg.weight_decay, epochs=cfg.epochs,
                              batch_size=cfg.batch_size, e_h=cfg.e_h)
-            for shard in result.shards:
+            for shard in result.inputs.shards:
                 idx = shard.test_indices
                 before = np.mean(predict(forward(server.backbone, ds.features[idx], cfg.e_h),
                                          server.classifier) == ds.labels[idx])
-                res = finetune_personalize(server.backbone, server.classifier,
-                                           [shard], AlgoKind("fedavg"), hp, 10,
-                                           ds, [(seed, 4, 99, shard.client_id)])[0]
+                res = finetune(server.backbone, server.classifier,
+                               [shard], AlgoKind("fedavg"), hp, 10,
+                               ds, [(seed, 4, 99, shard.client_id)])[0]
                 after = np.mean(predict(forward(res.backbone, ds.features[idx], cfg.e_h),
                                         res.classifier) == ds.labels[idx])
                 deltas.append(after - before)
@@ -648,7 +766,7 @@ class TestFusedStepMatchesPublicOps:
         ds = synth_gaussian_mixture(5, 6, 23, 3.0, 1.0, seed=3)
         shards = pcdd_partition(ds, PartitionSpec("pcdd", 3, seed=4, classes_per_client=3))
         algo = AlgoKind(kind, lambda_prox=lam)
-        clients = build_client_states(shards, ds.n_classes, algo)
+        clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=3,
                          batch_size=7, e_h=4.0)
         backbone = init_backbone((6,) + hidden + (8,), seed=5)
@@ -676,7 +794,7 @@ class TestFusedStepMatchesPublicOps:
         ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
         client = clients[1]
         assert client.shard.train_indices.size % hp.batch_size != 0  # partial last batch
-        res = local_train([client], backbone, classifier, algo, hp, ds, [(2, 3, 1, 1)])[0]
+        res = train([client], backbone, classifier, algo, hp, ds, [(2, 3, 1, 1)])[0]
         ref = reference_local_train(client, backbone, classifier, algo, hp, ds,
                                     (2, 3, 1, 1))
         self._assert_same(res, ref)
@@ -686,11 +804,9 @@ class TestFusedStepMatchesPublicOps:
     def test_finetune_personalize_bitwise(self, kind, lam, hidden):
         ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
         shard = clients[2].shard
-        res = finetune_personalize(backbone, classifier, [shard], algo, hp, 2, ds,
-                                   [(2, 4, 1, 2)])[0]
-        from fedgela.fedsim import ClientState
-        plain = ClientState(client_id=shard.client_id, shard=shard, phi=None,
-                            mask=np.ones(ds.n_classes, dtype=bool))
+        res = finetune(backbone, classifier, [shard], algo, hp, 2, ds, [(2, 4, 1, 2)])[0]
+        plain = types.SimpleNamespace(client_id=shard.client_id, shard=shard, phi=None,
+                                      mask=np.ones(ds.n_classes, dtype=bool))
         ref = reference_local_train(plain, backbone, classifier, algo,
                                     Hyperparams(lr=hp.lr, momentum=hp.momentum,
                                                 weight_decay=hp.weight_decay, epochs=2,
@@ -700,7 +816,7 @@ class TestFusedStepMatchesPublicOps:
 
     def test_backbone_is_one_flat_buffer(self):
         ds, clients, algo, hp, backbone, classifier = self._setup("fedavg", 0.0, (16,))
-        res = local_train([clients[0]], backbone, classifier, algo, hp, ds, [(2, 3, 1, 0)])[0]
+        res = train([clients[0]], backbone, classifier, algo, hp, ds, [(2, 3, 1, 0)])[0]
         base = res.classifier.base
         assert base is not None
         assert all(t.base is base for t in res.backbone.tensors())
@@ -786,7 +902,7 @@ class TestNumericFailuresNameClient:
         with np.errstate(invalid="ignore"), pytest.raises(
                 FloatingPointError,
                 match=r"^client 1: numeric overflow: non-finite activation in layer 0$"):
-            local_train(clients[:3], backbone, etf, algo, hp, bad,
+            train(clients[:3], backbone, etf, algo, hp, bad,
                         [(0, 3, 1, c.client_id) for c in clients[:3]])
 
     def test_pa_finetune_failure_names_round(self):
@@ -821,7 +937,7 @@ class TestStackedMatchesSingle:
         shards = dirichlet_partition(ds, PartitionSpec("dirichlet", 6, seed=2, beta=0.5,
                                                        min_size=5))
         algo = AlgoKind(kind, lambda_prox=lam)
-        clients = build_client_states(shards, ds.n_classes, algo)
+        clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=2,
                          batch_size=7, e_h=4.0)
         backbone = init_backbone((6,) + hidden + (8,), seed=5)
@@ -851,10 +967,10 @@ class TestStackedMatchesSingle:
         if hidden == (120, 100):   # the row cap splits the clients into several stacks
             assert fedsim.STACK_ELEMENTS // n_params < len(clients)
         seeds = [(4, 3, 1, c.client_id) for c in clients]
-        stacked = local_train(clients, backbone, classifier, algo, hp, ds, seeds)
+        stacked = train(clients, backbone, classifier, algo, hp, ds, seeds)
         assert len(stacked) == len(clients)
         for c, s, res in zip(clients, seeds, stacked):
-            self._assert_same(res, local_train([c], backbone, classifier, algo, hp, ds, [s])[0])
+            self._assert_same(res, train([c], backbone, classifier, algo, hp, ds, [s])[0])
         self._assert_same_as_ref(stacked[0], reference_local_train(
             clients[0], backbone, classifier, algo, hp, ds, seeds[0]))
 
@@ -864,15 +980,15 @@ class TestStackedMatchesSingle:
         ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
         shards = [c.shard for c in clients]
         seeds = [(4, 4, 1, s.client_id) for s in shards]
-        tuned = finetune_personalize(backbone, classifier, shards, algo, hp, 2, ds, seeds)
+        tuned = finetune(backbone, classifier, shards, algo, hp, 2, ds, seeds)
         for shard, s, res in zip(shards, seeds, tuned):
-            self._assert_same(res, finetune_personalize(backbone, classifier, [shard], algo,
-                                                        hp, 2, ds, [s])[0])
+            self._assert_same(res, finetune(backbone, classifier, [shard], algo,
+                                            hp, 2, ds, [s])[0])
 
     def test_one_seed_per_client_required(self):
         ds, clients, algo, hp, backbone, classifier = self._setup("fedgela", 0.0, (16,))
         with pytest.raises(ValueError, match="one seed_parts per client"):
-            local_train(clients, backbone, classifier, algo, hp, ds, [(0, 3, 1, 0)])
+            train(clients, backbone, classifier, algo, hp, ds, [(0, 3, 1, 0)])
 
 
 class TestPartitionCheckedBeforeTraining:
