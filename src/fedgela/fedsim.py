@@ -306,9 +306,9 @@ def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
     prox_ref = init.theta if prox else None
     phi = None if phi is None else phi[:, None, :]
     mask = None if mask is None or mask.all() else mask[:, None, :]
-    step = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
-                weight_decay=float(hp.weight_decay),
-                lambda_prox=float(algo.lambda_prox), prox_ref=prox_ref)
+    hyper = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
+                 weight_decay=float(hp.weight_decay),
+                 lambda_prox=float(algo.lambda_prox), prox_ref=prox_ref)
 
     # one epoch's steps: (batch number, first row, row stop, batch start, batch
     # stop); the rows with a full batch at offset i form a prefix, and each
@@ -327,7 +327,7 @@ def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
             rows = model if (start, stop) == (0, k_rows) else model.rows(start, stop)
             cut = slice(start, stop)
             stacks[start, stop] = rows, dict(
-                step, w_eff=rows.classifier if learnable else frame,
+                hyper, w_eff=rows.classifier if learnable else frame,
                 phi=None if phi is None else phi[cut],
                 mask=None if mask is None else mask[cut])
     n_batches = [-(-nk // size) for nk in n]

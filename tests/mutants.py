@@ -20,7 +20,7 @@ so the list has to follow the code it names.
     python tests/mutants.py momentum   # those whose name contains it
     python tests/mutants.py -j 1       # one check at a time
 
-It takes 10-12 s on 2 CPUs, too long for tier-1, so run it by hand for
+It takes 10-13 s on 2 CPUs, too long for tier-1, so run it by hand for
 every change to `neuralnet.py` or `fedsim.py`.
 """
 from __future__ import annotations

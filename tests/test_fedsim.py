@@ -230,10 +230,10 @@ class TestLocalTrain:
         from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
         res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
-                              hp, ds, [(0, 3, 1, 1)])[0]
+                        hp, ds, [(0, 3, 1, 1)])[0]
         res_prox = train([clients[1]], backbone, clf,
-                               AlgoKind("fedprox", lambda_prox=0.0),
-                               hp, ds, [(0, 3, 1, 1)])[0]
+                         AlgoKind("fedprox", lambda_prox=0.0),
+                         hp, ds, [(0, 3, 1, 1)])[0]
         for a, b in zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()):
             assert a.tobytes() == b.tobytes()
         assert res_avg.classifier.tobytes() == res_prox.classifier.tobytes()
@@ -243,10 +243,10 @@ class TestLocalTrain:
         from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
         res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
-                              hp, ds, [(0, 3, 1, 1)])[0]
+                        hp, ds, [(0, 3, 1, 1)])[0]
         res_prox = train([clients[1]], backbone, clf,
-                               AlgoKind("fedprox", lambda_prox=1.0),
-                               hp, ds, [(0, 3, 1, 1)])[0]
+                         AlgoKind("fedprox", lambda_prox=1.0),
+                         hp, ds, [(0, 3, 1, 1)])[0]
         assert any(a.tobytes() != b.tobytes() for a, b in
                    zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()))
 
@@ -474,7 +474,7 @@ class TestRunFederation:
         clf = init_classifier(ds.n_classes, ds.n_classes, (cfg.seed, 1, 1))
         for t in (1, 2):
             res = train([clients[0]], backbone, clf, algo, hp, ds,
-                              [(cfg.seed, 3, t, 0)])[0]
+                        [(cfg.seed, 3, t, 0)])[0]
             backbone, clf = res.backbone, res.classifier
         for a, b in zip(server.backbone.tensors(), backbone.tensors()):
             assert a.tobytes() == b.tobytes()
@@ -903,7 +903,7 @@ class TestNumericFailuresNameClient:
                 FloatingPointError,
                 match=r"^client 1: numeric overflow: non-finite activation in layer 0$"):
             train(clients[:3], backbone, etf, algo, hp, bad,
-                        [(0, 3, 1, c.client_id) for c in clients[:3]])
+                  [(0, 3, 1, c.client_id) for c in clients[:3]])
 
     def test_pa_finetune_failure_names_round(self):
         # a client that round 1 does not sample fails only in the PA fine-tune
