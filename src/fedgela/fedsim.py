@@ -228,7 +228,9 @@ def local_train(shards, backbone: BackboneParams, classifier, algo: AlgoKind,
     `seed_parts` is one shuffle seed tuple per shard; `phi` and `mask` are
     (m, C) arrays of the clients' class weights and existing classes, or
     None for all ones and all classes, and a train label outside its
-    client's mask is rejected. Returns the (m, P) matrix of the trained
+    client's mask is rejected. Only an algorithm that adapts phi takes
+    them; one given with none trains unscaled on every class, as the
+    fine-tune does. Returns the (m, P) matrix of the trained
     model rows, in input order and laid out as the start model (the
     learnable classifier last, for the variants that have one), and the
     (m, epochs) matrix of each client's mean batch loss per epoch.
@@ -243,6 +245,8 @@ def local_train(shards, backbone: BackboneParams, classifier, algo: AlgoKind,
     order, so the error raised is the one that training them one after
     another raises first; a numeric failure is re-raised naming the client.
     """
+    if not algo.adapts_phi and (phi is not None or mask is not None):
+        raise ValueError(f"algo={algo.kind} does not adapt phi, so it takes no phi or mask")
     shards, seeds = list(shards), [tuple(s) for s in seed_parts]
     if len(seeds) != len(shards):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
@@ -489,12 +493,12 @@ def init_state(config, dataset: Dataset | None = None,
                     trained=np.zeros(len(shards), dtype=bool), logs=[])
 
 
-def step(state: RunState, t: int) -> RoundLog:
-    """Round t on `state`: sample clients, train them from the server row in
-    one local_train call, aggregate their rows in ascending client-id order
-    and, every `eval_every` rounds and on the last, evaluate. Appends the
-    round's log to state.logs and returns it."""
-    inp = state.inputs
+def step(state: RunState) -> RoundLog:
+    """Round t = state.round + 1 on `state`: sample clients, train them from
+    the server row in one local_train call, aggregate their rows in
+    ascending client-id order and, every `eval_every` rounds and on the
+    last, evaluate. Appends the round's log to state.logs and returns it."""
+    inp, t = state.inputs, state.round + 1
     config, algo, seed = inp.config, inp.algo, inp.config.seed
     ids = sample_clients(len(inp.shards), config.clients_per_round, (seed, _SEED_SAMPLE, t))
     sampled = [inp.shards[i] for i in ids]
@@ -535,11 +539,11 @@ def step(state: RunState, t: int) -> RoundLog:
 def run_federation(config, dataset: Dataset | None = None,
                    shards: list | None = None) -> RunState:
     """Run T federated rounds of sample / broadcast / local train / aggregate
-    (init_state, then step for t = 1..T) and return the final RunState.
+    (init_state, then T steps) and return the final RunState.
     Results are bit-deterministic per master seed."""
     state = init_state(config, dataset, shards)
-    for t in range(1, config.rounds + 1):
-        step(state, t)
+    for _ in range(config.rounds):
+        step(state)
     return state
 
 

@@ -16,16 +16,14 @@ first and must pass it. The script exits 1 if that baseline fails, if a
 mutant survives, or if a mutant's source line is not found exactly once,
 so the list has to follow the code it names.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py momentum   # those whose name contains it
-    python tests/mutants.py -j 1       # one check at a time
+    python tests/mutants.py
 
-It takes 10-13 s on 2 CPUs, too long for tier-1, so run it by hand for
-every change to `neuralnet.py` or `fedsim.py`.
+It checks one mutant per usable CPU at a time and takes 10-13 s on 2 CPUs,
+too long for tier-1, so run it by hand for every change to `neuralnet.py`
+or `fedsim.py`.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -133,24 +131,16 @@ def check(mutant) -> tuple:
                   else f"killed    {took} by {failure}"), failure is not None
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only mutants whose name contains one")
-    parser.add_argument("-j", "--jobs", type=int, default=2,
-                        help="mutants checked at once (default 2)")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or any(n in m[0] for n in args.names)]
-    if not chosen:
-        parser.error(f"no mutant name contains any of {args.names}")
+def main() -> int:
     start = time.perf_counter()
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        results = list(pool.map(check, [None] + chosen))
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        results = list(pool.map(check, (None,) + MUTANTS))
     width = max(len(name) for name, _, _ in results)
     for name, verdict, _ in results:
         print(f"{name:<{width}}  {verdict}")
     baseline_ok = results[0][2]
     bad = sum(not ok for _, _, ok in results[1:])
-    print(f"{len(chosen)} mutants, {bad} survived or stale"
+    print(f"{len(MUTANTS)} mutants, {bad} survived or stale"
           f"{'' if baseline_ok else ', baseline broken'} "
           f"in {time.perf_counter() - start:.1f}s")
     return 0 if baseline_ok and not bad else 1

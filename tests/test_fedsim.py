@@ -238,6 +238,26 @@ class TestLocalTrain:
             assert a.tobytes() == b.tobytes()
         assert res_avg.classifier.tobytes() == res_prox.classifier.tobytes()
 
+    @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "fedge"])
+    @pytest.mark.parametrize("given", ["phi", "mask"])
+    def test_phi_or_mask_rejected_unless_the_algorithm_adapts_phi(self, kind, given):
+        ds, clients, _, hp, backbone, etf = self._setup("fedgela")
+        rows = {"phi": np.ones((1, ds.n_classes)), "mask": np.ones((1, ds.n_classes), bool)}
+        with pytest.raises(ValueError, match=f"algo={kind} does not adapt phi"):
+            local_train([clients[0].shard], backbone, etf, AlgoKind(kind), hp, ds,
+                        [(0, 3, 1, 0)], **{given: rows[given]})
+
+    @pytest.mark.parametrize("kind,plain_kind", [("fedgela", "fedge"), ("laonly", "fedavg")])
+    def test_adapting_algorithm_without_phi_trains_unscaled_on_every_class(self, kind,
+                                                                           plain_kind):
+        ds, clients, _, hp, backbone, etf = self._setup("fedgela")
+        from fedgela.neuralnet import init_classifier
+        clf = etf if kind == "fedgela" else init_classifier(ds.n_classes, ds.n_classes, seed=5)
+        shards, seeds = [c.shard for c in clients], [(0, 3, 1, c.client_id) for c in clients]
+        unscaled, _ = local_train(shards, backbone, clf, AlgoKind(kind), hp, ds, seeds)
+        plain, _ = local_train(shards, backbone, clf, AlgoKind(plain_kind), hp, ds, seeds)
+        assert unscaled.tobytes() == plain.tobytes()
+
     def test_fedprox_positive_lambda_changes_trajectory(self):
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
         from fedgela.neuralnet import init_classifier
@@ -425,13 +445,13 @@ class TestRunState:
                            eval_every=2)
         whole = run_federation(cfg)
         state = init_state(cfg)
-        for t in (1, 2, 3):
-            step(state, t)
+        for _ in range(3):
+            step(state)
         assert not state.trained.all()
         copied = copy.deepcopy(state)
         for resumed in (state, copied):
-            for t in (4, 5, 6):
-                step(resumed, t)
+            for _ in range(3):
+                step(resumed)
             assert resumed.round == whole.round == 6
             assert pickle.dumps(resumed.logs) == pickle.dumps(whole.logs)
             assert resumed.server_theta.tobytes() == whole.server_theta.tobytes()
@@ -448,6 +468,11 @@ class TestRunState:
         assert state.client_theta.shape == (cfg.clients, inputs.template.theta.size)
         assert not state.trained.any()
         assert inputs.phi is None and inputs.mask is None and inputs.frame is None
+
+    def test_step_runs_the_next_round(self):
+        state = init_state(small_config(algo="fedavg", rounds=3))
+        assert [step(state).round for _ in range(3)] == [1, 2, 3]
+        assert state.round == 3 and [log.round for log in state.logs] == [1, 2, 3]
 
 
 class TestRunFederation:
@@ -814,12 +839,16 @@ class TestFusedStepMatchesPublicOps:
                                     ds, (2, 4, 1, 2))
         self._assert_same(res, ref)
 
-    def test_backbone_is_one_flat_buffer(self):
+    def test_rows_are_one_new_matrix(self):
         ds, clients, algo, hp, backbone, classifier = self._setup("fedavg", 0.0, (16,))
-        res = train([clients[0]], backbone, classifier, algo, hp, ds, [(2, 3, 1, 0)])[0]
-        base = res.classifier.base
-        assert base is not None
-        assert all(t.base is base for t in res.backbone.tensors())
+        start = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
+                               classifier)
+        rows, _ = local_train([c.shard for c in clients], backbone, classifier, algo, hp, ds,
+                              [(2, 3, 1, c.client_id) for c in clients])
+        assert rows.shape == (len(clients), start.theta.size)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        for given in (start.theta, classifier, *backbone.tensors()):
+            assert not np.shares_memory(rows, given)
 
 
 class TestNumericFailuresNameClient:
