@@ -225,25 +225,24 @@ def local_train(shards, backbone: BackboneParams, classifier, algo: AlgoKind,
     """Run `hp.epochs` epochs of mini-batch SGD on each shard's train split,
     every client starting from the given (global) weights.
 
-    `seed_parts` is one shuffle seed tuple per shard; `phi` and `mask` are
-    (m, C) arrays of the clients' class weights and existing classes, or
-    None for all ones and all classes, and a train label outside its
-    client's mask is rejected. Only an algorithm that adapts phi takes
-    them; one given with none trains unscaled on every class, as the
-    fine-tune does. Returns the (m, P) matrix of the trained
-    model rows, in input order and laid out as the start model (the
-    learnable classifier last, for the variants that have one), and the
-    (m, epochs) matrix of each client's mean batch loss per epoch.
-    Batches are a seeded shuffle each epoch (seed derived from the client's
-    seed_parts and the epoch index); the last partial batch is kept.
-    Learnable-classifier variants update the classifier jointly, as part of
-    the model's row; fedprox adds lambda_prox * (theta - theta_global) to
-    every gradient. The clients train as one stack of models
-    (neuralnet.flatten, neuralnet.train_step), at most STACK_ELEMENTS
-    parameters per step, each bit-identical to training that client alone.
-    If the stack fails, the clients train again one at a time in input
-    order, so the error raised is the one that training them one after
-    another raises first; a numeric failure is re-raised naming the client.
+    `seed_parts` is one shuffle seed tuple per shard. Only an algorithm that
+    adapts phi takes `phi` and `mask`, (m, C) arrays of the clients' class
+    weights and existing classes, and rejects a train label outside its
+    client's mask; given neither, it trains unscaled on every class, as the
+    fine-tune does. Returns the (m, P) matrix of the trained model rows, in
+    input order and laid out as the start model (the learnable classifier
+    last, for the variants that have one), and the (m, epochs) matrix of
+    each client's mean batch loss per epoch. Batches are a seeded shuffle
+    each epoch (seed derived from the client's seed_parts and the epoch
+    index); the last partial batch is kept. Learnable-classifier variants
+    update the classifier jointly, as part of the model's row; fedprox adds
+    lambda_prox * (theta - theta_global) to every gradient. The clients
+    train as one stack of models (neuralnet.flatten, neuralnet.train_step),
+    at most STACK_ELEMENTS parameters per step, each bit-identical to
+    training that client alone. If the stack fails, the clients train again
+    one at a time in input order, so the error raised is the one that
+    training them one after another raises first; a numeric failure is
+    re-raised naming the client.
     """
     if not algo.adapts_phi and (phi is not None or mask is not None):
         raise ValueError(f"algo={algo.kind} does not adapt phi, so it takes no phi or mask")
@@ -299,20 +298,17 @@ def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
     """Train shards[p] for p in `positions` (train splits of non-increasing
     size) as one stack of models, each starting from the model `init` (with
     the learnable classifier, if any), with the (k, C) `phi` and `mask` rows
-    of those clients. Returns the (k, P) trained rows and (k, epochs)
-    losses."""
+    of those clients. Returns the (k, P) trained rows and (k, epochs) losses."""
     k_rows = len(positions)
     learnable = not algo.fixed_classifier
     prox = algo.kind == "fedprox" and algo.lambda_prox > 0
     model = flatten(init, k_rows, prox)
     frame = _effective_matrix(classifier)
-    n_classes = frame.shape[1]
-    prox_ref = init.theta if prox else None
     phi = None if phi is None else phi[:, None, :]
     mask = None if mask is None or mask.all() else mask[:, None, :]
     hyper = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
                  weight_decay=float(hp.weight_decay),
-                 lambda_prox=float(algo.lambda_prox), prox_ref=prox_ref)
+                 lambda_prox=float(algo.lambda_prox), prox_ref=init.theta if prox else None)
 
     # one epoch's steps: (batch number, first row, row stop, batch start, batch
     # stop); the rows with a full batch at offset i form a prefix, and each
@@ -338,7 +334,7 @@ def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
     losses = np.empty((k_rows, n_batches[0]))
     epoch_losses = np.empty((k_rows, hp.epochs))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
-    classes = np.arange(n_classes)
+    classes = np.arange(frame.shape[1])
     for epoch in range(hp.epochs):
         for k, p in enumerate(positions):
             rng = np.random.default_rng(seeds[p] + (epoch,))
