@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fedsim, metrics
-from .datagen import save_csv, write_partition_csv
+from .datagen import dataset_sha256, save_csv, write_partition_csv
 from .etfgeom import make_etf
 from .neuralnet import (
     PhiVector,
@@ -263,7 +263,7 @@ def cmd_run(config: RunConfig) -> int:
     out = _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     fedsim.write_round_csv(state.logs, out / "rounds.csv")
-    fedsim.write_manifest(out / "manifest.json", config, inputs.dataset)
+    fedsim.write_manifest(out / "manifest.json", config, dataset_sha256(inputs.dataset))
     server = inputs.template._on(state.server_theta)
     save_checkpoint(out / "global_model.npz", server, classifier=server.classifier)
     clients_dir = out / "clients"

@@ -545,12 +545,13 @@ def run_federation(config, dataset: Dataset | None = None,
 
 def _logs_and_dataset(config) -> tuple:
     state = run_federation(config)
-    return state.logs, state.inputs.dataset
+    return state.logs, dataset_sha256(state.inputs.dataset)
 
 
 def run_many(configs):
-    """Yield (logs, dataset) of run_federation(config) for each config, in
-    input order.
+    """Yield (logs, dataset digest) of run_federation(config) for each
+    config, in input order: the digest is datagen.dataset_sha256 of the
+    run's data set, so a pooled run sends back a few kB, not its data.
 
     The runs share a pool of forked worker processes, one per usable CPU (the
     affinity mask, so `taskset` sets the count) and at most one per config.
@@ -636,13 +637,14 @@ def read_round_csv(path) -> list:
     return rows
 
 
-def write_manifest(path, config, ds: Dataset) -> None:
-    """Run manifest: config echo, master seed, and dataset content hash."""
+def write_manifest(path, config, dataset_digest: str) -> None:
+    """Run manifest: config echo, master seed, and the data set's content
+    hash (datagen.dataset_sha256)."""
     payload = {
         "format_version": 1,
         "config": config.to_dict(),
         "master_seed": config.seed,
-        "dataset_sha256": dataset_sha256(ds),
+        "dataset_sha256": dataset_digest,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -656,6 +656,7 @@ class TestRunMany:
                                          inputs=types.SimpleNamespace(dataset=config))
 
         monkeypatch.setattr(fedsim, "run_federation", run)
+        monkeypatch.setattr(fedsim, "dataset_sha256", str)   # the config's name as digest
 
     @pytest.mark.parametrize("cpus, methods, pooled", [
         ({0}, None, False),
