@@ -37,4 +37,4 @@ from fedgela import compute_phi
 shards = pcdd_partition(ds, spec)
 phi = compute_phi(shards[0].counts, shards[0].n_k, gamma=1.0 / ds.n_classes)
 print("\nclient 0 counts:", shards[0].counts.tolist())
-print("client 0 phi   :", np.round(phi.phi, 3).tolist(), f"(mean {phi.mean:.3f})")
+print("client 0 phi   :", np.round(phi, 3).tolist(), f"(mean {phi.mean():.3f})")

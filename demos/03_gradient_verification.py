@@ -11,23 +11,25 @@ analytic partial derivative.
 """
 import numpy as np
 
-from fedgela import finite_diff_check, init_backbone, make_etf
-from fedgela.neuralnet import PhiVector, flatten, gradient_pass, init_classifier
+from fedgela import BackboneParams, finite_diff_check, init_backbone, make_etf
+from fedgela.neuralnet import flatten, gradient_pass, init_classifier
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal((12, 8))
-etf = make_etf(6, 6, seed=1, e_w=9.0)
-phi = PhiVector(np.array([3.0, 3.0, 0.0, 0.0, 0.0, 0.0]))
+frame = make_etf(6, 6, seed=1, e_w=9.0).classifier   # the fixed d x C classifier
+phi = np.array([3.0, 3.0, 0.0, 0.0, 0.0, 0.0])
 mask = np.array([True, True, False, False, False, False])
 labels = rng.choice([0, 1], size=12)
 
 params = init_backbone((8, 32, 16, 6), seed=2)
-err = finite_diff_check(params, x, labels, etf, phi=phi, class_mask=mask,
+err = finite_diff_check(params, x, labels, frame, phi=phi, class_mask=mask,
                         e_h=1.0, step=1e-5, n_probes=64, seed=3)
 print(f"fixed frame, phi with zeros, restricted mask: worst rel err {err:.2e}")
 
-clf = init_classifier(6, 6, seed=4)
-err = finite_diff_check(params, x, rng.integers(0, 6, size=12), clf,
+# a learnable classifier lives in the model's row, so no frame is given
+learnable = BackboneParams(params.weights, params.biases, params.layer_sizes,
+                           init_classifier(6, 6, seed=4))
+err = finite_diff_check(learnable, x, rng.integers(0, 6, size=12),
                         e_h=4.0, n_probes=64, seed=5, lambda_prox=0.1)
 print(f"learnable classifier + proximal term:         worst rel err {err:.2e}")
 
@@ -35,13 +37,13 @@ print(f"learnable classifier + proximal term:         worst rel err {err:.2e}")
 small = init_backbone((8, 6), seed=6)
 model = flatten(small, 1)            # one model as row 0 of a (1, P) stack
 hot = (labels[:, None] == np.arange(6))[None]
-gradient_pass(model, x[None], hot, w_eff=etf.classifier, phi=phi.phi[None, None],
+gradient_pass(model, x[None], hot, w_eff=frame, phi=phi[None, None],
               mask=mask[None, None], e_h=1.0)
 analytic = model.grad_weights[0][0, 0, 0]
 print(f"example probe: dL/dW[0,0] = {analytic:+.6e}")
 
 # steps much below ~1e-7 lose digits to cancellation; 1e-5 is the sweet spot
 for step in (1e-3, 1e-5, 1e-9):
-    err = finite_diff_check(small, x, labels, etf, phi=phi, class_mask=mask,
+    err = finite_diff_check(small, x, labels, frame, phi=phi, class_mask=mask,
                             step=step, n_probes=64, seed=7)
     print(f"step {step:.0e}: worst rel err {err:.2e}")

@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .neuralnet import (
     BackboneParams,
-    PhiVector,
     finite_diff_check,
     forward,
     init_backbone,

@@ -29,7 +29,8 @@ from . import fedsim, metrics
 from .datagen import dataset_sha256, save_csv, write_partition_csv
 from .etfgeom import make_etf
 from .neuralnet import (
-    PhiVector,
+    BackboneParams,
+    _views,
     finite_diff_check,
     init_backbone,
     init_classifier,
@@ -264,12 +265,13 @@ def cmd_run(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fedsim.write_round_csv(state.logs, out / "rounds.csv")
     fedsim.write_manifest(out / "manifest.json", config, dataset_sha256(inputs.dataset))
-    server = inputs.template._on(state.server_theta)
+    server = _views(state.server_theta, inputs.template)
     save_checkpoint(out / "global_model.npz", server, classifier=server.classifier)
     clients_dir = out / "clients"
     clients_dir.mkdir(exist_ok=True)
+    clients = _views(state.client_theta, inputs.template)
     for i in np.flatnonzero(state.trained):
-        model = inputs.template._on(state.client_theta[i])
+        model = clients.row(i)
         save_checkpoint(clients_dir / f"client_{inputs.shards[i].client_id:03d}.npz",
                         model, classifier=model.classifier)
     ga, pa = _final_metrics(state.logs)
@@ -425,10 +427,13 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     n_classes, feat_dim, d_in, hidden = 5, 5, 6, 12
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((8, d_in))
-    etf = make_etf(feat_dim, n_classes, config.seed, e_w=config.e_w)
+    frame = make_etf(feat_dim, n_classes, config.seed, e_w=config.e_w).classifier
+    backbone = init_backbone((d_in, hidden, feat_dim), (config.seed, 11))
+    learnable = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
+                               init_classifier(feat_dim, n_classes, (config.seed, 12)))
     phi_variants = {
-        "phi_uniform": PhiVector(np.ones(n_classes)),
-        "phi_zeros": PhiVector(np.array([2.0, 1.5, 0.0, 1.5, 0.0])),
+        "phi_uniform": np.ones(n_classes),
+        "phi_zeros": np.array([2.0, 1.5, 0.0, 1.5, 0.0]),
     }
     mask_variants = {
         "full_mask": None,
@@ -437,15 +442,13 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     for algo in fedsim.VALID_ALGOS:
         lam = 0.1 if algo == "fedprox" else 0.0
         fixed = algo in ("fedge", "fedgela")
+        model, fixed_frame = (backbone, frame) if fixed else (learnable, None)
         for phi_name, phi in phi_variants.items():
             for mask_name, mask in mask_variants.items():
                 allowed = np.arange(n_classes) if mask is None else np.nonzero(mask)[0]
                 labels = rng.choice(allowed, size=len(x))
-                params = init_backbone((d_in, hidden, feat_dim), (config.seed, 11))
-                classifier = etf if fixed else init_classifier(feat_dim, n_classes,
-                                                               (config.seed, 12))
                 err = max(finite_diff_check(
-                    params, x, labels, classifier, phi=phi, class_mask=mask,
+                    model, x, labels, fixed_frame, phi=phi, class_mask=mask,
                     e_h=e_h, step=1e-5, n_probes=n_probes,
                     seed=(config.seed, 13), lambda_prox=lam,
                 ) for e_h in (config.e_h, 4 * config.e_h))

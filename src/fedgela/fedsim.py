@@ -7,8 +7,9 @@ backbones, with FedGELA (and the LA-only ablation arm) scaling classifier
 columns by each client's class-distribution vector and restricting the
 softmax to locally existing classes.
 
-A run's whole state is a RunState of a few arrays: `init_state` builds it
-and `step` runs one round on it.
+A run's whole state is a RunState of a few arrays: `init_state` builds it,
+`step` runs one round on it and `evaluate` scores it; `run_federation`
+decides which rounds are evaluated.
 """
 from __future__ import annotations
 
@@ -31,9 +32,8 @@ from .datagen import (
 from .etfgeom import make_etf
 from .neuralnet import (
     BackboneParams,
-    PhiVector,
+    _as_phi,
     _check_labels,
-    _effective_matrix,
     flatten,
     init_backbone,
     init_classifier,
@@ -43,7 +43,7 @@ from .neuralnet import (
 __all__ = ["AlgoKind", "Hyperparams", "feature_width", "RunInputs", "RunState",
            "RoundLog", "compute_phi", "sample_clients", "local_train",
            "aggregate", "finetune_personalize", "init_state", "step",
-           "run_federation", "run_many", "build_dataset", "build_partition",
+           "evaluate", "run_federation", "run_many", "build_dataset", "build_partition",
            "write_round_csv", "read_round_csv", "write_manifest",
            "ROUND_CSV_COLUMNS"]
 
@@ -122,8 +122,9 @@ class RunInputs:
     Hyperparams built from it), data set and shards, the per-client (N, C)
     phi and boolean class-mask arrays (None unless the algorithm adapts
     phi), the `template` every model row is laid out as (the initial server
-    model, learnable classifier included), the fixed simplex `frame` (None
-    for a learnable classifier) and the global test indices."""
+    model, learnable classifier included), the (d, C) matrix of the fixed
+    simplex `frame` (None for a learnable classifier) and the global test
+    indices."""
 
     config: object
     algo: AlgoKind
@@ -133,7 +134,7 @@ class RunInputs:
     phi: np.ndarray | None
     mask: np.ndarray | None
     template: BackboneParams
-    frame: object
+    frame: np.ndarray | None
     global_test: np.ndarray
 
 
@@ -169,10 +170,20 @@ class RoundLog:
     clf_exist_angle: float | None = None
     clf_miss_angle: float | None = None
 
+    def record(self, report: metrics.EvalReport) -> None:
+        """Copy an evaluation's GA, PA and angles onto this log."""
+        angles = report.angles
+        self.ga, self.pa = report.ga, report.pa
+        self.global_mean_angle = angles.global_all_class_mean_angle
+        self.local_exist_angle = angles.per_client_existing_class_mean_angle
+        self.clf_exist_angle = angles.classifier_existing_angle
+        self.clf_miss_angle = angles.classifier_missing_angle
 
-def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> PhiVector:
-    """Distribution vector phi_c = Q(n_{k,c} / n_k) / gamma with Q identity,
-    exp, or sqrt.
+
+def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> np.ndarray:
+    """The (C,) distribution vector phi_c = Q(n_{k,c} / n_k) / gamma with Q
+    identity, exp, or sqrt; its entries must come out finite and
+    non-negative.
 
     Identity computes n_{k,c} / (n_k * gamma). With gamma = 1/C this is
     C * n_{k,c} / n_k: zero exactly on missing classes and averaging to one
@@ -187,11 +198,11 @@ def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> Phi
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if q_kind == "identity":
-        return PhiVector(phi=counts / (n_k * gamma))
+        return _as_phi(counts / (n_k * gamma), counts.size)
     if q_kind not in ("exp", "sqrt"):
         raise ValueError(f"unknown q_kind '{q_kind}', expected identity/exp/sqrt")
     q = np.exp if q_kind == "exp" else np.sqrt
-    return PhiVector(phi=q(counts / n_k) / gamma)
+    return _as_phi(q(counts / n_k) / gamma, counts.size)
 
 
 def sample_clients(n_clients: int, k: int, round_seed) -> np.ndarray:
@@ -220,21 +231,23 @@ def _pick(rows, sel):
     return None if rows is None else rows[sel]
 
 
-def local_train(shards, backbone: BackboneParams, classifier, algo: AlgoKind,
+def local_train(shards, start: BackboneParams, frame, algo: AlgoKind,
                 hp: Hyperparams, ds: Dataset, seed_parts, phi=None, mask=None):
     """Run `hp.epochs` epochs of mini-batch SGD on each shard's train split,
-    every client starting from the given (global) weights.
+    every client starting from the (global) model `start`.
 
-    `seed_parts` is one shuffle seed tuple per shard. Only an algorithm that
-    adapts phi takes `phi` and `mask`, (m, C) arrays of the clients' class
-    weights and existing classes, and rejects a train label outside its
-    client's mask; given neither, it trains unscaled on every class, as the
-    fine-tune does. Returns the (m, P) matrix of the trained model rows, in
-    input order and laid out as the start model (the learnable classifier
-    last, for the variants that have one), and the (m, epochs) matrix of
-    each client's mean batch loss per epoch. Batches are a seeded shuffle
-    each epoch (seed derived from the client's seed_parts and the epoch
-    index); the last partial batch is kept. Learnable-classifier variants
+    A fixed-classifier algorithm takes a start model without a classifier
+    and the (d, C) `frame` matrix, the others a start model holding its
+    learnable classifier and no frame. `seed_parts` is one shuffle seed
+    tuple per shard. Only an algorithm that adapts phi takes `phi` and
+    `mask`, (m, C) arrays of the clients' class weights and existing
+    classes, and rejects a train label outside its client's mask; given
+    neither, it trains unscaled on every class, as the fine-tune does.
+    Returns the (m, P) matrix of the trained model rows, in input order and
+    laid out as `start`, and the (m, epochs) matrix of each client's mean
+    batch loss per epoch. Batches are a seeded shuffle each epoch (seed
+    derived from the client's seed_parts and the epoch index); the last
+    partial batch is kept. Learnable-classifier variants
     update the classifier jointly, as part of the model's row; fedprox adds
     lambda_prox * (theta - theta_global) to every gradient. The clients
     train as one stack of models (neuralnet.flatten, neuralnet.train_step),
@@ -246,30 +259,34 @@ def local_train(shards, backbone: BackboneParams, classifier, algo: AlgoKind,
     """
     if not algo.adapts_phi and (phi is not None or mask is not None):
         raise ValueError(f"algo={algo.kind} does not adapt phi, so it takes no phi or mask")
+    fixed = algo.fixed_classifier
+    if (frame is not None) != fixed or (start.classifier is None) != fixed:
+        raise ValueError(f"algo={algo.kind} needs a start model " + (
+            "without a classifier, and a frame" if fixed else "with its classifier, no frame"))
     shards, seeds = list(shards), [tuple(s) for s in seed_parts]
     if len(seeds) != len(shards):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
                          f"for {len(shards)} clients")
     try:
-        return _train_clients(shards, seeds, backbone, classifier, algo, hp, ds, phi, mask)
+        return _train_clients(shards, seeds, start, frame, algo, hp, ds, phi, mask)
     except (ValueError, FloatingPointError):
         # trajectories are independent, so the first client that fails alone
         # is the one the sequential loop fails on
         for k, (s, seed) in enumerate(zip(shards, seeds)):
             one = slice(k, k + 1)
             try:
-                _train_clients([s], [seed], backbone, classifier, algo, hp, ds,
+                _train_clients([s], [seed], start, frame, algo, hp, ds,
                                _pick(phi, one), _pick(mask, one))
             except FloatingPointError as exc:
                 raise FloatingPointError(f"client {s.client_id}: {exc}") from exc
         raise
 
 
-def _train_clients(shards, seeds, backbone, classifier, algo, hp, ds, phi, mask) -> tuple:
+def _train_clients(shards, seeds, start, frame, algo, hp, ds, phi, mask) -> tuple:
     """local_train's row and loss matrices. Stacks hold clients sorted by
     train-split size (descending, stable), so the clients that still have a
     full batch at an offset are a prefix of the stack."""
-    n_classes = _effective_matrix(classifier).shape[1]
+    n_classes = (start.classifier if frame is None else frame).shape[1]
     for name, rows in (("phi", phi), ("mask", mask)):
         if rows is not None and np.shape(rows) != (len(shards), n_classes):
             raise ValueError(f"{name} must hold one row of {n_classes} classes per "
@@ -279,31 +296,27 @@ def _train_clients(shards, seeds, backbone, classifier, algo, hp, ds, phi, mask)
             raise ValueError(f"client {s.client_id} has an empty train split")
         if mask is not None:
             _check_labels(ds.labels[s.train_indices], mask[k])  # once, not per batch
-    start = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
-                           None if algo.fixed_classifier else classifier)
     cap = max(1, STACK_ELEMENTS // start.theta.size)
     order = sorted(range(len(shards)), key=lambda p: -shards[p].train_indices.size)
     rows = np.empty((len(shards), start.theta.size))
     losses = np.empty((len(shards), hp.epochs))
     for g in range(0, len(order), cap):
         group = order[g:g + cap]
-        rows[group], losses[group] = _train_stack(group, shards, seeds, start, classifier,
-                                                  algo, hp, ds, _pick(phi, group),
-                                                  _pick(mask, group))
+        rows[group], losses[group] = _train_stack(group, shards, seeds, start, frame, algo,
+                                                  hp, ds, _pick(phi, group), _pick(mask, group))
     return rows, losses
 
 
-def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
+def _train_stack(positions, shards, seeds, init, frame, algo, hp, ds,
                  phi, mask) -> tuple:
     """Train shards[p] for p in `positions` (train splits of non-increasing
     size) as one stack of models, each starting from the model `init` (with
-    the learnable classifier, if any), with the (k, C) `phi` and `mask` rows
-    of those clients. Returns the (k, P) trained rows and (k, epochs) losses."""
+    its learnable classifier, else against the fixed `frame`), with the
+    (k, C) `phi` and `mask` rows of those clients. Returns the (k, P) trained
+    rows and (k, epochs) losses."""
     k_rows = len(positions)
-    learnable = not algo.fixed_classifier
     prox = algo.kind == "fedprox" and algo.lambda_prox > 0
     model = flatten(init, k_rows, prox)
-    frame = _effective_matrix(classifier)
     phi = None if phi is None else phi[:, None, :]
     mask = None if mask is None or mask.all() else mask[:, None, :]
     hyper = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
@@ -327,14 +340,14 @@ def _train_stack(positions, shards, seeds, init, classifier, algo, hp, ds,
             rows = model if (start, stop) == (0, k_rows) else model.rows(start, stop)
             cut = slice(start, stop)
             stacks[start, stop] = rows, dict(
-                hyper, w_eff=rows.classifier if learnable else frame,
+                hyper, w_eff=rows.classifier if frame is None else frame,
                 phi=None if phi is None else phi[cut],
                 mask=None if mask is None else mask[cut])
     n_batches = [-(-nk // size) for nk in n]
     losses = np.empty((k_rows, n_batches[0]))
     epoch_losses = np.empty((k_rows, hp.epochs))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
-    classes = np.arange(frame.shape[1])
+    classes = np.arange((init.classifier if frame is None else frame).shape[1])
     for epoch in range(hp.epochs):
         for k, p in enumerate(positions):
             rng = np.random.default_rng(seeds[p] + (epoch,))
@@ -367,16 +380,15 @@ def aggregate(rows, weights) -> np.ndarray:
     return acc
 
 
-def finetune_personalize(backbone: BackboneParams, classifier, shards,
-                         algo: AlgoKind, hp: Hyperparams, epochs: int,
-                         ds: Dataset, seed_parts):
-    """Continue the algorithm's local training on each shard from the given
-    (global) weights for `epochs` epochs, with no phi and every class;
-    epochs=0 returns them unchanged. Otherwise as local_train: the (m, P)
-    rows and the (m, epochs) losses."""
+def finetune_personalize(start: BackboneParams, frame, shards, algo: AlgoKind,
+                         hp: Hyperparams, epochs: int, ds: Dataset, seed_parts):
+    """Continue the algorithm's local training on each shard from the
+    (global) model `start` (against `frame`, as local_train) for `epochs`
+    epochs, with no phi and every class; epochs=0 returns it unchanged.
+    Otherwise as local_train: the (m, P) rows and the (m, epochs) losses."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    return local_train(shards, backbone, classifier, algo, replace(hp, epochs=int(epochs)),
+    return local_train(shards, start, frame, algo, replace(hp, epochs=int(epochs)),
                        ds, seed_parts)
 
 
@@ -418,30 +430,6 @@ def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:
         raise ValueError(f"class {absent[0]} is absent from the global test set")
 
 
-def _evaluate(state: RunState, ids, t: int):
-    """GA, PA and angles after round t (metrics.evaluate). A client's
-    personal model is its row, or the server row until it has trained, if
-    the algorithm adapts phi; else its fine-tune of the server row."""
-    inp = state.inputs
-    shards, n = inp.shards, len(inp.shards)
-    if inp.algo.adapts_phi:
-        personal = [state.client_theta[i] if state.trained[i] else state.server_theta
-                    for i in range(n)]
-        phis, masks = [PhiVector(p) for p in inp.phi], list(inp.mask)
-    else:
-        server = inp.template._on(state.server_theta)
-        personal, _ = finetune_personalize(
-            server, server.classifier if inp.frame is None else inp.frame, shards, inp.algo,
-            inp.hp, inp.config.finetune_epochs, inp.dataset,
-            [(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in shards])
-        phis = masks = [None] * n
-    return metrics.evaluate(inp.template, inp.frame, state.server_theta,
-                            list(zip(shards, personal, phis, masks)),
-                            [(int(i), state.client_theta[i]) for i in ids],
-                            inp.dataset, inp.global_test, inp.hp.e_h,
-                            local_is_personal=inp.algo.adapts_phi)
-
-
 def init_state(config, dataset: Dataset | None = None,
                shards: list | None = None) -> RunState:
     """A run before round 1: the data set and partition of `config` (or the
@@ -468,15 +456,14 @@ def init_state(config, dataset: Dataset | None = None,
     template = init_backbone(layer_sizes, (seed, _SEED_INIT))
     frame = None
     if algo.fixed_classifier:
-        frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
+        frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w).classifier
     else:
         template = BackboneParams(template.weights, template.biases, layer_sizes,
                                   init_classifier(feat_dim, n_classes, (seed, _SEED_INIT, 1)))
     phi = mask = None
     if algo.adapts_phi:
         gamma = config.gamma if config.gamma is not None else 1.0 / n_classes
-        phi = np.stack([compute_phi(s.counts, s.n_k, gamma, config.q_kind).phi
-                        for s in shards])
+        phi = np.stack([compute_phi(s.counts, s.n_k, gamma, config.q_kind) for s in shards])
         mask = np.stack([s.counts > 0 for s in shards])
     global_test = np.sort(np.concatenate([s.test_indices for s in shards]))
     if config.rounds >= 1 and config.eval_every:
@@ -491,18 +478,17 @@ def init_state(config, dataset: Dataset | None = None,
 
 def step(state: RunState) -> RoundLog:
     """Round t = state.round + 1 on `state`: sample clients, train them from
-    the server row in one local_train call, aggregate their rows in
-    ascending client-id order and, every `eval_every` rounds and on the
-    last, evaluate. Appends the round's log to state.logs and returns it."""
+    the server row in one local_train call and aggregate their rows in
+    ascending client-id order. Appends the round's log (not evaluated) to
+    state.logs and returns it."""
     inp, t = state.inputs, state.round + 1
-    config, algo, seed = inp.config, inp.algo, inp.config.seed
-    ids = sample_clients(len(inp.shards), config.clients_per_round, (seed, _SEED_SAMPLE, t))
+    algo, seed = inp.algo, inp.config.seed
+    ids = sample_clients(len(inp.shards), inp.config.clients_per_round, (seed, _SEED_SAMPLE, t))
     sampled = [inp.shards[i] for i in ids]
-    server = inp.template._on(state.server_theta)
     try:
         rows, losses = local_train(
-            sampled, server, server.classifier if inp.frame is None else inp.frame, algo,
-            inp.hp, inp.dataset, [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
+            sampled, inp.template._on(state.server_theta), inp.frame, algo, inp.hp,
+            inp.dataset, [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
             _pick(inp.phi, ids), _pick(inp.mask, ids))
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {t}: {exc}") from exc
@@ -517,29 +503,46 @@ def step(state: RunState) -> RoundLog:
     mean_loss = float(np.mean(list(client_losses.values()))) if client_losses else None
     log = RoundLog(round=t, algo=algo.kind, participants=tuple(int(i) for i in ids),
                    client_losses=client_losses, mean_train_loss=mean_loss)
-    if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
-        try:
-            report = _evaluate(state, ids, t)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"round {t}: {exc}") from exc
-        log.ga, log.pa = report.ga, report.pa
-        angles = report.angles
-        log.global_mean_angle = angles.global_all_class_mean_angle
-        log.local_exist_angle = angles.per_client_existing_class_mean_angle
-        log.clf_exist_angle = angles.classifier_existing_angle
-        log.clf_miss_angle = angles.classifier_missing_angle
     state.logs.append(log)
     return log
+
+
+def evaluate(state: RunState) -> metrics.EvalReport:
+    """GA, PA and angles of `state` (metrics.evaluate): its server row, one
+    personal row per client and the local rows of the last round's
+    participants. A personal row is the client's own row, or the server row
+    until it has trained, if the algorithm adapts phi; else the client's
+    fine-tune of the server row, seeded by state.round."""
+    inp, t = state.inputs, state.round
+    try:
+        if inp.algo.adapts_phi:
+            personal = np.where(state.trained[:, None], state.client_theta, state.server_theta)
+            local = None   # a participant's local row is its personal row
+        else:
+            personal, _ = finetune_personalize(
+                inp.template._on(state.server_theta), inp.frame, inp.shards, inp.algo, inp.hp,
+                inp.config.finetune_epochs, inp.dataset,
+                [(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in inp.shards])
+            local = state.client_theta
+        participants = state.logs[-1].participants if state.logs else ()
+        return metrics.evaluate(inp.template, inp.frame, state.server_theta, personal, inp.phi,
+                                inp.mask, local, participants, inp.shards, inp.dataset,
+                                inp.global_test, inp.hp.e_h)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {t}: {exc}") from exc
 
 
 def run_federation(config, dataset: Dataset | None = None,
                    shards: list | None = None) -> RunState:
     """Run T federated rounds of sample / broadcast / local train / aggregate
-    (init_state, then T steps) and return the final RunState.
-    Results are bit-deterministic per master seed."""
+    (init_state, then T steps), evaluating every `eval_every` rounds and the
+    last, and return the final RunState. Results are bit-deterministic per
+    master seed."""
     state = init_state(config, dataset, shards)
-    for _ in range(config.rounds):
-        step(state)
+    for t in range(1, config.rounds + 1):
+        log = step(state)
+        if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
+            log.record(evaluate(state))
     return state
 
 

@@ -10,7 +10,9 @@ classifiers, between classifier columns split by existing/missing classes.
 
 The scores are functions of features: the B x d projected features that
 neuralnet.forward returns. `evaluate` is the one place that forwards
-models, each (model, split) pair once.
+models, each (model, split) pair once; it reads a model as layer views of
+its row (neuralnet.Layers). A classifier is a d x C matrix, phi a (C,)
+vector of class scales and a class mask a boolean (C,) vector.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etfgeom import mean_pairwise_angle
-from .neuralnet import PhiVector, _as_mask, forward, logits
+from .neuralnet import _as_mask, _views, forward, logits
 
 __all__ = ["EvalReport", "AngleReport", "predict", "generic_accuracy",
            "personal_accuracy", "angle_report", "evaluate", "nc1_variability"]
@@ -42,13 +44,13 @@ class EvalReport:
     angles: AngleReport | None = None
 
 
-def predict(features, classifier, class_mask=None,
-            phi: PhiVector | None = None) -> np.ndarray:
-    """Argmax over (masked, optionally phi-scaled) logits of the features.
+def predict(features, classifier, class_mask=None, phi=None) -> np.ndarray:
+    """Argmax over (masked, optionally phi-scaled) logits of the features
+    against the d x C `classifier` matrix.
 
     Ties break toward the lowest class index. Global evaluation passes no
-    phi and the full mask; personal evaluation passes the client's phi and
-    its existing-class mask.
+    phi and no mask (every class); personal evaluation passes the client's
+    (C,) phi and boolean existing-class mask.
     """
     z = logits(features, classifier, phi)
     mask = _as_mask(class_mask, z.shape[1])
@@ -155,36 +157,39 @@ def angle_report(features, ds, global_test_indices, local_entries=None) -> Angle
     )
 
 
-def evaluate(template, frame, global_row, personal_models, local_models, ds, global_test,
-             e_h: float = 1.0, local_is_personal: bool = False) -> EvalReport:
+def evaluate(template, frame, global_row, personal, phi, mask, local, participants,
+             shards, ds, global_test, e_h: float = 1.0) -> EvalReport:
     """GA, PA and angles at one evaluation point, forwarding each (model,
     split) pair once. A model is a row laid out as the `template` model,
     scored with its own learnable classifier when the layout has one, else
-    with the fixed `frame`. `global_row` is scored on `global_test`;
-    `personal_models` holds one (shard, row, phi, mask) per client and
-    `local_models` one (client index, row) per participant, each on its
-    shard's test split. With `local_is_personal`, each participant's local
-    model is its personal model, whose features are reused."""
-    def model(row):
-        m = template._on(row)
-        return m, frame if m.classifier is None else m.classifier
+    with the fixed `frame` matrix. `global_row` is scored on `global_test`;
+    the (N, P) `personal` rows, one per shard, on its test split with the
+    (N, C) `phi` and boolean `mask` rows (None: unscaled, every class). The
+    angles read the `participants`' rows of the (N, P) `local` matrix on
+    their test splits -- with `local` None, their personal rows, whose
+    features are reused."""
+    def classifier(m):
+        return frame if m.classifier is None else m.classifier
 
-    server, classifier = model(global_row)
+    server = _views(global_row, template)
     features = forward(server, ds.features[global_test], e_h)
-    ga = generic_accuracy(features, classifier, ds.labels[global_test])
+    ga = generic_accuracy(features, classifier(server), ds.labels[global_test])
+    views = _views(personal, template)
     scored = []
-    for shard, row, phi, mask in personal_models:
-        m, clf = model(row)
-        scored.append((forward(m, ds.features[shard.test_indices], e_h), clf, phi, mask))
-    shards = [m[0] for m in personal_models]
+    for i, shard in enumerate(shards):
+        m = views.row(i)
+        scored.append((forward(m, ds.features[shard.test_indices], e_h), classifier(m),
+                       None if phi is None else phi[i], None if mask is None else mask[i]))
     pa, per_client = personal_accuracy(scored, shards, ds)
-    local = []
-    for i, row in local_models:
-        m = template._on(row)
-        f = scored[i][0] if local_is_personal else forward(
+    if local is not None:
+        views = _views(local, template)
+    entries = []
+    for i in participants:
+        m = views.row(i)
+        f = scored[i][0] if local is None else forward(
             m, ds.features[shards[i].test_indices], e_h)
-        local.append((shards[i], f, m.classifier))
-    angles = angle_report(features, ds, global_test, local)
+        entries.append((shards[i], f, m.classifier))
+    angles = angle_report(features, ds, global_test, entries)
     return EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client), angles=angles)
 
 

@@ -1,11 +1,12 @@
 """Minimal MLP backbone with exact gradients and an SGD optimizer.
 
 Forward passes project features onto the sqrt(E_H) sphere, logits are a
-bilinear form against a fixed simplex frame (optionally column-scaled by a
-per-client phi vector) or a learnable matrix, and the cross-entropy softmax
-can be restricted to a class mask. Training runs train_step: gradient_pass,
-whose gradients are hand-derived, including through the sphere projection,
-then the momentum-SGD update. finite_diff_check checks gradient_pass against
+bilinear form against a d x C classifier matrix -- a fixed simplex frame
+(optionally column-scaled by a per-client (C,) phi vector) or a learnable
+matrix -- and the cross-entropy softmax can be restricted to a boolean (C,)
+class mask. Training runs train_step: gradient_pass, whose gradients are
+hand-derived, including through the sphere projection, then the
+momentum-SGD update. finite_diff_check checks gradient_pass against
 central finite differences of its own loss.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .etfgeom import EtfClassifier
 
 __all__ = [
     "BackboneParams",
-    "PhiVector",
+    "Layers",
     "init_backbone",
     "init_classifier",
     "forward",
@@ -75,10 +77,6 @@ class BackboneParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.layer_sizes[-1]
-
     def tensors(self) -> list:
         """The backbone's weights and biases (not the classifier)."""
         return list(self.weights) + list(self.biases)
@@ -91,17 +89,32 @@ class BackboneParams:
         return model
 
 
-def _views(flat: np.ndarray, model: BackboneParams, bias: tuple = ()) -> tuple:
-    """(weights, biases, classifier or None) of model's layout as views of
-    flat: of a (P,) row the tensors, of a (K, P) stack (K, ...) stacks of
-    them; each bias is shaped bias + (fan_out,)."""
+class Layers(NamedTuple):
+    """A model's tensors as views of its row -- or, for a (K, P) matrix of
+    rows, (K, ...) stacks of them: forward and save_checkpoint read a model
+    as either a BackboneParams or one of these."""
+
+    weights: list
+    biases: list
+    classifier: np.ndarray | None
+
+    def row(self, i: int) -> "Layers":
+        """Model i of a stack of layers."""
+        return Layers([w[i] for w in self.weights], [b[i] for b in self.biases],
+                      None if self.classifier is None else self.classifier[i])
+
+
+def _views(flat: np.ndarray, model: BackboneParams, bias: tuple = ()) -> Layers:
+    """The Layers of model's layout as views of flat: of a (P,) row the
+    tensors, of a (K, P) stack (K, ...) stacks of them; each bias is shaped
+    bias + (fan_out,)."""
     pairs = list(zip(model.layer_sizes[:-1], model.layer_sizes[1:]))
     shapes = pairs + [bias + (fan_out,) for _, fan_out in pairs]
     shapes += [] if model.classifier is None else [np.shape(model.classifier)]
     cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
     v = [t.reshape(flat.shape[:-1] + s) for t, s in zip(np.split(flat, cuts, axis=-1), shapes)]
     n = len(pairs)
-    return v[:n], v[n:2 * n], v[2 * n] if len(v) > 2 * n else None
+    return Layers(v[:n], v[n:2 * n], v[2 * n] if len(v) > 2 * n else None)
 
 
 def init_backbone(layer_sizes, seed) -> BackboneParams:
@@ -121,29 +134,6 @@ def init_classifier(feature_dim: int, n_classes: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     s = math.sqrt(6.0 / (feature_dim + n_classes))
     return rng.uniform(-s, s, size=(feature_dim, n_classes))
-
-
-@dataclass(frozen=True)
-class PhiVector:
-    """Per-class non-negative column scalings of the classifier."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", np.array(self.phi, dtype=np.float64, copy=True))
-        self.phi.setflags(write=False)
-        if self.phi.ndim != 1:
-            raise ValueError("phi must be a 1-D class vector")
-        if not np.all(np.isfinite(self.phi)) or np.any(self.phi < 0):
-            raise ValueError("phi entries must be finite and non-negative")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.phi)
-
-    @property
-    def mean(self) -> float:
-        return float(self.phi.mean())
 
 
 def _check_finite(z: np.ndarray, layer: int) -> None:
@@ -185,19 +175,20 @@ def _forward_half(weights, biases, x: np.ndarray, e_h: float):
     return acts, raw, norms, h
 
 
-def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> np.ndarray:
-    """The B x d features of the B input rows: the MLP's outputs projected
-    onto the sqrt(e_h) sphere by the training kernel's forward half, run on
-    a one-model stack.
+def forward(params: BackboneParams | Layers, inputs, e_h: float = 1.0) -> np.ndarray:
+    """The B x d features of the B input rows: the outputs of the MLP
+    `params` (its weights and biases) projected onto the sqrt(e_h) sphere by
+    the training kernel's forward half, run on a one-model stack.
 
     The projection is exact (h = sqrt(e_h) * raw / |raw|) and rows with
     |raw| < 1e-12 are rejected rather than silently rescaled.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+    width = params.weights[0].shape[0]
+    if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(
             f"input width {x.shape[-1] if x.ndim else '?'} does not match "
-            f"architecture input {params.layer_sizes[0]}"
+            f"architecture input {width}"
         )
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
@@ -206,53 +197,46 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0) -> np.ndarray:
     return h[0]
 
 
-def _effective_matrix(classifier) -> np.ndarray:
-    """d x C matrix of classifier vectors (sqrt(scale)*m for a fixed frame)."""
-    if isinstance(classifier, EtfClassifier):
-        return classifier.classifier
-    return np.asarray(classifier, dtype=np.float64)
+def _as_phi(phi, n_classes: int) -> np.ndarray:
+    """phi as a float (n_classes,) vector of finite, non-negative class
+    scales."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != (n_classes,):
+        raise ValueError(f"phi has shape {phi.shape}, not one entry per class "
+                         f"of C={n_classes}")
+    if not np.all(np.isfinite(phi)) or np.any(phi < 0):
+        raise ValueError("phi entries must be finite and non-negative")
+    return phi
 
 
-def logits(features, classifier, phi: PhiVector | None = None) -> np.ndarray:
+def logits(features, classifier, phi=None) -> np.ndarray:
     """Bilinear logits z[b, c] = phi_c * <classifier_c, h_b> (no bias).
 
-    `features` is a B x d array; `classifier` is an EtfClassifier or a
-    learnable d x C matrix; phi=None means all-ones.
+    `features` is a B x d array, `classifier` a d x C matrix (a fixed
+    frame's or a learnable one) and `phi` a (C,) vector of non-negative
+    class scales, or None for all ones.
     """
     h = np.asarray(features, dtype=np.float64)
-    w = _effective_matrix(classifier)
-    if h.ndim != 2 or h.shape[1] != w.shape[0]:
+    w = np.asarray(classifier, dtype=np.float64)
+    if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0]:
         raise ValueError(f"feature dim {h.shape} does not match classifier {w.shape}")
     z = h @ w
     if phi is not None:
-        if phi.n_classes != w.shape[1]:
-            raise ValueError(
-                f"phi length {phi.n_classes} does not match class count {w.shape[1]}"
-            )
-        z = z * phi.phi[None, :]
+        z = z * _as_phi(phi, w.shape[1])[None, :]
     return z
 
 
 def _as_mask(class_mask, n_classes: int) -> np.ndarray:
-    """Boolean (n_classes,) mask from None (all classes), a boolean vector
-    or a collection of class ids in [0, n_classes)."""
+    """The boolean (n_classes,) class mask: every class for None, else the
+    given boolean vector, which must select at least one class."""
     if class_mask is None:
         return np.ones(n_classes, dtype=bool)
-    mask = np.zeros(n_classes, dtype=bool)
-    arr = np.asarray(list(class_mask) if isinstance(class_mask, (set, frozenset)) else class_mask)
-    if arr.dtype == bool:
-        if len(arr) != n_classes:
-            raise ValueError("boolean mask length must equal class count")
-        mask = arr.copy()
-    else:
-        ids = arr.astype(int)
-        bad = ids[(ids < 0) | (ids >= n_classes)]
-        if bad.size:
-            raise ValueError(f"class mask names class {bad[0]}, outside "
-                             f"0..{n_classes - 1} for C={n_classes} classes")
-        mask[ids] = True
+    mask = np.asarray(class_mask)
+    if mask.dtype != bool or mask.shape != (n_classes,):
+        raise ValueError(f"class mask must be a boolean vector with one entry per class "
+                         f"of C={n_classes}, got {mask.dtype} of shape {mask.shape}")
     if not mask.any():
-        raise ValueError("class mask must be nonempty")
+        raise ValueError(f"class mask selects none of the C={n_classes} classes")
     return mask
 
 
@@ -392,15 +376,18 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.nd
     return loss
 
 
-def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
-                      phi: PhiVector | None = None, class_mask=None,
+def finite_diff_check(params: BackboneParams, inputs, labels, frame=None,
+                      phi=None, class_mask=None,
                       e_h: float = 1.0, step: float = 1e-5, n_probes: int = 16,
                       seed=0, lambda_prox: float = 0.0) -> float:
     """Worst relative error between the gradient train_step steps on and
     central differences of the loss.
 
-    The model is params with the classifier when it is learnable, as the one
-    row of a flatten(model, 1) stack. The analytic gradient is gradient_pass's,
+    The model is params, as the one row of a flatten(params, 1) stack: it
+    scores with its own learnable classifier when it has one, else with the
+    fixed d x C `frame` matrix. `phi` is a (C,) vector of class scales or
+    None, `class_mask` a boolean (C,) vector or None (every class). The
+    analytic gradient is gradient_pass's,
     and the numeric loss is gradient_pass's loss plus
     0.5 * lambda_prox * |theta - ref|^2. The proximal reference ref lies at a
     seeded offset theta + 0.1 * N(0, 1) from the probe point, where the
@@ -415,17 +402,16 @@ def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
         raise ValueError(f"step must be positive, got {step}")
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
-    learnable = not isinstance(classifier, EtfClassifier)
-    frame = _effective_matrix(classifier)
-    n_classes = frame.shape[1]
-    if phi is not None and phi.n_classes != n_classes:
-        raise ValueError(f"phi length {phi.n_classes} does not match class count {n_classes}")
+    learnable = params.classifier is not None
+    if learnable == (frame is not None):
+        raise ValueError("give a fixed frame exactly when the model has no learnable classifier")
+    model = flatten(params, 1)
+    w_eff = model.classifier if learnable else np.asarray(frame, dtype=np.float64)
+    n_classes = w_eff.shape[-1]
+    phi = None if phi is None else _as_phi(phi, n_classes)
     y = np.asarray(labels, dtype=np.int64)
     mask = _as_mask(class_mask, n_classes)
     _check_labels(y, mask)
-    start = BackboneParams(params.weights, params.biases, params.layer_sizes,
-                           frame if learnable else None)
-    model = flatten(start, 1)
     theta = model.theta[0]
     x = np.asarray(inputs, dtype=np.float64)[None]
     hot = (y[:, None] == np.arange(n_classes))[None]
@@ -433,8 +419,7 @@ def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
     if lambda_prox:
         offset = np.random.default_rng(np.append(seed, 1)).standard_normal(theta.size)
         ref = theta + 0.1 * offset
-    pass_args = dict(w_eff=model.classifier if learnable else frame,
-                     phi=None if phi is None else phi.phi[None, None, :],
+    pass_args = dict(w_eff=w_eff, phi=None if phi is None else phi[None, None, :],
                      mask=None if mask.all() else mask[None, None, :], e_h=float(e_h),
                      lambda_prox=float(lambda_prox), prox_ref=ref)
 
@@ -446,7 +431,7 @@ def finite_diff_check(params: BackboneParams, inputs, labels, classifier,
 
     gradient_pass(model, x, hot, **pass_args)
     analytic_grad = model.grad[0].copy()
-    tensors = start.tensors() + ([start.classifier] if learnable else [])
+    tensors = params.tensors() + ([params.classifier] if learnable else [])
     bounds = np.cumsum([0] + [t.size for t in tensors])   # tensor ti: bounds[ti:ti+2]
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -496,12 +481,13 @@ def lpm_feature_fit(n_classes: int, feature_dim: int, e_h: float,
     return h
 
 
-def save_checkpoint(path, params: BackboneParams,
+def save_checkpoint(path, params: BackboneParams | Layers,
                     classifier: np.ndarray | None = None) -> None:
     """Lossless parameter checkpoint (architecture + tensors, row-major)."""
+    sizes = [params.weights[0].shape[0]] + [w.shape[1] for w in params.weights]
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),
-        "layer_sizes": np.asarray(params.layer_sizes, dtype=np.int64),
+        "layer_sizes": np.asarray(sizes, dtype=np.int64),
     }
     for i, w in enumerate(params.weights):
         payload[f"w{i}"] = w

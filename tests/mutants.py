@@ -7,9 +7,9 @@ each mutant, src/ is copied to a temporary directory, the line is
 replaced, and the kill set runs against the copy in a subprocess:
 
   1. `fedgela gradcheck` (the finite-difference battery);
-  2. the bitwise tests against tests/reference_ops.py and the golden pins
-     (tests/test_golden.py), in one pytest call that stops at the first
-     failure.
+  2. the bitwise tests against tests/reference_ops.py, compute_phi's tests
+     and the golden pins (tests/test_golden.py), in one pytest call that
+     stops at the first failure.
 
 A mutant is killed when a step fails. The unmutated copy runs the kill set
 first and must pass it. The script exits 1 if that baseline fails, if a
@@ -18,7 +18,7 @@ so the list has to follow the code it names.
 
     python tests/mutants.py
 
-It checks one mutant per usable CPU at a time and takes 10-13 s on 2 CPUs,
+It checks one mutant per usable CPU at a time and takes about 20 s on 2 CPUs,
 too long for tier-1, so run it by hand for every change to `neuralnet.py`
 or `fedsim.py`.
 """
@@ -61,9 +61,24 @@ MUTANTS = (
      "acc = weights[0] * rows[0]",
      "rows, weights = rows[::-1], weights[::-1]; acc = weights[0] * rows[0]"),
     ("write the stack's rows back in sorted order", "fedsim.py",
-     "rows[group], losses[group] = _train_stack(group, shards, seeds, start, classifier,",
+     "rows[group], losses[group] = _train_stack(group, shards, seeds, start, frame, algo,",
      "rows[g:g + len(group)], losses[group] = _train_stack(group, shards, seeds, start, "
-     "classifier,"),
+     "frame, algo,"),
+    ("compute_phi drops gamma", "fedsim.py",
+     "return _as_phi(counts / (n_k * gamma), counts.size)",
+     "return _as_phi(counts / n_k, counts.size)"),
+    ("swap compute_phi's exp and sqrt", "fedsim.py",
+     'q = np.exp if q_kind == "exp" else np.sqrt',
+     'q = np.sqrt if q_kind == "exp" else np.exp'),
+    ("score an untrained client's zero row", "fedsim.py",
+     "personal = np.where(state.trained[:, None], state.client_theta, state.server_theta)",
+     "personal = state.client_theta"),
+    ("predict ignores the mask", "metrics.py",
+     "z = np.where(mask[None, :], z, -np.inf)",
+     "pass"),
+    ("skip the last round's evaluation", "fedsim.py",
+     "if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):",
+     "if config.eval_every and t % config.eval_every == 0:"),
 )
 
 GRADCHECK = [sys.executable, "-c",
@@ -72,6 +87,8 @@ KILL_TESTS = [
     "tests/test_neuralnet.py::TestShippedForward",
     "tests/test_fedsim.py::TestFusedStepMatchesPublicOps",
     "tests/test_fedsim.py::TestStackedMatchesSingle",
+    "tests/test_fedsim.py::TestComputePhi",
+    "tests/test_fedsim.py::TestAltPhi",
     "tests/test_golden.py",
 ]
 

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedgela.etfgeom import EtfClassifier
 from fedgela.neuralnet import (
     BackboneParams,
-    PhiVector,
     _as_mask,
     _check_finite,
     _check_labels,
     _check_norms,
-    _effective_matrix,
     logits,
 )
 
@@ -153,7 +150,8 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
 
 
 def ce_loss(z: np.ndarray, labels, class_mask=None) -> float:
-    """Mean -log softmax(z)[label] with the softmax restricted to class_mask.
+    """Mean -log softmax(z)[label] with the softmax restricted to the
+    boolean class_mask (None: every class).
 
     Uses max-subtraction stabilization. Every label must lie in the mask.
     """
@@ -181,10 +179,13 @@ class Grads:
         return out
 
 
-def backward(cache: ForwardCache, labels, classifier, phi: PhiVector | None = None,
-             class_mask=None) -> Grads:
+def backward(cache: ForwardCache, labels, classifier, phi=None, class_mask=None,
+             frame=None) -> Grads:
     """Exact gradients of ce_loss(logits(forward(...))) w.r.t. the backbone
-    (and the classifier matrix when it is learnable; a fixed frame gets none).
+    and the learnable d x C `classifier` matrix -- or, with classifier None,
+    w.r.t. the backbone alone, the logits taken against the fixed `frame`.
+    `phi` is a (C,) vector or None, `class_mask` a boolean (C,) vector or
+    None.
 
     The chain rule runs through the sphere projection:
     dL/draw = (sqrt(e_h)/|raw|) * (dL/dh - (dL/dh . u) u), u = raw/|raw|.
@@ -195,11 +196,13 @@ def backward(cache: ForwardCache, labels, classifier, phi: PhiVector | None = No
         )
     params = cache.params
     y = np.asarray(labels, dtype=np.int64)
-    w_eff = _effective_matrix(classifier)
+    if (classifier is None) == (frame is None):
+        raise ValueError("give exactly one of a learnable classifier and a fixed frame")
+    w_eff = np.asarray(frame if classifier is None else classifier, dtype=np.float64)
     n_classes = w_eff.shape[1]
     mask = _as_mask(class_mask, n_classes)
     _check_labels(y, mask)
-    phi_vec = np.ones(n_classes) if phi is None else phi.phi
+    phi_vec = np.ones(n_classes) if phi is None else phi
     batch = len(y)
 
     z = (cache.h @ w_eff) * phi_vec[None, :]
@@ -209,9 +212,7 @@ def backward(cache: ForwardCache, labels, classifier, phi: PhiVector | None = No
     g_z /= batch
 
     g_zpre = g_z * phi_vec[None, :]          # z = (h @ W) * phi
-    clf_grad = None
-    if not isinstance(classifier, EtfClassifier):
-        clf_grad = cache.h.T @ g_zpre
+    clf_grad = None if classifier is None else cache.h.T @ g_zpre
     g_h = g_zpre @ w_eff.T
 
     u = cache.raw / cache.norms[:, None]

@@ -2,9 +2,13 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines. Criteria 6-8 share one set of reference runs (three algorithms,
-three seeds); the fixture cost is paid by whichever of them runs first.
+three seeds), evaluated only at the rounds they read; the fixture cost is
+paid by whichever of them runs first.
 """
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,13 +22,15 @@ from fedgela.fedsim import (
     AlgoKind,
     Hyperparams,
     compute_phi,
+    evaluate,
+    init_state,
     local_train,
     read_round_csv,
     run_federation,
-    run_many,
+    step,
 )
 from fedgela.metrics import nc1_variability
-from fedgela.neuralnet import init_backbone, init_classifier, lpm_feature_fit
+from fedgela.neuralnet import BackboneParams, init_backbone, init_classifier, lpm_feature_fit
 
 SEEDS = (0, 1, 2)
 
@@ -36,13 +42,26 @@ def ref_config(algo, seed, **overrides):
     return parse_config(base)
 
 
+def _first_and_last_evaluated(config):
+    """The logs of a run whose first and last rounds alone are evaluated:
+    criterion 6 reads rounds 1 and 30, criteria 7 and 8 round 30."""
+    state = init_state(config)
+    for t in range(1, config.rounds + 1):
+        log = step(state)
+        if t in (1, config.rounds):
+            log.record(evaluate(state))
+    return state.logs
+
+
 @pytest.fixture(scope="module")
 def reference_runs():
-    """Final-round logs and full trajectories per (algorithm, seed), run
-    concurrently on the usable CPUs."""
+    """The logs per (algorithm, seed), run concurrently on the usable CPUs
+    in fresh worker processes."""
     keys = [(algo, seed) for algo in ("fedavg", "fedge", "fedgela") for seed in SEEDS]
-    results = run_many(ref_config(algo, seed) for algo, seed in keys)
-    return {key: logs for key, (logs, _) in zip(keys, results)}
+    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(keys)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        logs = pool.map(_first_and_last_evaluated, [ref_config(a, s) for a, s in keys])
+        return dict(zip(keys, logs))
 
 
 def _report(num, ok, detail):
@@ -80,7 +99,7 @@ def test_criterion_2_phi_identity():
         weighted = np.zeros(ds.n_classes)
         for shard in shards:
             phi = compute_phi(shard.counts, shard.n_k, gamma=1.0 / ds.n_classes)
-            weighted += (shard.n_k / ds.n) * phi.phi
+            weighted += (shard.n_k / ds.n) * phi
         worst = max(worst, float(np.max(np.abs(weighted - 1.0))))
     elapsed = time.time() - start
     _report(2, worst < 1e-9 and elapsed < 1.0,
@@ -165,16 +184,13 @@ def test_criterion_5_reductions():
                      batch_size=single.batch_size, e_h=single.e_h)
     backbone = init_backbone((single.input_dim,) + single.hidden + (ds.n_classes,),
                              (single.seed, 1))
-    clf = init_classifier(ds.n_classes, ds.n_classes, (single.seed, 1, 1))
+    model = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
+                           init_classifier(ds.n_classes, ds.n_classes, (single.seed, 1, 1)))
     for t in (1, 2):
-        rows, _ = local_train([shards[0]], backbone, clf, algo, hp, ds,
+        rows, _ = local_train([shards[0]], model, None, algo, hp, ds,
                               [(single.seed, 3, t, 0)])
-        out = result.inputs.template._on(rows[0])
-        backbone, clf = out, out.classifier
-    server = result.inputs.template._on(result.server_theta)
-    same_c = all(a.tobytes() == b.tobytes()
-                 for a, b in zip(server.tensors(), backbone.tensors()))
-    same_c = same_c and server.classifier.tobytes() == clf.tobytes()
+        model = model._on(rows[0])
+    same_c = result.server_theta.tobytes() == model.theta.tobytes()
 
     elapsed = time.time() - start
     _report(5, same_a and same_b and same_c and elapsed < 120.0,

@@ -14,7 +14,7 @@ from fedgela.metrics import (
     personal_accuracy,
     predict,
 )
-from fedgela.neuralnet import BackboneParams, PhiVector, forward, init_backbone
+from fedgela.neuralnet import BackboneParams, forward, init_backbone
 
 
 def identity_net(d):
@@ -27,7 +27,7 @@ class TestPredict:
         etf = make_etf(4, 4, seed=0)
         params = identity_net(4)
         x = etf.m[:, 3][None, :] * 5.0  # normalization removes the scale
-        assert predict(forward(params, x, 1.0), etf)[0] == 3
+        assert predict(forward(params, x, 1.0), etf.classifier)[0] == 3
 
     def test_tie_breaks_to_lowest_index(self):
         params = identity_net(2)
@@ -40,24 +40,24 @@ class TestPredict:
         etf = make_etf(4, 4, seed=0)
         params = identity_net(4)
         x = np.random.default_rng(0).standard_normal((6, 4))
-        pred = predict(forward(params, x, 1.0), etf, class_mask=[3])
+        pred = predict(forward(params, x, 1.0), etf.classifier, class_mask=np.arange(4) == 3)
         assert np.all(pred == 3)
 
     def test_scaling_invariance_of_argmax(self):
         etf = make_etf(4, 4, seed=1)
         params = identity_net(4)
         x = np.random.default_rng(1).standard_normal((10, 4))
-        base = predict(forward(params, x, 1.0), etf)
+        base = predict(forward(params, x, 1.0), etf.classifier)
         import dataclasses
-        scaled = dataclasses.replace(etf, scale=etf.scale * 37.5)
+        scaled = dataclasses.replace(etf, scale=etf.scale * 37.5).classifier
         np.testing.assert_array_equal(predict(forward(params, x, 1.0), scaled), base)
 
     def test_phi_changes_ranking(self):
         etf = make_etf(3, 3, seed=0)
         params = identity_net(3)
         x = (etf.m[:, 0] + etf.m[:, 1])[None, :]  # between vertices 0 and 1
-        phi = PhiVector(np.array([0.1, 5.0, 1.0]))
-        assert predict(forward(params, x, 1.0), etf, phi=phi)[0] == 1
+        phi = np.array([0.1, 5.0, 1.0])
+        assert predict(forward(params, x, 1.0), etf.classifier, phi=phi)[0] == 1
 
 
 class TestAccuracies:
@@ -66,7 +66,7 @@ class TestAccuracies:
         params = identity_net(4)
         x = etf.m.T * 3.0
         y = np.arange(4)
-        assert generic_accuracy(forward(params, x, 1.0), etf, y) == 1.0
+        assert generic_accuracy(forward(params, x, 1.0), etf.classifier, y) == 1.0
 
     def test_constant_predictor_balanced(self):
         params = identity_net(3)
@@ -87,8 +87,8 @@ class TestAccuracies:
         shards = pcdd_partition(ds, PartitionSpec("pcdd", 4, seed=0, classes_per_client=2))
         params = init_backbone((6, 8, 4), seed=0)
         etf = make_etf(4, 4, seed=0)
-        models = [(forward(params, ds.features[s.test_indices], 1.0), etf, None, s.counts > 0)
-                  for s in shards]
+        models = [(forward(params, ds.features[s.test_indices], 1.0), etf.classifier, None,
+                   s.counts > 0) for s in shards]
         pa1, per1 = personal_accuracy(models, shards, ds)
         assert abs(pa1 - np.mean(per1)) < 1e-12
         pa2, _ = personal_accuracy(models, shards, ds)

@@ -8,7 +8,6 @@ from fedgela.etfgeom import make_etf
 from fedgela.metrics import nc1_variability
 from fedgela.neuralnet import (
     BackboneParams,
-    PhiVector,
     finite_diff_check,
     flatten,
     init_backbone,
@@ -25,6 +24,11 @@ from reference_ops import OptimizerState, backward, ce_loss, forward, sgd_step
 def identity_net(d):
     return BackboneParams(weights=[np.eye(d)], biases=[np.zeros(d)],
                           layer_sizes=(d, d))
+
+
+def with_classifier(params, classifier):
+    """params with a learnable classifier in its row."""
+    return BackboneParams(params.weights, params.biases, params.layer_sizes, classifier)
 
 
 class TestBackboneParams:
@@ -86,7 +90,7 @@ class TestLogits:
     def test_feature_at_frame_vertex(self):
         etf = make_etf(5, 4, seed=0, e_w=1.0)
         h = etf.m[:, 0][None, :]  # e_h = 1
-        z = logits(h, etf)
+        z = logits(h, etf.classifier)
         assert abs(z[0, 0] - 1.0) < 1e-12
         for j in range(1, 4):
             assert abs(z[0, j] + 1.0 / 3.0) < 1e-12
@@ -94,22 +98,27 @@ class TestLogits:
     def test_phi_scales_linearly(self):
         etf = make_etf(5, 4, seed=0)
         h = etf.m[:, 0][None, :]
-        z1 = logits(h, etf)
-        z2 = logits(h, etf, PhiVector(np.full(4, 2.0)))
+        z1 = logits(h, etf.classifier)
+        z2 = logits(h, etf.classifier, np.full(4, 2.0))
         np.testing.assert_allclose(z2, 2.0 * z1)
 
     def test_zero_phi_zeroes_logit(self):
         etf = make_etf(5, 4, seed=0)
         rng = np.random.default_rng(0)
         h = rng.standard_normal((6, 5))
-        phi = PhiVector(np.array([1.0, 0.0, 2.0, 1.0]))
-        z = logits(h, etf, phi)
+        phi = np.array([1.0, 0.0, 2.0, 1.0])
+        z = logits(h, etf.classifier, phi)
         np.testing.assert_array_equal(z[:, 1], np.zeros(6))
 
     def test_dimension_mismatch(self):
         etf = make_etf(5, 4, seed=0)
         with pytest.raises(ValueError, match="does not match"):
-            logits(np.ones((2, 3)), etf)
+            logits(np.ones((2, 3)), etf.classifier)
+
+    def test_negative_phi_rejected(self):
+        etf = make_etf(2, 2, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            logits(np.ones((1, 2)), etf.classifier, np.array([1.0, -0.5]))
 
 
 class TestCeLoss:
@@ -121,17 +130,17 @@ class TestCeLoss:
 
     def test_uniform_logits_log_mask_size(self):
         z = np.zeros((3, 6))
-        mask = [0, 2, 3, 5]
+        mask = np.array([True, False, True, True, False, True])
         assert abs(ce_loss(z, [0, 2, 5], mask) - math.log(4.0)) < 1e-12
 
     def test_singleton_mask_zero_loss(self):
         z = np.random.default_rng(0).standard_normal((4, 5))
-        assert ce_loss(z, [2, 2, 2, 2], [2]) == 0.0
+        assert ce_loss(z, [2, 2, 2, 2], np.arange(5) == 2) == 0.0
 
     def test_label_outside_mask(self):
         z = np.zeros((1, 4))
         with pytest.raises(ValueError, match="invalid label"):
-            ce_loss(z, [3], [0, 1])
+            ce_loss(z, [3], np.array([True, True, False, False]))
 
     def test_masked_equals_minus_inf_logits(self):
         # excluding a class from the mask == sending its logit to -inf:
@@ -149,10 +158,10 @@ class TestCeLoss:
         # full mask; only the restricted mask drops the class
         etf = make_etf(4, 4, seed=1)
         h = np.random.default_rng(2).standard_normal((5, 4))
-        phi = PhiVector(np.array([1.0, 1.0, 0.0, 1.0]))
-        z = logits(h, etf, phi)
+        phi = np.array([1.0, 1.0, 0.0, 1.0])
+        z = logits(h, etf.classifier, phi)
         full = ce_loss(z, [0] * 5, None)
-        restricted = ce_loss(z, [0] * 5, [0, 1, 3])
+        restricted = ce_loss(z, [0] * 5, np.array([True, True, False, True]))
         assert full > restricted
 
 
@@ -162,7 +171,7 @@ class TestBackward:
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(1).standard_normal((5, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 0, 1], etf)
+        grads = backward(cache, [0, 1, 2, 0, 1], None, frame=etf.classifier)
         for g, w in zip(grads.weights, params.weights):
             assert g.shape == w.shape
         for g, b in zip(grads.biases, params.biases):
@@ -184,9 +193,9 @@ class TestBackward:
         x = np.random.default_rng(4).standard_normal((6, 4))
         y = np.array([0, 1, 2, 1, 0, 2])
         _, cache1 = forward(params, x, 1.0)
-        g1 = backward(cache1, y, etf)
+        g1 = backward(cache1, y, None, frame=etf.classifier)
         _, cache2 = forward(params, np.vstack([x, x]), 1.0)
-        g2 = backward(cache2, np.concatenate([y, y]), etf)
+        g2 = backward(cache2, np.concatenate([y, y]), None, frame=etf.classifier)
         for a, b in zip(g1.tensors(), g2.tensors()):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
@@ -195,11 +204,11 @@ class TestBackward:
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(1).standard_normal((4, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 0], etf)
+        grads = backward(cache, [0, 1, 2, 0], None, frame=etf.classifier)
         state = OptimizerState.for_params(params, 0.1, 0.9, 0.0)
         sgd_step(params, grads, state)
         with pytest.raises(RuntimeError, match="cache mismatch"):
-            backward(cache, [0, 1, 2, 0], etf)
+            backward(cache, [0, 1, 2, 0], None, frame=etf.classifier)
 
     @pytest.mark.parametrize("layers", [(4, 5), (4, 8, 5), (4, 10, 8, 5)])
     def test_finite_difference_oracle(self, layers):
@@ -208,7 +217,7 @@ class TestBackward:
         etf = make_etf(5, 5, seed=0, e_w=4.0)
         x = np.random.default_rng(11).standard_normal((7, 4))
         y = np.array([0, 1, 2, 3, 4, 0, 1])
-        err = finite_diff_check(params, x, y, etf, e_h=1.0, step=1e-5,
+        err = finite_diff_check(params, x, y, etf.classifier, e_h=1.0, step=1e-5,
                                 n_probes=40, seed=12)
         assert err < 1e-4
 
@@ -216,10 +225,10 @@ class TestBackward:
         params = init_backbone((6, 12, 5), seed=20)
         clf = init_classifier(5, 5, seed=21)
         x = np.random.default_rng(22).standard_normal((9, 6))
-        phi = PhiVector(np.array([2.0, 0.0, 1.0, 1.5, 0.5]))
+        phi = np.array([2.0, 0.0, 1.0, 1.5, 0.5])
         mask = np.array([True, False, True, True, True])
         y = np.array([0, 2, 3, 4, 0, 2, 3, 4, 0])
-        err = finite_diff_check(params, x, y, clf, phi=phi, class_mask=mask,
+        err = finite_diff_check(with_classifier(params, clf), x, y, phi=phi, class_mask=mask,
                                 e_h=2.0, n_probes=48, seed=23, lambda_prox=0.05)
         assert err < 1e-4
 
@@ -236,7 +245,7 @@ class TestBackward:
         params = init_backbone((4, 8, 3), seed=1)
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(2).standard_normal((6, 4))
-        err = nn.finite_diff_check(params, x, [0, 1, 2, 0, 1, 2], etf,
+        err = nn.finite_diff_check(params, x, [0, 1, 2, 0, 1, 2], etf.classifier,
                                    n_probes=32, seed=3)
         assert err > 0.5
 
@@ -260,7 +269,7 @@ class TestGradientOracle:
         clf = init_classifier(5, 5, seed=21)
         x = np.random.default_rng(22).standard_normal((9, 6))
         y = np.array([0, 2, 3, 4, 0, 2, 3, 4, 0])
-        err = nn.finite_diff_check(params, x, y, clf, n_probes=48, seed=23,
+        err = nn.finite_diff_check(with_classifier(params, clf), x, y, n_probes=48, seed=23,
                                    lambda_prox=0.05)
         assert err > 0.5
         assert main(["gradcheck"]) == 1
@@ -269,18 +278,28 @@ class TestGradientOracle:
         assert len(failed) == 4 and all(" fedprox/" in line for line in failed)
 
 
-class TestClassMaskIds:
-    @pytest.mark.parametrize("ids", [[-1], [4]])
-    def test_out_of_range_class_rejected(self, ids):
+class TestMaskAndPhiChecks:
+    """A class mask is a boolean vector with one entry per class, selecting
+    at least one; phi has one entry per class. predict (through logits and
+    the mask check) and finite_diff_check reject anything else, naming the
+    class count."""
+
+    @pytest.mark.parametrize("mask, phi, pattern", [
+        (np.ones(3, bool), None, r"boolean vector with one entry per class of C=4"),
+        (np.ones(5, bool), None, r"boolean vector with one entry per class of C=4"),
+        (np.array([0, 3]), None, r"boolean vector with one entry per class of C=4"),
+        (np.zeros(4, bool), None, r"selects none of the C=4 classes"),
+        (None, np.ones(3), r"phi has shape \(3,\), not one entry per class of C=4"),
+    ], ids=["short-mask", "long-mask", "class-ids", "all-false-mask", "short-phi"])
+    def test_rejected_naming_the_class_count(self, mask, phi, pattern):
         from fedgela.metrics import predict
         params = init_backbone((4, 4), seed=0)
-        etf = make_etf(4, 4, seed=0)
+        frame = make_etf(4, 4, seed=0).classifier
         x = np.random.default_rng(0).standard_normal((3, 4))
-        pattern = rf"class {ids[0]}\b.*C=4"
         with pytest.raises(ValueError, match=pattern):
-            predict(forward(params, x, 1.0)[0].h, etf, class_mask=ids)
+            predict(forward(params, x, 1.0)[0].h, frame, class_mask=mask, phi=phi)
         with pytest.raises(ValueError, match=pattern):
-            finite_diff_check(params, x, [0, 0, 0], etf, class_mask=ids)
+            finite_diff_check(params, x, [0, 0, 0], frame, phi=phi, class_mask=mask)
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_out_of_range_label_rejected(self, label):
@@ -288,7 +307,15 @@ class TestClassMaskIds:
         etf = make_etf(4, 4, seed=0)
         x = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(ValueError, match=rf"invalid label: class {label}\b"):
-            finite_diff_check(params, x, [0, 1, label], etf)
+            finite_diff_check(params, x, [0, 1, label], etf.classifier)
+
+    def test_frame_exactly_when_the_classifier_is_fixed(self):
+        params = init_backbone((4, 4), seed=0)
+        frame = make_etf(4, 4, seed=0).classifier
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        for model, given in ((params, None), (with_classifier(params, frame), frame)):
+            with pytest.raises(ValueError, match="fixed frame exactly when"):
+                finite_diff_check(model, x, [0, 1, 2], given)
 
 
 class TestShippedForward:
@@ -373,26 +400,26 @@ class TestTrainingBehaviour:
         losses = []
         for _ in range(100):
             fb, cache = forward(params, ds.features, 1.0)
-            z = logits(fb, etf)
+            z = logits(fb, etf.classifier)
             losses.append(ce_loss(z, ds.labels))
-            grads = backward(cache, ds.labels, etf)
+            grads = backward(cache, ds.labels, None, frame=etf.classifier)
             sgd_step(params, grads, state)
         tail = losses[5:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert losses[-1] < losses[0]
 
     def test_classifier_bits_never_change(self):
-        etf = make_etf(4, 4, seed=0, e_w=2.0)
-        frozen = etf.m.tobytes()
+        frame = make_etf(4, 4, seed=0, e_w=2.0).classifier
+        frozen = frame.tobytes()
         params = init_backbone((5, 8, 4), seed=1)
         x = np.random.default_rng(2).standard_normal((10, 5))
         y = np.array([0, 1, 2, 3] * 2 + [0, 1])
         state = OptimizerState.for_params(params, 0.1, 0.9, 1e-4)
         for _ in range(25):
             fb, cache = forward(params, x, 1.0)
-            grads = backward(cache, y, etf)
+            grads = backward(cache, y, None, frame=frame)
             sgd_step(params, grads, state)
-        assert etf.m.tobytes() == frozen
+        assert frame.tobytes() == frozen
 
 
 class TestStepAllocations:
@@ -434,19 +461,6 @@ class TestStepAllocations:
         assert np.shares_memory(view.prox, stack.prox[:6])
         assert not np.shares_memory(view.prox, stack.prox[6:])
         assert self._peak(view, 0.01) <= self._peak(self._stack(False).rows(0, 6), 0.0)
-
-
-class TestPhiVector:
-    def test_mean_one_under_default_gamma(self):
-        from fedgela.fedsim import compute_phi
-        counts = np.array([7, 0, 3, 10, 0])
-        phi = compute_phi(counts, 20, gamma=1.0 / 5)
-        assert abs(phi.mean - 1.0) < 1e-12
-        np.testing.assert_array_equal(phi.phi == 0.0, counts == 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            PhiVector(np.array([1.0, -0.5]))
 
 
 class TestLpmFeatureFit:
