@@ -174,18 +174,17 @@ def evaluate(template, frame, global_row, personal, phi, mask, local, participan
     server = _views(global_row, template)
     features = forward(server, ds.features[global_test], e_h)
     ga = generic_accuracy(features, classifier(server), ds.labels[global_test])
-    views = _views(personal, template)
+    personal_views = _views(personal, template)
     scored = []
     for i, shard in enumerate(shards):
-        m = views.row(i)
+        m = personal_views.row(i)
         scored.append((forward(m, ds.features[shard.test_indices], e_h), classifier(m),
                        None if phi is None else phi[i], None if mask is None else mask[i]))
     pa, per_client = personal_accuracy(scored, shards, ds)
-    if local is not None:
-        views = _views(local, template)
+    local_views = personal_views if local is None else _views(local, template)
     entries = []
     for i in participants:
-        m = views.row(i)
+        m = local_views.row(i)
         f = scored[i][0] if local is None else forward(
             m, ds.features[shards[i].test_indices], e_h)
         entries.append((shards[i], f, m.classifier))

@@ -58,7 +58,8 @@ def reference_runs():
     """The logs per (algorithm, seed), run concurrently on the usable CPUs
     in fresh worker processes."""
     keys = [(algo, seed) for algo in ("fedavg", "fedge", "fedgela") for seed in SEEDS]
-    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(keys)),
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(min(cpus or 1, len(keys)),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         logs = pool.map(_first_and_last_evaluated, [ref_config(a, s) for a, s in keys])
         return dict(zip(keys, logs))
