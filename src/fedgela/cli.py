@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fedsim, metrics
-from .datagen import dataset_sha256, save_csv, write_partition_csv
+from .datagen import check_pcdd, dataset_sha256, save_csv, write_partition_csv
 from .etfgeom import make_etf
 from .neuralnet import (
     BackboneParams,
@@ -189,7 +189,8 @@ def parse_config(source, overrides=None) -> RunConfig:
     strings or a mapping) wins over the file. Each rule is checked once:
     the single-key rules of _RULES, the cross-key rules of _CROSS_RULES, the
     algorithm and optimizer rules of fedsim.AlgoKind and fedsim.Hyperparams,
-    and, for synthetic data, fedsim.feature_width's frame rule.
+    and, for synthetic data, fedsim.feature_width's frame rule and
+    datagen.check_pcdd's class cover.
     """
     if isinstance(source, (str, os.PathLike)):
         raw = _read_config_file(source)
@@ -236,6 +237,8 @@ def parse_config(source, overrides=None) -> RunConfig:
         if merged["dataset"] == "synthetic":
             fedsim.feature_width(algo, merged["feature_dim"], merged["classes"],
                                  "the synthetic data")
+            if merged["scheme"] == "pcdd":
+                check_pcdd(merged["classes"], merged["clients"], merged["classes_per_client"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(**merged)
@@ -441,7 +444,7 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     }
     for algo in fedsim.VALID_ALGOS:
         lam = 0.1 if algo == "fedprox" else 0.0
-        fixed = algo in ("fedge", "fedgela")
+        fixed = fedsim.AlgoKind(algo).fixed_classifier
         model, fixed_frame = (backbone, frame) if fixed else (learnable, None)
         for phi_name, phi in phi_variants.items():
             for mask_name, mask in mask_variants.items():

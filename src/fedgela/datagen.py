@@ -22,6 +22,7 @@ __all__ = [
     "synth_gaussian_mixture",
     "dirichlet_partition",
     "pcdd_partition",
+    "check_pcdd",
     "make_client_shard",
     "load_csv",
     "save_csv",
@@ -280,6 +281,18 @@ def dirichlet_partition(
     )
 
 
+def check_pcdd(n_classes: int, clients: int, classes_per_client: int) -> None:
+    """Raise ValueError unless `clients` clients of `classes_per_client`
+    classes each can hold every one of `n_classes` classes: no client holds
+    more classes than there are, and together they hold them all."""
+    if classes_per_client > n_classes:
+        raise ValueError(f"classes_per_client={classes_per_client} exceeds the class count "
+                         f"classes={n_classes}")
+    if clients * classes_per_client < n_classes:
+        raise ValueError(f"coverage infeasible: clients={clients} x classes_per_client="
+                         f"{classes_per_client} < classes={n_classes}")
+
+
 def pcdd_partition(
     ds: Dataset, spec: PartitionSpec, test_frac: float = DEFAULT_TEST_FRAC
 ) -> list:
@@ -292,15 +305,7 @@ def pcdd_partition(
     if spec.scheme != "pcdd":
         raise ValueError(f"spec scheme is '{spec.scheme}', expected 'pcdd'")
     n_clients, cpc = spec.n_clients, spec.classes_per_client
-    if cpc > ds.n_classes:
-        raise ValueError(
-            f"classes_per_client={cpc} exceeds class count C={ds.n_classes}"
-        )
-    if n_clients * cpc < ds.n_classes:
-        raise ValueError(
-            f"coverage infeasible: {n_clients} clients x {cpc} classes "
-            f"< C={ds.n_classes} classes"
-        )
+    check_pcdd(ds.n_classes, n_clients, cpc)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(ds.n_classes)
     holders = [[] for _ in range(ds.n_classes)]

@@ -14,6 +14,7 @@ decides which rounds are evaluated.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -344,23 +345,43 @@ def _train_stack(positions, shards, seeds, init, frame, algo, hp, ds,
                 phi=None if phi is None else phi[cut],
                 mask=None if mask is None else mask[cut])
     n_batches = [-(-nk // size) for nk in n]
-    losses = np.empty((k_rows, n_batches[0]))
-    epoch_losses = np.empty((k_rows, hp.epochs))
+    losses = np.empty((k_rows, hp.epochs, n_batches[0]))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
     classes = np.arange((init.classifier if frame is None else frame).shape[1])
+    # each client's shuffle seed seed_parts + (epoch,) as the words numpy reads
+    # from it, built once: each epoch writes its index into the last word
+    words = [_seed_words(seeds[p] + (0,)) for p in positions]
     for epoch in range(hp.epochs):
         for k, p in enumerate(positions):
-            rng = np.random.default_rng(seeds[p] + (epoch,))
+            words[k][-1] = epoch
+            rng = np.random.default_rng(words[k])
             train_idx = shards[p].train_indices
             shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
         xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
         for j, start, stop, i, end in steps:
             rows, kwargs = stacks[start, stop]
-            losses[start:stop, j] = train_step(rows, xs[start:stop, i:end],
-                                               hot[start:stop, i:end], **kwargs)
-        for k in range(k_rows):
-            epoch_losses[k, epoch] = np.mean(losses[k, :n_batches[k]])
+            losses[start:stop, epoch, j] = train_step(rows, xs[start:stop, i:end],
+                                                      hot[start:stop, i:end], **kwargs)
+    # each epoch's mean batch loss, per run of clients with one batch count (a
+    # contiguous run, as the sizes do not increase)
+    epoch_losses = np.empty((k_rows, hp.epochs))
+    runs = [k for k in range(k_rows) if k == 0 or n_batches[k] != n_batches[k - 1]]
+    for a, b in zip(runs, runs[1:] + [k_rows]):
+        epoch_losses[a:b] = losses[a:b, :, :n_batches[a]].mean(axis=-1)
     return model.theta, epoch_losses
+
+
+def _seed_words(parts) -> np.ndarray:
+    """The uint32 words numpy's SeedSequence reads from the sequence of
+    non-negative ints `parts`: each part's 32-bit words, lowest first (one
+    word for 0). So default_rng(_seed_words(parts)) draws what
+    default_rng(parts) draws. A negative part raises ValueError, as numpy does."""
+    words = []
+    for part in map(operator.index, parts):
+        if part < 0:
+            raise ValueError(f"seed parts must be non-negative, got {part}")
+        words += [(part >> s) & 0xFFFFFFFF for s in range(0, max(part.bit_length(), 1), 32)]
+    return np.array(words, dtype=np.uint32)
 
 
 def aggregate(rows, weights) -> np.ndarray:

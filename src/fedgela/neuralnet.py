@@ -323,7 +323,7 @@ def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
 
     g = probs
     g /= denom
-    g[hot] -= 1.0
+    g -= hot                           # subtracts 0.0 off the label: bits unchanged
     g /= batch                         # dL/dz
     if phi is not None:
         g *= phi                       # dL/d(h @ w_eff)

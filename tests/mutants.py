@@ -18,7 +18,7 @@ so the list has to follow the code it names.
 
     python tests/mutants.py
 
-It checks one mutant per usable CPU at a time and takes about 20 s on 2 CPUs,
+It checks one mutant per usable CPU at a time and takes about 30 s on 2 CPUs,
 too long for tier-1, so run it by hand for every change to `neuralnet.py`
 or `fedsim.py`.
 """
@@ -79,6 +79,21 @@ MUTANTS = (
     ("skip the last round's evaluation", "fedsim.py",
      "if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):",
      "if config.eval_every and t % config.eval_every == 0:"),
+    ("never write the epoch word", "fedsim.py",
+     "words[k][-1] = epoch",
+     "pass"),
+    ("seed words drop a part's high words", "fedsim.py",
+     "words += [(part >> s) & 0xFFFFFFFF for s in range(0, max(part.bit_length(), 1), 32)]",
+     "words += [part & 0xFFFFFFFF]"),
+    ("average every epoch over the stack's first batch count", "fedsim.py",
+     "epoch_losses[a:b] = losses[a:b, :, :n_batches[a]].mean(axis=-1)",
+     "epoch_losses[a:b] = losses[a:b, :, :n_batches[0]].mean(axis=-1)"),
+    ("drop the one-hot subtraction", "neuralnet.py",
+     "g -= hot                           # subtracts 0.0 off the label: bits unchanged",
+     "pass"),
+    ("the fine-tune seed tag reuses _SEED_SHUFFLE", "fedsim.py",
+     "[(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in inp.shards])",
+     "[(inp.config.seed, _SEED_SHUFFLE, t, s.client_id) for s in inp.shards])"),
 )
 
 GRADCHECK = [sys.executable, "-c",

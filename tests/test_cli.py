@@ -188,6 +188,8 @@ RULE_CASES = [
     ({"scheme": "dirichlet", "classes_per_client": -3}, "classes_per_client", "'dirichlet'"),
     ({"dataset": "csv"}, "csv_path", "csv"),
     ({"clients": 5, "clients_per_round": 6}, "clients_per_round", "6"),
+    ({"classes_per_client": 11}, "classes_per_client", "11"),
+    ({"classes_per_client": 2, "clients": 4}, "clients", "clients=4"),
 ]
 
 
@@ -549,7 +551,7 @@ class TestSweepFailsBeforeCompute:
                    *sum((["--arm", a] for a in arms), []), "--seeds", "0"])
         return rc, out
 
-    @pytest.mark.parametrize("bad", ["b:algo=nosuch", "b:lr=-1"])
+    @pytest.mark.parametrize("bad", ["b:algo=nosuch", "b:lr=-1", "b:classes_per_client=5"])
     def test_bad_arm_rejected_before_any_run(self, tmp_path, capsys, bad):
         rc, out = self._sweep(tmp_path, "a:algo=fedavg", bad)
         assert rc == 2

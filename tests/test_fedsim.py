@@ -880,6 +880,15 @@ class TestFusedStepMatchesPublicOps:
                                     (2, 3, 1, 1))
         self._assert_same(res, ref)
 
+    @pytest.mark.parametrize("kind,lam", ALGOS)
+    def test_multi_word_master_seed_bitwise(self, kind, lam):
+        # a master seed of two 32-bit words, with the reference seeding from the tuple
+        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, (16,))
+        seed_parts = (2**32 + 2, 3, 1, 1)
+        res = train([clients[1]], backbone, classifier, algo, hp, ds, [seed_parts])[0]
+        self._assert_same(res, reference_local_train(clients[1], backbone, classifier, algo,
+                                                     hp, ds, seed_parts))
+
     @pytest.mark.parametrize("hidden", [(16,), (12, 9)])
     @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0)])
     def test_finetune_personalize_bitwise(self, kind, lam, hidden):
@@ -905,6 +914,31 @@ class TestFusedStepMatchesPublicOps:
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
         for given in (start.theta, classifier, *backbone.tensors()):
             assert not np.shares_memory(rows, given)
+
+
+class TestSeedWords:
+    """fedsim._seed_words against numpy's own reading of a seed tuple."""
+
+    EDGES = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+    def test_words_draw_what_the_tuple_draws(self):
+        rng = np.random.default_rng(0)
+        tuples = [(edge,) for edge in self.EDGES] + [(6, 3, 1, np.int64(2), 0)]
+        for _ in range(300):
+            tuples.append(tuple(self.EDGES[rng.integers(4)] if rng.random() < 0.5
+                                else int(rng.integers(0, 2**40))
+                                for _ in range(rng.integers(1, 6))))
+        for parts in tuples:
+            words = fedsim._seed_words(parts)
+            assert words.dtype == np.uint32
+            assert np.array_equal(np.random.default_rng(words).permutation(40),
+                                  np.random.default_rng(parts).permutation(40)), parts
+
+    def test_negative_part_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((1, -1))
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            fedsim._seed_words((1, -1))
 
 
 class TestNumericFailuresNameClient:
