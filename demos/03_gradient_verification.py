@@ -35,10 +35,10 @@ print(f"learnable classifier + proximal term:         worst rel err {err:.2e}")
 
 # the probe is sensitive: a sabotaged gradient reads as error ~ 1
 small = init_backbone((8, 6), seed=6)
-model = flatten(small, 1)            # one model as row 0 of a (1, P) stack
+# one model as row 0 of a (1, P) stack, which holds what it trains against
+model = flatten(small, 1, frame, phi[None], mask[None])
 hot = (labels[:, None] == np.arange(6))[None]
-gradient_pass(model, x[None], hot, w_eff=frame, phi=phi[None, None],
-              mask=mask[None, None], e_h=1.0)
+gradient_pass(model, x[None], hot, e_h=1.0)
 analytic = model.grad_weights[0][0, 0, 0]
 print(f"example probe: dL/dW[0,0] = {analytic:+.6e}")
 

@@ -139,8 +139,8 @@ _RULES = (
     (("dataset",), lambda v: v in ("synthetic", "csv"), "synthetic or csv"),
     (("scheme",), lambda v: v in ("dirichlet", "pcdd"), "dirichlet or pcdd"),
     (("q_kind",), lambda v: v in ("identity", "exp", "sqrt"), "identity/exp/sqrt"),
-    (("classes",), lambda v: v >= 2, ">= 2"),
-    (("input_dim", "n_per_class", "clients", "clients_per_round", "min_size", "eval_every",
+    (("classes", "input_dim"), lambda v: v >= 2, ">= 2"),
+    (("n_per_class", "clients", "clients_per_round", "min_size", "eval_every",
       "classes_per_client", "feature_dim"), lambda v: v >= 1, ">= 1"),
     (("beta", "class_sep", "noise_sigma", "e_w", "gamma"), lambda v: v > 0, "positive"),
     (("rounds", "finetune_epochs", "seed", "data_seed", "partition_seed", "momentum",
@@ -189,8 +189,8 @@ def parse_config(source, overrides=None) -> RunConfig:
     strings or a mapping) wins over the file. Each rule is checked once:
     the single-key rules of _RULES, the cross-key rules of _CROSS_RULES, the
     algorithm and optimizer rules of fedsim.AlgoKind and fedsim.Hyperparams,
-    and, for synthetic data, fedsim.feature_width's frame rule and
-    datagen.check_pcdd's class cover.
+    and, from `classes` (which init_state holds a csv's class count to),
+    fedsim.feature_width's frame rule and datagen.check_pcdd's class cover.
     """
     if isinstance(source, (str, os.PathLike)):
         raw = _read_config_file(source)
@@ -234,11 +234,10 @@ def parse_config(source, overrides=None) -> RunConfig:
         fedsim.Hyperparams(lr=merged["lr"], momentum=merged["momentum"],
                            weight_decay=merged["weight_decay"], epochs=merged["epochs"],
                            batch_size=merged["batch_size"], e_h=merged["e_h"])
-        if merged["dataset"] == "synthetic":
-            fedsim.feature_width(algo, merged["feature_dim"], merged["classes"],
-                                 "the synthetic data")
-            if merged["scheme"] == "pcdd":
-                check_pcdd(merged["classes"], merged["clients"], merged["classes_per_client"])
+        fedsim.feature_width(algo, merged["feature_dim"], merged["classes"],
+                             "config key 'classes'")
+        if merged["scheme"] == "pcdd":
+            check_pcdd(merged["classes"], merged["clients"], merged["classes_per_client"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(**merged)

@@ -316,13 +316,9 @@ def _train_stack(positions, shards, seeds, init, frame, algo, hp, ds,
     (k, C) `phi` and `mask` rows of those clients. Returns the (k, P) trained
     rows and (k, epochs) losses."""
     k_rows = len(positions)
-    prox = algo.kind == "fedprox" and algo.lambda_prox > 0
-    model = flatten(init, k_rows, prox)
-    phi = None if phi is None else phi[:, None, :]
-    mask = None if mask is None or mask.all() else mask[:, None, :]
+    model = flatten(init, k_rows, frame, phi, mask, algo.lambda_prox)
     hyper = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
-                 weight_decay=float(hp.weight_decay),
-                 lambda_prox=float(algo.lambda_prox), prox_ref=init.theta if prox else None)
+                 weight_decay=float(hp.weight_decay))
 
     # one epoch's steps: (batch number, first row, row stop, batch start, batch
     # stop); the rows with a full batch at offset i form a prefix, and each
@@ -335,19 +331,11 @@ def _train_stack(positions, shards, seeds, init, frame, algo, hp, ds,
         if full:
             steps.append((j, 0, full, i, i + size))
         steps += [(j, k, k + 1, i, n[k]) for k in range(full, k_rows) if n[k] > i]
-    stacks = {}
-    for _, start, stop, _, _ in steps:
-        if (start, stop) not in stacks:
-            rows = model if (start, stop) == (0, k_rows) else model.rows(start, stop)
-            cut = slice(start, stop)
-            stacks[start, stop] = rows, dict(
-                hyper, w_eff=rows.classifier if frame is None else frame,
-                phi=None if phi is None else phi[cut],
-                mask=None if mask is None else mask[cut])
+    stacks = {rows: model.rows(*rows) for rows in {(a, b) for _, a, b, _, _ in steps}}
     n_batches = [-(-nk // size) for nk in n]
     losses = np.empty((k_rows, hp.epochs, n_batches[0]))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
-    classes = np.arange((init.classifier if frame is None else frame).shape[1])
+    classes = np.arange(model.w_eff.shape[-1])
     # each client's shuffle seed seed_parts + (epoch,) as the words numpy reads
     # from it, built once: each epoch writes its index into the last word
     words = [_seed_words(seeds[p] + (0,)) for p in positions]
@@ -359,9 +347,8 @@ def _train_stack(positions, shards, seeds, init, frame, algo, hp, ds,
             shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
         xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
         for j, start, stop, i, end in steps:
-            rows, kwargs = stacks[start, stop]
-            losses[start:stop, epoch, j] = train_step(rows, xs[start:stop, i:end],
-                                                      hot[start:stop, i:end], **kwargs)
+            losses[start:stop, epoch, j] = train_step(stacks[start, stop], xs[start:stop, i:end],
+                                                      hot[start:stop, i:end], **hyper)
     # each epoch's mean batch loss, per run of clients with one batch count (a
     # contiguous run, as the sizes do not increase)
     epoch_losses = np.empty((k_rows, hp.epochs))
@@ -463,13 +450,12 @@ def init_state(config, dataset: Dataset | None = None,
                      batch_size=config.batch_size, e_h=config.e_h)
     ds = dataset if dataset is not None else build_dataset(config)
     n_classes = ds.n_classes
-    # parse_config checks synthetic data; a csv's class count is known here
-    from_csv = dataset is None and config.dataset == "csv"
-    if from_csv and config.classes != n_classes:
+    # parse_config checks the class-count rules against `classes`, which a
+    # csv, whose class count is known only here, must match
+    if dataset is None and config.dataset == "csv" and config.classes != n_classes:
         raise ValueError(f"config key 'classes' is {config.classes}, but csv_path "
                          f"{config.csv_path} has {n_classes} classes")
-    feat_dim = feature_width(algo, getattr(config, "feature_dim", None), n_classes,
-                             f"csv_path {config.csv_path}" if from_csv else "the dataset")
+    feat_dim = feature_width(algo, getattr(config, "feature_dim", None), n_classes, "the dataset")
     shards = tuple(shards if shards is not None else build_partition(ds, config))
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -252,61 +252,77 @@ def _check_labels(y: np.ndarray, mask: np.ndarray) -> None:
 @dataclass
 class FlatModel:
     """A stack of K models held as the rows of one contiguous (K, P) float64
-    matrix `theta`, each laid out as the `template` model's theta. `grad` and
-    `vel` share the layout, so an optimizer update is a few whole-matrix
-    operations. `prox`, present only on a stack built for a proximal term, is
-    the (K, P) scratch matrix that term is computed in. The (K, ...) stacks
-    `weights`, `biases` (K, 1, fan_out), `classifier` and their `grad_*`
-    twins are views of theta and grad, derived on construction."""
+    matrix `theta`, each laid out as the `template` model's theta, and what
+    they train against. `grad` and `vel` share the layout, so an optimizer
+    update is a few whole-matrix operations. The (K, ...) stacks `weights`,
+    `biases` (K, 1, fan_out), `classifier` and their `grad_*` twins are views
+    of theta and grad, derived on construction. The logits are taken against
+    `w_eff`: the shared d x C `frame`, or else the rows' own classifiers.
+    `phi` and `mask` are the rows' (K, 1, C) class scales and existing
+    classes, or None (all ones, every class). With a proximal weight
+    `lambda_prox` > 0, `prox_ref` is the (P,) reference row and `prox` the
+    (K, P) scratch matrix the proximal term is computed in; else both are
+    None."""
 
     theta: np.ndarray
     grad: np.ndarray
     vel: np.ndarray
-    prox: np.ndarray | None
     template: BackboneParams
+    frame: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    mask: np.ndarray | None = None
+    lambda_prox: float = 0.0
+    prox_ref: np.ndarray | None = None
+    prox: np.ndarray | None = None
 
     def __post_init__(self):
         self.weights, self.biases, self.classifier = _views(self.theta, self.template, (1,))
         self.grad_weights, self.grad_biases, self.grad_classifier = _views(
             self.grad, self.template, (1,))
+        self.w_eff = self.classifier if self.frame is None else self.frame
 
     def rows(self, start: int, stop: int) -> "FlatModel":
-        """Models start..stop-1 as a stack of views of this one."""
+        """Models start..stop-1 as a stack of views of this one, their phi,
+        mask and prox rows included."""
         s = slice(start, stop)
-        return FlatModel(self.theta[s], self.grad[s], self.vel[s],
-                         None if self.prox is None else self.prox[s], self.template)
+        per_row = {f: getattr(self, f) for f in ("theta", "grad", "vel", "phi", "mask", "prox")}
+        return replace(self, **{f: None if a is None else a[s] for f, a in per_row.items()})
 
 
-def flatten(model: BackboneParams, k: int, prox: bool = False) -> FlatModel:
+def flatten(model: BackboneParams, k: int, frame=None, phi=None, mask=None,
+            lambda_prox: float = 0.0) -> FlatModel:
     """A stack of k copies of model (its classifier included, if it has one)
-    with zero velocity; with `prox`, the stack also owns the scratch matrix
-    of the proximal term."""
+    with zero velocity, to be trained against the fixed d x C `frame` (for a
+    model without a classifier), with the (k, C) rows `phi` of class scales
+    and `mask` of existing classes (None: all ones, every class) and, for
+    lambda_prox > 0, the proximal term 0.5 * lambda_prox * |theta -
+    model.theta|^2, whose scratch matrix the stack owns."""
+    if lambda_prox < 0:
+        raise ValueError(f"lambda_prox must be >= 0, got {lambda_prox}")
     theta = np.tile(model.theta, (k, 1))
-    return FlatModel(theta=theta, grad=np.zeros_like(theta), vel=np.zeros_like(theta),
-                     prox=np.empty_like(theta) if prox else None, template=model)
+    prox = lambda_prox > 0
+    return FlatModel(theta, np.zeros_like(theta), np.zeros_like(theta), model,
+                     frame=None if frame is None else np.asarray(frame, dtype=np.float64),
+                     phi=None if phi is None else phi[:, None, :],
+                     mask=None if mask is None or mask.all() else mask[:, None, :],
+                     lambda_prox=float(lambda_prox), prox_ref=model.theta if prox else None,
+                     prox=np.empty_like(theta) if prox else None)
 
 
-def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
-                  w_eff: np.ndarray, phi: np.ndarray | None, mask: np.ndarray | None,
-                  e_h: float, lambda_prox: float = 0.0,
-                  prox_ref: np.ndarray | None = None) -> np.ndarray:
+def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, e_h: float) -> np.ndarray:
     """Loss and gradient of each of the m models of a stack, each on its own
     batch: writes the gradient into `model.grad` and returns the m losses.
 
     `x` is (m, B, d) and `hot` the (m, B, C) one-hot boolean stack of the
-    labels. The loss is the mean cross-entropy of the phi-scaled logits
-    against `w_eff` under the masked softmax; with `prox_ref` (one (P,)
-    row), the gradient also carries lambda_prox * (theta - prox_ref), the
-    gradient of 0.5 * lambda_prox * |theta - prox_ref|^2, which the returned
-    losses leave out. That term is computed in `model.prox`, so on a stack
-    built with flatten(..., prox=True) a pass allocates no parameter-sized
-    array (on any other stack it allocates one). `w_eff` is the (m, d, C)
-    learnable classifier stack (model.classifier) or one shared d x C frame
-    matrix; `phi` and `mask` are (m, 1, C) stacks or None (all ones, all
-    classes), and the caller checks that the labels lie in the mask. A
-    failed numeric guard raises FloatingPointError.
+    labels. The loss is the mean cross-entropy of the model's phi-scaled
+    logits against its `w_eff` under its masked softmax; the caller checks
+    that the labels lie in the mask. On a stack with a proximal term the
+    gradient also carries lambda_prox * (theta - prox_ref), the gradient of
+    0.5 * lambda_prox * |theta - prox_ref|^2, which the returned losses leave
+    out; it is computed in `model.prox`, so a pass allocates no
+    parameter-sized array. A failed numeric guard raises FloatingPointError.
     """
-    weights = model.weights
+    weights, w_eff, phi, mask = model.weights, model.w_eff, model.phi, model.mask
     acts, raw, norms, h = _forward_half(weights, model.biases, x, e_h)
     z = np.matmul(h, w_eff)
     if phi is not None:
@@ -342,31 +358,27 @@ def gradient_pass(model: FlatModel, x: np.ndarray, hot: np.ndarray, *,
             g = np.matmul(g, weights[layer].swapaxes(1, 2))
             g *= acts[layer] > 0
 
-    if prox_ref is not None:
-        diff = np.subtract(model.theta, prox_ref, out=model.prox)
-        diff *= lambda_prox            # the roundings of lambda_prox * (theta - prox_ref)
+    if model.prox is not None:
+        diff = np.subtract(model.theta, model.prox_ref, out=model.prox)
+        diff *= model.lambda_prox      # the roundings of lambda_prox * (theta - prox_ref)
         model.grad += diff
     return loss
 
 
-def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, w_eff: np.ndarray,
-               phi: np.ndarray | None, mask: np.ndarray | None, e_h: float,
-               lr: float, momentum: float, weight_decay: float,
-               lambda_prox: float = 0.0, prox_ref: np.ndarray | None = None) -> np.ndarray:
+def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, e_h: float,
+               lr: float, momentum: float, weight_decay: float) -> np.ndarray:
     """One momentum-SGD step of each of the m models of a stack, each on its
     own batch, in place on `model`; returns the m losses.
 
-    gradient_pass (same arguments) fills `model.grad`; then, per entry,
+    gradient_pass fills `model.grad`; then, per entry,
     vel <- momentum * vel + grad + weight_decay * theta and
     theta <- theta - lr * vel, with `model.grad` reused as scratch. So a step
-    allocates no parameter-sized array; with a proximal term, that holds on a
-    stack built with flatten(..., prox=True). Each row runs the
-    floating-point operations of the per-op path kept in
-    tests/reference_ops.py (forward -> logits -> ce_loss -> backward ->
-    + prox -> sgd_step) in the same order, so it matches that path bit for bit.
+    allocates no parameter-sized array. Each row runs the floating-point
+    operations of the per-op path kept in tests/reference_ops.py (forward ->
+    logits -> ce_loss -> backward -> + prox -> sgd_step) in the same order, so
+    it matches that path bit for bit.
     """
-    loss = gradient_pass(model, x, hot, w_eff=w_eff, phi=phi, mask=mask, e_h=e_h,
-                         lambda_prox=lambda_prox, prox_ref=prox_ref)
+    loss = gradient_pass(model, x, hot, e_h)
     theta, grad, vel = model.theta, model.grad, model.vel
     vel *= momentum
     vel += grad                        # grad is spent: the rest reuse it
@@ -383,20 +395,19 @@ def finite_diff_check(params: BackboneParams, inputs, labels, frame=None,
     """Worst relative error between the gradient train_step steps on and
     central differences of the loss.
 
-    The model is params, as the one row of a flatten(params, 1) stack: it
-    scores with its own learnable classifier when it has one, else with the
-    fixed d x C `frame` matrix. `phi` is a (C,) vector of class scales or
+    The model is params, as the one row of a flatten(params, 1, ...) stack:
+    it scores with its own learnable classifier when it has one, else with
+    the fixed d x C `frame` matrix. `phi` is a (C,) vector of class scales or
     None, `class_mask` a boolean (C,) vector or None (every class). The
-    analytic gradient is gradient_pass's,
-    and the numeric loss is gradient_pass's loss plus
-    0.5 * lambda_prox * |theta - ref|^2. The proximal reference ref lies at a
-    seeded offset theta + 0.1 * N(0, 1) from the probe point, where the
-    proximal gradient is non-zero. Probes n_probes randomly selected scalar
-    parameters: a tensor, then an entry of it. Steps much below ~1e-7 are
-    unreliable due to cancellation; the default 1e-5 balances truncation and
-    roundoff. The denominator is floored at 1e-4 so probes whose true
-    gradient is essentially zero (dead ReLU paths) do not divide rounding
-    noise by ~0.
+    analytic gradient is gradient_pass's, and the numeric loss is
+    gradient_pass's loss plus 0.5 * lambda_prox * |theta - ref|^2. The
+    stack's proximal reference ref is set at a seeded offset
+    theta + 0.1 * N(0, 1) from the probe point, where the proximal gradient
+    is non-zero. Probes n_probes randomly selected scalar parameters: a
+    tensor, then an entry of it. Steps much below ~1e-7 are unreliable due to
+    cancellation; the default 1e-5 balances truncation and roundoff. The
+    denominator is floored at 1e-4 so probes whose true gradient is
+    essentially zero (dead ReLU paths) do not divide rounding noise by ~0.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -405,31 +416,26 @@ def finite_diff_check(params: BackboneParams, inputs, labels, frame=None,
     learnable = params.classifier is not None
     if learnable == (frame is not None):
         raise ValueError("give a fixed frame exactly when the model has no learnable classifier")
-    model = flatten(params, 1)
-    w_eff = model.classifier if learnable else np.asarray(frame, dtype=np.float64)
-    n_classes = w_eff.shape[-1]
-    phi = None if phi is None else _as_phi(phi, n_classes)
+    n_classes = np.shape(params.classifier if learnable else frame)[-1]
+    phi = None if phi is None else _as_phi(phi, n_classes)[None]
     y = np.asarray(labels, dtype=np.int64)
     mask = _as_mask(class_mask, n_classes)
     _check_labels(y, mask)
+    model = flatten(params, 1, frame, phi, mask[None], lambda_prox)
     theta = model.theta[0]
     x = np.asarray(inputs, dtype=np.float64)[None]
     hot = (y[:, None] == np.arange(n_classes))[None]
-    ref = None
-    if lambda_prox:
+    if model.prox is not None:
         offset = np.random.default_rng(np.append(seed, 1)).standard_normal(theta.size)
-        ref = theta + 0.1 * offset
-    pass_args = dict(w_eff=w_eff, phi=None if phi is None else phi[None, None, :],
-                     mask=None if mask.all() else mask[None, None, :], e_h=float(e_h),
-                     lambda_prox=float(lambda_prox), prox_ref=ref)
+        model.prox_ref = theta + 0.1 * offset
 
     def loss() -> float:
-        value = float(gradient_pass(model, x, hot, **pass_args)[0])
-        if ref is not None:
-            value += 0.5 * lambda_prox * float(np.sum((theta - ref) ** 2))
+        value = float(gradient_pass(model, x, hot, e_h)[0])
+        if model.prox is not None:
+            value += 0.5 * lambda_prox * float(np.sum((theta - model.prox_ref) ** 2))
         return value
 
-    gradient_pass(model, x, hot, **pass_args)
+    gradient_pass(model, x, hot, e_h)
     analytic_grad = model.grad[0].copy()
     tensors = params.tensors() + ([params.classifier] if learnable else [])
     bounds = np.cumsum([0] + [t.size for t in tensors])   # tensor ti: bounds[ti:ti+2]

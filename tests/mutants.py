@@ -18,7 +18,7 @@ so the list has to follow the code it names.
 
     python tests/mutants.py
 
-It checks one mutant per usable CPU at a time and takes about 30 s on 2 CPUs,
+It checks one mutant per usable CPU at a time and takes about 30–38 s on 2 CPUs,
 too long for tier-1, so run it by hand for every change to `neuralnet.py`
 or `fedsim.py`.
 """
@@ -46,7 +46,7 @@ MUTANTS = (
      "radial = (g * u).sum(axis=2, keepdims=True)",
      "radial = 0.5 * (g * u).sum(axis=2, keepdims=True)"),
     ("drop the lambda_prox scale", "neuralnet.py",
-     "diff *= lambda_prox            # the roundings of lambda_prox * (theta - prox_ref)",
+     "diff *= model.lambda_prox      # the roundings of lambda_prox * (theta - prox_ref)",
      "pass"),
     ("drop phi", "neuralnet.py",
      "z *= phi",
@@ -94,6 +94,22 @@ MUTANTS = (
     ("the fine-tune seed tag reuses _SEED_SHUFFLE", "fedsim.py",
      "[(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in inp.shards])",
      "[(inp.config.seed, _SEED_SHUFFLE, t, s.client_id) for s in inp.shards])"),
+    ("sample_clients drops its sort", "fedsim.py",
+     "return np.sort(ids)",
+     "return ids"),
+    ("aggregate with uniform weights, not n_k", "fedsim.py",
+     "state.server_theta = aggregate(rows, n_sampled / n_sampled.sum())",
+     "state.server_theta = aggregate(rows, np.full(len(rows), 1.0 / len(rows)))"),
+    ("angle_report swaps existing and missing classes", "metrics.py",
+     "missing = [c for c in all_classes if c not in shard.existing_classes]",
+     "existing, missing = [c for c in all_classes if c not in shard.existing_classes], "
+     "existing"),
+    ("_fmt writes 16 significant digits", "fedsim.py",
+     'return f"{float(value):.17g}"',
+     'return f"{float(value):.16g}"'),
+    ("the largest-remainder allocation favours the smallest part", "datagen.py",
+     "order = np.lexsort((np.arange(len(frac)), -frac))",
+     "order = np.lexsort((np.arange(len(frac)), frac))"),
 )
 
 GRADCHECK = [sys.executable, "-c",

@@ -250,6 +250,13 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path)]) == 3
         assert not out.exists()
 
+    def test_one_input_column_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--set", "input_dim=1", "--set", "rounds=1",
+                     "--set", f"out_dir={out}"]) == 2
+        assert "config key 'input_dim' must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDGELA_OUT_ROOT", str(tmp_path / "root"))
         cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": "rel"})
@@ -331,6 +338,22 @@ class TestCmdSweep:
         assert (out / "ok_seed0" / "rounds.csv").exists()
         assert not (out / "bad_seed0").exists()
         assert not (out / "summary.csv").exists()
+
+    def test_csv_arm_without_class_cover_fails_before_any_run(self, tmp_path, capsys):
+        csv_path = tmp_path / "ten.csv"
+        assert main(["gen-data", "--set", "classes=10", "--set", "n_per_class=6",
+                     "--out", str(csv_path)]) == 0
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        rc = main(["sweep", "--set", "dataset=csv", "--set", f"csv_path={csv_path}",
+                   "--set", "classes=10", "--set", "classes_per_client=2",
+                   "--set", "clients=5", "--set", f"out_dir={out}",
+                   "--arm", "a:algo=fedavg", "--arm", "b:clients=4,clients_per_round=4",
+                   "--seeds", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "arm 'b'" in err and "coverage infeasible" in err
+        assert not out.exists()
 
     def test_pool_writes_the_bytes_of_the_serial_sweep(self, tmp_path, monkeypatch, capsys):
         # one usable CPU runs in-process; two fork a pool, even on a 1-CPU host

@@ -1149,6 +1149,8 @@ class TestPartitionCheckedBeforeTraining:
 
     @pytest.mark.parametrize("algo", ["fedge", "fedgela"])
     def test_csv_classes_above_feature_dim_named(self, tmp_path, monkeypatch, capsys, algo):
+        # a csv's class count must equal `classes`, so the frame rule is a
+        # config error, found before the csv is read
         from fedgela.cli import main
         csv_path = tmp_path / "ten.csv"
         assert main(["gen-data", "--set", "classes=10", "--set", "n_per_class=6",
@@ -1158,9 +1160,9 @@ class TestPartitionCheckedBeforeTraining:
         argv = ["run", "--set", "dataset=csv", "--set", f"csv_path={csv_path}",
                 "--set", f"algo={algo}", "--set", "feature_dim=5", "--set", f"out_dir={out}"]
         capsys.readouterr()
-        assert main(argv) == 3
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "'feature_dim'" in err and "10 classes" in err and str(csv_path) in err
+        assert "'feature_dim'" in err and "10 classes of config key 'classes'" in err
         assert not out.exists()
 
     def test_no_check_without_rounds(self):

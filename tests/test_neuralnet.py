@@ -260,8 +260,8 @@ class TestGradientOracle:
 
         def flipped(model, *args, **kwargs):
             loss = real(model, *args, **kwargs)
-            if kwargs["prox_ref"] is not None:
-                model.grad -= 2.0 * kwargs["lambda_prox"] * (model.theta - kwargs["prox_ref"])
+            if model.prox is not None:
+                model.grad -= 2.0 * model.lambda_prox * (model.theta - model.prox_ref)
             return loss
 
         monkeypatch.setattr(nn, "gradient_pass", flipped)
@@ -424,23 +424,23 @@ class TestTrainingBehaviour:
 
 class TestStepAllocations:
     """A train_step allocates no parameter-sized array, proximal term included:
-    (theta - prox_ref) is computed in the stack's own `prox` matrix."""
+    (theta - prox_ref) is computed in the stack's own `prox` matrix, which a
+    stack has exactly when it is built with lambda_prox > 0."""
 
     K, BATCH = 10, 20
 
-    def _stack(self, prox):
+    def _stack(self, lambda_prox):
         params = init_backbone((20, 64, 32), seed=0)
         return flatten(BackboneParams(params.weights, params.biases, params.layer_sizes,
-                                      init_classifier(32, 10, seed=1)), self.K, prox)
+                                      init_classifier(32, 10, seed=1)), self.K,
+                       lambda_prox=lambda_prox)
 
-    def _peak(self, model, lambda_prox):
+    def _peak(self, model):
         m = len(model.theta)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((m, self.BATCH, 20))
         hot = rng.integers(10, size=(m, self.BATCH))[..., None] == np.arange(10)
-        kwargs = dict(w_eff=model.classifier, phi=None, mask=None, e_h=400.0, lr=0.02,
-                      momentum=0.9, weight_decay=1e-4, lambda_prox=lambda_prox,
-                      prox_ref=model.theta[0].copy() if lambda_prox else None)
+        kwargs = dict(e_h=400.0, lr=0.02, momentum=0.9, weight_decay=1e-4)
         train_step(model, x, hot, **kwargs)              # warm-up
         tracemalloc.start()
         try:
@@ -449,18 +449,65 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
 
+    def test_only_a_proximal_stack_owns_prox(self):
+        plain = self._stack(0.0)
+        assert plain.prox is None and plain.prox_ref is None
+        assert plain.rows(0, 6).prox is None
+        stack = self._stack(0.01)
+        assert stack.prox.shape == stack.theta.shape
+        assert stack.lambda_prox == 0.01
+        with pytest.raises(ValueError, match="lambda_prox must be >= 0"):
+            self._stack(-0.01)
+
     def test_prox_step_peak_within_plain_step_peak(self):
-        assert self._stack(False).prox is None
-        plain = self._peak(self._stack(False), 0.0)
-        assert self._peak(self._stack(True), 0.01) <= plain
+        plain = self._peak(self._stack(0.0))
+        assert self._peak(self._stack(0.01)) <= plain
 
     def test_prefix_view_slices_the_stack_buffer(self):
-        stack = self._stack(True)
+        stack = self._stack(0.01)
         view = stack.rows(0, 6)
         assert view.prox.shape == (6, stack.theta.shape[1])
         assert np.shares_memory(view.prox, stack.prox[:6])
         assert not np.shares_memory(view.prox, stack.prox[6:])
-        assert self._peak(view, 0.01) <= self._peak(self._stack(False).rows(0, 6), 0.0)
+        assert view.prox_ref is stack.prox_ref and view.lambda_prox == stack.lambda_prox
+
+    def test_prefix_view_steps_without_a_parameter_sized_allocation(self):
+        view = self._stack(0.01).rows(0, 6)
+        assert self._peak(view) <= self._peak(self._stack(0.0).rows(0, 6))
+
+
+class TestFlatModelRows:
+    """A sub-stack of rows a..b holds views of the parent's rows a..b of
+    every per-row array, and shares its frame."""
+
+    def test_phi_and_mask_are_views_of_the_parent_rows(self):
+        params = init_backbone((4, 6, 5), seed=0)
+        frame = make_etf(5, 5, seed=1).classifier
+        rng = np.random.default_rng(2)
+        phi = rng.uniform(0.5, 2.0, size=(7, 5))
+        mask = rng.uniform(size=(7, 5)) < 0.7
+        mask[:, 0] = False
+        stack = flatten(params, 7, frame, phi, mask)
+        assert stack.phi.shape == stack.mask.shape == (7, 1, 5)
+        view = stack.rows(2, 5)
+        for name in ("theta", "grad", "vel", "phi", "mask"):
+            whole, part = getattr(stack, name), getattr(view, name)
+            assert np.shares_memory(part, whole[2:5]), name
+            assert not np.shares_memory(part, whole[:2]), name
+            assert not np.shares_memory(part, whole[5:]), name
+            np.testing.assert_array_equal(part, whole[2:5])
+        assert view.frame is stack.frame and view.w_eff is stack.w_eff
+
+    def test_an_all_classes_mask_is_no_mask(self):
+        params = init_backbone((4, 5), seed=0)
+        frame = make_etf(5, 5, seed=1).classifier
+        assert flatten(params, 3, frame, mask=np.ones((3, 5), bool)).mask is None
+
+    def test_a_learnable_classifier_is_the_rows_own(self):
+        params = init_backbone((4, 5), seed=0)
+        stack = flatten(with_classifier(params, init_classifier(5, 3, seed=1)), 4)
+        assert stack.frame is None and stack.w_eff is stack.classifier
+        assert np.shares_memory(stack.rows(1, 3).w_eff, stack.theta[1:3])
 
 
 class TestLpmFeatureFit:
