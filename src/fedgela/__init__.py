@@ -32,7 +32,7 @@ from .metrics import (
     predict,
 )
 from .neuralnet import (
-    BackboneParams,
+    Layout,
     finite_diff_check,
     forward,
     init_backbone,

@@ -28,15 +28,7 @@ import numpy as np
 from . import fedsim, metrics
 from .datagen import check_pcdd, dataset_sha256, save_csv, write_partition_csv
 from .etfgeom import make_etf
-from .neuralnet import (
-    BackboneParams,
-    _views,
-    finite_diff_check,
-    init_backbone,
-    init_classifier,
-    lpm_feature_fit,
-    save_checkpoint,
-)
+from .neuralnet import Layout, finite_diff_check, init_backbone, lpm_feature_fit, save_checkpoint
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "main", "entrypoint"]
 
@@ -267,15 +259,13 @@ def cmd_run(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fedsim.write_round_csv(state.logs, out / "rounds.csv")
     fedsim.write_manifest(out / "manifest.json", config, dataset_sha256(inputs.dataset))
-    server = _views(state.server_theta, inputs.template)
-    save_checkpoint(out / "global_model.npz", server, classifier=server.classifier)
+    save_checkpoint(out / "global_model.npz", inputs.layout.views(state.server_theta))
     clients_dir = out / "clients"
     clients_dir.mkdir(exist_ok=True)
-    clients = _views(state.client_theta, inputs.template)
+    clients = inputs.layout.views(state.client_theta)
     for i in np.flatnonzero(state.trained):
-        model = clients.row(i)
         save_checkpoint(clients_dir / f"client_{inputs.shards[i].client_id:03d}.npz",
-                        model, classifier=model.classifier)
+                        clients.row(i))
     ga, pa = _final_metrics(state.logs)
     if ga is not None:
         print(f"run complete: algo={config.algo} rounds={config.rounds} "
@@ -430,9 +420,11 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((8, d_in))
     frame = make_etf(feat_dim, n_classes, config.seed, e_w=config.e_w).classifier
-    backbone = init_backbone((d_in, hidden, feat_dim), (config.seed, 11))
-    learnable = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
-                               init_classifier(feat_dim, n_classes, (config.seed, 12)))
+    sizes = (d_in, hidden, feat_dim)
+    fixed = Layout(sizes), init_backbone(Layout(sizes), (config.seed, 11)), frame
+    learnable = (Layout(sizes, n_classes),
+                 init_backbone(Layout(sizes, n_classes), (config.seed, 11), (config.seed, 12)),
+                 None)
     phi_variants = {
         "phi_uniform": np.ones(n_classes),
         "phi_zeros": np.array([2.0, 1.5, 0.0, 1.5, 0.0]),
@@ -443,14 +435,13 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     }
     for algo in fedsim.VALID_ALGOS:
         lam = 0.1 if algo == "fedprox" else 0.0
-        fixed = fedsim.AlgoKind(algo).fixed_classifier
-        model, fixed_frame = (backbone, frame) if fixed else (learnable, None)
+        layout, row, fixed_frame = fixed if fedsim.AlgoKind(algo).fixed_classifier else learnable
         for phi_name, phi in phi_variants.items():
             for mask_name, mask in mask_variants.items():
                 allowed = np.arange(n_classes) if mask is None else np.nonzero(mask)[0]
                 labels = rng.choice(allowed, size=len(x))
                 err = max(finite_diff_check(
-                    model, x, labels, fixed_frame, phi=phi, class_mask=mask,
+                    layout, row, x, labels, fixed_frame, phi=phi, class_mask=mask,
                     e_h=e_h, step=1e-5, n_probes=n_probes,
                     seed=(config.seed, 13), lambda_prox=lam,
                 ) for e_h in (config.e_h, 4 * config.e_h))

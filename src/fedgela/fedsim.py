@@ -31,15 +31,7 @@ from .datagen import (
     synth_gaussian_mixture,
 )
 from .etfgeom import make_etf
-from .neuralnet import (
-    BackboneParams,
-    _as_phi,
-    _check_labels,
-    flatten,
-    init_backbone,
-    init_classifier,
-    train_step,
-)
+from .neuralnet import Layout, _as_phi, _check_labels, flatten, init_backbone, train_step
 
 __all__ = ["AlgoKind", "Hyperparams", "feature_width", "RunInputs", "RunState",
            "RoundLog", "compute_phi", "sample_clients", "local_train",
@@ -122,10 +114,9 @@ class RunInputs:
     """What a run reads and never writes: its config (and the AlgoKind and
     Hyperparams built from it), data set and shards, the per-client (N, C)
     phi and boolean class-mask arrays (None unless the algorithm adapts
-    phi), the `template` every model row is laid out as (the initial server
-    model, learnable classifier included), the (d, C) matrix of the fixed
-    simplex `frame` (None for a learnable classifier) and the global test
-    indices."""
+    phi), the `layout` of every model row (learnable classifier included),
+    the (d, C) matrix of the fixed simplex `frame` (None for a learnable
+    classifier) and the global test indices."""
 
     config: object
     algo: AlgoKind
@@ -134,7 +125,7 @@ class RunInputs:
     shards: tuple
     phi: np.ndarray | None
     mask: np.ndarray | None
-    template: BackboneParams
+    layout: Layout
     frame: np.ndarray | None
     global_test: np.ndarray
 
@@ -232,24 +223,23 @@ def _pick(rows, sel):
     return None if rows is None else rows[sel]
 
 
-def local_train(shards, start: BackboneParams, frame, algo: AlgoKind,
+def local_train(shards, layout: Layout, start_row: np.ndarray, frame, algo: AlgoKind,
                 hp: Hyperparams, ds: Dataset, seed_parts, phi=None, mask=None):
     """Run `hp.epochs` epochs of mini-batch SGD on each shard's train split,
-    every client starting from the (global) model `start`.
+    every client starting from the (global) model `start_row` of `layout`.
 
-    A fixed-classifier algorithm takes a start model without a classifier
-    and the (d, C) `frame` matrix, the others a start model holding its
-    learnable classifier and no frame. `seed_parts` is one shuffle seed
-    tuple per shard. Only an algorithm that adapts phi takes `phi` and
-    `mask`, (m, C) arrays of the clients' class weights and existing
-    classes, and rejects a train label outside its client's mask; given
-    neither, it trains unscaled on every class, as the fine-tune does.
-    Returns the (m, P) matrix of the trained model rows, in input order and
-    laid out as `start`, and the (m, epochs) matrix of each client's mean
-    batch loss per epoch. Batches are a seeded shuffle each epoch (seed
-    derived from the client's seed_parts and the epoch index); the last
-    partial batch is kept. Learnable-classifier variants
-    update the classifier jointly, as part of the model's row; fedprox adds
+    A fixed-classifier algorithm takes a layout without a classifier and the
+    (d, C) `frame` matrix, the others a layout holding a learnable
+    classifier and no frame. `seed_parts` is one shuffle seed tuple per
+    shard. Only an algorithm that adapts phi takes `phi` and `mask`, (m, C)
+    arrays of the clients' class weights and existing classes, and rejects a
+    train label outside its client's mask; given neither, it trains unscaled
+    on every class, as the fine-tune does. Returns the (m, P) matrix of the
+    trained model rows, in input order, and the (m, epochs) matrix of each
+    client's mean batch loss per epoch. Batches are a seeded shuffle each
+    epoch (seed derived from the client's seed_parts and the epoch index);
+    the last partial batch is kept. Learnable-classifier variants update the
+    classifier jointly, as part of the model's row; fedprox adds
     lambda_prox * (theta - theta_global) to every gradient. The clients
     train as one stack of models (neuralnet.flatten, neuralnet.train_step),
     at most STACK_ELEMENTS parameters per step, each bit-identical to
@@ -261,7 +251,7 @@ def local_train(shards, start: BackboneParams, frame, algo: AlgoKind,
     if not algo.adapts_phi and (phi is not None or mask is not None):
         raise ValueError(f"algo={algo.kind} does not adapt phi, so it takes no phi or mask")
     fixed = algo.fixed_classifier
-    if (frame is not None) != fixed or (start.classifier is None) != fixed:
+    if (frame is not None) != fixed or (layout.n_classes is None) != fixed:
         raise ValueError(f"algo={algo.kind} needs a start model " + (
             "without a classifier, and a frame" if fixed else "with its classifier, no frame"))
     shards, seeds = list(shards), [tuple(s) for s in seed_parts]
@@ -269,25 +259,25 @@ def local_train(shards, start: BackboneParams, frame, algo: AlgoKind,
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
                          f"for {len(shards)} clients")
     try:
-        return _train_clients(shards, seeds, start, frame, algo, hp, ds, phi, mask)
+        return _train_clients(shards, seeds, layout, start_row, frame, algo, hp, ds, phi, mask)
     except (ValueError, FloatingPointError):
         # trajectories are independent, so the first client that fails alone
         # is the one the sequential loop fails on
         for k, (s, seed) in enumerate(zip(shards, seeds)):
             one = slice(k, k + 1)
             try:
-                _train_clients([s], [seed], start, frame, algo, hp, ds,
+                _train_clients([s], [seed], layout, start_row, frame, algo, hp, ds,
                                _pick(phi, one), _pick(mask, one))
             except FloatingPointError as exc:
                 raise FloatingPointError(f"client {s.client_id}: {exc}") from exc
         raise
 
 
-def _train_clients(shards, seeds, start, frame, algo, hp, ds, phi, mask) -> tuple:
+def _train_clients(shards, seeds, layout, start_row, frame, algo, hp, ds, phi, mask) -> tuple:
     """local_train's row and loss matrices. Stacks hold clients sorted by
     train-split size (descending, stable), so the clients that still have a
     full batch at an offset are a prefix of the stack."""
-    n_classes = (start.classifier if frame is None else frame).shape[1]
+    n_classes = layout.n_classes or frame.shape[1]
     for name, rows in (("phi", phi), ("mask", mask)):
         if rows is not None and np.shape(rows) != (len(shards), n_classes):
             raise ValueError(f"{name} must hold one row of {n_classes} classes per "
@@ -297,26 +287,27 @@ def _train_clients(shards, seeds, start, frame, algo, hp, ds, phi, mask) -> tupl
             raise ValueError(f"client {s.client_id} has an empty train split")
         if mask is not None:
             _check_labels(ds.labels[s.train_indices], mask[k])  # once, not per batch
-    cap = max(1, STACK_ELEMENTS // start.theta.size)
+    cap = max(1, STACK_ELEMENTS // layout.size)
     order = sorted(range(len(shards)), key=lambda p: -shards[p].train_indices.size)
-    rows = np.empty((len(shards), start.theta.size))
+    rows = np.empty((len(shards), layout.size))
     losses = np.empty((len(shards), hp.epochs))
     for g in range(0, len(order), cap):
         group = order[g:g + cap]
-        rows[group], losses[group] = _train_stack(group, shards, seeds, start, frame, algo,
-                                                  hp, ds, _pick(phi, group), _pick(mask, group))
+        rows[group], losses[group] = _train_stack(group, shards, seeds, layout, start_row,
+                                                  frame, algo, hp, ds, _pick(phi, group),
+                                                  _pick(mask, group))
     return rows, losses
 
 
-def _train_stack(positions, shards, seeds, init, frame, algo, hp, ds,
+def _train_stack(positions, shards, seeds, layout, start_row, frame, algo, hp, ds,
                  phi, mask) -> tuple:
     """Train shards[p] for p in `positions` (train splits of non-increasing
-    size) as one stack of models, each starting from the model `init` (with
-    its learnable classifier, else against the fixed `frame`), with the
-    (k, C) `phi` and `mask` rows of those clients. Returns the (k, P) trained
-    rows and (k, epochs) losses."""
+    size) as one stack of models, each starting from the model `start_row`
+    of `layout` (with its learnable classifier, else against the fixed
+    `frame`), with the (k, C) `phi` and `mask` rows of those clients.
+    Returns the (k, P) trained rows and (k, epochs) losses."""
     k_rows = len(positions)
-    model = flatten(init, k_rows, frame, phi, mask, algo.lambda_prox)
+    model = flatten(layout, start_row, k_rows, frame, phi, mask, algo.lambda_prox)
     hyper = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
                  weight_decay=float(hp.weight_decay))
 
@@ -388,16 +379,17 @@ def aggregate(rows, weights) -> np.ndarray:
     return acc
 
 
-def finetune_personalize(start: BackboneParams, frame, shards, algo: AlgoKind,
-                         hp: Hyperparams, epochs: int, ds: Dataset, seed_parts):
+def finetune_personalize(shards, layout: Layout, start_row: np.ndarray, frame,
+                         algo: AlgoKind, hp: Hyperparams, epochs: int, ds: Dataset, seed_parts):
     """Continue the algorithm's local training on each shard from the
-    (global) model `start` (against `frame`, as local_train) for `epochs`
-    epochs, with no phi and every class; epochs=0 returns it unchanged.
-    Otherwise as local_train: the (m, P) rows and the (m, epochs) losses."""
+    (global) model `start_row` of `layout` (against `frame`, as local_train)
+    for `epochs` epochs, with no phi and every class; epochs=0 returns it
+    unchanged. Otherwise as local_train: the (m, P) rows and the (m, epochs)
+    losses."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    return local_train(shards, start, frame, algo, replace(hp, epochs=int(epochs)),
-                       ds, seed_parts)
+    return local_train(shards, layout, start_row, frame, algo,
+                       replace(hp, epochs=int(epochs)), ds, seed_parts)
 
 
 def build_dataset(config) -> Dataset:
@@ -460,13 +452,12 @@ def init_state(config, dataset: Dataset | None = None,
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed
 
-    template = init_backbone(layer_sizes, (seed, _SEED_INIT))
+    fixed = algo.fixed_classifier
+    layout = Layout(layer_sizes, None if fixed else n_classes)
+    server = init_backbone(layout, (seed, _SEED_INIT), None if fixed else (seed, _SEED_INIT, 1))
     frame = None
-    if algo.fixed_classifier:
+    if fixed:
         frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w).classifier
-    else:
-        template = BackboneParams(template.weights, template.biases, layer_sizes,
-                                  init_classifier(feat_dim, n_classes, (seed, _SEED_INIT, 1)))
     phi = mask = None
     if algo.adapts_phi:
         gamma = config.gamma if config.gamma is not None else 1.0 / n_classes
@@ -476,10 +467,10 @@ def init_state(config, dataset: Dataset | None = None,
     if config.rounds >= 1 and config.eval_every:
         _check_evaluable(shards, ds, global_test)
     inputs = RunInputs(config=config, algo=algo, hp=hp, dataset=ds, shards=shards,
-                       phi=phi, mask=mask, template=template, frame=frame,
+                       phi=phi, mask=mask, layout=layout, frame=frame,
                        global_test=global_test)
-    return RunState(inputs=inputs, round=0, server_theta=template.theta,
-                    client_theta=np.zeros((len(shards), template.theta.size)),
+    return RunState(inputs=inputs, round=0, server_theta=server,
+                    client_theta=np.zeros((len(shards), layout.size)),
                     trained=np.zeros(len(shards), dtype=bool), logs=[])
 
 
@@ -494,7 +485,7 @@ def step(state: RunState) -> RoundLog:
     sampled = [inp.shards[i] for i in ids]
     try:
         rows, losses = local_train(
-            sampled, inp.template._on(state.server_theta), inp.frame, algo, inp.hp,
+            sampled, inp.layout, state.server_theta, inp.frame, algo, inp.hp,
             inp.dataset, [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
             _pick(inp.phi, ids), _pick(inp.mask, ids))
     except FloatingPointError as exc:
@@ -527,12 +518,12 @@ def evaluate(state: RunState) -> metrics.EvalReport:
             local = None   # a participant's local row is its personal row
         else:
             personal, _ = finetune_personalize(
-                inp.template._on(state.server_theta), inp.frame, inp.shards, inp.algo, inp.hp,
+                inp.shards, inp.layout, state.server_theta, inp.frame, inp.algo, inp.hp,
                 inp.config.finetune_epochs, inp.dataset,
                 [(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in inp.shards])
             local = state.client_theta
         participants = state.logs[-1].participants if state.logs else ()
-        return metrics.evaluate(inp.template, inp.frame, state.server_theta, personal, inp.phi,
+        return metrics.evaluate(inp.layout, inp.frame, state.server_theta, personal, inp.phi,
                                 inp.mask, local, participants, inp.shards, inp.dataset,
                                 inp.global_test, inp.hp.e_h)
     except FloatingPointError as exc:

@@ -10,9 +10,10 @@ classifiers, between classifier columns split by existing/missing classes.
 
 The scores are functions of features: the B x d projected features that
 neuralnet.forward returns. `evaluate` is the one place that forwards
-models, each (model, split) pair once; it reads a model as layer views of
-its row (neuralnet.Layers). A classifier is a d x C matrix, phi a (C,)
-vector of class scales and a class mask a boolean (C,) vector.
+models, each (model, split) pair once; a model there is a row of a
+neuralnet.Layout, read through Layout.views. A classifier is a d x C
+matrix, phi a (C,) vector of class scales and a class mask a boolean (C,)
+vector.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etfgeom import mean_pairwise_angle
-from .neuralnet import _as_mask, _views, forward, logits
+from .neuralnet import Layout, _as_mask, forward, logits
 
 __all__ = ["EvalReport", "AngleReport", "predict", "generic_accuracy",
            "personal_accuracy", "angle_report", "evaluate", "nc1_variability"]
@@ -157,13 +158,13 @@ def angle_report(features, ds, global_test_indices, local_entries=None) -> Angle
     )
 
 
-def evaluate(template, frame, global_row, personal, phi, mask, local, participants,
-             shards, ds, global_test, e_h: float = 1.0) -> EvalReport:
+def evaluate(layout: Layout, frame, global_row, personal, phi, mask, local,
+             participants, shards, ds, global_test, e_h: float = 1.0) -> EvalReport:
     """GA, PA and angles at one evaluation point, forwarding each (model,
-    split) pair once. A model is a row laid out as the `template` model,
-    scored with its own learnable classifier when the layout has one, else
-    with the fixed `frame` matrix. `global_row` is scored on `global_test`;
-    the (N, P) `personal` rows, one per shard, on its test split with the
+    split) pair once. A model is a row of `layout`, scored with its own
+    learnable classifier when the layout has one, else with the fixed
+    `frame` matrix. `global_row` is scored on `global_test`; the (N, P)
+    `personal` rows, one per shard, on its test split with the
     (N, C) `phi` and boolean `mask` rows (None: unscaled, every class). The
     angles read the `participants`' rows of the (N, P) `local` matrix on
     their test splits -- with `local` None, their personal rows, whose
@@ -171,20 +172,20 @@ def evaluate(template, frame, global_row, personal, phi, mask, local, participan
     def classifier(m):
         return frame if m.classifier is None else m.classifier
 
-    server = _views(global_row, template)
+    server = layout.views(global_row)
     features = forward(server, ds.features[global_test], e_h)
     ga = generic_accuracy(features, classifier(server), ds.labels[global_test])
-    personal_views = _views(personal, template)
+    personal_layers = layout.views(personal)
     scored = []
     for i, shard in enumerate(shards):
-        m = personal_views.row(i)
+        m = personal_layers.row(i)
         scored.append((forward(m, ds.features[shard.test_indices], e_h), classifier(m),
                        None if phi is None else phi[i], None if mask is None else mask[i]))
     pa, per_client = personal_accuracy(scored, shards, ds)
-    local_views = personal_views if local is None else _views(local, template)
+    local_layers = personal_layers if local is None else layout.views(local)
     entries = []
     for i in participants:
-        m = local_views.row(i)
+        m = local_layers.row(i)
         f = scored[i][0] if local is None else forward(
             m, ds.features[shards[i].test_indices], e_h)
         entries.append((shards[i], f, m.classifier))

@@ -1,5 +1,10 @@
 """Minimal MLP backbone with exact gradients and an SGD optimizer.
 
+A model is one float64 row -- or K models the rows of a (K, P) matrix --
+laid out by a Layout: the MLP's weights, then its biases, then, for the
+algorithms that learn it, a d x C classifier matrix, each flattened
+row-major. Layout.views reads a row or a matrix as its tensors (Layers).
+
 Forward passes project features onto the sqrt(E_H) sphere, logits are a
 bilinear form against a d x C classifier matrix -- a fixed simplex frame
 (optionally column-scaled by a per-client (C,) phi vector) or a learnable
@@ -11,9 +16,8 @@ central finite differences of its own loss.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from .etfgeom import EtfClassifier
 
 __all__ = [
-    "BackboneParams",
+    "Layout",
     "Layers",
     "init_backbone",
     "init_classifier",
@@ -41,58 +45,10 @@ NORM_EPS = 1e-12
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class BackboneParams:
-    """An MLP (ReLU hidden, linear output) and, for the algorithms that learn
-    it, a d x C classifier matrix. All tensors are views of one contiguous
-    float64 row `theta`: the weights, the biases, then the classifier."""
-
-    weights: list
-    biases: list
-    layer_sizes: tuple
-    classifier: np.ndarray | None = None
-    theta: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise ValueError("need at least an input and an output size")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ValueError("layer count does not match layer_sizes")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ValueError(
-                    f"layer {i} shapes {w.shape}/{b.shape} do not chain for {sizes}"
-                )
-        clf = self.classifier
-        if clf is not None and (np.ndim(clf) != 2 or np.shape(clf)[0] != sizes[-1]):
-            raise ValueError(f"classifier shape {np.shape(clf)} does not match the "
-                             f"feature shape (B, {sizes[-1]}): expected ({sizes[-1]}, C)")
-        self.layer_sizes = sizes
-        tensors = self.tensors() + ([] if clf is None else [clf])
-        self.theta = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
-        self.weights, self.biases, self.classifier = _views(self.theta, self)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    def tensors(self) -> list:
-        """The backbone's weights and biases (not the classifier)."""
-        return list(self.weights) + list(self.biases)
-
-    def _on(self, theta: np.ndarray) -> "BackboneParams":
-        """A model of this one's layout whose tensors are views of the row theta."""
-        model = copy.copy(self)
-        model.theta = theta
-        model.weights, model.biases, model.classifier = _views(theta, self)
-        return model
-
-
 class Layers(NamedTuple):
     """A model's tensors as views of its row -- or, for a (K, P) matrix of
     rows, (K, ...) stacks of them: forward and save_checkpoint read a model
-    as either a BackboneParams or one of these."""
+    as one of these."""
 
     weights: list
     biases: list
@@ -104,29 +60,59 @@ class Layers(NamedTuple):
                       None if self.classifier is None else self.classifier[i])
 
 
-def _views(flat: np.ndarray, model: BackboneParams, bias: tuple = ()) -> Layers:
-    """The Layers of model's layout as views of flat: of a (P,) row the
-    tensors, of a (K, P) stack (K, ...) stacks of them; each bias is shaped
-    bias + (fan_out,)."""
-    pairs = list(zip(model.layer_sizes[:-1], model.layer_sizes[1:]))
-    shapes = pairs + [bias + (fan_out,) for _, fan_out in pairs]
-    shapes += [] if model.classifier is None else [np.shape(model.classifier)]
-    cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
-    v = [t.reshape(flat.shape[:-1] + s) for t, s in zip(np.split(flat, cuts, axis=-1), shapes)]
-    n = len(pairs)
-    return Layers(v[:n], v[n:2 * n], v[2 * n] if len(v) > 2 * n else None)
+@dataclass(frozen=True)
+class Layout:
+    """How a model row holds an MLP (ReLU hidden, linear output) of widths
+    `layer_sizes` and, given `n_classes`, a learnable d x C classifier: its
+    weights, then its biases, then the classifier, each row-major."""
+
+    layer_sizes: tuple
+    n_classes: int | None = None
+
+    def __post_init__(self):
+        sizes = tuple(int(s) for s in self.layer_sizes)
+        if len(sizes) < 2:
+            raise ValueError("need at least an input and an output size")
+        object.__setattr__(self, "layer_sizes", sizes)
+
+    def shapes(self, bias: tuple = ()) -> list:
+        """The tensors' shapes in row order, each bias shaped bias + (fan_out,)."""
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        shapes = pairs + [bias + (fan_out,) for _, fan_out in pairs]
+        if self.n_classes is not None:
+            shapes.append((self.layer_sizes[-1], self.n_classes))
+        return shapes
+
+    @property
+    def size(self) -> int:
+        """P, the length of a row."""
+        return sum(math.prod(s) for s in self.shapes())
+
+    def views(self, flat: np.ndarray, bias: tuple = ()) -> Layers:
+        """The Layers of a (P,) row -- or (K, ...) stacks of them of a (K, P)
+        matrix -- as views of `flat`, each bias shaped bias + (fan_out,)."""
+        shapes = self.shapes(bias)
+        cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+        v = [t.reshape(flat.shape[:-1] + s) for t, s in zip(np.split(flat, cuts, axis=-1), shapes)]
+        n = len(self.layer_sizes) - 1
+        return Layers(v[:n], v[n:2 * n], None if self.n_classes is None else v[2 * n])
 
 
-def init_backbone(layer_sizes, seed) -> BackboneParams:
-    """Seeded uniform [-s, s] init with s = sqrt(6 / (fan_in + fan_out))."""
-    sizes = tuple(int(s) for s in layer_sizes)
+def init_backbone(layout: Layout, seed, classifier_seed=None) -> np.ndarray:
+    """A row of `layout`: seeded uniform [-s, s] weights with
+    s = sqrt(6 / (fan_in + fan_out)), zero biases and, exactly when the
+    layout has a classifier, init_classifier's from `classifier_seed`."""
+    if (layout.n_classes is None) != (classifier_seed is None):
+        raise ValueError("give a classifier_seed exactly when the layout has a classifier")
+    row = np.zeros(layout.size)
+    model = layout.views(row)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        s = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return BackboneParams(weights=weights, biases=biases, layer_sizes=sizes)
+    for w in model.weights:
+        s = math.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    if model.classifier is not None:
+        model.classifier[...] = init_classifier(*model.classifier.shape, classifier_seed)
+    return row
 
 
 def init_classifier(feature_dim: int, n_classes: int, seed) -> np.ndarray:
@@ -175,7 +161,7 @@ def _forward_half(weights, biases, x: np.ndarray, e_h: float):
     return acts, raw, norms, h
 
 
-def forward(params: BackboneParams | Layers, inputs, e_h: float = 1.0) -> np.ndarray:
+def forward(params: Layers, inputs, e_h: float = 1.0) -> np.ndarray:
     """The B x d features of the B input rows: the outputs of the MLP
     `params` (its weights and biases) projected onto the sqrt(e_h) sphere by
     the training kernel's forward half, run on a one-model stack.
@@ -252,22 +238,21 @@ def _check_labels(y: np.ndarray, mask: np.ndarray) -> None:
 @dataclass
 class FlatModel:
     """A stack of K models held as the rows of one contiguous (K, P) float64
-    matrix `theta`, each laid out as the `template` model's theta, and what
-    they train against. `grad` and `vel` share the layout, so an optimizer
-    update is a few whole-matrix operations. The (K, ...) stacks `weights`,
+    matrix `theta`, each laid out by `layout`, and what they train against.
+    `grad` and `vel` share the layout, so an optimizer update is a few
+    whole-matrix operations. The (K, ...) stacks `weights`,
     `biases` (K, 1, fan_out), `classifier` and their `grad_*` twins are views
-    of theta and grad, derived on construction. The logits are taken against
-    `w_eff`: the shared d x C `frame`, or else the rows' own classifiers.
-    `phi` and `mask` are the rows' (K, 1, C) class scales and existing
-    classes, or None (all ones, every class). With a proximal weight
-    `lambda_prox` > 0, `prox_ref` is the (P,) reference row and `prox` the
-    (K, P) scratch matrix the proximal term is computed in; else both are
-    None."""
+    of theta and grad, derived on construction. The logits are taken against `w_eff`: the
+    shared d x C `frame`, or else the rows' own classifiers. `phi` and
+    `mask` are the rows' (K, 1, C) class scales and existing classes, or
+    None (all ones, every class). With a proximal weight `lambda_prox` > 0,
+    `prox_ref` is the (P,) reference row and `prox` the (K, P) scratch
+    matrix the proximal term is computed in; else both are None."""
 
     theta: np.ndarray
     grad: np.ndarray
     vel: np.ndarray
-    template: BackboneParams
+    layout: Layout
     frame: np.ndarray | None = None
     phi: np.ndarray | None = None
     mask: np.ndarray | None = None
@@ -276,9 +261,9 @@ class FlatModel:
     prox: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights, self.biases, self.classifier = _views(self.theta, self.template, (1,))
-        self.grad_weights, self.grad_biases, self.grad_classifier = _views(
-            self.grad, self.template, (1,))
+        self.weights, self.biases, self.classifier = self.layout.views(self.theta, (1,))
+        self.grad_weights, self.grad_biases, self.grad_classifier = self.layout.views(
+            self.grad, (1,))
         self.w_eff = self.classifier if self.frame is None else self.frame
 
     def rows(self, start: int, stop: int) -> "FlatModel":
@@ -289,23 +274,24 @@ class FlatModel:
         return replace(self, **{f: None if a is None else a[s] for f, a in per_row.items()})
 
 
-def flatten(model: BackboneParams, k: int, frame=None, phi=None, mask=None,
+def flatten(layout: Layout, row: np.ndarray, k: int, frame=None, phi=None, mask=None,
             lambda_prox: float = 0.0) -> FlatModel:
-    """A stack of k copies of model (its classifier included, if it has one)
-    with zero velocity, to be trained against the fixed d x C `frame` (for a
-    model without a classifier), with the (k, C) rows `phi` of class scales
-    and `mask` of existing classes (None: all ones, every class) and, for
-    lambda_prox > 0, the proximal term 0.5 * lambda_prox * |theta -
-    model.theta|^2, whose scratch matrix the stack owns."""
+    """A stack of k copies of the model `row` of `layout` (its classifier
+    included, if the layout has one) with zero velocity, to be trained
+    against the fixed d x C `frame` (for a layout without a classifier),
+    with the (k, C) rows `phi` of class scales and `mask` of existing
+    classes (None: all ones, every class) and, for lambda_prox > 0, the
+    proximal term 0.5 * lambda_prox * |theta - row|^2, whose scratch matrix
+    the stack owns."""
     if lambda_prox < 0:
         raise ValueError(f"lambda_prox must be >= 0, got {lambda_prox}")
-    theta = np.tile(model.theta, (k, 1))
+    theta = np.tile(row, (k, 1))
     prox = lambda_prox > 0
-    return FlatModel(theta, np.zeros_like(theta), np.zeros_like(theta), model,
+    return FlatModel(theta, np.zeros_like(theta), np.zeros_like(theta), layout,
                      frame=None if frame is None else np.asarray(frame, dtype=np.float64),
                      phi=None if phi is None else phi[:, None, :],
                      mask=None if mask is None or mask.all() else mask[:, None, :],
-                     lambda_prox=float(lambda_prox), prox_ref=model.theta if prox else None,
+                     lambda_prox=float(lambda_prox), prox_ref=row if prox else None,
                      prox=np.empty_like(theta) if prox else None)
 
 
@@ -388,24 +374,24 @@ def train_step(model: FlatModel, x: np.ndarray, hot: np.ndarray, *, e_h: float,
     return loss
 
 
-def finite_diff_check(params: BackboneParams, inputs, labels, frame=None,
+def finite_diff_check(layout: Layout, row: np.ndarray, inputs, labels, frame=None,
                       phi=None, class_mask=None,
                       e_h: float = 1.0, step: float = 1e-5, n_probes: int = 16,
                       seed=0, lambda_prox: float = 0.0) -> float:
     """Worst relative error between the gradient train_step steps on and
     central differences of the loss.
 
-    The model is params, as the one row of a flatten(params, 1, ...) stack:
-    it scores with its own learnable classifier when it has one, else with
-    the fixed d x C `frame` matrix. `phi` is a (C,) vector of class scales or
-    None, `class_mask` a boolean (C,) vector or None (every class). The
-    analytic gradient is gradient_pass's, and the numeric loss is
-    gradient_pass's loss plus 0.5 * lambda_prox * |theta - ref|^2. The
-    stack's proximal reference ref is set at a seeded offset
-    theta + 0.1 * N(0, 1) from the probe point, where the proximal gradient
-    is non-zero. Probes n_probes randomly selected scalar parameters: a
-    tensor, then an entry of it. Steps much below ~1e-7 are unreliable due to
-    cancellation; the default 1e-5 balances truncation and roundoff. The
+    The model is `row` of `layout`, as the one row of a flatten(layout, row,
+    1, ...) stack: it scores with its own learnable classifier when the
+    layout has one, else with the fixed d x C `frame` matrix. `phi` is a
+    (C,) vector of class scales or None, `class_mask` a boolean (C,) vector
+    or None (every class). The analytic gradient is gradient_pass's, and the
+    numeric loss is gradient_pass's loss plus
+    0.5 * lambda_prox * |theta - ref|^2. The stack's proximal reference ref
+    is set at a seeded offset theta + 0.1 * N(0, 1) from the probe point,
+    where the proximal gradient is non-zero. Probes n_probes randomly selected scalar parameters: a
+    tensor, then an entry of it. Steps much below ~1e-7 are unreliable due
+    to cancellation; the default 1e-5 balances truncation and roundoff. The
     denominator is floored at 1e-4 so probes whose true gradient is
     essentially zero (dead ReLU paths) do not divide rounding noise by ~0.
     """
@@ -413,15 +399,14 @@ def finite_diff_check(params: BackboneParams, inputs, labels, frame=None,
         raise ValueError(f"step must be positive, got {step}")
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
-    learnable = params.classifier is not None
-    if learnable == (frame is not None):
+    if (layout.n_classes is None) == (frame is None):
         raise ValueError("give a fixed frame exactly when the model has no learnable classifier")
-    n_classes = np.shape(params.classifier if learnable else frame)[-1]
+    n_classes = layout.n_classes or np.shape(frame)[-1]
     phi = None if phi is None else _as_phi(phi, n_classes)[None]
     y = np.asarray(labels, dtype=np.int64)
     mask = _as_mask(class_mask, n_classes)
     _check_labels(y, mask)
-    model = flatten(params, 1, frame, phi, mask[None], lambda_prox)
+    model = flatten(layout, row, 1, frame, phi, mask[None], lambda_prox)
     theta = model.theta[0]
     x = np.asarray(inputs, dtype=np.float64)[None]
     hot = (y[:, None] == np.arange(n_classes))[None]
@@ -437,8 +422,7 @@ def finite_diff_check(params: BackboneParams, inputs, labels, frame=None,
 
     gradient_pass(model, x, hot, e_h)
     analytic_grad = model.grad[0].copy()
-    tensors = params.tensors() + ([params.classifier] if learnable else [])
-    bounds = np.cumsum([0] + [t.size for t in tensors])   # tensor ti: bounds[ti:ti+2]
+    bounds = np.cumsum([0] + [math.prod(s) for s in layout.shapes()])  # tensor ti: bounds[ti:ti+2]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(n_probes)):
@@ -487,32 +471,40 @@ def lpm_feature_fit(n_classes: int, feature_dim: int, e_h: float,
     return h
 
 
-def save_checkpoint(path, params: BackboneParams | Layers,
-                    classifier: np.ndarray | None = None) -> None:
-    """Lossless parameter checkpoint (architecture + tensors, row-major)."""
-    sizes = [params.weights[0].shape[0]] + [w.shape[1] for w in params.weights]
+def save_checkpoint(path, layers: Layers) -> None:
+    """Lossless parameter checkpoint (architecture + tensors, row-major) of
+    one model's layers, its classifier included if it has one."""
+    sizes = [layers.weights[0].shape[0]] + [w.shape[1] for w in layers.weights]
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),
         "layer_sizes": np.asarray(sizes, dtype=np.int64),
     }
-    for i, w in enumerate(params.weights):
+    for i, w in enumerate(layers.weights):
         payload[f"w{i}"] = w
-    for i, b in enumerate(params.biases):
+    for i, b in enumerate(layers.biases):
         payload[f"b{i}"] = b
-    if classifier is not None:
-        payload["classifier"] = classifier
+    if layers.classifier is not None:
+        payload["classifier"] = layers.classifier
     np.savez(path, **payload)
 
 
-def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (BackboneParams, classifier|None)."""
+def load_checkpoint(path) -> tuple:
+    """Inverse of save_checkpoint: (layout, row). A missing tensor, or one
+    whose shape is not the layout's, raises ValueError naming it."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = tuple(int(s) for s in data["layer_sizes"])
-        n = len(sizes) - 1
-        weights = [data[f"w{i}"].copy() for i in range(n)]
-        biases = [data[f"b{i}"].copy() for i in range(n)]
-        classifier = data["classifier"].copy() if "classifier" in data.files else None
-    return BackboneParams(weights=weights, biases=biases, layer_sizes=sizes), classifier
+        n = len(data["layer_sizes"]) - 1
+        clf = data["classifier"].shape[-1] if "classifier" in data.files else None
+        layout = Layout(tuple(data["layer_sizes"]), clf)
+        names = [f"w{i}" for i in range(n)] + [f"b{i}" for i in range(n)] + ["classifier"]
+        tensors = []
+        for name, shape in zip(names, layout.shapes()):
+            if name not in data.files:
+                raise ValueError(f"checkpoint {path} has no tensor {name}")
+            tensors.append(data[name])
+            if tensors[-1].shape != shape:
+                raise ValueError(f"checkpoint tensor {name} has shape {tensors[-1].shape}, "
+                                 f"expected {shape}")
+    return layout, np.concatenate([t.ravel() for t in tensors], dtype=np.float64)

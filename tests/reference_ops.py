@@ -1,12 +1,14 @@
 """The per-op training path: forward with a cache, ce_loss, backward and
-sgd_step on BackboneParams.
+sgd_step on a Model, a model held as separate tensors.
 
-fedgela trains with one fused kernel (neuralnet.train_step). These ops are
-its bitwise reference: a batch run through forward -> logits -> ce_loss ->
-backward -> (+ prox) -> sgd_step gives the bytes train_step gives, and the
-op tests check each step on its own. `clone` copies a parameter set, and
-sgd_step counts its updates on the parameter object (`version`), so that
-backward rejects a cache taken before an update.
+fedgela trains with one fused kernel (neuralnet.train_step) on model rows.
+These ops are its bitwise reference: a batch run through forward -> logits
+-> ce_loss -> backward -> (+ prox) -> sgd_step gives the bytes train_step
+gives, and the op tests check each step on its own. A Model keeps its own
+tensors, so the ops never read a row through neuralnet.Layout; `Model.row`
+concatenates them in a row's order. `clone` copies a model, and sgd_step
+counts its updates on the model (`version`), so that backward rejects a
+cache taken before an update.
 """
 from __future__ import annotations
 
@@ -16,26 +18,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedgela.neuralnet import (
-    BackboneParams,
+    Layout,
     _as_mask,
     _check_finite,
     _check_labels,
     _check_norms,
+    init_backbone,
     logits,
 )
 
 
-def _version(params: BackboneParams) -> int:
-    """Number of sgd_step updates of params (0 until the first)."""
-    return getattr(params, "version", 0)
+@dataclass
+class Model:
+    """An MLP (ReLU hidden, linear output) as its weights and biases and,
+    for a learnable classifier, its d x C matrix; `version` counts the
+    sgd_step updates."""
+
+    weights: list
+    biases: list
+    classifier: np.ndarray | None = None
+    version: int = 0
+
+    @classmethod
+    def of(cls, layout: Layout, row: np.ndarray) -> "Model":
+        """The model `row` of `layout`, as copies of its tensors."""
+        v = layout.views(row)
+        return cls([w.copy() for w in v.weights], [b.copy() for b in v.biases],
+                   None if v.classifier is None else v.classifier.copy())
+
+    @property
+    def layer_sizes(self) -> tuple:
+        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.weights)
+
+    def tensors(self) -> list:
+        """The weights, the biases and the classifier, if any: a row's order."""
+        return self.weights + self.biases + ([] if self.classifier is None else [self.classifier])
+
+    def row(self) -> np.ndarray:
+        return np.concatenate([t.ravel() for t in self.tensors()])
 
 
-def clone(params: BackboneParams) -> BackboneParams:
-    return BackboneParams(
-        weights=[w.copy() for w in params.weights],
-        biases=[b.copy() for b in params.biases],
-        layer_sizes=params.layer_sizes,
-    )
+def init_model(layer_sizes, seed, classifier=None) -> Model:
+    """init_backbone's MLP of `layer_sizes` from `seed`, with `classifier`."""
+    layout = Layout(layer_sizes)
+    model = Model.of(layout, init_backbone(layout, seed))
+    model.classifier = classifier
+    return model
+
+
+def clone(params: Model) -> Model:
+    return Model([w.copy() for w in params.weights], [b.copy() for b in params.biases],
+                 None if params.classifier is None else params.classifier.copy())
 
 
 @dataclass
@@ -54,8 +91,7 @@ class OptimizerState:
     vel_classifier: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, params: BackboneParams, lr, momentum, weight_decay,
-                   classifier: np.ndarray | None = None) -> "OptimizerState":
+    def for_params(cls, params: Model, lr, momentum, weight_decay) -> "OptimizerState":
         if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         return cls(
@@ -64,7 +100,7 @@ class OptimizerState:
             weight_decay=float(weight_decay),
             vel_weights=[np.zeros_like(w) for w in params.weights],
             vel_biases=[np.zeros_like(b) for b in params.biases],
-            vel_classifier=None if classifier is None else np.zeros_like(classifier),
+            vel_classifier=None if params.classifier is None else np.zeros_like(params.classifier),
         )
 
 
@@ -96,7 +132,7 @@ class ForwardCache:
     """Everything backward() needs: per-layer inputs, pre-activations, and
     the normalization state."""
 
-    params: BackboneParams
+    params: Model
     params_version: int
     layer_inputs: list   # input to each layer (x, then post-ReLU activations)
     pre_acts: list       # pre-activation of each layer
@@ -106,7 +142,7 @@ class ForwardCache:
     e_h: float
 
 
-def forward(params: BackboneParams, inputs, e_h: float = 1.0):
+def forward(params: Model, inputs, e_h: float = 1.0):
     """Run the MLP and project rows onto the sqrt(e_h) sphere.
 
     Returns (FeatureBatch, ForwardCache). The projection is exact
@@ -138,7 +174,7 @@ def forward(params: BackboneParams, inputs, e_h: float = 1.0):
     h = math.sqrt(e_h) * raw / norms[:, None]
     cache = ForwardCache(
         params=params,
-        params_version=_version(params),
+        params_version=params.version,
         layer_inputs=layer_inputs,
         pre_acts=pre_acts,
         raw=raw,
@@ -166,7 +202,7 @@ def ce_loss(z: np.ndarray, labels, class_mask=None) -> float:
 
 @dataclass
 class Grads:
-    """Gradients matching BackboneParams (plus the classifier when learnable)."""
+    """Gradients matching a Model's tensors."""
 
     weights: list
     biases: list
@@ -179,22 +215,22 @@ class Grads:
         return out
 
 
-def backward(cache: ForwardCache, labels, classifier, phi=None, class_mask=None,
-             frame=None) -> Grads:
-    """Exact gradients of ce_loss(logits(forward(...))) w.r.t. the backbone
-    and the learnable d x C `classifier` matrix -- or, with classifier None,
-    w.r.t. the backbone alone, the logits taken against the fixed `frame`.
-    `phi` is a (C,) vector or None, `class_mask` a boolean (C,) vector or
-    None.
+def backward(cache: ForwardCache, labels, phi=None, class_mask=None, frame=None) -> Grads:
+    """Exact gradients of ce_loss(logits(forward(...))) w.r.t. the cached
+    model's tensors: its backbone and learnable d x C classifier -- or, for
+    a model without one, its backbone alone, the logits taken against the
+    fixed `frame`. `phi` is a (C,) vector or None, `class_mask` a boolean
+    (C,) vector or None.
 
     The chain rule runs through the sphere projection:
     dL/draw = (sqrt(e_h)/|raw|) * (dL/dh - (dL/dh . u) u), u = raw/|raw|.
     """
-    if cache.params_version != _version(cache.params):
+    if cache.params_version != cache.params.version:
         raise RuntimeError(
             "cache mismatch: parameters were updated after this forward pass"
         )
     params = cache.params
+    classifier = params.classifier
     y = np.asarray(labels, dtype=np.int64)
     if (classifier is None) == (frame is None):
         raise ValueError("give exactly one of a learnable classifier and a fixed frame")
@@ -229,20 +265,19 @@ def backward(cache: ForwardCache, labels, classifier, phi=None, class_mask=None,
     return Grads(weights=grads_w, biases=grads_b, classifier=clf_grad)
 
 
-def sgd_step(params: BackboneParams, grads: Grads, state: OptimizerState,
-             classifier: np.ndarray | None = None):
+def sgd_step(params: Model, grads: Grads, state: OptimizerState):
     """One momentum-SGD step in place; returns (params, state).
 
     buf <- momentum * buf + grad + weight_decay * param, then
-    param <- param - lr * buf. When a learnable classifier and its gradient
-    are present they are updated the same way.
+    param <- param - lr * buf. A learnable classifier is updated the same
+    way.
     """
     tensors = list(zip(params.weights, grads.weights, state.vel_weights))
     tensors += list(zip(params.biases, grads.biases, state.vel_biases))
-    if classifier is not None:
+    if params.classifier is not None:
         if grads.classifier is None or state.vel_classifier is None:
             raise ValueError("classifier update requested without gradient/state")
-        tensors.append((classifier, grads.classifier, state.vel_classifier))
+        tensors.append((params.classifier, grads.classifier, state.vel_classifier))
     for p, g, v in tensors:
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
@@ -251,5 +286,5 @@ def sgd_step(params: BackboneParams, grads: Grads, state: OptimizerState,
         if state.weight_decay:
             v += state.weight_decay * p
         p -= state.lr * v
-    params.version = _version(params) + 1
+    params.version += 1
     return params, state

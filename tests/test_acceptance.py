@@ -30,7 +30,7 @@ from fedgela.fedsim import (
     step,
 )
 from fedgela.metrics import nc1_variability
-from fedgela.neuralnet import BackboneParams, init_backbone, init_classifier, lpm_feature_fit
+from fedgela.neuralnet import Layout, init_backbone, lpm_feature_fit
 
 SEEDS = (0, 1, 2)
 
@@ -183,15 +183,13 @@ def test_criterion_5_reductions():
     hp = Hyperparams(lr=single.lr, momentum=single.momentum,
                      weight_decay=single.weight_decay, epochs=single.epochs,
                      batch_size=single.batch_size, e_h=single.e_h)
-    backbone = init_backbone((single.input_dim,) + single.hidden + (ds.n_classes,),
-                             (single.seed, 1))
-    model = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
-                           init_classifier(ds.n_classes, ds.n_classes, (single.seed, 1, 1)))
+    layout = Layout((single.input_dim,) + single.hidden + (ds.n_classes,), ds.n_classes)
+    row = init_backbone(layout, (single.seed, 1), (single.seed, 1, 1))
     for t in (1, 2):
-        rows, _ = local_train([shards[0]], model, None, algo, hp, ds,
+        rows, _ = local_train([shards[0]], layout, row, None, algo, hp, ds,
                               [(single.seed, 3, t, 0)])
-        model = model._on(rows[0])
-    same_c = result.server_theta.tobytes() == model.theta.tobytes()
+        row = rows[0]
+    same_c = result.server_theta.tobytes() == row.tobytes()
 
     elapsed = time.time() - start
     _report(5, same_a and same_b and same_c and elapsed < 120.0,

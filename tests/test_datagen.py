@@ -3,6 +3,7 @@ import pytest
 
 from fedgela.datagen import (
     Dataset,
+    _largest_remainder_alloc,
     PartitionInfeasibleError,
     PartitionSpec,
     dirichlet_partition,
@@ -152,6 +153,20 @@ class TestPcddPartition:
         assert len(all_idx) == len(set(all_idx.tolist())) == ds.n
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.indices, sb.indices)
+
+
+class TestLargestRemainderAlloc:
+    @pytest.mark.parametrize("proportions, total, want", [
+        # 3.15, 2.45, 1.4: floors 3, 2, 1 and one unit left for the largest
+        # fraction, 0.45
+        ([0.45, 0.35, 0.2], 7, [3, 3, 1]),
+        # 0.5, 1.5, 1.3, 1.7: floors 0, 1, 1, 1 and two units left, for 0.7
+        # and then the lower index of the tied 0.5s
+        ([0.1, 0.3, 0.26, 0.34], 5, [1, 1, 1, 2]),
+    ])
+    def test_hand_worked_cases(self, proportions, total, want):
+        got = _largest_remainder_alloc(np.array(proportions), total)
+        assert got.tolist() == want and got.sum() == total
 
 
 class TestClientShard:

@@ -29,8 +29,8 @@ from fedgela.fedsim import (
 )
 from fedgela import fedsim, metrics
 from fedgela.metrics import angle_report, personal_accuracy
-from fedgela.neuralnet import BackboneParams, forward, init_backbone
-from reference_ops import clone
+from fedgela.neuralnet import Layout, forward, init_backbone, init_classifier
+from reference_ops import Model, clone, init_model
 
 
 def small_config(**kw):
@@ -56,54 +56,60 @@ def clients_of(shards, n_classes, algo):
 
 
 def start_of(backbone, classifier, algo):
-    """local_train's start model and frame for a backbone and a d x C
-    classifier matrix: the backbone with the classifier in its row, if the
-    algorithm learns it, else the backbone alone and the classifier as the
-    fixed frame."""
+    """local_train's layout, start row and frame for a backbone (a
+    reference_ops.Model without a classifier) and a d x C classifier matrix:
+    the backbone with the classifier in its row, if the algorithm learns it,
+    else the backbone alone and the classifier as the fixed frame."""
     if algo.fixed_classifier:
-        return backbone, classifier
-    return BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
-                          classifier), None
+        return Layout(backbone.layer_sizes), backbone.row(), classifier
+    learnable = Model(backbone.weights, backbone.biases, classifier)
+    return Layout(backbone.layer_sizes, classifier.shape[1]), learnable.row(), None
+
+
+def split(layout, row):
+    """The model `row` of `layout` as its backbone (a reference_ops.Model
+    without a classifier) and its classifier, None for a fixed frame."""
+    model = Model.of(layout, row)
+    return Model(model.weights, model.biases), model.classifier
 
 
 def train(clients, backbone, classifier, algo, hp, ds, seed_parts):
     """local_train on the clients' shards, with their phi and mask rows when
-    the algorithm adapts phi, as one namespace per client: its model
-    (backbone, and classifier views of its row; the classifier None for a
-    fixed frame) and its epoch losses."""
+    the algorithm adapts phi, as one namespace per client: its row, its
+    model (backbone, and classifier; the classifier None for a fixed frame)
+    and its epoch losses."""
     phi = mask = None
     if algo.adapts_phi:
         phi = np.stack([c.phi for c in clients])
         mask = np.stack([c.mask for c in clients])
-    start, frame = start_of(backbone, classifier, algo)
-    out = local_train([c.shard for c in clients], start, frame, algo, hp, ds,
+    layout, row, frame = start_of(backbone, classifier, algo)
+    out = local_train([c.shard for c in clients], layout, row, frame, algo, hp, ds,
                       seed_parts, phi, mask)
-    return as_results(out, start, hp.epochs)
+    return as_results(out, layout, hp.epochs)
 
 
-def as_results(out, start, epochs):
+def as_results(out, layout, epochs):
     """local_train's (rows, losses) as one namespace per client."""
     rows, losses = out
-    assert rows.shape == (len(losses), start.theta.size)
+    assert rows.shape == (len(losses), layout.size)
     assert losses.shape == (len(rows), epochs)
-    models = [start._on(row) for row in rows]
-    return [types.SimpleNamespace(backbone=m, classifier=m.classifier, epoch_losses=list(loss))
-            for m, loss in zip(models, losses)]
+    return [types.SimpleNamespace(row=row, backbone=bb, classifier=clf, epoch_losses=list(loss))
+            for row, (bb, clf), loss in zip(rows, (split(layout, r) for r in rows), losses)]
 
 
 def finetune(backbone, classifier, shards, algo, hp, epochs, ds, seed_parts):
     """finetune_personalize's output, as train's."""
-    start, frame = start_of(backbone, classifier, algo)
-    return as_results(finetune_personalize(start, frame, shards, algo, hp, epochs,
-                                           ds, seed_parts), start, epochs)
+    layout, row, frame = start_of(backbone, classifier, algo)
+    return as_results(finetune_personalize(shards, layout, row, frame, algo, hp, epochs,
+                                           ds, seed_parts), layout, epochs)
 
 
 def server_of(state):
     """The server model of a RunState and the classifier it scores with."""
-    model = state.inputs.template._on(state.server_theta)
+    backbone, classifier = split(state.inputs.layout, state.server_theta)
     frame = state.inputs.frame
-    return types.SimpleNamespace(backbone=model,
-                                 classifier=model.classifier if frame is None else frame)
+    return types.SimpleNamespace(backbone=backbone,
+                                 classifier=classifier if frame is None else frame)
 
 
 class TestAlgoKind:
@@ -234,7 +240,7 @@ class TestLocalTrain:
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                          epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
-        backbone = init_backbone((cfg.input_dim, 16, ds.n_classes), seed=0)
+        backbone = init_model((cfg.input_dim, 16, ds.n_classes), seed=0)
         frame = make_etf(ds.n_classes, ds.n_classes, 1, e_w=cfg.e_w).classifier
         return ds, clients, algo, hp, backbone, frame
 
@@ -249,7 +255,6 @@ class TestLocalTrain:
 
     def test_fedprox_zero_lambda_identical_to_fedavg(self):
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
-        from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
         res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
                         hp, ds, [(0, 3, 1, 1)])[0]
@@ -271,28 +276,27 @@ class TestLocalTrain:
 
     def test_start_model_and_frame_must_match_the_algorithm(self):
         ds, clients, _, hp, backbone, frame = self._setup("fedgela")
-        learnable = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes, frame)
-        for kind, start, given in (("fedavg", backbone, frame), ("fedavg", learnable, frame),
-                                   ("fedge", learnable, None), ("fedge", backbone, None)):
+        fixed = start_of(backbone, frame, AlgoKind("fedge"))[:2]
+        learnable = start_of(backbone, frame, AlgoKind("fedavg"))[:2]
+        for kind, start, given in (("fedavg", fixed, frame), ("fedavg", learnable, frame),
+                                   ("fedge", learnable, None), ("fedge", fixed, None)):
             with pytest.raises(ValueError, match=f"algo={kind} needs a start model"):
-                local_train([clients[0].shard], start, given, AlgoKind(kind), hp, ds,
+                local_train([clients[0].shard], *start, given, AlgoKind(kind), hp, ds,
                             [(0, 3, 1, 0)])
 
     @pytest.mark.parametrize("kind,plain_kind", [("fedgela", "fedge"), ("laonly", "fedavg")])
     def test_adapting_algorithm_without_phi_trains_unscaled_on_every_class(self, kind,
                                                                            plain_kind):
         ds, clients, _, hp, backbone, frame = self._setup("fedgela")
-        from fedgela.neuralnet import init_classifier
         clf = frame if kind == "fedgela" else init_classifier(ds.n_classes, ds.n_classes, seed=5)
         shards, seeds = [c.shard for c in clients], [(0, 3, 1, c.client_id) for c in clients]
-        start, frame = start_of(backbone, clf, AlgoKind(kind))
-        unscaled, _ = local_train(shards, start, frame, AlgoKind(kind), hp, ds, seeds)
-        plain, _ = local_train(shards, start, frame, AlgoKind(plain_kind), hp, ds, seeds)
+        start = start_of(backbone, clf, AlgoKind(kind))
+        unscaled, _ = local_train(shards, *start, AlgoKind(kind), hp, ds, seeds)
+        plain, _ = local_train(shards, *start, AlgoKind(plain_kind), hp, ds, seeds)
         assert unscaled.tobytes() == plain.tobytes()
 
     def test_fedprox_positive_lambda_changes_trajectory(self):
         ds, clients, _, hp, backbone, _ = self._setup("fedavg")
-        from fedgela.neuralnet import init_classifier
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
         res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
                         hp, ds, [(0, 3, 1, 1)])[0]
@@ -313,7 +317,6 @@ class TestLocalTrain:
             return stacks[-1]
 
         monkeypatch.setattr(fedsim, "flatten", recording)
-        from fedgela.neuralnet import init_classifier
         clf = frame if algo.fixed_classifier else init_classifier(ds.n_classes, ds.n_classes, 5)
         train(clients, backbone, clf, algo, hp, ds, [(0, 3, 1, k) for k in range(4)])
         assert len(stacks) == 1 and len(stacks[0].theta) == 4
@@ -333,7 +336,7 @@ class TestLocalTrain:
         clients = clients_of(shards, 10, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-4, epochs=10,
                          batch_size=10, e_h=1.0)
-        backbone = init_backbone((12, 16, 10), seed=0)
+        backbone = init_model((12, 16, 10), seed=0)
         frame = make_etf(10, 10, 1, e_w=25.0).classifier
         res = train([clients[0]], backbone, frame, algo, hp, ds, [(0, 3, 1, 0)])[0]
         from fedgela.metrics import predict
@@ -355,40 +358,35 @@ class TestLocalTrain:
             train([clients[0]], backbone, frame, algo, hp, ds, [(0, 3, 1, 0)])
 
 
+def init_row(layer_sizes, seed, n_classes=None):
+    """init_backbone's row of Layout(layer_sizes, n_classes), its classifier
+    drawn from seed + 10."""
+    layout = Layout(layer_sizes, n_classes)
+    return init_backbone(layout, seed, None if n_classes is None else seed + 10)
+
+
 class TestAggregate:
     def test_identical_updates_fixed_point(self):
-        p = init_backbone((3, 4), seed=0)
-        out = p._on(aggregate([p.theta, clone(p).theta], [0.3, 0.7]))
-        for a, b in zip(out.tensors(), p.tensors()):
-            np.testing.assert_allclose(a, b, atol=1e-15)
+        p = init_row((3, 4), 0)
+        np.testing.assert_allclose(aggregate([p, p.copy()], [0.3, 0.7]), p, atol=1e-15)
 
     def test_equal_weights_midpoint(self):
-        a, b = init_backbone((3, 4), seed=0), init_backbone((3, 4), seed=1)
-        out = a._on(aggregate([a.theta, b.theta], [0.5, 0.5]))
-        for o, x, y in zip(out.tensors(), a.tensors(), b.tensors()):
-            np.testing.assert_allclose(o, (x + y) / 2.0, atol=1e-15)
+        a, b = init_row((3, 4), 0), init_row((3, 4), 1)
+        np.testing.assert_allclose(aggregate([a, b], [0.5, 0.5]), (a + b) / 2.0, atol=1e-15)
 
     def test_single_client_identity(self):
-        p = init_backbone((3, 4), seed=2)
-        out = p._on(aggregate([p.theta], [1.0]))
-        for a, b in zip(out.tensors(), p.tensors()):
-            np.testing.assert_array_equal(a, b)
+        p = init_row((3, 4), 2)
+        np.testing.assert_array_equal(aggregate([p], [1.0]), p)
 
     def test_permutation_invariant(self):
-        parts = [init_backbone((4, 5), seed=s) for s in range(3)]
+        rows = [init_row((4, 5), s) for s in range(3)]
         w = [0.2, 0.3, 0.5]
-        rows = [p.theta for p in parts]
-        out1 = parts[0]._on(aggregate(rows, w))
-        out2 = parts[0]._on(aggregate([rows[2], rows[0], rows[1]], [0.5, 0.2, 0.3]))
-        for a, b in zip(out1.tensors(), out2.tensors()):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        out1 = aggregate(rows, w)
+        out2 = aggregate([rows[2], rows[0], rows[1]], [0.5, 0.2, 0.3])
+        np.testing.assert_allclose(out1, out2, atol=1e-12)
 
     def test_permuting_rows_with_weights_changes_at_most_rounding(self):
-        from fedgela.neuralnet import init_classifier
-        parts = [init_backbone((4, 6, 3), seed=s) for s in range(7)]
-        rows = np.stack([BackboneParams(p.weights, p.biases, p.layer_sizes,
-                                        init_classifier(3, 5, seed=s + 10)).theta
-                         for s, p in enumerate(parts)])
+        rows = np.stack([init_row((4, 6, 3), s, n_classes=5) for s in range(7)])
         w = np.random.default_rng(0).uniform(0.1, 1.0, len(rows))
         w /= w.sum()
         base = aggregate(rows, w)
@@ -403,41 +401,37 @@ class TestAggregate:
             np.testing.assert_array_less(np.abs(got - base), 1e-12 * scale + 1e-300)
 
     def test_bad_weights(self):
-        p = init_backbone((3, 4), seed=0)
+        p = init_row((3, 4), 0)
         with pytest.raises(ValueError, match="sum to 1"):
-            aggregate([p.theta, clone(p).theta], [0.5, 0.6])
+            aggregate([p, p.copy()], [0.5, 0.6])
 
     def test_shape_mismatch(self):
-        a, b = init_backbone((3, 4), seed=0), init_backbone((3, 5), seed=0)
+        a, b = init_row((3, 4), 0), init_row((3, 5), 0)
         with pytest.raises(ValueError, match="shape mismatch"):
-            aggregate([a.theta, b.theta], [0.5, 0.5])
-
-    def _learnable(self, seed, layer_sizes=(3, 5, 4)):
-        from fedgela.neuralnet import BackboneParams, init_classifier
-        p = init_backbone(layer_sizes, seed=seed)
-        return BackboneParams(p.weights, p.biases, p.layer_sizes,
-                              init_classifier(layer_sizes[-1], 3, seed=seed + 10))
+            aggregate([a, b], [0.5, 0.5])
 
     def test_learnable_models_average_backbone_and_classifier_in_one_pass(self):
-        parts = [self._learnable(s) for s in range(3)]
+        layout = Layout((3, 5, 4), n_classes=3)
+        parts = [init_row(layout.layer_sizes, s, n_classes=3) for s in range(3)]
         w = np.array([0.2, 0.3, 0.5])
-        out = parts[0]._on(aggregate(np.stack([p.theta for p in parts]), w))
+        out = aggregate(np.stack(parts), w)
         # the per-tensor reduction w0*t0 + w1*t1 + ..., in list order
-        for j, got in enumerate(out.tensors() + [out.classifier]):
-            tensors = [p.tensors() + [p.classifier] for p in parts]
+        tensors = [Model.of(layout, p).tensors() for p in parts]
+        got = layout.views(out)
+        for j, t in enumerate(got.weights + got.biases + [got.classifier]):
             want = w[0] * tensors[0][j]
             for i in range(1, len(parts)):
                 want = want + w[i] * tensors[i][j]
-            assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(out.classifier, out.theta)
+            assert t.tobytes() == want.tobytes()
+        assert np.shares_memory(got.classifier, out)
 
     def test_learnable_and_fixed_frame_models_rejected(self):
-        learnable = self._learnable(0)
-        fixed = init_backbone(learnable.layer_sizes, seed=1)
+        learnable = init_row((3, 5, 4), 0, n_classes=3)
+        fixed = init_row((3, 5, 4), 1)
         with pytest.raises(ValueError, match="shape mismatch"):
-            aggregate([learnable.theta, fixed.theta], [0.5, 0.5])
+            aggregate([learnable, fixed], [0.5, 0.5])
         with pytest.raises(ValueError, match="shape mismatch"):
-            aggregate([fixed.theta, learnable.theta], [0.5, 0.5])
+            aggregate([fixed, learnable], [0.5, 0.5])
 
     def test_one_round_equals_centralized_step(self):
         # K = N, one full-batch step, no momentum/decay: the aggregated
@@ -451,20 +445,19 @@ class TestAggregate:
         clients = clients_of([shard_a, shard_b], 2, algo)
         hp = Hyperparams(lr=0.1, momentum=0.0, weight_decay=0.0, epochs=1,
                          batch_size=100, e_h=1.0)
-        backbone = init_backbone((4, 6, 2), seed=3)
+        backbone = init_model((4, 6, 2), seed=3)
         frame = make_etf(2, 2, 0, e_w=1.0).classifier
         res = [train([c], backbone, frame, algo, hp, ds, [(9, 9, 9, c.client_id)])[0]
                for c in clients]
         weights = np.array([4.0, 4.0]) / 8.0
-        agg = backbone._on(aggregate([r.backbone.theta for r in res], weights))
+        agg = aggregate([r.row for r in res], weights)
         # centralized comparator: analytic single step on the union mean loss
         from reference_ops import backward, forward, sgd_step, OptimizerState
         central = clone(backbone)
         fb, cache = forward(central, ds.features, 1.0)
-        grads = backward(cache, ds.labels, None, frame=frame)
+        grads = backward(cache, ds.labels, frame=frame)
         sgd_step(central, grads, OptimizerState.for_params(central, 0.1, 0.0, 0.0))
-        for a, b in zip(agg.tensors(), central.tensors()):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(agg, central.row(), rtol=0, atol=1e-12)
 
 
 def advance(state, rounds):
@@ -503,10 +496,26 @@ class TestRunState:
         state = init_state(cfg)
         inputs = state.inputs
         assert state.round == 0 and state.logs == []
-        assert state.server_theta.tobytes() == inputs.template.theta.tobytes()
-        assert state.client_theta.shape == (cfg.clients, inputs.template.theta.size)
+        assert inputs.layout == Layout((cfg.input_dim, 16, cfg.classes), cfg.classes)
+        init = init_backbone(inputs.layout, (cfg.seed, 1), (cfg.seed, 1, 1))
+        assert state.server_theta.tobytes() == init.tobytes()
+        assert state.client_theta.shape == (cfg.clients, inputs.layout.size)
         assert not state.trained.any()
         assert inputs.phi is None and inputs.mask is None and inputs.frame is None
+
+    def test_step_weights_the_server_row_by_n_k(self):
+        # the FedAvg weighting: sum over participants of n_k / n * row_k, on
+        # shards of unequal size
+        state = init_state(small_config(algo="fedavg", clients=5, clients_per_round=3,
+                                        rounds=1))
+        ids = list(step(state).participants)
+        n_k = np.array([state.inputs.shards[i].n_k for i in ids], dtype=np.float64)
+        assert len(set(n_k)) > 1
+        w = n_k / n_k.sum()
+        want = w[0] * state.client_theta[ids[0]]
+        for wk, i in zip(w[1:], ids[1:]):
+            want = want + wk * state.client_theta[i]
+        assert state.server_theta.tobytes() == want.tobytes()
 
     def test_step_runs_the_next_round(self):
         state = init_state(small_config(algo="fedavg", rounds=3))
@@ -541,14 +550,13 @@ class TestRunFederation:
         result = run_federation(cfg)
         server = server_of(result)
         # replay: same init, same shard, sequential local training
-        from fedgela.neuralnet import init_classifier
         ds, shards = result.inputs.dataset, result.inputs.shards
         algo = AlgoKind("fedavg")
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                          epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
-        backbone = init_backbone((cfg.input_dim,) + cfg.hidden + (ds.n_classes,),
-                                 (cfg.seed, 1))
+        backbone = init_model((cfg.input_dim,) + cfg.hidden + (ds.n_classes,),
+                              (cfg.seed, 1))
         clf = init_classifier(ds.n_classes, ds.n_classes, (cfg.seed, 1, 1))
         for t in (1, 2):
             res = train([clients[0]], backbone, clf, algo, hp, ds,
@@ -584,6 +592,13 @@ class TestRunFederation:
         for la, lb in zip(a, b):
             assert (la.ga, la.pa, la.mean_train_loss) == (lb.ga, lb.pa, lb.mean_train_loss)
 
+    def test_last_round_evaluated_off_the_schedule(self):
+        # rounds % eval_every != 0: rounds 2 and 4 on the schedule, and 5 as
+        # the last
+        logs = run_federation(small_config(rounds=5, eval_every=2)).logs
+        assert [log.ga is not None for log in logs] == [False, True, False, True, True]
+        assert logs[-1].pa is not None and logs[-1].global_mean_angle is not None
+
     def test_partial_participation(self):
         cfg = small_config(clients=4, clients_per_round=2, rounds=3)
         result = run_federation(cfg)
@@ -598,9 +613,9 @@ class TestRunFederation:
         scored = []
         real = metrics.evaluate
 
-        def spy(template, frame, global_row, personal, phi, mask, *args):
+        def spy(layout, frame, global_row, personal, phi, mask, *args):
             scored.append((frame, list(zip(personal, phi, mask))))
-            return real(template, frame, global_row, personal, phi, mask, *args)
+            return real(layout, frame, global_row, personal, phi, mask, *args)
 
         monkeypatch.setattr(metrics, "evaluate", spy)
         cfg = small_config(algo=algo, clients=4, clients_per_round=1, rounds=rounds)
@@ -611,9 +626,9 @@ class TestRunFederation:
         assert np.flatnonzero(result.trained).tolist() == sorted(trained)
         frame, got = scored[-1]
         if algo == "fedgela":
-            assert frame is inputs.frame and inputs.template.classifier is None
+            assert frame is inputs.frame and inputs.layout.n_classes is None
         else:   # each laonly row carries its own learnable classifier
-            assert frame is None and inputs.template.classifier is not None
+            assert frame is None and inputs.layout.n_classes == cfg.classes
         personal = []
         for i, (row, phi, mask) in enumerate(got):
             want = result.client_theta[i] if i in trained else result.server_theta
@@ -621,7 +636,7 @@ class TestRunFederation:
             assert row.tobytes() == want.tobytes()
             assert phi.tobytes() == inputs.phi[i].tobytes()
             assert np.array_equal(mask, inputs.mask[i])
-            model = inputs.template._on(want)
+            model = inputs.layout.views(want)
             personal.append((model, model.classifier if frame is None else frame, phi, mask))
         features = [forward(bb, inputs.dataset.features[s.test_indices], cfg.e_h)
                     for (bb, *_), s in zip(personal, inputs.shards)]
@@ -683,7 +698,7 @@ class TestEvaluationForwardsOnce:
         result = run_federation(cfg)
         inputs, last = result.inputs, result.logs[-1]
         ds, test = inputs.dataset, inputs.global_test
-        models = {i: inputs.template._on(result.client_theta[i]) for i in last.participants}
+        models = {i: inputs.layout.views(result.client_theta[i]) for i in last.participants}
         local = [(inputs.shards[i], forward(m, ds.features[inputs.shards[i].test_indices],
                                             cfg.e_h), m.classifier) for i, m in models.items()]
         report = angle_report(forward(server_of(result).backbone, ds.features[test], cfg.e_h),
@@ -754,6 +769,24 @@ class TestFinetunePersonalize:
         for a, b in zip(res.backbone.tensors(), server.backbone.tensors()):
             np.testing.assert_array_equal(a, b)
 
+    def test_finetune_shuffles_apart_from_the_rounds_training(self, monkeypatch):
+        # the PA fine-tune of round t draws its batches from a stream of its
+        # own, not from the one round t trained its participants on
+        cfg = small_config(algo="fedavg", clients_per_round=2, rounds=1)
+        state = init_state(cfg)
+        real, seeds = fedsim.local_train, []
+
+        def recording(*args):
+            seeds.append({tuple(s) for s in args[7]})   # seed_parts
+            return real(*args)
+
+        monkeypatch.setattr(fedsim, "local_train", recording)
+        step(state)
+        evaluate(state)
+        trained, tuned = seeds
+        assert len(trained) == cfg.clients_per_round and len(tuned) == cfg.clients
+        assert not trained & tuned
+
     def test_finetuning_rarely_hurts_on_shard(self):
         from fedgela.metrics import predict
         deltas = []
@@ -804,18 +837,17 @@ class TestRoundCsv:
 
 def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts):
     """local_train's loop written with the public per-batch ops:
-    forward -> logits -> ce_loss -> backward -> (+ prox) -> sgd_step."""
+    forward -> logits -> ce_loss -> backward -> (+ prox) -> sgd_step.
+    Returns the trained backbone, classifier (None for a fixed frame) and
+    epoch losses."""
     from reference_ops import (OptimizerState, backward, ce_loss, forward,
                                logits, sgd_step)
-    bb = clone(backbone)
     learnable = not algo.fixed_classifier
-    clf = np.array(classifier, copy=True) if learnable else None
-    eff = clf if learnable else classifier
-    refs = None
-    if algo.lambda_prox > 0:
-        refs = [t.copy() for t in backbone.tensors()] + [np.array(classifier, copy=True)]
-    state = OptimizerState.for_params(bb, hp.lr, hp.momentum, hp.weight_decay,
-                                      classifier=clf)
+    model = clone(Model(backbone.weights, backbone.biases, classifier if learnable else None))
+    frame = None if learnable else classifier
+    eff = model.classifier if learnable else frame
+    refs = [t.copy() for t in model.tensors()] if algo.lambda_prox > 0 else None
+    state = OptimizerState.for_params(model, hp.lr, hp.momentum, hp.weight_decay)
     phi = client.phi if algo.adapts_phi else None
     mask = client.mask if algo.adapts_phi else None
     idx = client.shard.train_indices
@@ -825,16 +857,15 @@ def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts
         losses = []
         for start in range(0, idx.size, hp.batch_size):
             batch = shuffled[start:start + hp.batch_size]
-            fb, cache = forward(bb, ds.features[batch], hp.e_h)
+            fb, cache = forward(model, ds.features[batch], hp.e_h)
             losses.append(ce_loss(logits(fb, eff, phi), ds.labels[batch], mask))
-            grads = backward(cache, ds.labels[batch], clf, phi, mask,
-                             frame=None if learnable else classifier)
+            grads = backward(cache, ds.labels[batch], phi, mask, frame=frame)
             if refs is not None:
-                for g, t, r in zip(grads.tensors(), bb.tensors() + [clf], refs):
+                for g, t, r in zip(grads.tensors(), model.tensors(), refs):
                     g += algo.lambda_prox * (t - r)
-            sgd_step(bb, grads, state, classifier=clf)
+            sgd_step(model, grads, state)
         epoch_losses.append(float(np.mean(losses)))
-    return bb, clf, epoch_losses
+    return Model(model.weights, model.biases), model.classifier, epoch_losses
 
 
 class TestFusedStepMatchesPublicOps:
@@ -850,11 +881,10 @@ class TestFusedStepMatchesPublicOps:
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=3,
                          batch_size=7, e_h=4.0)
-        backbone = init_backbone((6,) + hidden + (8,), seed=5)
+        backbone = init_model((6,) + hidden + (8,), seed=5)
         if algo.fixed_classifier:
             classifier = make_etf(8, 5, 6, e_w=2.0).classifier
         else:
-            from fedgela.neuralnet import init_classifier
             classifier = init_classifier(8, 5, seed=7)
         return ds, clients, algo, hp, backbone, classifier
 
@@ -906,13 +936,12 @@ class TestFusedStepMatchesPublicOps:
 
     def test_rows_are_one_new_matrix(self):
         ds, clients, algo, hp, backbone, classifier = self._setup("fedavg", 0.0, (16,))
-        start = BackboneParams(backbone.weights, backbone.biases, backbone.layer_sizes,
-                               classifier)
-        rows, _ = local_train([c.shard for c in clients], start, None, algo, hp, ds,
+        layout, start, _ = start_of(backbone, classifier, algo)
+        rows, _ = local_train([c.shard for c in clients], layout, start, None, algo, hp, ds,
                               [(2, 3, 1, c.client_id) for c in clients])
-        assert rows.shape == (len(clients), start.theta.size)
+        assert rows.shape == (len(clients), layout.size)
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
-        for given in (start.theta, classifier, *backbone.tensors()):
+        for given in (start, classifier, *backbone.tensors()):
             assert not np.shares_memory(rows, given)
 
 
@@ -1051,7 +1080,6 @@ class TestStackedMatchesSingle:
     ALGOS = TestFusedStepMatchesPublicOps.ALGOS
 
     def _setup(self, kind, lam, hidden):
-        from fedgela.neuralnet import init_classifier
         ds = synth_gaussian_mixture(5, 6, 30, 3.0, 1.0, seed=8)
         shards = dirichlet_partition(ds, PartitionSpec("dirichlet", 6, seed=2, beta=0.5,
                                                        min_size=5))
@@ -1059,7 +1087,7 @@ class TestStackedMatchesSingle:
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=2,
                          batch_size=7, e_h=4.0)
-        backbone = init_backbone((6,) + hidden + (8,), seed=5)
+        backbone = init_model((6,) + hidden + (8,), seed=5)
         if algo.fixed_classifier:
             classifier = make_etf(8, 5, 6, e_w=2.0).classifier
         else:

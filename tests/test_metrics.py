@@ -14,12 +14,11 @@ from fedgela.metrics import (
     personal_accuracy,
     predict,
 )
-from fedgela.neuralnet import BackboneParams, forward, init_backbone
+from fedgela.neuralnet import Layers, Layout, forward, init_backbone
 
 
 def identity_net(d):
-    return BackboneParams(weights=[np.eye(d)], biases=[np.zeros(d)],
-                          layer_sizes=(d, d))
+    return Layers(weights=[np.eye(d)], biases=[np.zeros(d)], classifier=None)
 
 
 class TestPredict:
@@ -85,7 +84,8 @@ class TestAccuracies:
     def test_personal_accuracy_sample_order_invariant(self):
         ds = synth_gaussian_mixture(4, 6, 30, 4.0, 0.8, seed=0)
         shards = pcdd_partition(ds, PartitionSpec("pcdd", 4, seed=0, classes_per_client=2))
-        params = init_backbone((6, 8, 4), seed=0)
+        layout = Layout((6, 8, 4))
+        params = layout.views(init_backbone(layout, 0))
         etf = make_etf(4, 4, seed=0)
         models = [(forward(params, ds.features[s.test_indices], 1.0), etf.classifier, None,
                    s.counts > 0) for s in shards]

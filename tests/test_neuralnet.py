@@ -7,7 +7,8 @@ import pytest
 from fedgela.etfgeom import make_etf
 from fedgela.metrics import nc1_variability
 from fedgela.neuralnet import (
-    BackboneParams,
+    Layers,
+    Layout,
     finite_diff_check,
     flatten,
     init_backbone,
@@ -18,39 +19,80 @@ from fedgela.neuralnet import (
     save_checkpoint,
     train_step,
 )
-from reference_ops import OptimizerState, backward, ce_loss, forward, sgd_step
+from reference_ops import (
+    Model,
+    OptimizerState,
+    backward,
+    ce_loss,
+    forward,
+    init_model,
+    sgd_step,
+)
 
 
 def identity_net(d):
-    return BackboneParams(weights=[np.eye(d)], biases=[np.zeros(d)],
-                          layer_sizes=(d, d))
+    return Model(weights=[np.eye(d)], biases=[np.zeros(d)])
 
 
-def with_classifier(params, classifier):
-    """params with a learnable classifier in its row."""
-    return BackboneParams(params.weights, params.biases, params.layer_sizes, classifier)
+def tensors(layers):
+    """A Layers' tensors in row order."""
+    return layers.weights + layers.biases + [layers.classifier]
 
 
-class TestBackboneParams:
-    def _model(self, classifier):
-        return BackboneParams(weights=[np.ones((2, 3)), np.ones((3, 2))],
-                              biases=[np.zeros(3), np.zeros(2)], layer_sizes=(2, 3, 2),
-                              classifier=classifier)
+class TestLayout:
+    LAYOUT = Layout((2, 3, 2), n_classes=2)
 
-    def test_tensors_are_views_of_theta(self):
-        params = self._model(np.eye(2))
-        tensors = params.tensors() + [params.classifier]
-        assert params.theta.shape == (sum(t.size for t in tensors),)
-        np.testing.assert_array_equal(params.theta,
-                                      np.concatenate([t.ravel() for t in tensors]))
-        params.theta[0] = 7.0
-        params.theta[-1] = 5.0
-        assert params.weights[0][0, 0] == 7.0 and params.classifier[1, 1] == 5.0
-        assert all(np.shares_memory(t, params.theta) for t in tensors)
+    def test_views_of_a_row_share_it_and_concatenate_back(self):
+        row = np.arange(self.LAYOUT.size, dtype=np.float64)
+        views = tensors(self.LAYOUT.views(row))
+        assert [v.shape for v in views] == self.LAYOUT.shapes() == [
+            (2, 3), (3, 2), (3,), (2,), (2, 2)]
+        assert all(np.shares_memory(v, row) for v in views)
+        assert np.concatenate([v.ravel() for v in views]).tobytes() == row.tobytes()
+        row[0], row[-1] = 7.0, 5.0
+        assert views[0][0, 0] == 7.0 and views[-1][1, 1] == 5.0
 
-    def test_classifier_must_take_the_features(self):
-        with pytest.raises(ValueError, match=r"classifier shape \(3, 4\).*\(2, C\)"):
-            self._model(np.zeros((3, 4)))
+    def test_views_of_a_matrix_share_it_and_concatenate_back(self):
+        matrix = np.arange(4 * self.LAYOUT.size, dtype=np.float64).reshape(4, -1)
+        views = tensors(self.LAYOUT.views(matrix))
+        assert [v.shape for v in views] == [(4,) + s for s in self.LAYOUT.shapes()]
+        assert all(np.shares_memory(v, matrix) for v in views)
+        flat = np.concatenate([v.reshape(4, -1) for v in views], axis=1)
+        assert flat.tobytes() == matrix.tobytes()
+        for got, want in zip(tensors(self.LAYOUT.views(matrix).row(2)),
+                             tensors(self.LAYOUT.views(matrix[2]))):
+            assert got.shape == want.shape and np.shares_memory(got, want)
+
+    def test_bias_shape_prefix(self):
+        matrix = np.zeros((4, self.LAYOUT.size))
+        biases = self.LAYOUT.views(matrix, (1,)).biases
+        assert [b.shape for b in biases] == [(4, 1, 3), (4, 1, 2)]
+        assert all(np.shares_memory(b, matrix) for b in biases)
+        assert self.LAYOUT.shapes((1,))[2:4] == [(1, 3), (1, 2)]
+
+    @pytest.mark.parametrize("n_classes, clf_seed, size", [(None, None, 4 * 6 + 6 * 3 + 6 + 3),
+                                                           (5, 1, 4 * 6 + 6 * 3 + 6 + 3 + 15)])
+    def test_size_is_the_length_of_init_backbone_row(self, n_classes, clf_seed, size):
+        layout = Layout((4, 6, 3), n_classes)
+        assert layout.size == init_backbone(layout, 0, clf_seed).shape[0] == size
+
+    def test_init_backbone_draws_each_weight_in_turn_then_the_classifier(self):
+        rng = np.random.default_rng(3)
+        w0 = rng.uniform(-math.sqrt(6 / 10), math.sqrt(6 / 10), size=(4, 6))
+        w1 = rng.uniform(-math.sqrt(6 / 9), math.sqrt(6 / 9), size=(6, 3))
+        want = np.concatenate([w0.ravel(), w1.ravel(), np.zeros(9)])
+        assert init_backbone(Layout((4, 6, 3)), 3).tobytes() == want.tobytes()
+        with_clf = np.concatenate([want, init_classifier(3, 5, (3, 1)).ravel()])
+        assert init_backbone(Layout((4, 6, 3), 5), 3, (3, 1)).tobytes() == with_clf.tobytes()
+
+    def test_classifier_seed_exactly_with_a_classifier(self):
+        for layout, clf_seed in ((Layout((4, 3)), 1), (Layout((4, 3), 5), None)):
+            with pytest.raises(ValueError, match="classifier_seed exactly when"):
+                init_backbone(layout, 0, clf_seed)
+
+    def test_needs_an_input_and_an_output_size(self):
+        with pytest.raises(ValueError, match="input and an output size"):
+            Layout((4,))
 
 
 class TestForward:
@@ -62,7 +104,7 @@ class TestForward:
         np.testing.assert_allclose(fb.h[0], [0.6, 0.8, 0.0])
 
     def test_rows_on_sqrt_eh_sphere(self):
-        params = init_backbone((5, 16, 4), seed=0)
+        params = init_model((5, 16, 4), seed=0)
         x = np.random.default_rng(1).standard_normal((12, 5))
         for e_h in (1.0, 4.0, 0.25):
             fb, _ = forward(params, x, e_h)
@@ -75,7 +117,7 @@ class TestForward:
             forward(params, np.zeros((1, 3)), 1.0)
 
     def test_duplicate_rows_identical_features(self):
-        params = init_backbone((4, 8, 3), seed=2)
+        params = init_model((4, 8, 3), seed=2)
         x = np.random.default_rng(3).standard_normal((1, 4))
         fb, _ = forward(params, np.vstack([x, x]), 1.0)
         np.testing.assert_array_equal(fb.h[0], fb.h[1])
@@ -167,11 +209,11 @@ class TestCeLoss:
 
 class TestBackward:
     def test_gradient_shapes(self):
-        params = init_backbone((4, 8, 3), seed=0)
+        params = init_model((4, 8, 3), seed=0)
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(1).standard_normal((5, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 0, 1], None, frame=etf.classifier)
+        grads = backward(cache, [0, 1, 2, 0, 1], frame=etf.classifier)
         for g, w in zip(grads.weights, params.weights):
             assert g.shape == w.shape
         for g, b in zip(grads.biases, params.biases):
@@ -179,57 +221,57 @@ class TestBackward:
         assert grads.classifier is None
 
     def test_learnable_classifier_gets_gradient(self):
-        params = init_backbone((4, 3), seed=0)
         clf = init_classifier(3, 5, seed=1)
+        params = init_model((4, 3), seed=0, classifier=clf)
         x = np.random.default_rng(1).standard_normal((5, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 3, 4], clf)
+        grads = backward(cache, [0, 1, 2, 3, 4])
         assert grads.classifier.shape == clf.shape
         assert np.any(grads.classifier != 0)
 
     def test_duplicated_batch_same_gradient(self):
-        params = init_backbone((4, 8, 3), seed=3)
+        params = init_model((4, 8, 3), seed=3)
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(4).standard_normal((6, 4))
         y = np.array([0, 1, 2, 1, 0, 2])
         _, cache1 = forward(params, x, 1.0)
-        g1 = backward(cache1, y, None, frame=etf.classifier)
+        g1 = backward(cache1, y, frame=etf.classifier)
         _, cache2 = forward(params, np.vstack([x, x]), 1.0)
-        g2 = backward(cache2, np.concatenate([y, y]), None, frame=etf.classifier)
+        g2 = backward(cache2, np.concatenate([y, y]), frame=etf.classifier)
         for a, b in zip(g1.tensors(), g2.tensors()):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_stale_cache_rejected(self):
-        params = init_backbone((4, 3), seed=0)
+        params = init_model((4, 3), seed=0)
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(1).standard_normal((4, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 0], None, frame=etf.classifier)
+        grads = backward(cache, [0, 1, 2, 0], frame=etf.classifier)
         state = OptimizerState.for_params(params, 0.1, 0.9, 0.0)
         sgd_step(params, grads, state)
         with pytest.raises(RuntimeError, match="cache mismatch"):
-            backward(cache, [0, 1, 2, 0], None, frame=etf.classifier)
+            backward(cache, [0, 1, 2, 0], frame=etf.classifier)
 
     @pytest.mark.parametrize("layers", [(4, 5), (4, 8, 5), (4, 10, 8, 5)])
     def test_finite_difference_oracle(self, layers):
         # central differences at step 1e-5 as the independent gradient route
-        params = init_backbone(layers, seed=10)
+        layout = Layout(layers)
         etf = make_etf(5, 5, seed=0, e_w=4.0)
         x = np.random.default_rng(11).standard_normal((7, 4))
         y = np.array([0, 1, 2, 3, 4, 0, 1])
-        err = finite_diff_check(params, x, y, etf.classifier, e_h=1.0, step=1e-5,
+        err = finite_diff_check(layout, init_backbone(layout, 10), x, y, etf.classifier,
+                                e_h=1.0, step=1e-5,
                                 n_probes=40, seed=12)
         assert err < 1e-4
 
     def test_finite_difference_with_phi_mask_prox(self):
-        params = init_backbone((6, 12, 5), seed=20)
-        clf = init_classifier(5, 5, seed=21)
+        layout = Layout((6, 12, 5), n_classes=5)
         x = np.random.default_rng(22).standard_normal((9, 6))
         phi = np.array([2.0, 0.0, 1.0, 1.5, 0.5])
         mask = np.array([True, False, True, True, True])
         y = np.array([0, 2, 3, 4, 0, 2, 3, 4, 0])
-        err = finite_diff_check(with_classifier(params, clf), x, y, phi=phi, class_mask=mask,
-                                e_h=2.0, n_probes=48, seed=23, lambda_prox=0.05)
+        err = finite_diff_check(layout, init_backbone(layout, 20, 21), x, y, phi=phi,
+                                class_mask=mask, e_h=2.0, n_probes=48, seed=23, lambda_prox=0.05)
         assert err < 1e-4
 
     def test_broken_gradient_detected(self, monkeypatch):
@@ -242,11 +284,11 @@ class TestBackward:
             return loss
 
         monkeypatch.setattr(nn, "gradient_pass", zeroed)
-        params = init_backbone((4, 8, 3), seed=1)
+        layout = Layout((4, 8, 3))
         etf = make_etf(3, 3, seed=0)
         x = np.random.default_rng(2).standard_normal((6, 4))
-        err = nn.finite_diff_check(params, x, [0, 1, 2, 0, 1, 2], etf.classifier,
-                                   n_probes=32, seed=3)
+        err = nn.finite_diff_check(layout, init_backbone(layout, 1), x, [0, 1, 2, 0, 1, 2],
+                                   etf.classifier, n_probes=32, seed=3)
         assert err > 0.5
 
 
@@ -265,12 +307,11 @@ class TestGradientOracle:
             return loss
 
         monkeypatch.setattr(nn, "gradient_pass", flipped)
-        params = init_backbone((6, 12, 5), seed=20)
-        clf = init_classifier(5, 5, seed=21)
+        layout = Layout((6, 12, 5), n_classes=5)
         x = np.random.default_rng(22).standard_normal((9, 6))
         y = np.array([0, 2, 3, 4, 0, 2, 3, 4, 0])
-        err = nn.finite_diff_check(with_classifier(params, clf), x, y, n_probes=48, seed=23,
-                                   lambda_prox=0.05)
+        err = nn.finite_diff_check(layout, init_backbone(layout, 20, 21), x, y, n_probes=48,
+                                   seed=23, lambda_prox=0.05)
         assert err > 0.5
         assert main(["gradcheck"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines()
@@ -293,46 +334,47 @@ class TestMaskAndPhiChecks:
     ], ids=["short-mask", "long-mask", "class-ids", "all-false-mask", "short-phi"])
     def test_rejected_naming_the_class_count(self, mask, phi, pattern):
         from fedgela.metrics import predict
-        params = init_backbone((4, 4), seed=0)
+        layout = Layout((4, 4))
+        row = init_backbone(layout, 0)
         frame = make_etf(4, 4, seed=0).classifier
         x = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(ValueError, match=pattern):
-            predict(forward(params, x, 1.0)[0].h, frame, class_mask=mask, phi=phi)
+            predict(forward(Model.of(layout, row), x, 1.0)[0].h, frame, class_mask=mask, phi=phi)
         with pytest.raises(ValueError, match=pattern):
-            finite_diff_check(params, x, [0, 0, 0], frame, phi=phi, class_mask=mask)
+            finite_diff_check(layout, row, x, [0, 0, 0], frame, phi=phi, class_mask=mask)
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_out_of_range_label_rejected(self, label):
-        params = init_backbone((4, 4), seed=0)
+        layout = Layout((4, 4))
         etf = make_etf(4, 4, seed=0)
         x = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(ValueError, match=rf"invalid label: class {label}\b"):
-            finite_diff_check(params, x, [0, 1, label], etf.classifier)
+            finite_diff_check(layout, init_backbone(layout, 0), x, [0, 1, label], etf.classifier)
 
     def test_frame_exactly_when_the_classifier_is_fixed(self):
-        params = init_backbone((4, 4), seed=0)
         frame = make_etf(4, 4, seed=0).classifier
         x = np.random.default_rng(0).standard_normal((3, 4))
-        for model, given in ((params, None), (with_classifier(params, frame), frame)):
+        for layout, given in ((Layout((4, 4)), None), (Layout((4, 4), n_classes=4), frame)):
             with pytest.raises(ValueError, match="fixed frame exactly when"):
-                finite_diff_check(model, x, [0, 1, 2], given)
+                finite_diff_check(layout, np.zeros(layout.size), x, [0, 1, 2], given)
 
 
 class TestShippedForward:
     def test_matches_reference_forward_bitwise(self):
         from fedgela.neuralnet import forward as shipped
-        params = init_backbone((5, 16, 8, 4), seed=3)
+        layout = Layout((5, 16, 8, 4))
+        row = init_backbone(layout, 3)
         rng = np.random.default_rng(4)
-        for b in params.biases:   # init_backbone's biases are all zero
+        for b in layout.views(row).biases:   # init_backbone's biases are all zero
             b[:] = rng.standard_normal(b.shape)
         x = rng.standard_normal((9, 5))
-        h = shipped(params, x, 2.0)
-        ref, _ = forward(params, x, 2.0)
+        h = shipped(layout.views(row), x, 2.0)
+        ref, _ = forward(Model.of(layout, row), x, 2.0)
         assert h.tobytes() == ref.h.tobytes()
 
     def test_rejects_bad_inputs(self):
         from fedgela.neuralnet import forward as shipped
-        params = identity_net(3)
+        params = Layers([np.eye(3)], [np.zeros(3)], None)
         with pytest.raises(FloatingPointError, match="degenerate feature"):
             shipped(params, np.zeros((1, 3)), 1.0)
         with pytest.raises(ValueError, match="does not match"):
@@ -393,7 +435,7 @@ class TestTrainingBehaviour:
         from reference_ops import Grads  # noqa: F401
 
         ds = synth_gaussian_mixture(3, 4, 30, class_sep=6.0, noise_sigma=0.3, seed=0)
-        params = init_backbone((4, 16, 3), seed=1)
+        params = init_model((4, 16, 3), seed=1)
         etf = make_etf(3, 3, seed=2, e_w=9.0)
         state = OptimizerState.for_params(params, lr=0.02, momentum=0.9,
                                           weight_decay=1e-4)
@@ -402,7 +444,7 @@ class TestTrainingBehaviour:
             fb, cache = forward(params, ds.features, 1.0)
             z = logits(fb, etf.classifier)
             losses.append(ce_loss(z, ds.labels))
-            grads = backward(cache, ds.labels, None, frame=etf.classifier)
+            grads = backward(cache, ds.labels, frame=etf.classifier)
             sgd_step(params, grads, state)
         tail = losses[5:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -411,13 +453,13 @@ class TestTrainingBehaviour:
     def test_classifier_bits_never_change(self):
         frame = make_etf(4, 4, seed=0, e_w=2.0).classifier
         frozen = frame.tobytes()
-        params = init_backbone((5, 8, 4), seed=1)
+        params = init_model((5, 8, 4), seed=1)
         x = np.random.default_rng(2).standard_normal((10, 5))
         y = np.array([0, 1, 2, 3] * 2 + [0, 1])
         state = OptimizerState.for_params(params, 0.1, 0.9, 1e-4)
         for _ in range(25):
             fb, cache = forward(params, x, 1.0)
-            grads = backward(cache, y, None, frame=frame)
+            grads = backward(cache, y, frame=frame)
             sgd_step(params, grads, state)
         assert frame.tobytes() == frozen
 
@@ -430,10 +472,8 @@ class TestStepAllocations:
     K, BATCH = 10, 20
 
     def _stack(self, lambda_prox):
-        params = init_backbone((20, 64, 32), seed=0)
-        return flatten(BackboneParams(params.weights, params.biases, params.layer_sizes,
-                                      init_classifier(32, 10, seed=1)), self.K,
-                       lambda_prox=lambda_prox)
+        layout = Layout((20, 64, 32), n_classes=10)
+        return flatten(layout, init_backbone(layout, 0, 1), self.K, lambda_prox=lambda_prox)
 
     def _peak(self, model):
         m = len(model.theta)
@@ -481,13 +521,13 @@ class TestFlatModelRows:
     every per-row array, and shares its frame."""
 
     def test_phi_and_mask_are_views_of_the_parent_rows(self):
-        params = init_backbone((4, 6, 5), seed=0)
+        layout = Layout((4, 6, 5))
         frame = make_etf(5, 5, seed=1).classifier
         rng = np.random.default_rng(2)
         phi = rng.uniform(0.5, 2.0, size=(7, 5))
         mask = rng.uniform(size=(7, 5)) < 0.7
         mask[:, 0] = False
-        stack = flatten(params, 7, frame, phi, mask)
+        stack = flatten(layout, init_backbone(layout, 0), 7, frame, phi, mask)
         assert stack.phi.shape == stack.mask.shape == (7, 1, 5)
         view = stack.rows(2, 5)
         for name in ("theta", "grad", "vel", "phi", "mask"):
@@ -499,13 +539,14 @@ class TestFlatModelRows:
         assert view.frame is stack.frame and view.w_eff is stack.w_eff
 
     def test_an_all_classes_mask_is_no_mask(self):
-        params = init_backbone((4, 5), seed=0)
+        layout = Layout((4, 5))
         frame = make_etf(5, 5, seed=1).classifier
-        assert flatten(params, 3, frame, mask=np.ones((3, 5), bool)).mask is None
+        assert flatten(layout, init_backbone(layout, 0), 3, frame,
+                       mask=np.ones((3, 5), bool)).mask is None
 
     def test_a_learnable_classifier_is_the_rows_own(self):
-        params = init_backbone((4, 5), seed=0)
-        stack = flatten(with_classifier(params, init_classifier(5, 3, seed=1)), 4)
+        layout = Layout((4, 5), n_classes=3)
+        stack = flatten(layout, init_backbone(layout, 0, 1), 4)
         assert stack.frame is None and stack.w_eff is stack.classifier
         assert np.shares_memory(stack.rows(1, 3).w_eff, stack.theta[1:3])
 
@@ -537,20 +578,38 @@ class TestLpmFeatureFit:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params = init_backbone((6, 12, 4), seed=0)
-        clf = init_classifier(4, 7, seed=1)
+        layout = Layout((6, 12, 4), n_classes=7)
+        row = init_backbone(layout, 0, 1)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, params, classifier=clf)
-        loaded, loaded_clf = load_checkpoint(path)
-        assert loaded.layer_sizes == params.layer_sizes
-        for a, b in zip(loaded.tensors(), params.tensors()):
-            assert a.tobytes() == b.tobytes()
-        assert loaded_clf.tobytes() == clf.tobytes()
+        save_checkpoint(path, layout.views(row))
+        loaded_layout, loaded_row = load_checkpoint(path)
+        assert loaded_layout == layout
+        assert loaded_row.tobytes() == row.tobytes()
 
     def test_without_classifier(self, tmp_path):
-        params = init_backbone((3, 5), seed=0)
+        layout = Layout((3, 5))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, params)
-        loaded, clf = load_checkpoint(path)
-        assert clf is None
-        assert loaded.layer_sizes == (3, 5)
+        save_checkpoint(path, layout.views(init_backbone(layout, 0)))
+        loaded_layout, _ = load_checkpoint(path)
+        assert loaded_layout.n_classes is None
+        assert loaded_layout.layer_sizes == (3, 5)
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("w0", lambda t: t.T, r"tensor w0 has shape \(12, 6\), expected \(6, 12\)"),
+        ("classifier", lambda t: np.zeros((5, 7)),
+         r"tensor classifier has shape \(5, 7\), expected \(4, 7\)"),
+        ("b1", None, r"has no tensor b1"),
+    ], ids=["transposed-w0", "classifier-off-the-features", "missing-b1"])
+    def test_malformed_tensor_named(self, tmp_path, name, bad, message):
+        layout = Layout((6, 12, 4), n_classes=7)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, layout.views(init_backbone(layout, 0, 1)))
+        with np.load(path) as data:
+            payload = dict(data)
+        if bad is None:
+            del payload[name]
+        else:
+            payload[name] = bad(payload[name])
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
