@@ -157,6 +157,11 @@ _CROSS_RULES = (
 )
 
 
+# the partition key each scheme owns; a config, or a sweep arm that switches
+# scheme, leaves the other scheme's key unset
+_SCHEME_KEYS = {"dirichlet": "beta", "pcdd": "classes_per_client"}
+
+
 def _read_config_file(path) -> dict:
     raw = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -207,7 +212,9 @@ def parse_config(source, overrides=None) -> RunConfig:
     # the scheme follows the partition key given; the other scheme's key is unset
     merged["scheme"] = given.get("scheme", "pcdd" if "classes_per_client" in given
                                  else "dirichlet")
-    merged["beta" if merged["scheme"] == "pcdd" else "classes_per_client"] = None
+    for scheme, key in _SCHEME_KEYS.items():
+        if scheme != merged["scheme"]:
+            merged[key] = None
     # chained defaults: data seed follows master, partition seed follows data
     for key, default in (("data_seed", "seed"), ("partition_seed", "data_seed"),
                          ("clients_per_round", "clients"), ("min_size", "batch_size")):
@@ -305,11 +312,6 @@ def _parse_arm(spec: str) -> tuple:
             else:
                 overrides[k] = v
     return name, overrides
-
-
-# the partition key each scheme owns; an arm that switches scheme drops the
-# base's key of the other one
-_SCHEME_KEYS = {"dirichlet": "beta", "pcdd": "classes_per_client"}
 
 
 def _sweep_runs(base: RunConfig, arms, seeds, out: Path) -> list:
@@ -534,66 +536,55 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Federated learning simulator with a fixed simplex-frame "
                     "classifier and per-client distribution adaptation.",
     )
+    # dest: argparse names the missing subcommand "command" in its usage error
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override a config key")
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config key")
+    def command(name, summary, run):
+        """Register subcommand `name`; main calls run(config, args)."""
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(run=run)
+        return p
 
-    p_run = sub.add_parser("run", help="run one federated experiment")
-    add_common(p_run)
+    command("run", "run one federated experiment", lambda config, args: cmd_run(config))
 
-    p_sweep = sub.add_parser("sweep", help="compare arms over a seed list")
-    add_common(p_sweep)
-    p_sweep.add_argument("--arm", dest="arms", action="append", required=True,
-                         metavar="NAME:KEY=VAL[,KEY=VAL...]",
-                         help="one arm (config overrides); repeatable")
-    p_sweep.add_argument("--seeds", default="0,1,2",
-                         help="comma-separated master seeds (default 0,1,2)")
+    p = command("sweep", "compare arms over a seed list",
+                lambda config, args: cmd_sweep(config, args.arms, _parse_seeds(args.seeds)))
+    p.add_argument("--arm", dest="arms", action="append", required=True,
+                   metavar="NAME:KEY=VAL[,KEY=VAL...]",
+                   help="one arm (config overrides); repeatable")
+    p.add_argument("--seeds", default="0,1,2",
+                   help="comma-separated master seeds (default 0,1,2)")
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    add_common(p_grad)
+    command("gradcheck", "finite-difference gradient check",
+            lambda config, args: cmd_gradcheck(config))
+    command("partition-report", "client-by-class count table",
+            lambda config, args: cmd_partition_report(config))
 
-    p_part = sub.add_parser("partition-report", help="client-by-class count table")
-    add_common(p_part)
+    p = command("gen-data", "write a synthetic dataset CSV",
+                lambda config, args: cmd_gen_data(config, args.out))
+    p.add_argument("--out", required=True, help="output CSV path")
 
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
-    add_common(p_gen)
-    p_gen.add_argument("--out", required=True, help="output CSV path")
-
-    p_lpm = sub.add_parser("lpm-oracle", help="free-feature fit under the fixed frame")
-    add_common(p_lpm)
-    p_lpm.add_argument("--dim", type=int, default=0, help="feature dimension (default 2C)")
-    p_lpm.add_argument("--label-counts", default="10,10,10,10",
-                       help="comma-separated per-class sample counts")
-    p_lpm.add_argument("--iters", type=int, default=3000)
-    p_lpm.add_argument("--lr", type=float, default=0.5)
-    p_lpm.add_argument("--threshold", type=float, default=0.99,
-                       help="minimum acceptable feature-to-class-vector cosine")
+    p = command("lpm-oracle", "free-feature fit under the fixed frame",
+                lambda config, args: cmd_lpm_oracle(config, args.dim, args.label_counts,
+                                                    args.iters, args.lr, args.threshold))
+    p.add_argument("--dim", type=int, default=0, help="feature dimension (default 2C)")
+    p.add_argument("--label-counts", default="10,10,10,10",
+                   help="comma-separated per-class sample counts")
+    p.add_argument("--iters", type=int, default=3000)
+    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=0.99,
+                   help="minimum acceptable feature-to-class-vector cosine")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        source = args.config if args.config else {}
-        config = parse_config(source, overrides=args.overrides)
-        if args.command == "run":
-            return cmd_run(config)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.arms, _parse_seeds(args.seeds))
-        if args.command == "gradcheck":
-            return cmd_gradcheck(config)
-        if args.command == "partition-report":
-            return cmd_partition_report(config)
-        if args.command == "gen-data":
-            return cmd_gen_data(config, args.out)
-        if args.command == "lpm-oracle":
-            return cmd_lpm_oracle(config, args.dim, args.label_counts,
-                                  args.iters, args.lr, args.threshold)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(parse_config(args.config or {}, overrides=args.overrides), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -164,12 +164,9 @@ class RoundLog:
 
     def record(self, report: metrics.EvalReport) -> None:
         """Copy an evaluation's GA, PA and angles onto this log."""
-        angles = report.angles
         self.ga, self.pa = report.ga, report.pa
-        self.global_mean_angle = angles.global_all_class_mean_angle
-        self.local_exist_angle = angles.per_client_existing_class_mean_angle
-        self.clf_exist_angle = angles.classifier_existing_angle
-        self.clf_miss_angle = angles.classifier_missing_angle
+        for name in _ANGLE_COLUMNS:
+            setattr(self, name, getattr(report.angles, name))
 
 
 def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> np.ndarray:
@@ -590,10 +587,10 @@ def run_many(configs):
         yield _logs_and_dataset(config)
 
 
-ROUND_CSV_COLUMNS = (
-    "round", "algo", "ga", "pa", "global_mean_angle", "local_exist_angle",
-    "clf_exist_angle", "clf_miss_angle", "mean_train_loss",
-)
+# the fields that RoundLog and metrics.AngleReport share
+_ANGLE_COLUMNS = ("global_mean_angle", "local_exist_angle", "clf_exist_angle",
+                  "clf_miss_angle")
+ROUND_CSV_COLUMNS = ("round", "algo", "ga", "pa", *_ANGLE_COLUMNS, "mean_train_loss")
 
 
 def _fmt(value) -> str:

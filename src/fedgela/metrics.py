@@ -30,10 +30,12 @@ __all__ = ["EvalReport", "AngleReport", "predict", "generic_accuracy",
 
 @dataclass(frozen=True)
 class AngleReport:
-    global_all_class_mean_angle: float | None
-    per_client_existing_class_mean_angle: float | None
-    classifier_existing_angle: float | None
-    classifier_missing_angle: float | None
+    """The angle diagnostics in degrees, named as their rounds.csv columns."""
+
+    global_mean_angle: float | None
+    local_exist_angle: float | None
+    clf_exist_angle: float | None
+    clf_miss_angle: float | None
     skipped_clients: int = 0   # clients with < 2 usable classes
 
 
@@ -150,10 +152,10 @@ def angle_report(features, ds, global_test_indices, local_entries=None) -> Angle
         return float(np.mean(vals)) if vals else None
 
     return AngleReport(
-        global_all_class_mean_angle=float(global_angle),
-        per_client_existing_class_mean_angle=_mean(local_angles),
-        classifier_existing_angle=_mean(exist_angles),
-        classifier_missing_angle=_mean(miss_angles),
+        global_mean_angle=float(global_angle),
+        local_exist_angle=_mean(local_angles),
+        clf_exist_angle=_mean(exist_angles),
+        clf_miss_angle=_mean(miss_angles),
         skipped_clients=skipped,
     )
 

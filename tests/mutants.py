@@ -9,8 +9,9 @@ replaced, and the kill set runs against the copy in a subprocess:
   1. `fedgela gradcheck` (the finite-difference battery);
   2. the bitwise tests against tests/reference_ops.py, the named tests of
      the rules a digest alone would catch (compute_phi, the n_k weighting,
-     the evaluation schedule, the seed streams, the allocation, the
-     checkpoint and evaluability checks) and, last, the golden pins
+     the evaluation schedule, the seed streams, the allocation, the pcdd
+     class deal, the CSV and checkpoint checks, the evaluability check and
+     the angle columns a round records) and, last, the golden pins
      (tests/test_golden.py), in one pytest call that stops at the first
      failure, so a mutant is reported by the rule it breaks.
 
@@ -21,9 +22,9 @@ so the list has to follow the code it names.
 
     python tests/mutants.py
 
-It checks one mutant per usable CPU at a time and takes about 33 s on 2 CPUs,
-too long for tier-1, so run it by hand for every change to `neuralnet.py`
-or `fedsim.py`.
+It checks one mutant per usable CPU at a time and takes about 25 s on 2 CPUs,
+too long for tier-1, so run it by hand for every change to `neuralnet.py`,
+`fedsim.py`, `metrics.py` or `datagen.py`.
 """
 from __future__ import annotations
 
@@ -119,6 +120,15 @@ MUTANTS = (
     ("skip the evaluability check", "fedsim.py",
      "_check_evaluable(shards, ds, global_test)",
      "pass"),
+    ("pcdd deals each class's slots to clients round-robin", "datagen.py",
+     "holders[cls].append(slot // cpc)",
+     "holders[cls].append(slot % n_clients)"),
+    ("load_csv skips its non-finite check", "datagen.py",
+     "if bad:",
+     "if False:"),
+    ("RoundLog.record leaves out clf_miss_angle", "fedsim.py",
+     "for name in _ANGLE_COLUMNS:",
+     "for name in _ANGLE_COLUMNS[:3]:"),
 )
 
 GRADCHECK = [sys.executable, "-c",
@@ -134,8 +144,12 @@ KILL_TESTS = [
     "tests/test_fedsim.py::TestRunFederation::test_last_round_evaluated_off_the_schedule",
     "tests/test_fedsim.py::TestFinetunePersonalize"
     "::test_finetune_shuffles_apart_from_the_rounds_training",
-    "tests/test_fedsim.py::TestPartitionCheckedBeforeTraining",
     "tests/test_datagen.py::TestLargestRemainderAlloc",
+    "tests/test_datagen.py::TestPcddPartition::test_two_classes_per_client",
+    "tests/test_datagen.py::TestCsv::test_non_finite_feature_names_line",
+    "tests/test_fedsim.py::TestPartitionCheckedBeforeTraining",
+    "tests/test_fedsim.py::TestEvaluationForwardsOnce"
+    "::test_local_angle_scores_local_model_not_finetune",
     "tests/test_golden.py",
 ]
 
@@ -159,10 +173,8 @@ def kill_set(work: Path) -> str | None:
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     steps = (
         ("gradcheck", GRADCHECK),
-        # no kill test uses the hypothesis or benchmark plugins, and loading
-        # hypothesis's takes about 1 s of each run
+        # run from ROOT, so pyproject.toml's addopts keep the unused plugins out
         ("pytest", [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                    "-p", "no:hypothesispytest", "-p", "no:benchmark",
                     f"--basetemp={work / 'pytest'}", *KILL_TESTS]),
     )
     for label, cmd in steps:

@@ -704,9 +704,13 @@ class TestEvaluationForwardsOnce:
         report = angle_report(forward(server_of(result).backbone, ds.features[test], cfg.e_h),
                               ds, test, local)
         assert last.local_exist_angle is not None
-        assert last.local_exist_angle == report.per_client_existing_class_mean_angle
-        assert last.global_mean_angle == report.global_all_class_mean_angle
-        assert last.clf_exist_angle == report.classifier_existing_angle
+        # a learnable classifier (fedavg) has both classifier angles: each
+        # client misses 2 of the 4 classes
+        assert (report.clf_miss_angle is not None) == (algo == "fedavg")
+        assert (report.clf_exist_angle is not None) == (algo == "fedavg")
+        for name in ("global_mean_angle", "local_exist_angle", "clf_exist_angle",
+                     "clf_miss_angle"):
+            assert getattr(last, name) == getattr(report, name), name
 
 
 class TestRunMany:

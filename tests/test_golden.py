@@ -10,13 +10,16 @@ checkpoint's arrays.
 
 A change that alters outputs on purpose regenerates the file with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and says why in CHANGES.md.
+and says why in CHANGES.md. Without that flag the script writes nothing: it
+prints its usage and exits 2.
 """
 import hashlib
 import json
 import platform
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +95,28 @@ def test_outputs_match_golden(name, tmp_path):
         pytest.fail(msg)
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def regenerate(argv, target=GOLDEN) -> int:
+    """Rewrite `target` from the six runs of this tree, for `--regenerate`
+    only; any other arguments print the usage and return 2, writing nothing."""
+    if list(argv) != ["--regenerate"]:
+        print("usage: PYTHONPATH=src python tests/test_golden.py --regenerate",
+              file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS)}
-    GOLDEN.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=2,
+    target.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=2,
                                  sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {target}")
+    return 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"]])
+def test_regenerate_needs_its_flag(argv, tmp_path, capsys):
+    target = tmp_path / "golden.json"
+    assert regenerate(argv, target) == 2
+    assert not target.exists()
+    assert "--regenerate" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

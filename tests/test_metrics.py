@@ -123,7 +123,7 @@ class TestAngleReport:
         params = identity_net(5)
         report = angle_report(forward(params, x[shard.test_indices], 1.0), ds, shard.test_indices)
         expected = math.degrees(math.acos(-0.25))
-        assert abs(report.global_all_class_mean_angle - expected) < 1e-6
+        assert abs(report.global_mean_angle - expected) < 1e-6
 
     def test_single_class_client_skipped(self):
         from fedgela.datagen import Dataset, make_client_shard
@@ -138,7 +138,7 @@ class TestAngleReport:
             forward(params, x[full.test_indices], 1.0), ds, full.test_indices,
             local_entries=[(single, forward(params, x[single.test_indices], 1.0), None)],
         )
-        assert report.per_client_existing_class_mean_angle is None
+        assert report.local_exist_angle is None
         assert report.skipped_clients == 1
 
     def test_classifier_angles_split_by_client_classes(self):
@@ -156,8 +156,8 @@ class TestAngleReport:
             forward(params, x[global_shard.test_indices], 1.0), ds, global_shard.test_indices,
             local_entries=[(shard, forward(params, x[shard.test_indices], 1.0), clf)],
         )
-        assert abs(report.classifier_existing_angle - 90.0) < 1e-9
-        assert abs(report.classifier_missing_angle - 90.0) < 1e-9
+        assert abs(report.clf_exist_angle - 90.0) < 1e-9
+        assert abs(report.clf_miss_angle - 90.0) < 1e-9
 
     def test_missing_class_in_global_test_rejected(self):
         from fedgela.datagen import Dataset
