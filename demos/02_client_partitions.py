@@ -8,7 +8,7 @@ pcdd scheme is the pure form of that: every client holds exactly
 """
 import numpy as np
 
-from fedgela import PartitionSpec, dirichlet_partition, pcdd_partition, synth_gaussian_mixture
+from fedgela import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
 from fedgela.datagen import partition_table
 
 ds = synth_gaussian_mixture(n_classes=10, input_dim=12, n_per_class=100,
@@ -25,16 +25,15 @@ def show(title, shards):
 
 
 for beta in (10000.0, 0.5, 0.1):
-    spec = PartitionSpec("dirichlet", n_clients=10, seed=3, beta=beta, min_size=1)
-    show(f"Dirichlet beta={beta}", dirichlet_partition(ds, spec))
+    show(f"Dirichlet beta={beta}",
+         dirichlet_partition(ds, n_clients=10, beta=beta, seed=3, min_size=1))
 
-spec = PartitionSpec("pcdd", n_clients=10, seed=3, classes_per_client=2)
-show("pcdd, 2 classes per client", pcdd_partition(ds, spec))
+shards = pcdd_partition(ds, n_clients=10, classes_per_client=2, seed=3)
+show("pcdd, 2 classes per client", shards)
 
 # the class-distribution vector phi: zero on missing classes, mean one
 from fedgela import compute_phi
 
-shards = pcdd_partition(ds, spec)
 phi = compute_phi(shards[0].counts, shards[0].n_k, gamma=1.0 / ds.n_classes)
 print("\nclient 0 counts:", shards[0].counts.tolist())
 print("client 0 phi   :", np.round(phi, 3).tolist(), f"(mean {phi.mean():.3f})")

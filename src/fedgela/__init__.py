@@ -5,7 +5,6 @@ from .cli import RunConfig, parse_config
 from .datagen import (
     ClientShard,
     Dataset,
-    PartitionSpec,
     dirichlet_partition,
     load_csv,
     pcdd_partition,

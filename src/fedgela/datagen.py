@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .etfgeom import random_rotation
+from .etfgeom import _frozen, random_rotation
 
 __all__ = [
     "Dataset",
     "ClientShard",
-    "PartitionSpec",
     "PartitionInfeasibleError",
     "synth_gaussian_mixture",
     "dirichlet_partition",
@@ -36,12 +35,6 @@ DEFAULT_TEST_FRAC = 0.2
 
 class PartitionInfeasibleError(RuntimeError):
     """No admissible partition found under the given constraints."""
-
-
-def _frozen(a, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -146,38 +139,6 @@ def synth_gaussian_mixture(
     return Dataset(features=features, labels=labels, n_classes=n_classes)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How to split a dataset across clients.
-
-    scheme "dirichlet" draws per-class client proportions from Dir(beta);
-    scheme "pcdd" gives every client exactly `classes_per_client` classes.
-    """
-
-    scheme: str
-    n_clients: int
-    seed: int
-    beta: float | None = None
-    classes_per_client: int | None = None
-    min_size: int = 1
-
-    def __post_init__(self):
-        if self.scheme not in ("dirichlet", "pcdd"):
-            raise ValueError(f"unknown partition scheme '{self.scheme}'")
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if self.min_size < 1:
-            raise ValueError("min_size must be >= 1")
-        if self.scheme == "dirichlet":
-            if self.beta is None or not self.beta > 0:
-                raise ValueError(f"dirichlet scheme needs beta > 0, got {self.beta}")
-        else:
-            if self.classes_per_client is None or self.classes_per_client < 1:
-                raise ValueError(
-                    f"pcdd scheme needs classes_per_client >= 1, got {self.classes_per_client}"
-                )
-
-
 def make_client_shard(
     ds: Dataset, client_id: int, indices, test_frac: float, rng
 ) -> ClientShard:
@@ -239,28 +200,32 @@ def _largest_remainder_alloc(proportions: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(
-    ds: Dataset, spec: PartitionSpec, test_frac: float = DEFAULT_TEST_FRAC
+    ds: Dataset, n_clients: int, beta: float, seed: int, min_size: int = 1,
+    test_frac: float = DEFAULT_TEST_FRAC,
 ) -> list:
     """Partition by per-class Dirichlet(beta) proportions over clients.
 
     For every class, a Dir(beta, ..., beta) vector over the N clients decides
-    how that class's samples split. If any shard ends up below
-    spec.min_size, the whole partition is resampled with an incremented
-    seed, up to 1000 attempts.
+    how that class's samples split. If any shard ends up below min_size, the
+    whole partition is resampled with an incremented seed, up to 1000
+    attempts.
     """
-    if spec.scheme != "dirichlet":
-        raise ValueError(f"spec scheme is '{spec.scheme}', expected 'dirichlet'")
-    n_clients = spec.n_clients
+    if n_clients < 1:
+        raise ValueError("n_clients must be >= 1")
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
+    if beta is None or not beta > 0:
+        raise ValueError(f"dirichlet scheme needs beta > 0, got {beta}")
     best_min = -1
     for attempt in range(1000):
-        rng = np.random.default_rng(spec.seed + attempt)
+        rng = np.random.default_rng(seed + attempt)
         assigned = [[] for _ in range(n_clients)]
         for c in range(ds.n_classes):
             cls_idx = np.nonzero(ds.labels == c)[0]
             if cls_idx.size == 0:
                 continue
             cls_idx = rng.permutation(cls_idx)
-            props = rng.dirichlet(np.full(n_clients, spec.beta))
+            props = rng.dirichlet(np.full(n_clients, beta))
             counts = _largest_remainder_alloc(props, cls_idx.size)
             stops = np.cumsum(counts)
             start = 0
@@ -270,13 +235,13 @@ def dirichlet_partition(
                 start = stop
         sizes = [sum(len(a) for a in parts) for parts in assigned]
         best_min = max(best_min, min(sizes))
-        if min(sizes) >= spec.min_size:
+        if min(sizes) >= min_size:
             return [
                 make_client_shard(ds, k, np.concatenate(assigned[k]), test_frac, rng)
                 for k in range(n_clients)
             ]
     raise PartitionInfeasibleError(
-        f"no partition with min shard size >= {spec.min_size} in 1000 attempts "
+        f"no partition with min shard size >= {min_size} in 1000 attempts "
         f"(best minimum achieved: {best_min})"
     )
 
@@ -294,7 +259,8 @@ def check_pcdd(n_classes: int, clients: int, classes_per_client: int) -> None:
 
 
 def pcdd_partition(
-    ds: Dataset, spec: PartitionSpec, test_frac: float = DEFAULT_TEST_FRAC
+    ds: Dataset, n_clients: int, classes_per_client: int, seed: int,
+    test_frac: float = DEFAULT_TEST_FRAC,
 ) -> list:
     """Partition where each client holds exactly `classes_per_client` classes.
 
@@ -302,11 +268,13 @@ def pcdd_partition(
     classes are covered), and each class's samples are split equally among
     the clients holding it, remainder to the earlier holders.
     """
-    if spec.scheme != "pcdd":
-        raise ValueError(f"spec scheme is '{spec.scheme}', expected 'pcdd'")
-    n_clients, cpc = spec.n_clients, spec.classes_per_client
+    if n_clients < 1:
+        raise ValueError("n_clients must be >= 1")
+    if classes_per_client is None or classes_per_client < 1:
+        raise ValueError(f"pcdd scheme needs classes_per_client >= 1, got {classes_per_client}")
+    cpc = classes_per_client
     check_pcdd(ds.n_classes, n_clients, cpc)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.n_classes)
     holders = [[] for _ in range(ds.n_classes)]
     for slot in range(n_clients * cpc):

@@ -24,9 +24,9 @@ __all__ = [
 ]
 
 
-def _frozen(a) -> np.ndarray:
-    """Own a float64 copy and make it read-only."""
-    out = np.array(a, dtype=np.float64, copy=True)
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    """Own a copy of `a` as `dtype` and make it read-only."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 

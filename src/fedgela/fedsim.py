@@ -23,7 +23,6 @@ import numpy as np
 from . import metrics
 from .datagen import (
     Dataset,
-    PartitionSpec,
     dataset_sha256,
     dirichlet_partition,
     load_csv,
@@ -403,17 +402,11 @@ def build_dataset(config) -> Dataset:
 
 
 def build_partition(ds: Dataset, config) -> list:
-    spec = PartitionSpec(
-        scheme=config.scheme,
-        n_clients=config.clients,
-        seed=config.partition_seed,
-        beta=config.beta,
-        classes_per_client=config.classes_per_client,
-        min_size=config.min_size,
-    )
-    if spec.scheme == "dirichlet":
-        return dirichlet_partition(ds, spec, test_frac=config.test_frac)
-    return pcdd_partition(ds, spec, test_frac=config.test_frac)
+    if config.scheme == "dirichlet":
+        return dirichlet_partition(ds, config.clients, config.beta, config.partition_seed,
+                                   config.min_size, config.test_frac)
+    return pcdd_partition(ds, config.clients, config.classes_per_client,
+                          config.partition_seed, config.test_frac)
 
 
 def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:

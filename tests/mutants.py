@@ -9,9 +9,10 @@ replaced, and the kill set runs against the copy in a subprocess:
   1. `fedgela gradcheck` (the finite-difference battery);
   2. the bitwise tests against tests/reference_ops.py, the named tests of
      the rules a digest alone would catch (compute_phi, the n_k weighting,
-     the evaluation schedule, the seed streams, the allocation, the pcdd
-     class deal, the CSV and checkpoint checks, the evaluability check and
-     the angle columns a round records) and, last, the golden pins
+     the evaluation schedule, the fine-tune's epochs, the seed streams, the
+     allocation, the pcdd class deal, the CSV, checkpoint and partition
+     parameter checks, the evaluability check and the angle columns a
+     round records) and, last, the golden pins
      (tests/test_golden.py), in one pytest call that stops at the first
      failure, so a mutant is reported by the rule it breaks.
 
@@ -22,7 +23,7 @@ so the list has to follow the code it names.
 
     python tests/mutants.py
 
-It checks one mutant per usable CPU at a time and takes about 25 s on 2 CPUs,
+It checks one mutant per usable CPU at a time and takes about 30 s on 2 CPUs,
 too long for tier-1, so run it by hand for every change to `neuralnet.py`,
 `fedsim.py`, `metrics.py` or `datagen.py`.
 """
@@ -129,6 +130,12 @@ MUTANTS = (
     ("RoundLog.record leaves out clf_miss_angle", "fedsim.py",
      "for name in _ANGLE_COLUMNS:",
      "for name in _ANGLE_COLUMNS[:3]:"),
+    ("dirichlet_partition drops its beta check", "datagen.py",
+     "if beta is None or not beta > 0:",
+     "if False:"),
+    ("the PA fine-tune trains the rounds' epochs", "fedsim.py",
+     "inp.config.finetune_epochs, inp.dataset,",
+     "inp.hp.epochs, inp.dataset,"),
 )
 
 GRADCHECK = [sys.executable, "-c",
@@ -144,9 +151,11 @@ KILL_TESTS = [
     "tests/test_fedsim.py::TestRunFederation::test_last_round_evaluated_off_the_schedule",
     "tests/test_fedsim.py::TestFinetunePersonalize"
     "::test_finetune_shuffles_apart_from_the_rounds_training",
+    "tests/test_fedsim.py::TestFinetunePersonalize::test_finetune_trains_finetune_epochs",
     "tests/test_datagen.py::TestLargestRemainderAlloc",
     "tests/test_datagen.py::TestPcddPartition::test_two_classes_per_client",
     "tests/test_datagen.py::TestCsv::test_non_finite_feature_names_line",
+    "tests/test_datagen.py::test_partition_parameters_checked",
     "tests/test_fedsim.py::TestPartitionCheckedBeforeTraining",
     "tests/test_fedsim.py::TestEvaluationForwardsOnce"
     "::test_local_angle_scores_local_model_not_finetune",

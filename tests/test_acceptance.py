@@ -16,7 +16,7 @@ import pytest
 from conftest import REFERENCE
 
 from fedgela.cli import gradcheck_battery, main, parse_config
-from fedgela.datagen import PartitionSpec, dirichlet_partition, pcdd_partition, synth_gaussian_mixture
+from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
 from fedgela.etfgeom import make_etf, verify_etf
 from fedgela.fedsim import (
     AlgoKind,
@@ -85,18 +85,16 @@ def test_criterion_1_etf_exactness():
 def test_criterion_2_phi_identity():
     start = time.time()
     ds = synth_gaussian_mixture(8, 10, 48, 3.0, 1.0, seed=0)
-    specs = [
-        PartitionSpec("dirichlet", 5, seed=1, beta=0.1, min_size=1),
-        PartitionSpec("dirichlet", 7, seed=2, beta=0.5, min_size=1),
-        PartitionSpec("dirichlet", 4, seed=3, beta=5.0, min_size=1),
-        PartitionSpec("pcdd", 8, seed=4, classes_per_client=2),
-        PartitionSpec("pcdd", 6, seed=5, classes_per_client=4),
-        PartitionSpec("pcdd", 8, seed=6, classes_per_client=8),
+    partitions = [
+        dirichlet_partition(ds, 5, beta=0.1, seed=1, min_size=1),
+        dirichlet_partition(ds, 7, beta=0.5, seed=2, min_size=1),
+        dirichlet_partition(ds, 4, beta=5.0, seed=3, min_size=1),
+        pcdd_partition(ds, 8, classes_per_client=2, seed=4),
+        pcdd_partition(ds, 6, classes_per_client=4, seed=5),
+        pcdd_partition(ds, 8, classes_per_client=8, seed=6),
     ]
     worst = 0.0
-    for spec in specs:
-        shards = (dirichlet_partition if spec.scheme == "dirichlet"
-                  else pcdd_partition)(ds, spec)
+    for shards in partitions:
         weighted = np.zeros(ds.n_classes)
         for shard in shards:
             phi = compute_phi(shard.counts, shard.n_k, gamma=1.0 / ds.n_classes)
@@ -104,7 +102,7 @@ def test_criterion_2_phi_identity():
         worst = max(worst, float(np.max(np.abs(weighted - 1.0))))
     elapsed = time.time() - start
     _report(2, worst < 1e-9 and elapsed < 1.0,
-            f"{len(specs)} configs, max |sum p_k phi - 1| = {worst:.2e}, {elapsed:.2f}s < 1s")
+            f"{len(partitions)} configs, max |sum p_k phi - 1| = {worst:.2e}, {elapsed:.2f}s < 1s")
 
 
 def test_criterion_3_gradient_oracle():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from fedgela.datagen import (
     Dataset,
     _largest_remainder_alloc,
     PartitionInfeasibleError,
-    PartitionSpec,
     dirichlet_partition,
     load_csv,
     make_client_shard,
@@ -59,9 +60,8 @@ class TestDirichletPartition:
         ds = balanced_ds(n_classes=5, n_per_class=200)
         global_props = ds.class_counts() / ds.n
         for seed in (0, 1, 2):
-            spec = PartitionSpec("dirichlet", n_clients=10, seed=seed,
-                                 beta=10000.0, min_size=1)
-            shards = dirichlet_partition(ds, spec)
+            shards = dirichlet_partition(ds, n_clients=10, beta=10000.0, seed=seed,
+                                         min_size=1)
             for shard in shards:
                 props = shard.counts / shard.n_k
                 assert np.max(np.abs(props - global_props)) < 0.05
@@ -70,23 +70,19 @@ class TestDirichletPartition:
         ds = balanced_ds(n_classes=5, n_per_class=40)
         saw_empty = False
         for seed in (0, 1, 2):
-            spec = PartitionSpec("dirichlet", n_clients=10, seed=seed,
-                                 beta=0.1, min_size=1)
-            shards = dirichlet_partition(ds, spec)
+            shards = dirichlet_partition(ds, n_clients=10, beta=0.1, seed=seed, min_size=1)
             saw_empty = saw_empty or any(
                 len(s.existing_classes) < ds.n_classes for s in shards)
         assert saw_empty
 
     def test_single_client_takes_everything(self):
         ds = balanced_ds(n_classes=4, n_per_class=25)
-        spec = PartitionSpec("dirichlet", n_clients=1, seed=0, beta=0.3, min_size=1)
-        (shard,) = dirichlet_partition(ds, spec)
+        (shard,) = dirichlet_partition(ds, n_clients=1, beta=0.3, seed=0, min_size=1)
         np.testing.assert_array_equal(shard.indices, np.arange(ds.n))
 
     def test_disjoint_cover_and_count_conservation(self):
         ds = balanced_ds(n_classes=4, n_per_class=25)
-        spec = PartitionSpec("dirichlet", n_clients=6, seed=3, beta=0.5, min_size=1)
-        shards = dirichlet_partition(ds, spec)
+        shards = dirichlet_partition(ds, n_clients=6, beta=0.5, seed=3, min_size=1)
         all_idx = np.concatenate([s.indices for s in shards])
         assert len(all_idx) == len(set(all_idx.tolist())) == ds.n
         totals = partition_table(shards, ds.n_classes).sum(axis=0)
@@ -94,31 +90,27 @@ class TestDirichletPartition:
 
     def test_deterministic_per_seed(self):
         ds = balanced_ds()
-        spec = PartitionSpec("dirichlet", n_clients=5, seed=9, beta=0.5, min_size=1)
-        a = dirichlet_partition(ds, spec)
-        b = dirichlet_partition(ds, spec)
+        a = dirichlet_partition(ds, n_clients=5, beta=0.5, seed=9, min_size=1)
+        b = dirichlet_partition(ds, n_clients=5, beta=0.5, seed=9, min_size=1)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.indices, sb.indices)
             np.testing.assert_array_equal(sa.test_indices, sb.test_indices)
 
     def test_infeasible_min_size_reports_best(self):
         ds = balanced_ds(n_classes=2, n_per_class=5)  # 10 samples, 8 clients
-        spec = PartitionSpec("dirichlet", n_clients=8, seed=0, beta=1.0, min_size=5)
         with pytest.raises(PartitionInfeasibleError, match="best minimum achieved"):
-            dirichlet_partition(ds, spec)
+            dirichlet_partition(ds, n_clients=8, beta=1.0, seed=0, min_size=5)
 
     def test_min_size_respected(self):
         ds = balanced_ds(n_classes=4, n_per_class=50)
-        spec = PartitionSpec("dirichlet", n_clients=5, seed=1, beta=0.2, min_size=10)
-        shards = dirichlet_partition(ds, spec)
+        shards = dirichlet_partition(ds, n_clients=5, beta=0.2, seed=1, min_size=10)
         assert min(s.n_k for s in shards) >= 10
 
 
 class TestPcddPartition:
     def test_two_classes_per_client(self):
         ds = balanced_ds(n_classes=10, n_per_class=20, input_dim=12)
-        spec = PartitionSpec("pcdd", n_clients=10, seed=0, classes_per_client=2)
-        shards = pcdd_partition(ds, spec)
+        shards = pcdd_partition(ds, n_clients=10, classes_per_client=2, seed=0)
         table = partition_table(shards, 10)
         assert all(np.count_nonzero(row) == 2 for row in table)
         # each class appears in exactly N * cpc / C = 2 shards
@@ -126,33 +118,51 @@ class TestPcddPartition:
 
     def test_coverage_infeasible(self):
         ds = balanced_ds(n_classes=10, n_per_class=5, input_dim=12)
-        spec = PartitionSpec("pcdd", n_clients=4, seed=0, classes_per_client=1)
         with pytest.raises(ValueError, match="coverage infeasible"):
-            pcdd_partition(ds, spec)
+            pcdd_partition(ds, n_clients=4, classes_per_client=1, seed=0)
 
     def test_single_client_full_classes(self):
         ds = balanced_ds(n_classes=2, n_per_class=10, input_dim=4)
-        spec = PartitionSpec("pcdd", n_clients=1, seed=0, classes_per_client=2)
-        (shard,) = pcdd_partition(ds, spec)
+        (shard,) = pcdd_partition(ds, n_clients=1, classes_per_client=2, seed=0)
         assert shard.existing_classes == (0, 1)
         assert shard.n_k == ds.n
 
     def test_existing_classes_exactly_cpc(self):
         ds = balanced_ds(n_classes=6, n_per_class=30, input_dim=8)
         for cpc in (1, 2, 3):
-            spec = PartitionSpec("pcdd", n_clients=6, seed=4, classes_per_client=cpc)
-            shards = pcdd_partition(ds, spec)
+            shards = pcdd_partition(ds, n_clients=6, classes_per_client=cpc, seed=4)
             assert all(len(s.existing_classes) == cpc for s in shards)
 
     def test_disjoint_cover_and_determinism(self):
         ds = balanced_ds(n_classes=5, n_per_class=21, input_dim=8)
-        spec = PartitionSpec("pcdd", n_clients=5, seed=2, classes_per_client=3)
-        a = pcdd_partition(ds, spec)
-        b = pcdd_partition(ds, spec)
+        a = pcdd_partition(ds, n_clients=5, classes_per_client=3, seed=2)
+        b = pcdd_partition(ds, n_clients=5, classes_per_client=3, seed=2)
         all_idx = np.concatenate([s.indices for s in a])
         assert len(all_idx) == len(set(all_idx.tolist())) == ds.n
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.indices, sb.indices)
+
+
+@pytest.mark.parametrize("partition, kwargs, message", [
+    (dirichlet_partition, {"n_clients": 0, "beta": 0.5}, "n_clients must be >= 1"),
+    (dirichlet_partition, {"n_clients": 4, "beta": 0.0},
+     "dirichlet scheme needs beta > 0, got 0.0"),
+    (dirichlet_partition, {"n_clients": 4, "beta": -1.0},
+     "dirichlet scheme needs beta > 0, got -1.0"),
+    (dirichlet_partition, {"n_clients": 4, "beta": None},
+     "dirichlet scheme needs beta > 0, got None"),
+    (dirichlet_partition, {"n_clients": 4, "beta": 0.5, "min_size": 0},
+     "min_size must be >= 1"),
+    (pcdd_partition, {"n_clients": 0, "classes_per_client": 2}, "n_clients must be >= 1"),
+    (pcdd_partition, {"n_clients": 4, "classes_per_client": 0},
+     "pcdd scheme needs classes_per_client >= 1, got 0"),
+], ids=["dirichlet-no-clients", "beta-zero", "beta-negative", "beta-none", "min-size-zero",
+        "pcdd-no-clients", "pcdd-no-classes"])
+def test_partition_parameters_checked(partition, kwargs, message):
+    # each message comes from the partitioner's own check, before any draw;
+    # without it the call fails elsewhere, with another message, or not at all
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partition(balanced_ds(), seed=0, **kwargs)
 
 
 class TestLargestRemainderAlloc:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedgela.cli import parse_config
-from fedgela.datagen import PartitionSpec, dirichlet_partition, pcdd_partition, synth_gaussian_mixture
+from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
 from fedgela.etfgeom import make_etf
 from fedgela.fedsim import (
     AlgoKind,
@@ -189,17 +189,15 @@ class TestPhiAggregationIdentity:
     def test_weighted_phi_sums_to_one_on_balanced_data(self):
         # sum_k p_k phi_{k,c} = 1 for every class on globally balanced data
         ds = synth_gaussian_mixture(6, 8, 60, 3.0, 1.0, seed=0)
-        specs = [
-            PartitionSpec("dirichlet", 5, seed=s, beta=b, min_size=1)
+        partitions = [
+            dirichlet_partition(ds, 5, b, seed=s, min_size=1)
             for s, b in [(0, 0.1), (1, 0.5), (2, 5.0)]
         ] + [
-            PartitionSpec("pcdd", 6, seed=s, classes_per_client=c)
+            pcdd_partition(ds, 6, c, seed=s)
             for s, c in [(3, 2), (4, 3), (5, 6)]
         ]
         n = ds.n
-        for spec in specs:
-            shards = (dirichlet_partition if spec.scheme == "dirichlet"
-                      else pcdd_partition)(ds, spec)
+        for shards in partitions:
             weighted = np.zeros(ds.n_classes)
             for shard in shards:
                 phi = compute_phi(shard.counts, shard.n_k, gamma=1.0 / ds.n_classes)
@@ -233,9 +231,8 @@ class TestLocalTrain:
         cfg = small_config(algo=algo_kind, **cfg_kw)
         ds = synth_gaussian_mixture(cfg.classes, cfg.input_dim, cfg.n_per_class,
                                     cfg.class_sep, cfg.noise_sigma, cfg.data_seed)
-        spec = PartitionSpec("pcdd", cfg.clients, seed=cfg.partition_seed,
-                             classes_per_client=cfg.classes_per_client)
-        shards = pcdd_partition(ds, spec)
+        shards = pcdd_partition(ds, cfg.clients, cfg.classes_per_client,
+                                seed=cfg.partition_seed)
         algo = AlgoKind(algo_kind, lambda_prox=cfg.lambda_prox)
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
@@ -331,7 +328,7 @@ class TestLocalTrain:
                            n_per_class=40, clients=10, classes_per_client=2,
                            epochs=10, class_sep=4.0)
         ds = synth_gaussian_mixture(10, 12, 40, 4.0, 1.0, cfg.data_seed)
-        shards = pcdd_partition(ds, PartitionSpec("pcdd", 10, seed=0, classes_per_client=2))
+        shards = pcdd_partition(ds, 10, classes_per_client=2, seed=0)
         algo = AlgoKind("fedgela")
         clients = clients_of(shards, 10, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-4, epochs=10,
@@ -791,6 +788,23 @@ class TestFinetunePersonalize:
         assert len(trained) == cfg.clients_per_round and len(tuned) == cfg.clients
         assert not trained & tuned
 
+    def test_finetune_trains_finetune_epochs(self, monkeypatch):
+        # the PA fine-tune trains config.finetune_epochs epochs, not the
+        # rounds' config.epochs
+        cfg = small_config(algo="fedavg", clients_per_round=2, rounds=1, epochs=2,
+                           finetune_epochs=3)
+        state = init_state(cfg)
+        real, epochs = fedsim.local_train, []
+
+        def recording(*args):
+            epochs.append(args[5].epochs)   # hp
+            return real(*args)
+
+        monkeypatch.setattr(fedsim, "local_train", recording)
+        step(state)
+        evaluate(state)
+        assert epochs == [cfg.epochs, cfg.finetune_epochs] == [2, 3]
+
     def test_finetuning_rarely_hurts_on_shard(self):
         from fedgela.metrics import predict
         deltas = []
@@ -880,7 +894,7 @@ class TestFusedStepMatchesPublicOps:
 
     def _setup(self, kind, lam, hidden):
         ds = synth_gaussian_mixture(5, 6, 23, 3.0, 1.0, seed=3)
-        shards = pcdd_partition(ds, PartitionSpec("pcdd", 3, seed=4, classes_per_client=3))
+        shards = pcdd_partition(ds, 3, classes_per_client=3, seed=4)
         algo = AlgoKind(kind, lambda_prox=lam)
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=3,
@@ -1085,8 +1099,7 @@ class TestStackedMatchesSingle:
 
     def _setup(self, kind, lam, hidden):
         ds = synth_gaussian_mixture(5, 6, 30, 3.0, 1.0, seed=8)
-        shards = dirichlet_partition(ds, PartitionSpec("dirichlet", 6, seed=2, beta=0.5,
-                                                       min_size=5))
+        shards = dirichlet_partition(ds, 6, beta=0.5, seed=2, min_size=5)
         algo = AlgoKind(kind, lambda_prox=lam)
         clients = clients_of(shards, ds.n_classes, algo)
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedgela.cli import parse_config
-from fedgela.datagen import PartitionSpec, pcdd_partition, synth_gaussian_mixture
+from fedgela.datagen import pcdd_partition, synth_gaussian_mixture
 from fedgela.etfgeom import make_etf
 from fedgela.fedsim import run_federation
 from fedgela.metrics import (
@@ -83,7 +83,7 @@ class TestAccuracies:
 
     def test_personal_accuracy_sample_order_invariant(self):
         ds = synth_gaussian_mixture(4, 6, 30, 4.0, 0.8, seed=0)
-        shards = pcdd_partition(ds, PartitionSpec("pcdd", 4, seed=0, classes_per_client=2))
+        shards = pcdd_partition(ds, 4, classes_per_client=2, seed=0)
         layout = Layout((6, 8, 4))
         params = layout.views(init_backbone(layout, 0))
         etf = make_etf(4, 4, seed=0)
@@ -96,7 +96,7 @@ class TestAccuracies:
 
     def test_missing_model_rejected(self):
         ds = synth_gaussian_mixture(4, 6, 30, 4.0, 0.8, seed=0)
-        shards = pcdd_partition(ds, PartitionSpec("pcdd", 2, seed=0, classes_per_client=2))
+        shards = pcdd_partition(ds, 2, classes_per_client=2, seed=0)
         models = [(None, None, None, None),
                   (forward(identity_net(6), ds.features[shards[1].test_indices]), np.eye(6, 4),
                    None, None)]
