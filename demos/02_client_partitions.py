@@ -9,7 +9,7 @@ pcdd scheme is the pure form of that: every client holds exactly
 import numpy as np
 
 from fedgela import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
-from fedgela.datagen import partition_table
+from fedgela.diagnostics import partition_table
 
 ds = synth_gaussian_mixture(n_classes=10, input_dim=12, n_per_class=100,
                             class_sep=3.0, noise_sigma=1.0, seed=0)

@@ -8,10 +8,9 @@ from .datagen import (
     dirichlet_partition,
     load_csv,
     pcdd_partition,
-    save_csv,
     synth_gaussian_mixture,
 )
-from .etfgeom import EtfClassifier, make_etf, mean_pairwise_angle, verify_etf
+from .etfgeom import EtfClassifier, make_etf, mean_pairwise_angle
 from .fedsim import (
     AlgoKind,
     Hyperparams,
@@ -26,7 +25,6 @@ from .metrics import (
     angle_report,
     evaluate,
     generic_accuracy,
-    nc1_variability,
     personal_accuracy,
     predict,
 )
@@ -36,7 +34,18 @@ from .neuralnet import (
     forward,
     init_backbone,
     logits,
-    lpm_feature_fit,
 )
 
 __version__ = "0.1.0"
+
+# exported from the diagnostics module, which is imported on first use of one
+# of them: `run` and `sweep` never load it
+_DIAGNOSTICS = ("lpm_feature_fit", "nc1_variability", "save_csv", "verify_etf")
+
+
+def __getattr__(name):
+    if name in _DIAGNOSTICS:
+        from . import diagnostics
+
+        return getattr(diagnostics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,10 +2,11 @@
 
 Subcommands: run (one federated experiment), sweep (compare arms over a
 seed list on shared splits, running them concurrently on the usable CPUs),
-gradcheck (finite-difference verification of every training path),
-partition-report (client-by-class count heatmap), gen-data (write a
-synthetic CSV), lpm-oracle (free-feature fit under the fixed frame,
-reporting per-class cosines and within-class variability).
+and four whose handlers live in `diagnostics`: gradcheck
+(finite-difference verification of every training path), partition-report
+(client-by-class count heatmap), gen-data (write a synthetic CSV),
+lpm-oracle (free-feature fit under the fixed frame, reporting per-class
+cosines and within-class variability).
 
 Configs are flat `key = value` text files; any key can be overridden on the
 command line with --set key=value. Relative output directories are placed
@@ -20,15 +21,14 @@ import math
 import os
 import sys
 from contextlib import closing
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import fedsim, metrics
-from .datagen import check_pcdd, dataset_sha256, save_csv, write_partition_csv
-from .etfgeom import make_etf
-from .neuralnet import Layout, finite_diff_check, init_backbone, lpm_feature_fit, save_checkpoint
+from . import fedsim
+from .datagen import check_pcdd, dataset_sha256
+from .neuralnet import save_checkpoint
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "main", "entrypoint"]
 
@@ -37,8 +37,7 @@ class ConfigError(ValueError):
     """Invalid, unknown, missing, or conflicting configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved experiment configuration (defaults filled)."""
 
     dataset: str = "synthetic"
@@ -77,18 +76,13 @@ class RunConfig:
     out_dir: str = "runs/run"
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "hidden":
-                v = ",".join(str(int(h)) for h in v)
-            out[f.name] = v
-        return out
+        return self._asdict() | {"hidden": ",".join(str(int(h)) for h in self.hidden)}
 
 
 # each key's type, read from RunConfig's annotations: int, float, str or
-# tuple (hidden), with " | None" on the keys that may stay unset
-_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# tuple (hidden), with " | None" on the keys that may stay unset (the
+# annotations are strings, which NamedTuple keeps as ForwardRefs)
+_KEY_TYPES = {key: kind.__forward_arg__ for key, kind in RunConfig.__annotations__.items()}
 
 
 def _coerce(key: str, value) -> object:
@@ -208,7 +202,7 @@ def parse_config(source, overrides=None) -> RunConfig:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     given = {key: _coerce(key, value) for key, value in raw.items()}
 
-    merged = {f.name: f.default for f in fields(RunConfig)} | given
+    merged = RunConfig._field_defaults | given
     # the scheme follows the partition key given; the other scheme's key is unset
     merged["scheme"] = given.get("scheme", "pcdd" if "classes_per_client" in given
                                  else "dirichlet")
@@ -409,125 +403,12 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
     return 0
 
 
-GRADCHECK_THRESHOLD = 1e-4
+def _diagnostics():
+    """The module of the gradcheck, partition-report, gen-data and lpm-oracle
+    handlers, imported when one of them runs: `run` and `sweep` never load it."""
+    from . import diagnostics
 
-
-def gradcheck_battery(config: RunConfig, n_probes: int = 64):
-    """Finite-difference check over every algorithm kind, phi pattern, and
-    mask pattern on a small two-layer net, each at the config's e_h and at
-    4 * e_h, where sqrt(e_h) is not 1 even at the default e_h = 1. Yields
-    (label, worst_rel_error), the worse of the two errors.
-    """
-    n_classes, feat_dim, d_in, hidden = 5, 5, 6, 12
-    rng = np.random.default_rng(config.seed)
-    x = rng.standard_normal((8, d_in))
-    frame = make_etf(feat_dim, n_classes, config.seed, e_w=config.e_w).classifier
-    sizes = (d_in, hidden, feat_dim)
-    fixed = Layout(sizes), init_backbone(Layout(sizes), (config.seed, 11)), frame
-    learnable = (Layout(sizes, n_classes),
-                 init_backbone(Layout(sizes, n_classes), (config.seed, 11), (config.seed, 12)),
-                 None)
-    phi_variants = {
-        "phi_uniform": np.ones(n_classes),
-        "phi_zeros": np.array([2.0, 1.5, 0.0, 1.5, 0.0]),
-    }
-    mask_variants = {
-        "full_mask": None,
-        "restricted_mask": np.array([True, True, False, True, False]),
-    }
-    for algo in fedsim.VALID_ALGOS:
-        lam = 0.1 if algo == "fedprox" else 0.0
-        layout, row, fixed_frame = fixed if fedsim.AlgoKind(algo).fixed_classifier else learnable
-        for phi_name, phi in phi_variants.items():
-            for mask_name, mask in mask_variants.items():
-                allowed = np.arange(n_classes) if mask is None else np.nonzero(mask)[0]
-                labels = rng.choice(allowed, size=len(x))
-                err = max(finite_diff_check(
-                    layout, row, x, labels, fixed_frame, phi=phi, class_mask=mask,
-                    e_h=e_h, step=1e-5, n_probes=n_probes,
-                    seed=(config.seed, 13), lambda_prox=lam,
-                ) for e_h in (config.e_h, 4 * config.e_h))
-                yield f"{algo}/{phi_name}/{mask_name}", err
-
-
-def cmd_gradcheck(config: RunConfig) -> int:
-    worst_label, worst = None, -1.0
-    for label, err in gradcheck_battery(config):
-        status = "ok" if err < GRADCHECK_THRESHOLD else "FAIL"
-        print(f"{status:4s} {label:40s} rel_err={err:.3e}")
-        if err > worst:
-            worst_label, worst = label, err
-    if worst >= GRADCHECK_THRESHOLD:
-        print(f"gradcheck FAILED: worst offender {worst_label} at {worst:.3e}")
-        return 1
-    print(f"gradcheck passed: worst {worst_label} at {worst:.3e}")
-    return 0
-
-
-def cmd_partition_report(config: RunConfig) -> int:
-    ds = fedsim.build_dataset(config)
-    shards = fedsim.build_partition(ds, config)
-    out = _resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "partition.csv"
-    write_partition_csv(shards, ds.n_classes, path)
-    sizes = [s.n_k for s in shards]
-    existing = [len(s.existing_classes) for s in shards]
-    print(f"{len(shards)} clients, shard sizes {min(sizes)}..{max(sizes)}, "
-          f"existing classes {min(existing)}..{max(existing)} -> {path}")
-    return 0
-
-
-def cmd_gen_data(config: RunConfig, out_path) -> int:
-    ds = fedsim.build_dataset(config)
-    save_csv(ds, out_path)
-    print(f"wrote {ds.n} samples, {ds.n_classes} classes, d={ds.input_dim} -> {out_path}")
-    return 0
-
-
-def _parse_label_counts(text: str) -> list:
-    """The per-class sample counts of --label-counts, at least two; a bad
-    entry raises a ConfigError naming it."""
-    counts = []
-    for i, entry in enumerate(e.strip() for e in text.split(",")):
-        if not entry.isdecimal() or int(entry) < 1:
-            raise ConfigError(f"--label-counts: entry {i} ({entry!r}) is not a positive integer")
-        counts.append(int(entry))
-    if len(counts) < 2:
-        raise ConfigError(f"--label-counts {text!r} names one class, need >= 2")
-    return counts
-
-
-def cmd_lpm_oracle(config: RunConfig, feature_dim, label_counts, iterations,
-                   lr, threshold) -> int:
-    """Fit free features under the frame and check each one's cosine to its
-    class vector; every argument is checked before the fit."""
-    counts = _parse_label_counts(label_counts)
-    if feature_dim != 0 and feature_dim < len(counts):
-        raise ConfigError(f"--dim must be 0 (2C) or >= the {len(counts)} classes of "
-                          f"--label-counts, got {feature_dim}")
-    if iterations < 1:
-        raise ConfigError(f"--iters must be >= 1, got {iterations}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"--lr must be finite and positive, got {lr}")
-    if not math.isfinite(threshold):
-        raise ConfigError(f"--threshold must be finite, got {threshold}")
-    labels = np.repeat(np.arange(len(counts)), counts)
-    d = feature_dim if feature_dim else 2 * len(counts)
-    etf = make_etf(d, len(counts), config.seed, e_w=config.e_w)
-    feats = lpm_feature_fit(len(counts), d, config.e_h, etf, labels,
-                            iterations=iterations, lr=lr, seed=config.seed)
-    cos = np.sum(feats * etf.m.T[labels], axis=1)
-    cos /= np.linalg.norm(feats, axis=1)
-    nc1 = metrics.nc1_variability(feats, labels)
-    for c in range(len(counts)):
-        cc = cos[labels == c]
-        print(f"class {c}: n={counts[c]} min_cos={cc.min():.6f} mean_cos={cc.mean():.6f}")
-    print(f"worst cosine {cos.min():.6f}, within-class variability {nc1:.3e}")
-    if cos.min() <= threshold:
-        print(f"FAIL: worst cosine {cos.min():.6f} <= threshold {threshold}")
-        return 1
-    return 0
+    return diagnostics
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -560,17 +441,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated master seeds (default 0,1,2)")
 
     command("gradcheck", "finite-difference gradient check",
-            lambda config, args: cmd_gradcheck(config))
+            lambda config, args: _diagnostics().cmd_gradcheck(config))
     command("partition-report", "client-by-class count table",
-            lambda config, args: cmd_partition_report(config))
+            lambda config, args: _diagnostics().cmd_partition_report(config))
 
     p = command("gen-data", "write a synthetic dataset CSV",
-                lambda config, args: cmd_gen_data(config, args.out))
+                lambda config, args: _diagnostics().cmd_gen_data(config, args.out))
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = command("lpm-oracle", "free-feature fit under the fixed frame",
-                lambda config, args: cmd_lpm_oracle(config, args.dim, args.label_counts,
-                                                    args.iters, args.lr, args.threshold))
+                lambda config, args: _diagnostics().cmd_lpm_oracle(
+                    config, args.dim, args.label_counts, args.iters, args.lr, args.threshold))
     p.add_argument("--dim", type=int, default=0, help="feature dimension (default 2C)")
     p.add_argument("--label-counts", default="10,10,10,10",
                    help="comma-separated per-class sample counts")

@@ -24,9 +24,6 @@ __all__ = [
     "check_pcdd",
     "make_client_shard",
     "load_csv",
-    "save_csv",
-    "partition_table",
-    "write_partition_csv",
     "dataset_sha256",
 ]
 
@@ -337,35 +334,6 @@ def load_csv(path) -> Dataset:
         labels=np.asarray(labels),
         n_classes=int(max(labels)) + 1,
     )
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """Inverse of load_csv; floats are written with 17 significant digits so
-    the round trip is exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"f{i}" for i in range(ds.input_dim)] + ["label"]) + "\n")
-        for row, label in zip(ds.features, ds.labels):
-            fh.write(",".join(f"{x:.17g}" for x in row) + f",{int(label)}\n")
-
-
-def partition_table(shards, n_classes: int) -> np.ndarray:
-    """N x C matrix of per-client class counts (heatmap content)."""
-    table = np.zeros((len(shards), n_classes), dtype=np.int64)
-    for i, shard in enumerate(shards):
-        table[i] = shard.counts
-    return table
-
-
-def write_partition_csv(shards, n_classes: int, path) -> None:
-    """Client-by-class count table plus per-client existing-class counts."""
-    table = partition_table(shards, n_classes)
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["client"] + [f"class_{c}" for c in range(n_classes)]
-        fh.write(",".join(cols + ["existing_classes", "total"]) + "\n")
-        for shard, row in zip(shards, table):
-            cells = [str(shard.client_id)] + [str(int(v)) for v in row]
-            cells += [str(len(shard.existing_classes)), str(shard.n_k)]
-            fh.write(",".join(cells) + "\n")
 
 
 def dataset_sha256(ds: Dataset) -> str:

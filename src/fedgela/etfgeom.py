@@ -16,10 +16,8 @@ import numpy as np
 __all__ = [
     "OrthoMatrix",
     "EtfClassifier",
-    "EtfReport",
     "random_rotation",
     "make_etf",
-    "verify_etf",
     "mean_pairwise_angle",
 ]
 
@@ -62,8 +60,9 @@ class EtfClassifier:
     """Unit-column simplex frame with a squared-length scale for the classifier.
 
     `m` holds the C unit columns; the effective classifier is sqrt(scale) * m.
-    Construction does not re-check the frame identities -- use verify_etf,
-    which measures how far any candidate deviates from them.
+    Construction does not re-check the frame identities -- use
+    diagnostics.verify_etf, which measures how far any candidate deviates
+    from them.
     """
 
     m: np.ndarray
@@ -88,17 +87,6 @@ class EtfClassifier:
     def classifier(self) -> np.ndarray:
         """Effective d x C classifier matrix sqrt(scale) * m."""
         return math.sqrt(self.scale) * self.m
-
-
-@dataclass(frozen=True)
-class EtfReport:
-    """Deviations of a candidate frame from the simplex identities."""
-
-    max_norm_dev: float      # worst |column norm - 1|
-    max_dot_dev: float       # worst |<m_i, m_j> + 1/(C-1)|, i != j
-    col_sum_norm: float      # Euclidean norm of the column sum
-    tol: float
-    passed: bool
 
 
 def random_rotation(d: int, n_classes: int, seed) -> OrthoMatrix:
@@ -139,27 +127,6 @@ def make_etf(d: int, n_classes: int, seed, e_w: float = 1.0) -> EtfClassifier:
     centering = np.eye(c) - np.full((c, c), 1.0 / c)
     m = math.sqrt(c / (c - 1.0)) * (u.entries @ centering)
     return EtfClassifier(m=m, scale=float(e_w))
-
-
-def verify_etf(etf: EtfClassifier, tol: float = 1e-9) -> EtfReport:
-    """Measure a frame's deviation from the simplex identities.
-
-    Returns the worst column-norm deviation, worst pairwise-dot deviation
-    and the norm of the column sum; `passed` is True when all three are
-    below tol.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    m = etf.m
-    c = m.shape[1]
-    norms = np.linalg.norm(m, axis=0)
-    max_norm_dev = float(np.max(np.abs(norms - 1.0)))
-    gram = m.T @ m
-    off_diag = gram[~np.eye(c, dtype=bool)]
-    max_dot_dev = float(np.max(np.abs(off_diag + 1.0 / (c - 1.0)))) if c > 1 else 0.0
-    col_sum_norm = float(np.linalg.norm(m.sum(axis=1)))
-    passed = max(max_norm_dev, max_dot_dev, col_sum_norm) < tol
-    return EtfReport(max_norm_dev, max_dot_dev, col_sum_norm, float(tol), passed)
 
 
 def mean_pairwise_angle(vectors, index_subset=None) -> float:

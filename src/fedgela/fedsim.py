@@ -17,6 +17,7 @@ import json
 import operator
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,10 @@ class AlgoKind:
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The local optimizer's settings: momentum SGD with weight decay, `epochs`
+    passes over each train split in batches of `batch_size`, and the squared
+    feature norm `e_h` of the sphere projection."""
+
     lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 1e-4
@@ -108,8 +113,7 @@ def feature_width(algo: AlgoKind, feature_dim: int | None, n_classes: int,
     return width
 
 
-@dataclass(frozen=True)
-class RunInputs:
+class RunInputs(NamedTuple):
     """What a run reads and never writes: its config (and the AlgoKind and
     Hyperparams built from it), data set and shards, the per-client (N, C)
     phi and boolean class-mask arrays (None unless the algorithm adapts

@@ -1,5 +1,4 @@
-"""Evaluation: generic/personal accuracy, angle diagnostics, and the
-within-class feature-variability measure.
+"""Evaluation: generic/personal accuracy and angle diagnostics.
 
 Generic accuracy (GA) scores the global model with the standard classifier
 on the union of client test splits. Personal accuracy (PA) averages each
@@ -17,7 +16,7 @@ vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +24,10 @@ from .etfgeom import mean_pairwise_angle
 from .neuralnet import Layout, _as_mask, forward, logits
 
 __all__ = ["EvalReport", "AngleReport", "predict", "generic_accuracy",
-           "personal_accuracy", "angle_report", "evaluate", "nc1_variability"]
+           "personal_accuracy", "angle_report", "evaluate"]
 
 
-@dataclass(frozen=True)
-class AngleReport:
+class AngleReport(NamedTuple):
     """The angle diagnostics in degrees, named as their rounds.csv columns."""
 
     global_mean_angle: float | None
@@ -39,8 +37,10 @@ class AngleReport:
     skipped_clients: int = 0   # clients with < 2 usable classes
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
+    """One evaluation point: GA, PA, each client's personal accuracy in
+    shard order and the angle diagnostics."""
+
     ga: float
     pa: float
     per_client_acc: tuple
@@ -193,19 +193,3 @@ def evaluate(layout: Layout, frame, global_row, personal, phi, mask, local,
         entries.append((shards[i], f, m.classifier))
     angles = angle_report(features, ds, global_test, entries)
     return EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client), angles=angles)
-
-
-def nc1_variability(features, labels) -> float:
-    """Trace of the average within-class covariance of the features.
-
-    Equals the pooled mean squared distance of each feature to its class
-    mean; zero exactly when every feature sits at its class mean.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    total = 0.0
-    for c in np.unique(y):
-        rows = f[y == c]
-        diff = rows - rows.mean(axis=0)
-        total += float(np.sum(diff * diff))
-    return total / len(y)

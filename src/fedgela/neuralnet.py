@@ -22,8 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .etfgeom import EtfClassifier
-
 __all__ = [
     "Layout",
     "Layers",
@@ -36,7 +34,6 @@ __all__ = [
     "gradient_pass",
     "train_step",
     "finite_diff_check",
-    "lpm_feature_fit",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -439,36 +436,6 @@ def finite_diff_check(layout: Layout, row: np.ndarray, inputs, labels, frame=Non
         denom = max(abs(numeric), abs(analytic), 1e-4)
         worst = max(worst, abs(numeric - analytic) / denom)
     return worst
-
-
-def lpm_feature_fit(n_classes: int, feature_dim: int, e_h: float,
-                    etf: EtfClassifier, labels, iterations: int, lr: float,
-                    seed=0) -> np.ndarray:
-    """Optimize free per-sample features under the fixed frame.
-
-    Projected gradient descent on each sample's cross-entropy against the
-    scaled frame (all-ones phi, full class mask), with features constrained
-    to the sqrt(e_h) sphere. Returns the final n x d feature matrix.
-    """
-    if feature_dim < n_classes:
-        raise ValueError(f"need feature_dim >= n_classes, got {feature_dim} < {n_classes}")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError("labels outside [0, n_classes)")
-    w = etf.classifier
-    rng = np.random.default_rng(seed)
-    h = rng.standard_normal((len(y), feature_dim))
-    h = math.sqrt(e_h) * h / np.linalg.norm(h, axis=1, keepdims=True)
-    onehot = np.zeros((len(y), n_classes))
-    onehot[np.arange(len(y)), y] = 1.0
-    for _ in range(int(iterations)):
-        z = h @ w
-        ez = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        g = (probs - onehot) @ w.T   # per-sample loss, no 1/n
-        h = h - lr * g
-        h = math.sqrt(e_h) * h / np.linalg.norm(h, axis=1, keepdims=True)
-    return h
 
 
 def save_checkpoint(path, layers: Layers) -> None:

@@ -11,8 +11,10 @@ replaced, and the kill set runs against the copy in a subprocess:
      the rules a digest alone would catch (compute_phi, the n_k weighting,
      the evaluation schedule, the fine-tune's epochs, the seed streams, the
      allocation, the pcdd class deal, the CSV, checkpoint and partition
-     parameter checks, the evaluability check and the angle columns a
-     round records) and, last, the golden pins
+     parameter checks, the evaluability check, the angle columns a round
+     records, predict's mask, the sampled clients' order, the CSV digits,
+     the rows scored for untrained clients and the angle report's class
+     split) and, last, the golden pins
      (tests/test_golden.py), in one pytest call that stops at the first
      failure, so a mutant is reported by the rule it breaks.
 
@@ -159,6 +161,11 @@ KILL_TESTS = [
     "tests/test_fedsim.py::TestPartitionCheckedBeforeTraining",
     "tests/test_fedsim.py::TestEvaluationForwardsOnce"
     "::test_local_angle_scores_local_model_not_finetune",
+    "tests/test_metrics.py::TestPredict::test_singleton_mask",
+    "tests/test_fedsim.py::TestSampleClients::test_full_participation",
+    "tests/test_fedsim.py::TestRoundCsv::test_round_trip_exact",
+    "tests/test_fedsim.py::TestRunFederation::test_partial_participation",
+    "tests/test_metrics.py::TestAngleReport::test_classifier_angles_split_by_client_classes",
     "tests/test_golden.py",
 ]
 

@@ -15,9 +15,10 @@ import pytest
 
 from conftest import REFERENCE
 
-from fedgela.cli import gradcheck_battery, main, parse_config
+from fedgela.cli import main, parse_config
 from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
-from fedgela.etfgeom import make_etf, verify_etf
+from fedgela.diagnostics import gradcheck_battery, lpm_feature_fit, nc1_variability, verify_etf
+from fedgela.etfgeom import make_etf
 from fedgela.fedsim import (
     AlgoKind,
     Hyperparams,
@@ -29,8 +30,7 @@ from fedgela.fedsim import (
     run_federation,
     step,
 )
-from fedgela.metrics import nc1_variability
-from fedgela.neuralnet import Layout, init_backbone, lpm_feature_fit
+from fedgela.neuralnet import Layout, init_backbone
 
 SEEDS = (0, 1, 2)
 

@@ -10,11 +10,10 @@ from fedgela.datagen import (
     dirichlet_partition,
     load_csv,
     make_client_shard,
-    partition_table,
     pcdd_partition,
-    save_csv,
     synth_gaussian_mixture,
 )
+from fedgela.diagnostics import partition_table, save_csv
 
 
 def balanced_ds(n_classes=4, n_per_class=25, seed=0, input_dim=6):

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from fedgela.diagnostics import verify_etf
 from fedgela.etfgeom import (
     make_etf,
     mean_pairwise_angle,
     random_rotation,
-    verify_etf,
 )
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from fedgela.cli import parse_config
 from fedgela.datagen import pcdd_partition, synth_gaussian_mixture
+from fedgela.diagnostics import nc1_variability
 from fedgela.etfgeom import make_etf
 from fedgela.fedsim import run_federation
 from fedgela.metrics import (
     angle_report,
     generic_accuracy,
-    nc1_variability,
     personal_accuracy,
     predict,
 )
@@ -151,12 +151,15 @@ class TestAngleReport:
         global_shard = make_client_shard(ds, 1, np.arange(ds.n), 0.4,
                                          np.random.default_rng(1))
         params = identity_net(6)
-        clf = np.eye(6)  # orthogonal columns: every pairwise angle is 90
+        # the existing classes' columns (0 and 1) meet at 60 degrees, the
+        # missing classes' columns (2..5) are orthogonal: 90 between each pair
+        clf = np.eye(6)
+        clf[:, 1] = [0.5, math.sqrt(3) / 2, 0, 0, 0, 0]
         report = angle_report(
             forward(params, x[global_shard.test_indices], 1.0), ds, global_shard.test_indices,
             local_entries=[(shard, forward(params, x[shard.test_indices], 1.0), clf)],
         )
-        assert abs(report.clf_exist_angle - 90.0) < 1e-9
+        assert abs(report.clf_exist_angle - 60.0) < 1e-9
         assert abs(report.clf_miss_angle - 90.0) < 1e-9
 
     def test_missing_class_in_global_test_rejected(self):

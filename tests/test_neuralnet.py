@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedgela.diagnostics import lpm_feature_fit, nc1_variability
 from fedgela.etfgeom import make_etf
-from fedgela.metrics import nc1_variability
 from fedgela.neuralnet import (
     Layers,
     Layout,
@@ -15,7 +15,6 @@ from fedgela.neuralnet import (
     init_classifier,
     load_checkpoint,
     logits,
-    lpm_feature_fit,
     save_checkpoint,
     train_step,
 )
