@@ -12,20 +12,20 @@ import numpy as np
 from fedgela import make_etf, mean_pairwise_angle, verify_etf
 
 for d, c in [(2, 2), (4, 3), (16, 5), (10, 10)]:
-    etf = make_etf(d, c, seed=42, e_w=4.0)
-    report = verify_etf(etf, tol=1e-9)
-    angle = mean_pairwise_angle(etf.m.T)
+    m = make_etf(d, c, seed=42)   # the unit frame (e_w = 1), a d x C matrix
+    report = verify_etf(m, tol=1e-9)
+    angle = mean_pairwise_angle(m.T)
     expected = math.degrees(math.acos(-1.0 / (c - 1)))
     print(f"d={d:2d} C={c:2d}: norm dev {report.max_norm_dev:.1e}, "
           f"dot dev {report.max_dot_dev:.1e}, column sum {report.col_sum_norm:.1e}, "
           f"mean pairwise angle {angle:.4f} deg (closed form {expected:.4f})")
 
 # the classifier vectors are the unit columns scaled by sqrt(e_w)
-etf = make_etf(6, 4, seed=0, e_w=25.0)
+classifier = make_etf(6, 4, seed=0, e_w=25.0)
 print("\nclassifier column norms (e_w=25):",
-      np.round(np.linalg.norm(etf.classifier, axis=0), 6))
+      np.round(np.linalg.norm(classifier, axis=0), 6))
 
 # angles are scale-invariant, so any positive rescaling reports the same value
-scaled = etf.m.T * np.array([[1.0], [7.0], [0.3], [12.0]])
+scaled = make_etf(6, 4, seed=0).T * np.array([[1.0], [7.0], [0.3], [12.0]])
 print("angle after positive per-vector rescaling:",
       round(mean_pairwise_angle(scaled), 6), "deg")

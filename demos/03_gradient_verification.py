@@ -16,7 +16,7 @@ from fedgela.neuralnet import flatten, gradient_pass
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal((12, 8))
-frame = make_etf(6, 6, seed=1, e_w=9.0).classifier   # the fixed d x C classifier
+frame = make_etf(6, 6, seed=1, e_w=9.0)   # the fixed d x C classifier
 phi = np.array([3.0, 3.0, 0.0, 0.0, 0.0, 0.0])
 mask = np.array([True, True, False, False, False, False])
 labels = rng.choice([0, 1], size=12)

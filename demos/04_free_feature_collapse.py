@@ -10,15 +10,14 @@ import numpy as np
 
 from fedgela import lpm_feature_fit, make_etf, nc1_variability
 
-etf = make_etf(8, 4, seed=0, e_w=1.0)
+frame = make_etf(8, 4, seed=0)   # the unit frame (e_w = 1), a d x C matrix
 
 for name, counts in [("balanced 10/10/10/10", [10, 10, 10, 10]),
                      ("skewed 90/10/10/10", [90, 10, 10, 10])]:
     labels = np.repeat(np.arange(4), counts)
     for iters in (0, 50, 200, 2000):
-        feats = lpm_feature_fit(4, 8, 1.0, etf, labels,
-                                iterations=iters, lr=0.5, seed=1)
-        cos = np.sum(feats * etf.m.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
+        feats = lpm_feature_fit(frame, labels, 1.0, iterations=iters, lr=0.5, seed=1)
+        cos = np.sum(feats * frame.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
         nc1 = nc1_variability(feats, labels)
         print(f"{name:22s} iters={iters:4d}: min cosine to own class vector "
               f"{cos.min():+.4f}, within-class variability {nc1:.2e}")

@@ -10,7 +10,7 @@ from .datagen import (
     pcdd_partition,
     synth_gaussian_mixture,
 )
-from .etfgeom import EtfClassifier, make_etf, mean_pairwise_angle
+from .etfgeom import make_etf, mean_pairwise_angle
 from .fedsim import (
     AlgoKind,
     Hyperparams,

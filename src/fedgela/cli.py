@@ -260,13 +260,12 @@ def cmd_run(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fedsim.write_round_csv(state.logs, out / "rounds.csv")
     fedsim.write_manifest(out / "manifest.json", config, dataset_sha256(inputs.dataset))
-    save_checkpoint(out / "global_model.npz", inputs.layout.views(state.server_theta))
+    save_checkpoint(out / "global_model.npz", inputs.layout, state.server_theta)
     clients_dir = out / "clients"
     clients_dir.mkdir(exist_ok=True)
-    clients = inputs.layout.views(state.client_theta)
     for i in np.flatnonzero(state.trained):
         save_checkpoint(clients_dir / f"client_{inputs.shards[i].client_id:03d}.npz",
-                        clients.row(i))
+                        inputs.layout, state.client_theta[i])
     ga, pa = _final_metrics(state.logs)
     if ga is not None:
         print(f"run complete: algo={config.algo} rounds={config.rounds} "

@@ -18,7 +18,7 @@ import numpy as np
 from . import fedsim
 from .cli import ConfigError, RunConfig, _resolve_out_dir
 from .datagen import Dataset
-from .etfgeom import EtfClassifier, make_etf
+from .etfgeom import make_etf
 from .neuralnet import Layout, finite_diff_check, init_backbone
 
 __all__ = ["EtfReport", "verify_etf", "lpm_feature_fit", "nc1_variability", "save_csv",
@@ -37,8 +37,9 @@ class EtfReport(NamedTuple):
     passed: bool
 
 
-def verify_etf(etf: EtfClassifier, tol: float = 1e-9) -> EtfReport:
-    """Measure a frame's deviation from the simplex identities.
+def verify_etf(frame: np.ndarray, tol: float = 1e-9) -> EtfReport:
+    """Measure a d x C matrix's deviation from the simplex identities of
+    unit columns (an e_w = 1 frame).
 
     Returns the worst column-norm deviation, worst pairwise-dot deviation
     and the norm of the column sum; `passed` is True when all three are
@@ -46,7 +47,7 @@ def verify_etf(etf: EtfClassifier, tol: float = 1e-9) -> EtfReport:
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    m = etf.m
+    m = np.asarray(frame, dtype=np.float64)
     c = m.shape[1]
     norms = np.linalg.norm(m, axis=0)
     max_norm_dev = float(np.max(np.abs(norms - 1.0)))
@@ -58,21 +59,19 @@ def verify_etf(etf: EtfClassifier, tol: float = 1e-9) -> EtfReport:
     return EtfReport(max_norm_dev, max_dot_dev, col_sum_norm, float(tol), passed)
 
 
-def lpm_feature_fit(n_classes: int, feature_dim: int, e_h: float,
-                    etf: EtfClassifier, labels, iterations: int, lr: float,
+def lpm_feature_fit(frame: np.ndarray, labels, e_h: float, iterations: int, lr: float,
                     seed=0) -> np.ndarray:
-    """Optimize free per-sample features under the fixed frame.
+    """Optimize free per-sample features under the fixed d x C frame.
 
     Projected gradient descent on each sample's cross-entropy against the
-    scaled frame (all-ones phi, full class mask), with features constrained
-    to the sqrt(e_h) sphere. Returns the final n x d feature matrix.
+    frame (all-ones phi, full class mask), with features constrained to the
+    sqrt(e_h) sphere. Returns the final n x d feature matrix.
     """
-    if feature_dim < n_classes:
-        raise ValueError(f"need feature_dim >= n_classes, got {feature_dim} < {n_classes}")
+    w = np.asarray(frame, dtype=np.float64)
+    feature_dim, n_classes = w.shape
     y = np.asarray(labels, dtype=np.int64)
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels outside [0, n_classes)")
-    w = etf.classifier
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((len(y), feature_dim))
     h = math.sqrt(e_h) * h / np.linalg.norm(h, axis=1, keepdims=True)
@@ -145,7 +144,7 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     n_classes, feat_dim, d_in, hidden = 5, 5, 6, 12
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((8, d_in))
-    frame = make_etf(feat_dim, n_classes, config.seed, e_w=config.e_w).classifier
+    frame = make_etf(feat_dim, n_classes, config.seed, e_w=config.e_w)
     sizes = (d_in, hidden, feat_dim)
     fixed = Layout(sizes), init_backbone(Layout(sizes), (config.seed, 11)), frame
     learnable = (Layout(sizes, n_classes),
@@ -238,10 +237,9 @@ def cmd_lpm_oracle(config: RunConfig, feature_dim, label_counts, iterations,
         raise ConfigError(f"--threshold must be finite, got {threshold}")
     labels = np.repeat(np.arange(len(counts)), counts)
     d = feature_dim if feature_dim else 2 * len(counts)
-    etf = make_etf(d, len(counts), config.seed, e_w=config.e_w)
-    feats = lpm_feature_fit(len(counts), d, config.e_h, etf, labels,
-                            iterations=iterations, lr=lr, seed=config.seed)
-    cos = np.sum(feats * etf.m.T[labels], axis=1)
+    feats = lpm_feature_fit(make_etf(d, len(counts), config.seed, e_w=config.e_w), labels,
+                            config.e_h, iterations=iterations, lr=lr, seed=config.seed)
+    cos = np.sum(feats * make_etf(d, len(counts), config.seed).T[labels], axis=1)
     cos /= np.linalg.norm(feats, axis=1)
     nc1 = nc1_variability(feats, labels)
     for c in range(len(counts)):

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "OrthoMatrix",
-    "EtfClassifier",
     "random_rotation",
     "make_etf",
     "mean_pairwise_angle",
@@ -55,40 +54,6 @@ class OrthoMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
-class EtfClassifier:
-    """Unit-column simplex frame with a squared-length scale for the classifier.
-
-    `m` holds the C unit columns; the effective classifier is sqrt(scale) * m.
-    Construction does not re-check the frame identities -- use
-    diagnostics.verify_etf, which measures how far any candidate deviates
-    from them.
-    """
-
-    m: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _frozen(self.m))
-        if self.m.ndim != 2:
-            raise ValueError("frame must be a d x C matrix")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def d(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.m.shape[1]
-
-    @property
-    def classifier(self) -> np.ndarray:
-        """Effective d x C classifier matrix sqrt(scale) * m."""
-        return math.sqrt(self.scale) * self.m
-
-
 def random_rotation(d: int, n_classes: int, seed) -> OrthoMatrix:
     """Seeded column-orthonormal d x C matrix.
 
@@ -112,11 +77,13 @@ def random_rotation(d: int, n_classes: int, seed) -> OrthoMatrix:
     return OrthoMatrix(entries=q)
 
 
-def make_etf(d: int, n_classes: int, seed, e_w: float = 1.0) -> EtfClassifier:
-    """Simplex frame sqrt(C/(C-1)) * U (I - 11^T/C) with scale e_w.
+def make_etf(d: int, n_classes: int, seed, e_w: float = 1.0) -> np.ndarray:
+    """The d x C classifier sqrt(e_w) * m of the simplex frame
+    m = sqrt(C/(C-1)) * U (I - 11^T/C).
 
-    Columns are unit vectors summing to zero with pairwise inner products
-    -1/(C-1); the classifier vectors are sqrt(e_w) times the columns.
+    The columns of m are unit vectors summing to zero with pairwise inner
+    products -1/(C-1); e_w = 1 gives m itself. diagnostics.verify_etf
+    measures how far a matrix deviates from these identities.
     """
     c = int(n_classes)
     if c < 2:
@@ -126,7 +93,7 @@ def make_etf(d: int, n_classes: int, seed, e_w: float = 1.0) -> EtfClassifier:
     u = random_rotation(d, c, seed)
     centering = np.eye(c) - np.full((c, c), 1.0 / c)
     m = math.sqrt(c / (c - 1.0)) * (u.entries @ centering)
-    return EtfClassifier(m=m, scale=float(e_w))
+    return math.sqrt(float(e_w)) * m
 
 
 def mean_pairwise_angle(vectors, index_subset=None) -> float:

@@ -451,7 +451,7 @@ def init_state(config, dataset: Dataset | None = None,
     server = init_backbone(layout, (seed, _SEED_INIT), None if fixed else (seed, _SEED_INIT, 1))
     frame = None
     if fixed:
-        frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w).classifier
+        frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
     phi = mask = None
     if algo.adapts_phi:
         gamma = config.gamma if config.gamma is not None else 1.0 / n_classes
@@ -611,15 +611,22 @@ def write_round_csv(logs, path) -> None:
 
 
 def read_round_csv(path) -> list:
-    """Round rows as dicts (floats parsed, empty cells -> None)."""
+    """Round rows as dicts (floats parsed, empty cells -> None). An empty
+    file, or a row with fewer or more cells than the header, raises
+    ValueError naming the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path} is empty: no header line")
     header = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {number}: {len(cells)} cells, "
+                             f"the header has {len(header)}")
         row = {}
         for key, cell in zip(header, cells):
             if key == "algo":

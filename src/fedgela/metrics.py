@@ -10,7 +10,7 @@ classifiers, between classifier columns split by existing/missing classes.
 The scores are functions of features: the B x d projected features that
 neuralnet.forward returns. `evaluate` is the one place that forwards
 models, each (model, split) pair once; a model there is a row of a
-neuralnet.Layout, read through Layout.views. A classifier is a d x C
+neuralnet.Layout. A classifier is a d x C
 matrix, phi a (C,) vector of class scales and a class mask a boolean (C,)
 vector.
 """
@@ -171,25 +171,22 @@ def evaluate(layout: Layout, frame, global_row, personal, phi, mask, local,
     angles read the `participants`' rows of the (N, P) `local` matrix on
     their test splits -- with `local` None, their personal rows, whose
     features are reused."""
-    def classifier(m):
-        return frame if m.classifier is None else m.classifier
+    def classifier(row):
+        return frame if layout.n_classes is None else layout.views(row).classifier
 
-    server = layout.views(global_row)
-    features = forward(server, ds.features[global_test], e_h)
-    ga = generic_accuracy(features, classifier(server), ds.labels[global_test])
-    personal_layers = layout.views(personal)
+    features = forward(layout, global_row, ds.features[global_test], e_h)
+    ga = generic_accuracy(features, classifier(global_row), ds.labels[global_test])
     scored = []
     for i, shard in enumerate(shards):
-        m = personal_layers.row(i)
-        scored.append((forward(m, ds.features[shard.test_indices], e_h), classifier(m),
+        scored.append((forward(layout, personal[i], ds.features[shard.test_indices], e_h),
+                       classifier(personal[i]),
                        None if phi is None else phi[i], None if mask is None else mask[i]))
     pa, per_client = personal_accuracy(scored, shards, ds)
-    local_layers = personal_layers if local is None else layout.views(local)
+    local_rows = personal if local is None else local
     entries = []
     for i in participants:
-        m = local_layers.row(i)
         f = scored[i][0] if local is None else forward(
-            m, ds.features[shards[i].test_indices], e_h)
-        entries.append((shards[i], f, m.classifier))
+            layout, local[i], ds.features[shards[i].test_indices], e_h)
+        entries.append((shards[i], f, layout.views(local_rows[i]).classifier))
     angles = angle_report(features, ds, global_test, entries)
     return EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client), angles=angles)

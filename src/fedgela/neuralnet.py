@@ -3,7 +3,8 @@
 A model is one float64 row -- or K models the rows of a (K, P) matrix --
 laid out by a Layout: the MLP's weights, then its biases, then, for the
 algorithms that learn it, a d x C classifier matrix, each flattened
-row-major. Layout.views reads a row or a matrix as its tensors (Layers).
+row-major. Layout.views reads a row or a matrix as its tensors (Layers);
+every public function takes a model as (layout, row).
 
 Forward passes project features onto the sqrt(E_H) sphere, logits are a
 bilinear form against a d x C classifier matrix -- a fixed simplex frame
@@ -44,17 +45,11 @@ CHECKPOINT_VERSION = 1
 
 class Layers(NamedTuple):
     """A model's tensors as views of its row -- or, for a (K, P) matrix of
-    rows, (K, ...) stacks of them: forward and save_checkpoint read a model
-    as one of these."""
+    rows, (K, ...) stacks of them."""
 
     weights: list
     biases: list
     classifier: np.ndarray | None
-
-    def row(self, i: int) -> "Layers":
-        """Model i of a stack of layers."""
-        return Layers([w[i] for w in self.weights], [b[i] for b in self.biases],
-                      None if self.classifier is None else self.classifier[i])
 
 
 @dataclass(frozen=True)
@@ -87,10 +82,17 @@ class Layout:
 
     def views(self, flat: np.ndarray, bias: tuple = ()) -> Layers:
         """The Layers of a (P,) row -- or (K, ...) stacks of them of a (K, P)
-        matrix -- as views of `flat`, each bias shaped bias + (fan_out,)."""
+        matrix -- as views of `flat`, each bias shaped bias + (fan_out,). A
+        last axis that is not P long raises ValueError naming both sizes."""
         shapes = self.shapes(bias)
-        cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
-        v = [t.reshape(flat.shape[:-1] + s) for t, s in zip(np.split(flat, cuts, axis=-1), shapes)]
+        sizes = [math.prod(s) for s in shapes]
+        if flat.shape[-1] != sum(sizes):
+            raise ValueError(f"a model row of this layout holds {sum(sizes)} entries, "
+                             f"got {flat.shape[-1]}")
+        lead, v, start = flat.shape[:-1], [], 0
+        for shape, size in zip(shapes, sizes):
+            v.append(flat[..., start:start + size].reshape(lead + shape))
+            start += size
         n = len(self.layer_sizes) - 1
         return Layers(v[:n], v[n:2 * n], None if self.n_classes is None else v[2 * n])
 
@@ -158,16 +160,16 @@ def _forward_half(weights, biases, x: np.ndarray, e_h: float):
     return acts, raw, norms, h
 
 
-def forward(params: Layers, inputs, e_h: float = 1.0) -> np.ndarray:
-    """The B x d features of the B input rows: the outputs of the MLP
-    `params` (its weights and biases) projected onto the sqrt(e_h) sphere by
-    the training kernel's forward half, run on a one-model stack.
+def forward(layout: Layout, row: np.ndarray, inputs, e_h: float) -> np.ndarray:
+    """The B x d features of the B input rows: the outputs of the MLP of the
+    model `row` of `layout` projected onto the sqrt(e_h) sphere by the
+    training kernel's forward half, run on a one-model stack.
 
     The projection is exact (h = sqrt(e_h) * raw / |raw|) and rows with
     |raw| < 1e-12 are rejected rather than silently rescaled.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    width = params.weights[0].shape[0]
+    width = layout.layer_sizes[0]
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(
             f"input width {x.shape[-1] if x.ndim else '?'} does not match "
@@ -175,8 +177,8 @@ def forward(params: Layers, inputs, e_h: float = 1.0) -> np.ndarray:
         )
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
-    _, _, _, h = _forward_half([w[None] for w in params.weights],
-                               [b[None, None] for b in params.biases], x[None], e_h)
+    weights, biases, _ = layout.views(row[None], (1,))
+    _, _, _, h = _forward_half(weights, biases, x[None], e_h)
     return h[0]
 
 
@@ -438,20 +440,23 @@ def finite_diff_check(layout: Layout, row: np.ndarray, inputs, labels, frame=Non
     return worst
 
 
-def save_checkpoint(path, layers: Layers) -> None:
+def _tensor_names(layout: Layout) -> list:
+    """A checkpoint's names for the tensors of a row of `layout`, in row order."""
+    n = len(layout.layer_sizes) - 1
+    names = [f"w{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+    return names if layout.n_classes is None else names + ["classifier"]
+
+
+def save_checkpoint(path, layout: Layout, row: np.ndarray) -> None:
     """Lossless parameter checkpoint (architecture + tensors, row-major) of
-    one model's layers, its classifier included if it has one."""
-    sizes = [layers.weights[0].shape[0]] + [w.shape[1] for w in layers.weights]
+    the model `row` of `layout`, its classifier included if it has one."""
+    weights, biases, classifier = layout.views(row)
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),
-        "layer_sizes": np.asarray(sizes, dtype=np.int64),
+        "layer_sizes": np.asarray(layout.layer_sizes, dtype=np.int64),
     }
-    for i, w in enumerate(layers.weights):
-        payload[f"w{i}"] = w
-    for i, b in enumerate(layers.biases):
-        payload[f"b{i}"] = b
-    if layers.classifier is not None:
-        payload["classifier"] = layers.classifier
+    # a layout without a classifier names one tensor fewer, so zip drops the None
+    payload.update(zip(_tensor_names(layout), weights + biases + [classifier]))
     np.savez(path, **payload)
 
 
@@ -459,18 +464,19 @@ def load_checkpoint(path) -> tuple:
     """Inverse of save_checkpoint: (layout, row). A missing tensor, or one
     whose shape is not the layout's, raises ValueError naming it."""
     with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        n = len(data["layer_sizes"]) - 1
-        clf = data["classifier"].shape[-1] if "classifier" in data.files else None
-        layout = Layout(tuple(data["layer_sizes"]), clf)
-        names = [f"w{i}" for i in range(n)] + [f"b{i}" for i in range(n)] + ["classifier"]
-        tensors = []
-        for name, shape in zip(names, layout.shapes()):
+        def tensor(name):
             if name not in data.files:
                 raise ValueError(f"checkpoint {path} has no tensor {name}")
-            tensors.append(data[name])
+            return data[name]
+
+        version = int(tensor("format_version"))
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        clf = data["classifier"].shape[-1] if "classifier" in data.files else None
+        layout = Layout(tuple(tensor("layer_sizes")), clf)
+        tensors = []
+        for name, shape in zip(_tensor_names(layout), layout.shapes()):
+            tensors.append(tensor(name))
             if tensors[-1].shape != shape:
                 raise ValueError(f"checkpoint tensor {name} has shape {tensors[-1].shape}, "
                                  f"expected {shape}")

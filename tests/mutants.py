@@ -13,10 +13,11 @@ replaced, and the kill set runs against the copy in a subprocess:
      allocation, the pcdd class deal, the CSV, checkpoint and partition
      parameter checks, the evaluability check, the angle columns a round
      records, predict's mask, the sampled clients' order, the CSV digits,
-     the rows scored for untrained clients and the angle report's class
-     split) and, last, the golden pins
-     (tests/test_golden.py), in one pytest call that stops at the first
-     failure, so a mutant is reported by the rule it breaks.
+     the rows scored for untrained clients, the angle report's class
+     split, the frame's sqrt(e_w) scale and the layout's row-length check)
+     and, last, the golden pins (tests/test_golden.py), in one pytest
+     call that stops at the first failure, so a mutant is reported by the
+     rule it breaks.
 
 A mutant is killed when a step fails. The unmutated copy runs the kill set
 first and must pass it. The script exits 1 if that baseline fails, if a
@@ -27,7 +28,7 @@ so the list has to follow the code it names.
 
 It checks one mutant per usable CPU at a time and takes about 30 s on 2 CPUs,
 too long for tier-1, so run it by hand for every change to `neuralnet.py`,
-`fedsim.py`, `metrics.py` or `datagen.py`.
+`fedsim.py`, `metrics.py`, `datagen.py` or `etfgeom.py`.
 """
 from __future__ import annotations
 
@@ -138,6 +139,15 @@ MUTANTS = (
     ("the PA fine-tune trains the rounds' epochs", "fedsim.py",
      "inp.config.finetune_epochs, inp.dataset,",
      "inp.hp.epochs, inp.dataset,"),
+    ("make_etf drops sqrt(e_w)", "etfgeom.py",
+     "return math.sqrt(float(e_w)) * m",
+     "return m"),
+    ("Layout.views drops its size check", "neuralnet.py",
+     "if flat.shape[-1] != sum(sizes):",
+     "if False:"),
+    ("evaluate takes the angles' classifiers from the personal rows", "metrics.py",
+     "local_rows = personal if local is None else local",
+     "local_rows = personal"),
 )
 
 GRADCHECK = [sys.executable, "-c",
@@ -166,6 +176,8 @@ KILL_TESTS = [
     "tests/test_fedsim.py::TestRoundCsv::test_round_trip_exact",
     "tests/test_fedsim.py::TestRunFederation::test_partial_participation",
     "tests/test_metrics.py::TestAngleReport::test_classifier_angles_split_by_client_classes",
+    "tests/test_etfgeom.py::TestMakeEtf::test_classifier_scaling",
+    "tests/test_neuralnet.py::TestLayout::test_wrong_length_row_rejected_naming_both_sizes",
     "tests/test_golden.py",
 ]
 

@@ -75,7 +75,7 @@ def test_criterion_1_etf_exactness():
     start = time.time()
     worst = 0.0
     for d, c in [(4, 3), (10, 10), (16, 5), (2, 2)]:
-        report = verify_etf(make_etf(d, c, seed=d * 100 + c, e_w=2.0), tol=1e-9)
+        report = verify_etf(make_etf(d, c, seed=d * 100 + c), tol=1e-9)
         worst = max(worst, report.max_norm_dev, report.max_dot_dev, report.col_sum_norm)
         assert report.passed, f"(d={d}, C={c}) deviations {report}"
     elapsed = time.time() - start
@@ -122,13 +122,13 @@ def test_criterion_3_gradient_oracle():
 
 def test_criterion_4_lpm_oracle():
     start = time.time()
-    etf = make_etf(8, 4, seed=0, e_w=1.0)
+    frame = make_etf(8, 4, seed=0, e_w=1.0)
     worst_cos, worst_nc1 = 1.0, 0.0
     for counts in ([10, 10, 10, 10], [90, 10, 10, 10]):
         labels = np.repeat(np.arange(4), counts)
-        feats = lpm_feature_fit(4, 8, 1.0, etf, labels, iterations=2000,
+        feats = lpm_feature_fit(frame, labels, 1.0, iterations=2000,
                                 lr=0.5, seed=1)
-        cos = np.sum(feats * etf.m.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
+        cos = np.sum(feats * frame.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
         worst_cos = min(worst_cos, float(cos.min()))
         worst_nc1 = max(worst_nc1, nc1_variability(feats, labels))
     elapsed = time.time() - start

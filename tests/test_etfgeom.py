@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -37,13 +36,13 @@ class TestRandomRotation:
 
 class TestMakeEtf:
     def test_two_classes_antipodal(self):
-        etf = make_etf(2, 2, seed=0)
-        np.testing.assert_allclose(etf.m[:, 0], -etf.m[:, 1], atol=1e-12)
-        assert abs(etf.m[:, 0] @ etf.m[:, 1] + 1.0) < 1e-12
+        m = make_etf(2, 2, seed=0)
+        np.testing.assert_allclose(m[:, 0], -m[:, 1], atol=1e-12)
+        assert abs(m[:, 0] @ m[:, 1] + 1.0) < 1e-12
 
     def test_three_classes_dot_minus_half(self):
-        etf = make_etf(8, 3, seed=5)
-        gram = etf.m.T @ etf.m
+        m = make_etf(8, 3, seed=5)
+        gram = m.T @ m
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -51,8 +50,8 @@ class TestMakeEtf:
 
     def test_ten_classes_all_45_pairs(self):
         # independent oracle: enumerate every pair and compare to -1/(C-1)
-        etf = make_etf(10, 10, seed=9)
-        dots = [etf.m[:, i] @ etf.m[:, j]
+        m = make_etf(10, 10, seed=9)
+        dots = [m[:, i] @ m[:, j]
                 for i in range(10) for j in range(i + 1, 10)]
         assert len(dots) == 45
         assert max(abs(d + 1.0 / 9.0) for d in dots) < 1e-9
@@ -68,11 +67,12 @@ class TestMakeEtf:
     def test_deterministic(self):
         a = make_etf(12, 7, seed=42, e_w=3.0)
         b = make_etf(12, 7, seed=42, e_w=3.0)
-        np.testing.assert_array_equal(a.m, b.m)
+        np.testing.assert_array_equal(a, b)
 
     def test_classifier_scaling(self):
-        etf = make_etf(6, 4, seed=1, e_w=25.0)
-        np.testing.assert_allclose(etf.classifier, 5.0 * etf.m)
+        # sqrt(25.0) is 5.0 exactly, so the scaled frame is 5.0 * m to the bit
+        scaled = make_etf(6, 4, seed=1, e_w=25.0)
+        assert scaled.tobytes() == (5.0 * make_etf(6, 4, seed=1)).tobytes()
 
     @pytest.mark.parametrize("d,c,seed", [(4, 3, 0), (10, 10, 1), (16, 5, 2),
                                           (2, 2, 3), (7, 7, 4), (31, 6, 5)])
@@ -88,17 +88,14 @@ class TestVerifyEtf:
         assert report.col_sum_norm < 1e-6
 
     def test_zeroed_column_detected(self):
-        etf = make_etf(9, 4, seed=2)
-        m = etf.m.copy()
-        m[:, 1] = 0.0
-        broken = dataclasses.replace(etf, m=m)
+        broken = make_etf(9, 4, seed=2)
+        broken[:, 1] = 0.0
         report = verify_etf(broken, tol=1e-6)
         assert abs(report.max_norm_dev - 1.0) < 1e-12
         assert not report.passed
 
     def test_permuted_columns_still_pass(self):
-        etf = make_etf(9, 4, seed=2)
-        permuted = dataclasses.replace(etf, m=etf.m[:, [2, 0, 3, 1]])
+        permuted = make_etf(9, 4, seed=2)[:, [2, 0, 3, 1]]
         assert verify_etf(permuted, tol=1e-6).passed
 
 
@@ -107,8 +104,8 @@ class TestMeanPairwiseAngle:
         assert abs(mean_pairwise_angle(np.eye(2)) - 90.0) < 1e-12
 
     def test_etf_three_classes_is_120(self):
-        etf = make_etf(4, 3, seed=8)
-        assert abs(mean_pairwise_angle(etf.m.T) - 120.0) < 1e-9
+        m = make_etf(4, 3, seed=8)
+        assert abs(mean_pairwise_angle(m.T) - 120.0) < 1e-9
 
     def test_colinear_is_zero(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -116,9 +113,9 @@ class TestMeanPairwiseAngle:
 
     def test_expected_angle_formula(self):
         for c in (2, 3, 5, 10):
-            etf = make_etf(c + 2, c, seed=c)
+            m = make_etf(c + 2, c, seed=c)
             expected = math.degrees(math.acos(-1.0 / (c - 1)))
-            assert abs(mean_pairwise_angle(etf.m.T) - expected) < 1e-6
+            assert abs(mean_pairwise_angle(m.T) - expected) < 1e-6
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(4)

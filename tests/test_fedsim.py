@@ -2,6 +2,7 @@ import copy
 import multiprocessing
 import os
 import pickle
+import re
 import time
 import types
 
@@ -110,6 +111,12 @@ def server_of(state):
     frame = state.inputs.frame
     return types.SimpleNamespace(backbone=backbone,
                                  classifier=classifier if frame is None else frame)
+
+
+def features_of(backbone, inputs, e_h):
+    """neuralnet.forward's features of a backbone (a reference_ops.Model
+    without a classifier)."""
+    return forward(Layout(backbone.layer_sizes), backbone.row(), inputs, e_h)
 
 
 class TestAlgoKind:
@@ -238,7 +245,7 @@ class TestLocalTrain:
         hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                          epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
         backbone = init_model((cfg.input_dim, 16, ds.n_classes), seed=0)
-        frame = make_etf(ds.n_classes, ds.n_classes, 1, e_w=cfg.e_w).classifier
+        frame = make_etf(ds.n_classes, ds.n_classes, 1, e_w=cfg.e_w)
         return ds, clients, algo, hp, backbone, frame
 
     def test_zero_epochs_unchanged(self):
@@ -334,11 +341,11 @@ class TestLocalTrain:
         hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-4, epochs=10,
                          batch_size=10, e_h=1.0)
         backbone = init_model((12, 16, 10), seed=0)
-        frame = make_etf(10, 10, 1, e_w=25.0).classifier
+        frame = make_etf(10, 10, 1, e_w=25.0)
         res = train([clients[0]], backbone, frame, algo, hp, ds, [(0, 3, 1, 0)])[0]
         from fedgela.metrics import predict
         idx = clients[0].shard.train_indices
-        pred = predict(forward(res.backbone, ds.features[idx], 1.0), frame,
+        pred = predict(features_of(res.backbone, ds.features[idx], 1.0), frame,
                        class_mask=clients[0].mask, phi=clients[0].phi)
         assert np.mean(pred == ds.labels[idx]) > 0.95
 
@@ -443,7 +450,7 @@ class TestAggregate:
         hp = Hyperparams(lr=0.1, momentum=0.0, weight_decay=0.0, epochs=1,
                          batch_size=100, e_h=1.0)
         backbone = init_model((4, 6, 2), seed=3)
-        frame = make_etf(2, 2, 0, e_w=1.0).classifier
+        frame = make_etf(2, 2, 0, e_w=1.0)
         res = [train([c], backbone, frame, algo, hp, ds, [(9, 9, 9, c.client_id)])[0]
                for c in clients]
         weights = np.array([4.0, 4.0]) / 8.0
@@ -569,7 +576,7 @@ class TestRunFederation:
         frame = result.inputs.frame
         fresh = make_etf(cfg.classes, cfg.classes, (cfg.seed, 5), e_w=cfg.e_w)
         assert frame.shape == (cfg.classes, cfg.classes)
-        assert frame.tobytes() == fresh.classifier.tobytes()
+        assert frame.tobytes() == fresh.tobytes()
 
     def test_fedgela_reduces_to_fedge_on_uniform_clients(self):
         # every client exactly uniform over all classes -> phi == 1 and the
@@ -633,10 +640,10 @@ class TestRunFederation:
             assert row.tobytes() == want.tobytes()
             assert phi.tobytes() == inputs.phi[i].tobytes()
             assert np.array_equal(mask, inputs.mask[i])
-            model = inputs.layout.views(want)
-            personal.append((model, model.classifier if frame is None else frame, phi, mask))
-        features = [forward(bb, inputs.dataset.features[s.test_indices], cfg.e_h)
-                    for (bb, *_), s in zip(personal, inputs.shards)]
+            clf = inputs.layout.views(want).classifier
+            personal.append((want, clf if frame is None else frame, phi, mask))
+        features = [forward(inputs.layout, row, inputs.dataset.features[s.test_indices], cfg.e_h)
+                    for (row, *_), s in zip(personal, inputs.shards)]
         pa, _ = personal_accuracy([(f, *m[1:]) for f, m in zip(features, personal)],
                                   inputs.shards, inputs.dataset)
         assert result.logs[-1].pa == pa
@@ -695,10 +702,11 @@ class TestEvaluationForwardsOnce:
         result = run_federation(cfg)
         inputs, last = result.inputs, result.logs[-1]
         ds, test = inputs.dataset, inputs.global_test
-        models = {i: inputs.layout.views(result.client_theta[i]) for i in last.participants}
-        local = [(inputs.shards[i], forward(m, ds.features[inputs.shards[i].test_indices],
-                                            cfg.e_h), m.classifier) for i, m in models.items()]
-        report = angle_report(forward(server_of(result).backbone, ds.features[test], cfg.e_h),
+        layout, rows = inputs.layout, result.client_theta
+        local = [(inputs.shards[i],
+                  forward(layout, rows[i], ds.features[inputs.shards[i].test_indices], cfg.e_h),
+                  layout.views(rows[i]).classifier) for i in last.participants]
+        report = angle_report(forward(layout, result.server_theta, ds.features[test], cfg.e_h),
                               ds, test, local)
         assert last.local_exist_angle is not None
         # a learnable classifier (fedavg) has both classifier angles: each
@@ -819,12 +827,12 @@ class TestFinetunePersonalize:
                              batch_size=cfg.batch_size, e_h=cfg.e_h)
             for shard in result.inputs.shards:
                 idx = shard.test_indices
-                before = np.mean(predict(forward(server.backbone, ds.features[idx], cfg.e_h),
+                before = np.mean(predict(features_of(server.backbone, ds.features[idx], cfg.e_h),
                                          server.classifier) == ds.labels[idx])
                 res = finetune(server.backbone, server.classifier,
                                [shard], AlgoKind("fedavg"), hp, 10,
                                ds, [(seed, 4, 99, shard.client_id)])[0]
-                after = np.mean(predict(forward(res.backbone, ds.features[idx], cfg.e_h),
+                after = np.mean(predict(features_of(res.backbone, ds.features[idx], cfg.e_h),
                                         res.classifier) == ds.labels[idx])
                 deltas.append(after - before)
         assert np.mean(deltas) > -0.01
@@ -851,6 +859,23 @@ class TestRoundCsv:
             for col in ("ga", "pa", "global_mean_angle", "local_exist_angle",
                         "clf_exist_angle", "clf_miss_angle", "mean_train_loss"):
                 assert row[col] == getattr(log, col)
+
+    def test_truncated_row_rejected_naming_path_and_line(self, tmp_path):
+        path = tmp_path / "rounds.csv"
+        write_round_csv(run_federation(small_config(rounds=2)).logs, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0], lines[1], "1,fedavg,0.5"]) + "\n",
+                        encoding="utf-8")
+        header = len(lines[0].split(","))
+        message = rf"{re.escape(str(path))} line 3: 3 cells, the header has {header}$"
+        with pytest.raises(ValueError, match=message):
+            read_round_csv(path)
+
+    def test_empty_file_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "rounds.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))} is empty"):
+            read_round_csv(path)
 
 
 def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts):
@@ -901,7 +926,7 @@ class TestFusedStepMatchesPublicOps:
                          batch_size=7, e_h=4.0)
         backbone = init_model((6,) + hidden + (8,), seed=5)
         if algo.fixed_classifier:
-            classifier = make_etf(8, 5, 6, e_w=2.0).classifier
+            classifier = make_etf(8, 5, 6, e_w=2.0)
         else:
             classifier = init_classifier(8, 5, seed=7)
         return ds, clients, algo, hp, backbone, classifier
@@ -1106,7 +1131,7 @@ class TestStackedMatchesSingle:
                          batch_size=7, e_h=4.0)
         backbone = init_model((6,) + hidden + (8,), seed=5)
         if algo.fixed_classifier:
-            classifier = make_etf(8, 5, 6, e_w=2.0).classifier
+            classifier = make_etf(8, 5, 6, e_w=2.0)
         else:
             classifier = init_classifier(8, 5, seed=7)
         sizes = [c.shard.train_indices.size for c in clients]

@@ -7,7 +7,6 @@ import pytest
 from fedgela.diagnostics import lpm_feature_fit, nc1_variability
 from fedgela.etfgeom import make_etf
 from fedgela.neuralnet import (
-    Layers,
     Layout,
     finite_diff_check,
     flatten,
@@ -34,7 +33,7 @@ def identity_net(d):
 
 
 def tensors(layers):
-    """A Layers' tensors in row order."""
+    """A Layout.views' tensors in row order."""
     return layers.weights + layers.biases + [layers.classifier]
 
 
@@ -58,7 +57,7 @@ class TestLayout:
         assert all(np.shares_memory(v, matrix) for v in views)
         flat = np.concatenate([v.reshape(4, -1) for v in views], axis=1)
         assert flat.tobytes() == matrix.tobytes()
-        for got, want in zip(tensors(self.LAYOUT.views(matrix).row(2)),
+        for got, want in zip([t[2] for t in tensors(self.LAYOUT.views(matrix))],
                              tensors(self.LAYOUT.views(matrix[2]))):
             assert got.shape == want.shape and np.shares_memory(got, want)
 
@@ -68,6 +67,22 @@ class TestLayout:
         assert [b.shape for b in biases] == [(4, 1, 3), (4, 1, 2)]
         assert all(np.shares_memory(b, matrix) for b in biases)
         assert self.LAYOUT.shapes((1,))[2:4] == [(1, 3), (1, 2)]
+
+    @pytest.mark.parametrize("extra", [-1, 2], ids=["short", "long"])
+    def test_wrong_length_row_rejected_naming_both_sizes(self, extra, tmp_path):
+        from fedgela.neuralnet import forward as shipped
+        size = self.LAYOUT.size
+        row = np.zeros(size + extra)
+        message = rf"holds {size} entries, got {size + extra}$"
+        with pytest.raises(ValueError, match=message):
+            self.LAYOUT.views(row)
+        with pytest.raises(ValueError, match=message):
+            self.LAYOUT.views(np.zeros((4, size + extra)), (1,))
+        with pytest.raises(ValueError, match=message):
+            shipped(self.LAYOUT, row, np.ones((3, 2)), 1.0)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "ckpt.npz", self.LAYOUT, row)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n_classes, clf_seed, size", [(None, None, 4 * 6 + 6 * 3 + 6 + 3),
                                                            (5, 1, 4 * 6 + 6 * 3 + 6 + 3 + 15)])
@@ -129,37 +144,37 @@ class TestForward:
 
 class TestLogits:
     def test_feature_at_frame_vertex(self):
-        etf = make_etf(5, 4, seed=0, e_w=1.0)
-        h = etf.m[:, 0][None, :]  # e_h = 1
-        z = logits(h, etf.classifier)
+        frame = make_etf(5, 4, seed=0, e_w=1.0)
+        h = frame[:, 0][None, :]  # e_h = 1
+        z = logits(h, frame)
         assert abs(z[0, 0] - 1.0) < 1e-12
         for j in range(1, 4):
             assert abs(z[0, j] + 1.0 / 3.0) < 1e-12
 
     def test_phi_scales_linearly(self):
-        etf = make_etf(5, 4, seed=0)
-        h = etf.m[:, 0][None, :]
-        z1 = logits(h, etf.classifier)
-        z2 = logits(h, etf.classifier, np.full(4, 2.0))
+        frame = make_etf(5, 4, seed=0)
+        h = frame[:, 0][None, :]
+        z1 = logits(h, frame)
+        z2 = logits(h, frame, np.full(4, 2.0))
         np.testing.assert_allclose(z2, 2.0 * z1)
 
     def test_zero_phi_zeroes_logit(self):
-        etf = make_etf(5, 4, seed=0)
+        frame = make_etf(5, 4, seed=0)
         rng = np.random.default_rng(0)
         h = rng.standard_normal((6, 5))
         phi = np.array([1.0, 0.0, 2.0, 1.0])
-        z = logits(h, etf.classifier, phi)
+        z = logits(h, frame, phi)
         np.testing.assert_array_equal(z[:, 1], np.zeros(6))
 
     def test_dimension_mismatch(self):
-        etf = make_etf(5, 4, seed=0)
+        frame = make_etf(5, 4, seed=0)
         with pytest.raises(ValueError, match="does not match"):
-            logits(np.ones((2, 3)), etf.classifier)
+            logits(np.ones((2, 3)), frame)
 
     def test_negative_phi_rejected(self):
-        etf = make_etf(2, 2, seed=0)
+        frame = make_etf(2, 2, seed=0)
         with pytest.raises(ValueError, match="non-negative"):
-            logits(np.ones((1, 2)), etf.classifier, np.array([1.0, -0.5]))
+            logits(np.ones((1, 2)), frame, np.array([1.0, -0.5]))
 
 
 class TestCeLoss:
@@ -197,10 +212,10 @@ class TestCeLoss:
     def test_zero_phi_is_not_exclusion(self):
         # zero phi gives logit 0, which still contributes exp(0)=1 under a
         # full mask; only the restricted mask drops the class
-        etf = make_etf(4, 4, seed=1)
+        frame = make_etf(4, 4, seed=1)
         h = np.random.default_rng(2).standard_normal((5, 4))
         phi = np.array([1.0, 1.0, 0.0, 1.0])
-        z = logits(h, etf.classifier, phi)
+        z = logits(h, frame, phi)
         full = ce_loss(z, [0] * 5, None)
         restricted = ce_loss(z, [0] * 5, np.array([True, True, False, True]))
         assert full > restricted
@@ -209,10 +224,10 @@ class TestCeLoss:
 class TestBackward:
     def test_gradient_shapes(self):
         params = init_model((4, 8, 3), seed=0)
-        etf = make_etf(3, 3, seed=0)
+        frame = make_etf(3, 3, seed=0)
         x = np.random.default_rng(1).standard_normal((5, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 0, 1], frame=etf.classifier)
+        grads = backward(cache, [0, 1, 2, 0, 1], frame=frame)
         for g, w in zip(grads.weights, params.weights):
             assert g.shape == w.shape
         for g, b in zip(grads.biases, params.biases):
@@ -230,35 +245,35 @@ class TestBackward:
 
     def test_duplicated_batch_same_gradient(self):
         params = init_model((4, 8, 3), seed=3)
-        etf = make_etf(3, 3, seed=0)
+        frame = make_etf(3, 3, seed=0)
         x = np.random.default_rng(4).standard_normal((6, 4))
         y = np.array([0, 1, 2, 1, 0, 2])
         _, cache1 = forward(params, x, 1.0)
-        g1 = backward(cache1, y, frame=etf.classifier)
+        g1 = backward(cache1, y, frame=frame)
         _, cache2 = forward(params, np.vstack([x, x]), 1.0)
-        g2 = backward(cache2, np.concatenate([y, y]), frame=etf.classifier)
+        g2 = backward(cache2, np.concatenate([y, y]), frame=frame)
         for a, b in zip(g1.tensors(), g2.tensors()):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_stale_cache_rejected(self):
         params = init_model((4, 3), seed=0)
-        etf = make_etf(3, 3, seed=0)
+        frame = make_etf(3, 3, seed=0)
         x = np.random.default_rng(1).standard_normal((4, 4))
         _, cache = forward(params, x, 1.0)
-        grads = backward(cache, [0, 1, 2, 0], frame=etf.classifier)
+        grads = backward(cache, [0, 1, 2, 0], frame=frame)
         state = OptimizerState.for_params(params, 0.1, 0.9, 0.0)
         sgd_step(params, grads, state)
         with pytest.raises(RuntimeError, match="cache mismatch"):
-            backward(cache, [0, 1, 2, 0], frame=etf.classifier)
+            backward(cache, [0, 1, 2, 0], frame=frame)
 
     @pytest.mark.parametrize("layers", [(4, 5), (4, 8, 5), (4, 10, 8, 5)])
     def test_finite_difference_oracle(self, layers):
         # central differences at step 1e-5 as the independent gradient route
         layout = Layout(layers)
-        etf = make_etf(5, 5, seed=0, e_w=4.0)
+        frame = make_etf(5, 5, seed=0, e_w=4.0)
         x = np.random.default_rng(11).standard_normal((7, 4))
         y = np.array([0, 1, 2, 3, 4, 0, 1])
-        err = finite_diff_check(layout, init_backbone(layout, 10), x, y, etf.classifier,
+        err = finite_diff_check(layout, init_backbone(layout, 10), x, y, frame,
                                 e_h=1.0, step=1e-5,
                                 n_probes=40, seed=12)
         assert err < 1e-4
@@ -284,10 +299,10 @@ class TestBackward:
 
         monkeypatch.setattr(nn, "gradient_pass", zeroed)
         layout = Layout((4, 8, 3))
-        etf = make_etf(3, 3, seed=0)
+        frame = make_etf(3, 3, seed=0)
         x = np.random.default_rng(2).standard_normal((6, 4))
         err = nn.finite_diff_check(layout, init_backbone(layout, 1), x, [0, 1, 2, 0, 1, 2],
-                                   etf.classifier, n_probes=32, seed=3)
+                                   frame, n_probes=32, seed=3)
         assert err > 0.5
 
 
@@ -335,7 +350,7 @@ class TestMaskAndPhiChecks:
         from fedgela.metrics import predict
         layout = Layout((4, 4))
         row = init_backbone(layout, 0)
-        frame = make_etf(4, 4, seed=0).classifier
+        frame = make_etf(4, 4, seed=0)
         x = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(ValueError, match=pattern):
             predict(forward(Model.of(layout, row), x, 1.0)[0].h, frame, class_mask=mask, phi=phi)
@@ -345,13 +360,13 @@ class TestMaskAndPhiChecks:
     @pytest.mark.parametrize("label", [-1, 4])
     def test_out_of_range_label_rejected(self, label):
         layout = Layout((4, 4))
-        etf = make_etf(4, 4, seed=0)
+        frame = make_etf(4, 4, seed=0)
         x = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(ValueError, match=rf"invalid label: class {label}\b"):
-            finite_diff_check(layout, init_backbone(layout, 0), x, [0, 1, label], etf.classifier)
+            finite_diff_check(layout, init_backbone(layout, 0), x, [0, 1, label], frame)
 
     def test_frame_exactly_when_the_classifier_is_fixed(self):
-        frame = make_etf(4, 4, seed=0).classifier
+        frame = make_etf(4, 4, seed=0)
         x = np.random.default_rng(0).standard_normal((3, 4))
         for layout, given in ((Layout((4, 4)), None), (Layout((4, 4), n_classes=4), frame)):
             with pytest.raises(ValueError, match="fixed frame exactly when"):
@@ -367,17 +382,18 @@ class TestShippedForward:
         for b in layout.views(row).biases:   # init_backbone's biases are all zero
             b[:] = rng.standard_normal(b.shape)
         x = rng.standard_normal((9, 5))
-        h = shipped(layout.views(row), x, 2.0)
+        h = shipped(layout, row, x, 2.0)
         ref, _ = forward(Model.of(layout, row), x, 2.0)
         assert h.tobytes() == ref.h.tobytes()
 
     def test_rejects_bad_inputs(self):
         from fedgela.neuralnet import forward as shipped
-        params = Layers([np.eye(3)], [np.zeros(3)], None)
+        layout = Layout((3, 3))
+        row = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
         with pytest.raises(FloatingPointError, match="degenerate feature"):
-            shipped(params, np.zeros((1, 3)), 1.0)
+            shipped(layout, row, np.zeros((1, 3)), 1.0)
         with pytest.raises(ValueError, match="does not match"):
-            shipped(params, np.ones((2, 4)), 1.0)
+            shipped(layout, row, np.ones((2, 4)), 1.0)
 
 
 class TestSgdStep:
@@ -435,22 +451,22 @@ class TestTrainingBehaviour:
 
         ds = synth_gaussian_mixture(3, 4, 30, class_sep=6.0, noise_sigma=0.3, seed=0)
         params = init_model((4, 16, 3), seed=1)
-        etf = make_etf(3, 3, seed=2, e_w=9.0)
+        frame = make_etf(3, 3, seed=2, e_w=9.0)
         state = OptimizerState.for_params(params, lr=0.02, momentum=0.9,
                                           weight_decay=1e-4)
         losses = []
         for _ in range(100):
             fb, cache = forward(params, ds.features, 1.0)
-            z = logits(fb, etf.classifier)
+            z = logits(fb, frame)
             losses.append(ce_loss(z, ds.labels))
-            grads = backward(cache, ds.labels, frame=etf.classifier)
+            grads = backward(cache, ds.labels, frame=frame)
             sgd_step(params, grads, state)
         tail = losses[5:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert losses[-1] < losses[0]
 
     def test_classifier_bits_never_change(self):
-        frame = make_etf(4, 4, seed=0, e_w=2.0).classifier
+        frame = make_etf(4, 4, seed=0, e_w=2.0)
         frozen = frame.tobytes()
         params = init_model((5, 8, 4), seed=1)
         x = np.random.default_rng(2).standard_normal((10, 5))
@@ -521,7 +537,7 @@ class TestFlatModelRows:
 
     def test_phi_and_mask_are_views_of_the_parent_rows(self):
         layout = Layout((4, 6, 5))
-        frame = make_etf(5, 5, seed=1).classifier
+        frame = make_etf(5, 5, seed=1)
         rng = np.random.default_rng(2)
         phi = rng.uniform(0.5, 2.0, size=(7, 5))
         mask = rng.uniform(size=(7, 5)) < 0.7
@@ -539,7 +555,7 @@ class TestFlatModelRows:
 
     def test_an_all_classes_mask_is_no_mask(self):
         layout = Layout((4, 5))
-        frame = make_etf(5, 5, seed=1).classifier
+        frame = make_etf(5, 5, seed=1)
         assert flatten(layout, init_backbone(layout, 0), 3, frame,
                        mask=np.ones((3, 5), bool)).mask is None
 
@@ -552,26 +568,26 @@ class TestFlatModelRows:
 
 class TestLpmFeatureFit:
     def test_balanced_converges_to_frame(self):
-        etf = make_etf(8, 4, seed=0, e_w=1.0)
+        frame = make_etf(8, 4, seed=0, e_w=1.0)
         labels = np.repeat(np.arange(4), 10)
-        feats = lpm_feature_fit(4, 8, 1.0, etf, labels, iterations=2000,
+        feats = lpm_feature_fit(frame, labels, 1.0, iterations=2000,
                                 lr=0.5, seed=1)
-        cos = np.sum(feats * etf.m.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
+        cos = np.sum(feats * frame.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
         assert cos.min() > 0.99
         assert nc1_variability(feats, labels) < 1e-3
 
     def test_single_sample_two_classes(self):
-        etf = make_etf(2, 2, seed=3)
-        feats = lpm_feature_fit(2, 2, 1.0, etf, [1], iterations=1500, lr=0.5, seed=4)
-        cos = feats[0] @ etf.m[:, 1] / np.linalg.norm(feats[0])
+        frame = make_etf(2, 2, seed=3)
+        feats = lpm_feature_fit(frame, [1], 1.0, iterations=1500, lr=0.5, seed=4)
+        cos = feats[0] @ frame[:, 1] / np.linalg.norm(feats[0])
         assert cos > 0.99
 
     def test_imbalanced_converges_too(self):
-        etf = make_etf(6, 2, seed=5)
+        frame = make_etf(6, 2, seed=5)
         labels = np.array([0] * 90 + [1] * 10)
-        feats = lpm_feature_fit(2, 6, 1.0, etf, labels, iterations=2000,
+        feats = lpm_feature_fit(frame, labels, 1.0, iterations=2000,
                                 lr=0.5, seed=6)
-        cos = np.sum(feats * etf.m.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
+        cos = np.sum(feats * frame.T[labels], axis=1) / np.linalg.norm(feats, axis=1)
         assert cos.min() > 0.99
 
 
@@ -580,7 +596,7 @@ class TestCheckpoint:
         layout = Layout((6, 12, 4), n_classes=7)
         row = init_backbone(layout, 0, 1)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, layout.views(row))
+        save_checkpoint(path, layout, row)
         loaded_layout, loaded_row = load_checkpoint(path)
         assert loaded_layout == layout
         assert loaded_row.tobytes() == row.tobytes()
@@ -588,21 +604,26 @@ class TestCheckpoint:
     def test_without_classifier(self, tmp_path):
         layout = Layout((3, 5))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, layout.views(init_backbone(layout, 0)))
-        loaded_layout, _ = load_checkpoint(path)
+        row = init_backbone(layout, 0)
+        save_checkpoint(path, layout, row)
+        loaded_layout, loaded_row = load_checkpoint(path)
         assert loaded_layout.n_classes is None
         assert loaded_layout.layer_sizes == (3, 5)
+        assert loaded_row.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("name, bad, message", [
         ("w0", lambda t: t.T, r"tensor w0 has shape \(12, 6\), expected \(6, 12\)"),
         ("classifier", lambda t: np.zeros((5, 7)),
          r"tensor classifier has shape \(5, 7\), expected \(4, 7\)"),
         ("b1", None, r"has no tensor b1"),
-    ], ids=["transposed-w0", "classifier-off-the-features", "missing-b1"])
+        ("format_version", None, r"has no tensor format_version"),
+        ("layer_sizes", None, r"has no tensor layer_sizes"),
+    ], ids=["transposed-w0", "classifier-off-the-features", "missing-b1",
+            "missing-format_version", "missing-layer_sizes"])
     def test_malformed_tensor_named(self, tmp_path, name, bad, message):
         layout = Layout((6, 12, 4), n_classes=7)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, layout.views(init_backbone(layout, 0, 1)))
+        save_checkpoint(path, layout, init_backbone(layout, 0, 1))
         with np.load(path) as data:
             payload = dict(data)
         if bad is None:
