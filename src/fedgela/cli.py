@@ -10,7 +10,8 @@ cosines and within-class variability).
 
 Configs are flat `key = value` text files; any key can be overridden on the
 command line with --set key=value. Relative output directories are placed
-under $FEDGELA_OUT_ROOT when it is set. Exit codes: 0 success, 1 check
+under $FEDGELA_OUT_ROOT when it is set. This module writes every output
+file, each whole or not at all (_write). Exit codes: 0 success, 1 check
 failure, 2 config error, 3 runtime error.
 """
 from __future__ import annotations
@@ -30,7 +31,8 @@ from . import fedsim
 from .datagen import check_pcdd, dataset_sha256
 from .neuralnet import save_checkpoint
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "main", "entrypoint"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "main", "entrypoint", "write_csv",
+           "write_round_csv", "read_round_csv", "write_manifest", "ROUND_CSV_COLUMNS"]
 
 
 class ConfigError(ValueError):
@@ -244,6 +246,95 @@ def _resolve_out_dir(config: RunConfig) -> Path:
     return out
 
 
+def _write(path, fill) -> None:
+    """Write the file `path` whole or not at all: fill(fh) writes a binary
+    temporary file beside it, which os.replace then moves to `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if getattr(exc, "filename", None) == str(tmp):   # name the file asked for
+            exc.filename = str(path)
+        raise
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _write_text(path, text: str) -> None:
+    _write(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV of the `header` names and the `rows`, every cell through _fmt:
+    floats carry 17 significant digits, so they re-parse exactly."""
+    _write_text(path, "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows)))
+
+
+ROUND_CSV_COLUMNS = ("round", "algo", "ga", "pa", *fedsim._ANGLE_COLUMNS, "mean_train_loss")
+
+
+def write_round_csv(logs, path) -> None:
+    """One row per round (fedsim.RoundLog), the columns ROUND_CSV_COLUMNS."""
+    write_csv(path, ROUND_CSV_COLUMNS,
+              ([getattr(log, col) for col in ROUND_CSV_COLUMNS] for log in logs))
+
+
+def read_round_csv(path) -> list:
+    """Round rows as dicts (floats parsed, empty cells -> None). An empty
+    file, or a row with fewer or more cells than the header, raises
+    ValueError naming the path and the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path} is empty: no header line")
+    header = lines[0].split(",")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {number}: {len(cells)} cells, "
+                             f"the header has {len(header)}")
+        row = {}
+        for key, cell in zip(header, cells):
+            if key == "algo":
+                row[key] = cell
+            elif key == "round":
+                row[key] = int(cell)
+            else:
+                row[key] = None if cell == "" else float(cell)
+        rows.append(row)
+    return rows
+
+
+def write_manifest(path, config, dataset_digest: str) -> None:
+    """Run manifest: config echo, master seed, and the data set's content
+    hash (datagen.dataset_sha256)."""
+    payload = {"format_version": 1, "config": config.to_dict(), "master_seed": config.seed,
+               "dataset_sha256": dataset_digest}
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_run(out: Path, config: RunConfig, logs, dataset_digest: str) -> None:
+    """Create the run directory `out` and write its rounds.csv and manifest.json."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_round_csv(logs, out / "rounds.csv")
+    write_manifest(out / "manifest.json", config, dataset_digest)
+
+
 def _final_metrics(logs) -> tuple:
     for log in reversed(logs):
         if log.ga is not None:
@@ -252,20 +343,23 @@ def _final_metrics(logs) -> tuple:
 
 
 def cmd_run(config: RunConfig) -> int:
-    """Run one experiment; write rounds.csv, manifest.json and checkpoints.
-    The output directory is created only once the run has succeeded."""
+    """Run one experiment; write rounds.csv, manifest.json and checkpoints,
+    removing the client checkpoints this run did not write. The output
+    directory is created only once the run has succeeded."""
     state = fedsim.run_federation(config)
     inputs = state.inputs
     out = _resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    fedsim.write_round_csv(state.logs, out / "rounds.csv")
-    fedsim.write_manifest(out / "manifest.json", config, dataset_sha256(inputs.dataset))
-    save_checkpoint(out / "global_model.npz", inputs.layout, state.server_theta)
+    _write_run(out, config, state.logs, dataset_sha256(inputs.dataset))
+    checkpoints = {out / "global_model.npz": state.server_theta}
     clients_dir = out / "clients"
     clients_dir.mkdir(exist_ok=True)
     for i in np.flatnonzero(state.trained):
-        save_checkpoint(clients_dir / f"client_{inputs.shards[i].client_id:03d}.npz",
-                        inputs.layout, state.client_theta[i])
+        name = f"client_{inputs.shards[i].client_id:03d}.npz"
+        checkpoints[clients_dir / name] = state.client_theta[i]
+    for stale in set(clients_dir.glob("client_*.npz")) - set(checkpoints):
+        stale.unlink()
+    for path, row in checkpoints.items():
+        _write(path, lambda fh: save_checkpoint(fh, inputs.layout, row))
     ga, pa = _final_metrics(state.logs)
     if ga is not None:
         print(f"run complete: algo={config.algo} rounds={config.rounds} "
@@ -363,25 +457,22 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
     arms = [_parse_arm(s) for s in arm_specs]
     out = _resolve_out_dir(base).absolute()
     runs = _sweep_runs(base, arms, seeds, out)
-    status = out / "sweep_status.json"
+    status, summary = out / "sweep_status.json", out / "summary.csv"
     status.unlink(missing_ok=True)
+    summary.unlink(missing_ok=True)
     finals = {name: ([], []) for name, _ in arms}
     with closing(fedsim.run_many(cfg for _, _, cfg in runs)) as results:
         for name, seed, cfg in runs:
             try:
                 logs, dataset = next(results)
-                arm_out = _resolve_out_dir(cfg)
-                arm_out.mkdir(parents=True, exist_ok=True)
-                fedsim.write_round_csv(logs, arm_out / "rounds.csv")
-                fedsim.write_manifest(arm_out / "manifest.json", cfg, dataset)
+                _write_run(_resolve_out_dir(cfg), cfg, logs, dataset)
                 ga, pa = _final_metrics(logs)
                 if ga is None:
                     raise RuntimeError(f"arm '{name}' seed {seed} recorded no evaluation")
             except Exception as exc:
                 out.mkdir(parents=True, exist_ok=True)
-                status.write_text(json.dumps({"status": "failed", "arm": name, "seed": seed,
-                                              "error": str(exc)}, indent=2) + "\n",
-                                  encoding="utf-8")
+                _write_text(status, json.dumps({"status": "failed", "arm": name, "seed": seed,
+                                                "error": str(exc)}, indent=2) + "\n")
                 raise
             gas, pas = finals[name]
             gas.append(ga)
@@ -390,11 +481,7 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
              float(np.mean(gas)), float(np.std(gas)))
             for name, (gas, pas) in finals.items()]
     out.mkdir(parents=True, exist_ok=True)
-    summary = out / "summary.csv"
-    with open(summary, "w", encoding="utf-8") as fh:
-        fh.write("arm,seeds,pa_mean,pa_std,ga_mean,ga_std\n")
-        for name, n, pm, ps, gm, gs in rows:
-            fh.write(f"{name},{n},{pm:.17g},{ps:.17g},{gm:.17g},{gs:.17g}\n")
+    write_csv(summary, ("arm", "seeds", "pa_mean", "pa_std", "ga_mean", "ga_std"), rows)
     width = max(len(r[0]) for r in rows)
     for name, _, pm, ps, gm, gs in rows:
         print(f"{name:<{width}}  PA {pm:.4f} +- {ps:.4f}   GA {gm:.4f} +- {gs:.4f}")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fedsim
-from .cli import ConfigError, RunConfig, _resolve_out_dir
+from .cli import ConfigError, RunConfig, _resolve_out_dir, write_csv
 from .datagen import Dataset
 from .etfgeom import make_etf
 from .neuralnet import Layout, finite_diff_check, init_backbone
@@ -106,10 +106,8 @@ def nc1_variability(features, labels) -> float:
 def save_csv(ds: Dataset, path) -> None:
     """Inverse of datagen.load_csv; floats are written with 17 significant
     digits so the round trip is exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"f{i}" for i in range(ds.input_dim)] + ["label"]) + "\n")
-        for row, label in zip(ds.features, ds.labels):
-            fh.write(",".join(f"{x:.17g}" for x in row) + f",{int(label)}\n")
+    write_csv(path, [f"f{i}" for i in range(ds.input_dim)] + ["label"],
+              ([*row, label] for row, label in zip(ds.features, ds.labels)))
 
 
 def partition_table(shards, n_classes: int) -> np.ndarray:
@@ -122,14 +120,9 @@ def partition_table(shards, n_classes: int) -> np.ndarray:
 
 def write_partition_csv(shards, n_classes: int, path) -> None:
     """Client-by-class count table plus per-client existing-class counts."""
-    table = partition_table(shards, n_classes)
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["client"] + [f"class_{c}" for c in range(n_classes)]
-        fh.write(",".join(cols + ["existing_classes", "total"]) + "\n")
-        for shard, row in zip(shards, table):
-            cells = [str(shard.client_id)] + [str(int(v)) for v in row]
-            cells += [str(len(shard.existing_classes)), str(shard.n_k)]
-            fh.write(",".join(cells) + "\n")
+    header = ["client", *(f"class_{c}" for c in range(n_classes)), "existing_classes", "total"]
+    write_csv(path, header, ([s.client_id, *row, len(s.existing_classes), s.n_k]
+                             for s, row in zip(shards, partition_table(shards, n_classes))))
 
 
 GRADCHECK_THRESHOLD = 1e-4

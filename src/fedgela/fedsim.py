@@ -13,7 +13,6 @@ decides which rounds are evaluated.
 """
 from __future__ import annotations
 
-import json
 import operator
 import os
 from dataclasses import dataclass, replace
@@ -36,9 +35,7 @@ from .neuralnet import Layout, _as_phi, _check_labels, flatten, init_backbone, t
 __all__ = ["AlgoKind", "Hyperparams", "feature_width", "RunInputs", "RunState",
            "RoundLog", "compute_phi", "sample_clients", "local_train",
            "aggregate", "finetune_personalize", "init_state", "step",
-           "evaluate", "run_federation", "run_many", "build_dataset", "build_partition",
-           "write_round_csv", "read_round_csv", "write_manifest",
-           "ROUND_CSV_COLUMNS"]
+           "evaluate", "run_federation", "run_many", "build_dataset", "build_partition"]
 
 VALID_ALGOS = ("fedavg", "fedprox", "fedge", "fedgela", "laonly")
 
@@ -147,6 +144,11 @@ class RunState:
     client_theta: np.ndarray      # (N, P)
     trained: np.ndarray           # (N,) bool
     logs: list
+
+
+# the fields that RoundLog and metrics.AngleReport share
+_ANGLE_COLUMNS = ("global_mean_angle", "local_exist_angle", "clf_exist_angle",
+                  "clf_miss_angle")
 
 
 @dataclass
@@ -582,72 +584,3 @@ def run_many(configs):
             return
     for config in configs:
         yield _logs_and_dataset(config)
-
-
-# the fields that RoundLog and metrics.AngleReport share
-_ANGLE_COLUMNS = ("global_mean_angle", "local_exist_angle", "clf_exist_angle",
-                  "clf_miss_angle")
-ROUND_CSV_COLUMNS = ("round", "algo", "ga", "pa", *_ANGLE_COLUMNS, "mean_train_loss")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def write_round_csv(logs, path) -> None:
-    """One row per round; floats carry 17 significant digits so the file
-    re-parses to the in-memory values exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(ROUND_CSV_COLUMNS) + "\n")
-        for log in logs:
-            row = [_fmt(getattr(log, col)) for col in ROUND_CSV_COLUMNS]
-            fh.write(",".join(row) + "\n")
-
-
-def read_round_csv(path) -> list:
-    """Round rows as dicts (floats parsed, empty cells -> None). An empty
-    file, or a row with fewer or more cells than the header, raises
-    ValueError naming the path and the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path} is empty: no header line")
-    header = lines[0].split(",")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path} line {number}: {len(cells)} cells, "
-                             f"the header has {len(header)}")
-        row = {}
-        for key, cell in zip(header, cells):
-            if key == "algo":
-                row[key] = cell
-            elif key == "round":
-                row[key] = int(cell)
-            else:
-                row[key] = None if cell == "" else float(cell)
-        rows.append(row)
-    return rows
-
-
-def write_manifest(path, config, dataset_digest: str) -> None:
-    """Run manifest: config echo, master seed, and the data set's content
-    hash (datagen.dataset_sha256)."""
-    payload = {
-        "format_version": 1,
-        "config": config.to_dict(),
-        "master_seed": config.seed,
-        "dataset_sha256": dataset_digest,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

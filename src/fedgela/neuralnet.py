@@ -177,6 +177,8 @@ def forward(layout: Layout, row: np.ndarray, inputs, e_h: float) -> np.ndarray:
         )
     if not e_h > 0:
         raise ValueError(f"e_h must be positive, got {e_h}")
+    if np.ndim(row) != 1:
+        raise ValueError(f"forward takes one model row, got an array of shape {np.shape(row)}")
     weights, biases, _ = layout.views(row[None], (1,))
     _, _, _, h = _forward_half(weights, biases, x[None], e_h)
     return h[0]
@@ -448,8 +450,8 @@ def _tensor_names(layout: Layout) -> list:
 
 
 def save_checkpoint(path, layout: Layout, row: np.ndarray) -> None:
-    """Lossless parameter checkpoint (architecture + tensors, row-major) of
-    the model `row` of `layout`, its classifier included if it has one."""
+    """Lossless checkpoint (architecture + tensors, row-major) of the model
+    `row` of `layout` and its classifier, if any, to a path or binary file."""
     weights, biases, classifier = layout.views(row)
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),

@@ -14,7 +14,8 @@ replaced, and the kill set runs against the copy in a subprocess:
      parameter checks, the evaluability check, the angle columns a round
      records, predict's mask, the sampled clients' order, the CSV digits,
      the rows scored for untrained clients, the angle report's class
-     split, the frame's sqrt(e_w) scale and the layout's row-length check)
+     split, the frame's sqrt(e_w) scale, the layout's row-length check and
+     the output files' temporary names)
      and, last, the golden pins (tests/test_golden.py), in one pytest
      call that stops at the first failure, so a mutant is reported by the
      rule it breaks.
@@ -28,7 +29,7 @@ so the list has to follow the code it names.
 
 It checks one mutant per usable CPU at a time and takes about 30 s on 2 CPUs,
 too long for tier-1, so run it by hand for every change to `neuralnet.py`,
-`fedsim.py`, `metrics.py`, `datagen.py` or `etfgeom.py`.
+`fedsim.py`, `metrics.py`, `datagen.py`, `etfgeom.py` or `cli.py`.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ MUTANTS = (
      "missing = [c for c in all_classes if c not in shard.existing_classes]",
      "existing, missing = [c for c in all_classes if c not in shard.existing_classes], "
      "existing"),
-    ("_fmt writes 16 significant digits", "fedsim.py",
+    ("_fmt writes 16 significant digits", "cli.py",
      'return f"{float(value):.17g}"',
      'return f"{float(value):.16g}"'),
     ("the largest-remainder allocation favours the smallest part", "datagen.py",
@@ -148,6 +149,9 @@ MUTANTS = (
     ("evaluate takes the angles' classifiers from the personal rows", "metrics.py",
      "local_rows = personal if local is None else local",
      "local_rows = personal"),
+    ("_write writes under the final name", "cli.py",
+     'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
+     "tmp = path"),
 )
 
 GRADCHECK = [sys.executable, "-c",
@@ -178,6 +182,7 @@ KILL_TESTS = [
     "tests/test_metrics.py::TestAngleReport::test_classifier_angles_split_by_client_classes",
     "tests/test_etfgeom.py::TestMakeEtf::test_classifier_scaling",
     "tests/test_neuralnet.py::TestLayout::test_wrong_length_row_rejected_naming_both_sizes",
+    "tests/test_cli.py::TestOutputsArriveWhole",
     "tests/test_golden.py",
 ]
 

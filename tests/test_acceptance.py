@@ -15,7 +15,7 @@ import pytest
 
 from conftest import REFERENCE
 
-from fedgela.cli import main, parse_config
+from fedgela.cli import main, parse_config, read_round_csv
 from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
 from fedgela.diagnostics import gradcheck_battery, lpm_feature_fit, nc1_variability, verify_etf
 from fedgela.etfgeom import make_etf
@@ -26,7 +26,6 @@ from fedgela.fedsim import (
     evaluate,
     init_state,
     local_train,
-    read_round_csv,
     run_federation,
     step,
 )

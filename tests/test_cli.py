@@ -4,13 +4,13 @@ import re
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedgela.cli import ConfigError, RunConfig, main, parse_config
-from fedgela.fedsim import read_round_csv
+from fedgela.cli import ConfigError, RunConfig, main, parse_config, read_round_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -263,6 +263,18 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "rel" / "rounds.csv").exists()
 
+    def test_rerun_removes_the_client_checkpoints_it_did_not_write(self, tmp_path, capsys):
+        partial = ["--set", "rounds=1", "--set", "clients_per_round=2"]
+        for out in ("out", "fresh"):
+            cfg_path = write_config(tmp_path, SMALL | {"out_dir": str(tmp_path / out)})
+            if out == "out":   # an earlier run in which all 4 clients trained
+                assert main(["run", "--config", str(cfg_path)]) == 0
+                assert len(list((tmp_path / out / "clients").iterdir())) == 4
+            assert main(["run", "--config", str(cfg_path), *partial]) == 0
+        names = sorted(p.name for p in (tmp_path / "out" / "clients").iterdir())
+        assert len(names) == 2
+        assert names == sorted(p.name for p in (tmp_path / "fresh" / "clients").iterdir())
+
 
 class TestModuleEntryPoint:
     """`python -m fedgela` maps each outcome to its exit code."""
@@ -339,6 +351,16 @@ class TestCmdSweep:
         assert not (out / "bad_seed0").exists()
         assert not (out / "summary.csv").exists()
 
+    def test_failed_sweep_removes_an_earlier_summary(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": str(out)})
+        argv = ["sweep", "--config", str(cfg_path), "--arm", "a:algo=fedavg", "--seeds", "0"]
+        assert main(argv + ["--arm", "b:algo=fedgela"]) == 0
+        assert (out / "summary.csv").exists()
+        assert main(argv + ["--arm", "b:lr=1e30"]) == 3
+        assert json.loads((out / "sweep_status.json").read_text())["arm"] == "b"
+        assert not (out / "summary.csv").exists()
+
     def test_csv_arm_without_class_cover_fails_before_any_run(self, tmp_path, capsys):
         csv_path = tmp_path / "ten.csv"
         assert main(["gen-data", "--set", "classes=10", "--set", "n_per_class=6",
@@ -391,6 +413,75 @@ class TestCmdSweep:
         cfg_path = write_config(tmp_path, SMALL)
         assert main(["sweep", "--config", str(cfg_path),
                      "--arm", "only:algo=fedavg"]) == 2
+
+
+def _contents(out: Path) -> dict:
+    """Every file under `out` by relative path: its bytes, or a checkpoint's
+    members (a zip archive stamps its write time)."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.suffix == ".npz":
+            with zipfile.ZipFile(path) as archive:
+                files[path.relative_to(out)] = {n: archive.read(n) for n in archive.namelist()}
+        else:
+            files[path.relative_to(out)] = path.read_bytes()
+    return files
+
+
+class TestOutputsArriveWhole:
+    """Every output file appears under its final name only through os.replace
+    of a complete temporary file, so an interrupted write leaves no partial
+    file and no temporary one."""
+
+    COMMANDS = {"run": [], "sweep": ["--arm", "a:algo=fedavg", "--arm", "b:algo=fedgela",
+                                     "--seeds", "0"]}
+
+    def _main(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, SMALL | {"rounds": 1, "out_dir": str(tmp_path / "out")})
+        return main([command, "--config", str(cfg_path), *self.COMMANDS[command]])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_file_arrives_by_replace_from_a_temporary_file(self, tmp_path, monkeypatch,
+                                                                 capsys, command):
+        real, moved = os.replace, []
+
+        def replace(src, dst):
+            # (temporary file, final name, whether the final name existed before)
+            moved.append((Path(src), Path(dst), os.path.exists(dst)))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert self._main(tmp_path, command) == 0
+        out = tmp_path / "out"
+        assert sorted(dst for _, dst, _ in moved) == sorted(p for p in out.rglob("*")
+                                                            if p.is_file())
+        assert len(moved) == {"run": 3 + 4, "sweep": 2 * 2 + 1}[command]
+        for src, dst, existed in moved:
+            assert src != dst and src.parent == dst.parent and not src.exists()
+            assert not existed, f"{dst} was written before its replace"
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_failed_replace_leaves_no_partial_or_temporary_file(self, tmp_path, monkeypatch,
+                                                                  capsys, command, k):
+        out = tmp_path / "out"
+        assert self._main(tmp_path, command) == 0
+        whole = _contents(out)
+        shutil.rmtree(out)
+        real, moved = os.replace, []
+
+        def replace(src, dst):
+            if len(moved) == k:
+                raise OSError(f"no replace after {k} files")
+            real(src, dst)
+            moved.append(dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert self._main(tmp_path, command) == 3
+        assert f"no replace after {k} files" in capsys.readouterr().err
+        left = _contents(out) if out.exists() else {}
+        assert len(left) == k
+        assert left == {name: whole[name] for name in left}
 
 
 class TestCmdGradcheck:
@@ -503,6 +594,11 @@ class TestCmdGenData:
         err = capsys.readouterr().err
         assert "'classes' is 4" in err and "has 10 classes" in err and str(csv_path) in err
         assert not out.exists()
+
+    def test_missing_directory_error_names_the_output_path(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "synth.csv"
+        assert main(["gen-data", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestCmdLpmOracle:

@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from fedgela.cli import parse_config
+from fedgela.cli import parse_config, read_round_csv, write_round_csv
 from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
 from fedgela.etfgeom import make_etf
 from fedgela.fedsim import (
@@ -21,12 +21,10 @@ from fedgela.fedsim import (
     finetune_personalize,
     init_state,
     local_train,
-    read_round_csv,
     run_federation,
     run_many,
     sample_clients,
     step,
-    write_round_csv,
 )
 from fedgela import fedsim, metrics
 from fedgela.metrics import angle_report, personal_accuracy

@@ -84,6 +84,14 @@ class TestLayout:
             save_checkpoint(tmp_path / "ckpt.npz", self.LAYOUT, row)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_forward_rejects_a_matrix_naming_its_shape(self, rows):
+        from fedgela.neuralnet import forward as shipped
+        size = self.LAYOUT.size
+        message = rf"one model row, got an array of shape \({rows}, {size}\)$"
+        with pytest.raises(ValueError, match=message):
+            shipped(self.LAYOUT, np.zeros((rows, size)), np.ones((3, 2)), 1.0)
+
     @pytest.mark.parametrize("n_classes, clf_seed, size", [(None, None, 4 * 6 + 6 * 3 + 6 + 3),
                                                            (5, 1, 4 * 6 + 6 * 3 + 6 + 3 + 15)])
     def test_size_is_the_length_of_init_backbone_row(self, n_classes, clf_seed, size):
