@@ -28,7 +28,9 @@ for algo in ("fedavg", "fedge", "fedgela"):
     print(f"\n{algo}")
     print("  round    GA      PA    global-angle  local-existing-angle")
     for log in result.logs:
-        if log.ga is None:
+        report = log.report
+        if report is None:
             continue
-        print(f"  {log.round:5d}  {log.ga:.3f}   {log.pa:.3f}   "
-              f"{log.global_mean_angle:9.1f}   {log.local_exist_angle:12.1f}")
+        print(f"  {log.round:5d}  {report.ga:.3f}   {report.pa:.3f}   "
+              f"{report.angles.global_mean_angle:9.1f}   "
+              f"{report.angles.local_exist_angle:12.1f}")

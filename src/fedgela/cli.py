@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fedsim
+from . import fedsim, metrics
 from .datagen import check_pcdd, dataset_sha256
 from .neuralnet import save_checkpoint
 
@@ -122,7 +122,8 @@ def _parse_hidden(value) -> tuple:
 
 
 # (keys, test, phrase): a key whose value fails the test raises "config key
-# '<key>' must be <phrase>, got <value>"; an unset optional key (None) passes
+# '<key>' must be <phrase>, got <value>"; an unset optional key (None), and a
+# key of _SYNTHETIC_KEYS in a csv run, passes
 _RULES = (
     (("dataset",), lambda v: v in ("synthetic", "csv"), "synthetic or csv"),
     (("scheme",), lambda v: v in ("dirichlet", "pcdd"), "dirichlet or pcdd"),
@@ -135,6 +136,9 @@ _RULES = (
       "weight_decay"), lambda v: v >= 0, ">= 0"),
     (("test_frac",), lambda v: 0 <= v < 1, "in [0, 1)"),
 )
+
+# the keys that only a synthetic data set reads: a csv sets its own width
+_SYNTHETIC_KEYS = ("input_dim", "n_per_class", "class_sep", "noise_sigma")
 
 # (test, message): a config for which test(keys given, config) holds raises
 # the message, formatted with the config
@@ -217,9 +221,10 @@ def parse_config(source, overrides=None) -> RunConfig:
         if key not in given:
             merged[key] = merged[default]
 
+    unread = _SYNTHETIC_KEYS if merged["dataset"] == "csv" else ()
     for keys, ok, phrase in _RULES:
         for key in keys:
-            if merged[key] is not None and not ok(merged[key]):
+            if merged[key] is not None and key not in unread and not ok(merged[key]):
                 raise ConfigError(f"config key '{key}' must be {phrase}, got {merged[key]!r}")
     for broken, message in _CROSS_RULES:
         if broken(given, merged):
@@ -282,13 +287,20 @@ def write_csv(path, header, rows) -> None:
     _write_text(path, "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows)))
 
 
-ROUND_CSV_COLUMNS = ("round", "algo", "ga", "pa", *fedsim._ANGLE_COLUMNS, "mean_train_loss")
+# AngleReport's angles are its first four fields; skipped_clients is no column
+ROUND_CSV_COLUMNS = ("round", "algo", "ga", "pa", *metrics.AngleReport._fields[:4],
+                     "mean_train_loss")
 
 
 def write_round_csv(logs, path) -> None:
-    """One row per round (fedsim.RoundLog), the columns ROUND_CSV_COLUMNS."""
-    write_csv(path, ROUND_CSV_COLUMNS,
-              ([getattr(log, col) for col in ROUND_CSV_COLUMNS] for log in logs))
+    """One row per round (fedsim.RoundLog), the columns ROUND_CSV_COLUMNS; a
+    round that was not evaluated leaves its report's cells empty."""
+    rows = []
+    for log in logs:
+        report = log.report
+        scores = (None,) * 6 if report is None else (report.ga, report.pa, *report.angles[:4])
+        rows.append((log.round, log.algo, *scores, log.mean_train_loss))
+    write_csv(path, ROUND_CSV_COLUMNS, rows)
 
 
 def read_round_csv(path) -> list:
@@ -335,11 +347,9 @@ def _write_run(out: Path, config: RunConfig, logs, dataset_digest: str) -> None:
     write_manifest(out / "manifest.json", config, dataset_digest)
 
 
-def _final_metrics(logs) -> tuple:
-    for log in reversed(logs):
-        if log.ga is not None:
-            return log.ga, log.pa
-    return None, None
+def _final_report(logs):
+    """The report of the last evaluated round, or None."""
+    return next((log.report for log in reversed(logs) if log.report is not None), None)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -360,12 +370,9 @@ def cmd_run(config: RunConfig) -> int:
         stale.unlink()
     for path, row in checkpoints.items():
         _write(path, lambda fh: save_checkpoint(fh, inputs.layout, row))
-    ga, pa = _final_metrics(state.logs)
-    if ga is not None:
-        print(f"run complete: algo={config.algo} rounds={config.rounds} "
-              f"GA={ga:.4f} PA={pa:.4f} -> {out}")
-    else:
-        print(f"run complete: algo={config.algo} rounds={config.rounds} -> {out}")
+    report = _final_report(state.logs)
+    scores = "" if report is None else f"GA={report.ga:.4f} PA={report.pa:.4f} "
+    print(f"run complete: algo={config.algo} rounds={config.rounds} {scores}-> {out}")
     return 0
 
 
@@ -466,8 +473,8 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
             try:
                 logs, dataset = next(results)
                 _write_run(_resolve_out_dir(cfg), cfg, logs, dataset)
-                ga, pa = _final_metrics(logs)
-                if ga is None:
+                report = _final_report(logs)
+                if report is None:
                     raise RuntimeError(f"arm '{name}' seed {seed} recorded no evaluation")
             except Exception as exc:
                 out.mkdir(parents=True, exist_ok=True)
@@ -475,8 +482,8 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
                                                 "error": str(exc)}, indent=2) + "\n")
                 raise
             gas, pas = finals[name]
-            gas.append(ga)
-            pas.append(pa)
+            gas.append(report.ga)
+            pas.append(report.pa)
     rows = [(name, len(seeds), float(np.mean(pas)), float(np.std(pas)),
              float(np.mean(gas)), float(np.std(gas)))
             for name, (gas, pas) in finals.items()]

@@ -146,32 +146,17 @@ class RunState:
     logs: list
 
 
-# the fields that RoundLog and metrics.AngleReport share
-_ANGLE_COLUMNS = ("global_mean_angle", "local_exist_angle", "clf_exist_angle",
-                  "clf_miss_angle")
-
-
 @dataclass
 class RoundLog:
-    """Per-round record: participants, losses, and evaluation diagnostics."""
+    """Per-round record: participants, losses, and the evaluation's report
+    (None where the round was not evaluated)."""
 
     round: int
     algo: str
     participants: tuple
     client_losses: dict
     mean_train_loss: float | None
-    ga: float | None = None
-    pa: float | None = None
-    global_mean_angle: float | None = None
-    local_exist_angle: float | None = None
-    clf_exist_angle: float | None = None
-    clf_miss_angle: float | None = None
-
-    def record(self, report: metrics.EvalReport) -> None:
-        """Copy an evaluation's GA, PA and angles onto this log."""
-        self.ga, self.pa = report.ga, report.pa
-        for name in _ANGLE_COLUMNS:
-            setattr(self, name, getattr(report.angles, name))
+    report: metrics.EvalReport | None = None
 
 
 def compute_phi(counts, n_k: int, gamma: float, q_kind: str = "identity") -> np.ndarray:
@@ -533,10 +518,13 @@ def run_federation(config, dataset: Dataset | None = None,
     last, and return the final RunState. Results are bit-deterministic per
     master seed."""
     state = init_state(config, dataset, shards)
-    for t in range(1, config.rounds + 1):
-        log = step(state)
-        if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
-            log.record(evaluate(state))
+    # the guards raise on a non-finite value, so numpy's warnings would only
+    # repeat their error on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.rounds + 1):
+            log = step(state)
+            if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
+                log.report = evaluate(state)
     return state
 
 

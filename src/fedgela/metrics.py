@@ -44,7 +44,7 @@ class EvalReport(NamedTuple):
     ga: float
     pa: float
     per_client_acc: tuple
-    angles: AngleReport | None = None
+    angles: AngleReport
 
 
 def predict(features, classifier, class_mask=None, phi=None) -> np.ndarray:

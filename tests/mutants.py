@@ -11,11 +11,11 @@ replaced, and the kill set runs against the copy in a subprocess:
      the rules a digest alone would catch (compute_phi, the n_k weighting,
      the evaluation schedule, the fine-tune's epochs, the seed streams, the
      allocation, the pcdd class deal, the CSV, checkpoint and partition
-     parameter checks, the evaluability check, the angle columns a round
-     records, predict's mask, the sampled clients' order, the CSV digits,
-     the rows scored for untrained clients, the angle report's class
-     split, the frame's sqrt(e_w) scale, the layout's row-length check and
-     the output files' temporary names)
+     parameter checks, the evaluability check, the report's cells of a
+     rounds.csv row, predict's mask, the sampled clients' order, the CSV
+     digits, the rows scored for untrained clients, the angle report's
+     class split, the frame's sqrt(e_w) scale, the layout's row-length
+     check and the output files' temporary names)
      and, last, the golden pins (tests/test_golden.py), in one pytest
      call that stops at the first failure, so a mutant is reported by the
      rule it breaks.
@@ -23,7 +23,8 @@ replaced, and the kill set runs against the copy in a subprocess:
 A mutant is killed when a step fails. The unmutated copy runs the kill set
 first and must pass it. The script exits 1 if that baseline fails, if a
 mutant survives, or if a mutant's source line is not found exactly once,
-so the list has to follow the code it names.
+so the list has to follow the code it names; tests/test_mutants.py
+checks that in tier-1.
 
     python tests/mutants.py
 
@@ -131,9 +132,10 @@ MUTANTS = (
     ("load_csv skips its non-finite check", "datagen.py",
      "if bad:",
      "if False:"),
-    ("RoundLog.record leaves out clf_miss_angle", "fedsim.py",
-     "for name in _ANGLE_COLUMNS:",
-     "for name in _ANGLE_COLUMNS[:3]:"),
+    ("a rounds.csv row leaves out clf_miss_angle", "cli.py",
+     "scores = (None,) * 6 if report is None else (report.ga, report.pa, *report.angles[:4])",
+     "scores = (None,) * 6 if report is None else (report.ga, report.pa, *report.angles[:3], "
+     "None)"),
     ("dirichlet_partition drops its beta check", "datagen.py",
      "if beta is None or not beta > 0:",
      "if False:"),

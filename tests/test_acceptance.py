@@ -48,7 +48,7 @@ def _first_and_last_evaluated(config):
     for t in range(1, config.rounds + 1):
         log = step(state)
         if t in (1, config.rounds):
-            log.record(evaluate(state))
+            log.report = evaluate(state)
     return state.logs
 
 
@@ -140,8 +140,8 @@ def _log_fields(log):
     # pa is excluded: the two arms share a training trajectory but use
     # different personal-evaluation protocols (fine-tuned vs direct), so pa
     # legitimately differs even on identical models
-    return (log.round, log.ga, log.global_mean_angle,
-            log.local_exist_angle, log.mean_train_loss)
+    return (log.round, log.report.ga, log.report.angles.global_mean_angle,
+            log.report.angles.local_exist_angle, log.mean_train_loss)
 
 
 def test_criterion_5_reductions():
@@ -200,7 +200,7 @@ def test_criterion_6_angle_collapse(reference_runs):
     details = []
     for seed in SEEDS:
         logs = reference_runs[("fedavg", seed)]
-        r1, r30 = logs[0], logs[29]
+        r1, r30 = logs[0].report.angles, logs[29].report.angles
         ok = (r30.clf_miss_angle < r1.clf_miss_angle
               and r30.clf_exist_angle > r1.clf_exist_angle)
         good_seeds += ok
@@ -218,7 +218,7 @@ def test_criterion_7_angle_comparison(reference_runs):
     start = time.time()
 
     def final_mean(algo, attr):
-        return float(np.mean([getattr(reference_runs[(algo, s)][-1], attr)
+        return float(np.mean([getattr(reference_runs[(algo, s)][-1].report.angles, attr)
                               for s in SEEDS]))
 
     local_avg = final_mean("fedavg", "local_exist_angle")
@@ -238,7 +238,7 @@ def test_criterion_8_accuracy_direction(reference_runs):
     start = time.time()
 
     def final_mean(algo, attr):
-        return float(np.mean([getattr(reference_runs[(algo, s)][-1], attr)
+        return float(np.mean([getattr(reference_runs[(algo, s)][-1].report, attr)
                               for s in SEEDS]))
 
     ga_avg, ga_gela = final_mean("fedavg", "ga"), final_mean("fedgela", "ga")

@@ -216,6 +216,20 @@ class TestCmdRun:
         assert (tmp_path / "out" / "global_model.npz").exists()
         assert (tmp_path / "out" / "clients" / "client_000.npz").exists()
 
+    def test_last_line_shows_the_last_report(self, tmp_path, capsys):
+        for rounds in (0, 3):
+            out = tmp_path / f"r{rounds}"
+            cfg_path = write_config(tmp_path, SMALL | {"rounds": rounds, "eval_every": 2,
+                                                       "out_dir": str(out)})
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            scores = ""
+            if rounds:
+                last = read_round_csv(out / "rounds.csv")[-1]
+                scores = f"GA={last['ga']:.4f} PA={last['pa']:.4f} "
+            assert capsys.readouterr().out == (f"run complete: algo=fedgela rounds={rounds} "
+                                               f"{scores}-> {out}\n")
+
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
             cfg_path = write_config(
@@ -295,6 +309,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert "algo" in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    def test_overflow_exits_three_with_the_error_line_alone(self, tmp_path):
+        # numpy's overflow warnings would repeat the guard's error on stderr
+        cfg_path = write_config(tmp_path, SMALL | {"lr": 1e30, "rounds": 1})
+        proc = self._run(tmp_path, "run", "--config", str(cfg_path))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: round 1: "), proc.stderr
+        assert "numeric overflow" in lines[0]
 
 
 class TestCmdSweep:
@@ -581,6 +604,20 @@ class TestCmdGenData:
             "run.txt",
         )
         assert main(["run", "--config", str(run_cfg)]) == 0
+
+    def test_csv_run_leaves_the_synthetic_data_keys_unchecked(self, tmp_path):
+        # a csv sets its own width and size, so these keys are not read
+        unread = {"input_dim": 1, "n_per_class": 0, "class_sep": 0.0, "noise_sigma": -1.0}
+        csv_path = tmp_path / "synth.csv"
+        assert main(["gen-data", "--config", str(write_config(tmp_path, SMALL)),
+                     "--out", str(csv_path)]) == 0
+        run = SMALL | unread | {"dataset": "csv", "csv_path": str(csv_path), "rounds": 1,
+                                "out_dir": str(tmp_path / "runcsv")}
+        assert parse_config(run).input_dim == 1
+        assert main(["run", "--config", str(write_config(tmp_path, run, "run.txt"))]) == 0
+        for key, value in unread.items():
+            with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+                parse_config(SMALL | {key: value})
 
     def test_classes_must_match_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "ten.csv"

@@ -468,7 +468,7 @@ def advance(state, rounds):
     for _ in range(rounds):
         log = step(state)
         if log.round % 2 == 0:
-            log.record(evaluate(state))
+            log.report = evaluate(state)
 
 
 class TestRunState:
@@ -491,7 +491,7 @@ class TestRunState:
             assert resumed.server_theta.tobytes() == whole.server_theta.tobytes()
             assert resumed.client_theta.tobytes() == whole.client_theta.tobytes()
             assert resumed.trained.tolist() == whole.trained.tolist()
-        assert whole.logs[-1].ga is not None
+        assert whole.logs[-1].report is not None
 
     def test_rows_start_untrained(self):
         cfg = small_config(algo="fedavg")
@@ -530,12 +530,12 @@ class TestRunState:
         whole = run_federation(cfg)
         state = init_state(cfg)
         for _ in range(3):
-            assert step(state).ga is None
+            assert step(state).report is None
         before = copy.deepcopy(state)
         report = evaluate(state)
         assert pickle.dumps(state) == pickle.dumps(before)
-        assert [report.ga, report.pa] == [whole.logs[-1].ga, whole.logs[-1].pa]
-        state.logs[-1].record(report)
+        assert report == whole.logs[-1].report
+        state.logs[-1].report = report
         assert pickle.dumps(state.logs[-1]) == pickle.dumps(whole.logs[-1])
 
 
@@ -583,8 +583,8 @@ class TestRunFederation:
         logs_gela = run_federation(small_config(algo="fedgela", **kw)).logs
         logs_ge = run_federation(small_config(algo="fedge", **kw)).logs
         for a, b in zip(logs_gela, logs_ge):
-            assert a.ga == b.ga
-            assert a.global_mean_angle == b.global_mean_angle
+            assert a.report.ga == b.report.ga
+            assert a.report.angles.global_mean_angle == b.report.angles.global_mean_angle
             assert a.mean_train_loss == b.mean_train_loss
 
     def test_deterministic_logs(self):
@@ -592,14 +592,37 @@ class TestRunFederation:
         a = run_federation(cfg).logs
         b = run_federation(cfg).logs
         for la, lb in zip(a, b):
-            assert (la.ga, la.pa, la.mean_train_loss) == (lb.ga, lb.pa, lb.mean_train_loss)
+            assert (la.report, la.mean_train_loss) == (lb.report, lb.mean_train_loss)
+
+    @pytest.mark.parametrize("algo", ["fedavg", "fedgela"])
+    def test_each_evaluated_round_keeps_its_whole_report(self, algo):
+        # one class per client: no participant has two classes for the local
+        # angle, so skipped_clients counts them
+        cfg = small_config(algo=algo, classes_per_client=1, clients_per_round=2, rounds=5,
+                           eval_every=2)
+        logs = run_federation(cfg).logs
+        state = init_state(cfg)
+        for log in logs:
+            step(state)
+            if log.round in (2, 4, 5):
+                assert log.report == evaluate(state)
+                assert len(log.report.per_client_acc) == cfg.clients
+                assert log.report.angles.skipped_clients == cfg.clients_per_round
+            else:
+                assert log.report is None
+
+    def test_pooled_runs_return_the_logs_of_a_run_here(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        configs = [small_config(algo="fedavg", seed=seed) for seed in (1, 2)]
+        pooled = [logs for logs, _ in run_many(configs)]
+        assert pooled == [run_federation(cfg).logs for cfg in configs]
 
     def test_last_round_evaluated_off_the_schedule(self):
         # rounds % eval_every != 0: rounds 2 and 4 on the schedule, and 5 as
         # the last
         logs = run_federation(small_config(rounds=5, eval_every=2)).logs
-        assert [log.ga is not None for log in logs] == [False, True, False, True, True]
-        assert logs[-1].pa is not None and logs[-1].global_mean_angle is not None
+        assert [log.report is not None for log in logs] == [False, True, False, True, True]
+        assert logs[-1].report.angles.global_mean_angle is not None
 
     def test_partial_participation(self):
         cfg = small_config(clients=4, clients_per_round=2, rounds=3)
@@ -644,13 +667,13 @@ class TestRunFederation:
                     for (row, *_), s in zip(personal, inputs.shards)]
         pa, _ = personal_accuracy([(f, *m[1:]) for f, m in zip(features, personal)],
                                   inputs.shards, inputs.dataset)
-        assert result.logs[-1].pa == pa
+        assert result.logs[-1].report.pa == pa
 
     @pytest.mark.parametrize("algo,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("laonly", 0.0)])
     def test_learnable_classifier_needs_no_frame_width(self, algo, lam):
         # feature_dim < classes: no simplex frame fits, but these never use one
         result = run_federation(small_config(algo=algo, lambda_prox=lam, feature_dim=3))
-        assert result.logs[-1].ga is not None
+        assert result.logs[-1].report is not None
         assert server_of(result).classifier.shape == (3, 4)
 
     def test_learnable_classifier_aggregated(self):
@@ -666,7 +689,7 @@ class TestRunFederation:
         for q_kind in ("exp", "sqrt"):
             cfg = small_config(algo="fedgela", rounds=2, q_kind=q_kind)
             result = run_federation(cfg)
-            assert result.logs[-1].ga is not None
+            assert result.logs[-1].report is not None
             inputs = result.inputs
             for shard, phi, mask in zip(inputs.shards, inputs.phi, inputs.mask):
                 missing = shard.counts == 0
@@ -706,14 +729,12 @@ class TestEvaluationForwardsOnce:
                   layout.views(rows[i]).classifier) for i in last.participants]
         report = angle_report(forward(layout, result.server_theta, ds.features[test], cfg.e_h),
                               ds, test, local)
-        assert last.local_exist_angle is not None
+        assert report.local_exist_angle is not None
         # a learnable classifier (fedavg) has both classifier angles: each
         # client misses 2 of the 4 classes
         assert (report.clf_miss_angle is not None) == (algo == "fedavg")
         assert (report.clf_exist_angle is not None) == (algo == "fedavg")
-        for name in ("global_mean_angle", "local_exist_angle", "clf_exist_angle",
-                     "clf_miss_angle"):
-            assert getattr(last, name) == getattr(report, name), name
+        assert last.report.angles == report
 
 
 class TestRunMany:
@@ -839,24 +860,29 @@ class TestFinetunePersonalize:
         cfg = small_config(algo="fedgela", clients=1, classes_per_client=4,
                            rounds=2, epochs=2)
         result = run_federation(cfg)
-        final = result.logs[-1]
+        final = result.logs[-1].report
         assert abs(final.pa - final.ga) < 1e-12  # same split, same model
 
 
 class TestRoundCsv:
-    def test_round_trip_exact(self, tmp_path):
-        cfg = small_config(rounds=2, eval_every=2)
-        logs = run_federation(cfg).logs
+    @pytest.mark.parametrize("algo", ["fedavg", "fedgela"])
+    def test_round_trip_exact(self, tmp_path, algo):
+        # fedavg's learnable classifiers fill the classifier-angle cells
+        logs = run_federation(small_config(algo=algo, rounds=2, eval_every=2)).logs
         path = tmp_path / "rounds.csv"
         write_round_csv(logs, path)
         rows = read_round_csv(path)
+        assert [log.report is None for log in logs] == [True, False]
+        assert (logs[1].report.angles.clf_miss_angle is not None) == (algo == "fedavg")
+        angles = ("global_mean_angle", "local_exist_angle", "clf_exist_angle", "clf_miss_angle")
         assert len(rows) == len(logs)
         for row, log in zip(rows, logs):
-            assert row["round"] == log.round
-            assert row["algo"] == log.algo
-            for col in ("ga", "pa", "global_mean_angle", "local_exist_angle",
-                        "clf_exist_angle", "clf_miss_angle", "mean_train_loss"):
-                assert row[col] == getattr(log, col)
+            report = log.report
+            scores = dict.fromkeys(("ga", "pa") + angles) if report is None else (
+                {"ga": report.ga, "pa": report.pa}
+                | {name: getattr(report.angles, name) for name in angles})
+            assert row == {"round": log.round, "algo": log.algo, **scores,
+                           "mean_train_loss": log.mean_train_loss}
 
     def test_truncated_row_rejected_naming_path_and_line(self, tmp_path):
         path = tmp_path / "rounds.csv"

@@ -220,7 +220,7 @@ class TestPaVsGaUnderPcdd:
                     "min_size": 5, "lr": 0.05, "e_w": 25.0, "hidden": "32",
                     "seed": seed, "eval_every": 5, "finetune_epochs": 5,
                 })
-                final = run_federation(cfg).logs[-1]
+                final = run_federation(cfg).logs[-1].report
                 pas.append(final.pa)
                 gas.append(final.ga)
             assert np.mean(pas) > np.mean(gas), f"{algo}: PA {pas} GA {gas}"
