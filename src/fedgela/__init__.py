@@ -12,8 +12,6 @@ from .datagen import (
 )
 from .etfgeom import make_etf, mean_pairwise_angle
 from .fedsim import (
-    AlgoKind,
-    Hyperparams,
     aggregate,
     compute_phi,
     finetune_personalize,

@@ -128,12 +128,14 @@ _RULES = (
     (("dataset",), lambda v: v in ("synthetic", "csv"), "synthetic or csv"),
     (("scheme",), lambda v: v in ("dirichlet", "pcdd"), "dirichlet or pcdd"),
     (("q_kind",), lambda v: v in ("identity", "exp", "sqrt"), "identity/exp/sqrt"),
+    (("algo",), lambda v: v in fedsim.VALID_ALGOS, "/".join(fedsim.VALID_ALGOS)),
     (("classes", "input_dim"), lambda v: v >= 2, ">= 2"),
-    (("n_per_class", "clients", "clients_per_round", "min_size", "eval_every",
+    (("n_per_class", "clients", "clients_per_round", "batch_size", "min_size", "eval_every",
       "classes_per_client", "feature_dim"), lambda v: v >= 1, ">= 1"),
-    (("beta", "class_sep", "noise_sigma", "e_w", "gamma"), lambda v: v > 0, "positive"),
-    (("rounds", "finetune_epochs", "seed", "data_seed", "partition_seed", "momentum",
-      "weight_decay"), lambda v: v >= 0, ">= 0"),
+    (("beta", "class_sep", "noise_sigma", "lr", "e_w", "e_h", "gamma"), lambda v: v > 0,
+     "positive"),
+    (("rounds", "epochs", "finetune_epochs", "seed", "data_seed", "partition_seed",
+      "lambda_prox", "momentum", "weight_decay"), lambda v: v >= 0, ">= 0"),
     (("test_frac",), lambda v: 0 <= v < 1, "in [0, 1)"),
 )
 
@@ -150,6 +152,8 @@ _CROSS_RULES = (
      "scheme 'pcdd' requires 'classes_per_client'"),
     (lambda given, c: c["scheme"] == "dirichlet" and "classes_per_client" in given,
      "config key 'classes_per_client' is a pcdd setting, but scheme is {scheme!r}"),
+    (lambda given, c: c["lambda_prox"] > 0 and c["algo"] != "fedprox",
+     "config key 'lambda_prox' ({lambda_prox!r}) is a fedprox setting, but algo is {algo!r}"),
     (lambda given, c: c["dataset"] == "csv" and not c["csv_path"],
      "missing required config key 'csv_path' for dataset=csv"),
     (lambda given, c: c["clients_per_round"] > c["clients"],
@@ -184,8 +188,7 @@ def parse_config(source, overrides=None) -> RunConfig:
 
     Unknown keys are rejected; `overrides` (an iterable of 'key=value'
     strings or a mapping) wins over the file. Each rule is checked once:
-    the single-key rules of _RULES, the cross-key rules of _CROSS_RULES, the
-    algorithm and optimizer rules of fedsim.AlgoKind and fedsim.Hyperparams,
+    the single-key rules of _RULES, the cross-key rules of _CROSS_RULES
     and, from `classes` (which init_state holds a csv's class count to),
     fedsim.feature_width's frame rule and datagen.check_pcdd's class cover.
     """
@@ -230,11 +233,7 @@ def parse_config(source, overrides=None) -> RunConfig:
         if broken(given, merged):
             raise ConfigError(message.format(**merged))
     try:
-        algo = fedsim.AlgoKind(merged["algo"], merged["lambda_prox"])
-        fedsim.Hyperparams(lr=merged["lr"], momentum=merged["momentum"],
-                           weight_decay=merged["weight_decay"], epochs=merged["epochs"],
-                           batch_size=merged["batch_size"], e_h=merged["e_h"])
-        fedsim.feature_width(algo, merged["feature_dim"], merged["classes"],
+        fedsim.feature_width(merged["algo"], merged["feature_dim"], merged["classes"],
                              "config key 'classes'")
         if merged["scheme"] == "pcdd":
             check_pcdd(merged["classes"], merged["clients"], merged["classes_per_client"])

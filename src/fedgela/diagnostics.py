@@ -153,7 +153,7 @@ def gradcheck_battery(config: RunConfig, n_probes: int = 64):
     }
     for algo in fedsim.VALID_ALGOS:
         lam = 0.1 if algo == "fedprox" else 0.0
-        layout, row, fixed_frame = fixed if fedsim.AlgoKind(algo).fixed_classifier else learnable
+        layout, row, fixed_frame = fixed if algo in fedsim.FIXED_FRAME else learnable
         for phi_name, phi in phi_variants.items():
             for mask_name, mask in mask_variants.items():
                 allowed = np.arange(n_classes) if mask is None else np.nonzero(mask)[0]

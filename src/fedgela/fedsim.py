@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,12 +32,18 @@ from .datagen import (
 from .etfgeom import make_etf
 from .neuralnet import Layout, _as_phi, _check_labels, flatten, init_backbone, train_step
 
-__all__ = ["AlgoKind", "Hyperparams", "feature_width", "RunInputs", "RunState",
+__all__ = ["feature_width", "RunInputs", "RunState",
            "RoundLog", "compute_phi", "sample_clients", "local_train",
            "aggregate", "finetune_personalize", "init_state", "step",
            "evaluate", "run_federation", "run_many", "build_dataset", "build_partition"]
 
 VALID_ALGOS = ("fedavg", "fedprox", "fedge", "fedgela", "laonly")
+# the algorithms whose classifier is the fixed simplex frame, and those that
+# scale classifier columns by the client's distribution vector and restrict
+# the softmax to its existing classes (the others personalize by fine-tuning
+# the global model on each shard)
+FIXED_FRAME = ("fedge", "fedgela")
+ADAPTS_PHI = ("fedgela", "laonly")
 
 # rng stream tags so every random draw has its own derived seed
 _SEED_INIT = 1
@@ -47,80 +53,25 @@ _SEED_FINETUNE = 4
 _SEED_ETF = 5
 
 
-@dataclass(frozen=True)
-class AlgoKind:
-    """Which federated variant runs, plus the proximal weight for fedprox."""
-
-    kind: str
-    lambda_prox: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in VALID_ALGOS:
-            raise ValueError(f"unknown algorithm '{self.kind}', "
-                             f"algo must be one of {VALID_ALGOS}")
-        if self.lambda_prox < 0:
-            raise ValueError(f"lambda_prox must be >= 0, got {self.lambda_prox}")
-        if self.lambda_prox > 0 and self.kind != "fedprox":
-            raise ValueError(f"lambda_prox = {self.lambda_prox} is only meaningful for "
-                             f"fedprox, not {self.kind}")
-
-    @property
-    def fixed_classifier(self) -> bool:
-        return self.kind in ("fedge", "fedgela")
-
-    @property
-    def adapts_phi(self) -> bool:
-        """Scales classifier columns by the client's distribution vector and
-        restricts the softmax to the client's existing classes; the other
-        algorithms personalize by fine-tuning the global model on each shard."""
-        return self.kind in ("fedgela", "laonly")
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """The local optimizer's settings: momentum SGD with weight decay, `epochs`
-    passes over each train split in batches of `batch_size`, and the squared
-    feature norm `e_h` of the sphere projection."""
-
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epochs: int = 10
-    batch_size: int = 100
-    e_h: float = 1.0
-
-    def __post_init__(self):
-        for name, ok, rule in (("lr", self.lr > 0, "> 0"), ("epochs", self.epochs >= 0, ">= 0"),
-                               ("batch_size", self.batch_size >= 1, ">= 1"),
-                               ("e_h", self.e_h > 0, "> 0")):
-            if not ok:
-                raise ValueError(f"invalid hyperparameter {name} = "
-                                 f"{getattr(self, name)!r}, must be {rule}")
-
-
-def feature_width(algo: AlgoKind, feature_dim: int | None, n_classes: int,
-                  source: str) -> int:
+def feature_width(algo: str, feature_dim: int | None, n_classes: int, source: str) -> int:
     """The width of a run's features: `feature_dim`, or the class count when
     it is None. The simplex frame of a fixed classifier needs one dimension
     per class; `source` names where the class count comes from."""
     width = feature_dim or n_classes
-    if algo.fixed_classifier and width < n_classes:
+    if algo in FIXED_FRAME and width < n_classes:
         raise ValueError(f"config key 'feature_dim' must be >= the {n_classes} classes of "
-                         f"{source} for the simplex frame of algo={algo.kind}, got {width}")
+                         f"{source} for the simplex frame of algo={algo}, got {width}")
     return width
 
 
 class RunInputs(NamedTuple):
-    """What a run reads and never writes: its config (and the AlgoKind and
-    Hyperparams built from it), data set and shards, the per-client (N, C)
-    phi and boolean class-mask arrays (None unless the algorithm adapts
-    phi), the `layout` of every model row (learnable classifier included),
-    the (d, C) matrix of the fixed simplex `frame` (None for a learnable
-    classifier) and the global test indices."""
+    """What a run reads and never writes: its config, data set and shards,
+    the per-client (N, C) phi and boolean class-mask arrays (None unless the
+    algorithm adapts phi), the `layout` of every model row (learnable
+    classifier included), the (d, C) matrix of the fixed simplex `frame`
+    (None for a learnable classifier) and the global test indices."""
 
     config: object
-    algo: AlgoKind
-    hp: Hyperparams
     dataset: Dataset
     shards: tuple
     phi: np.ndarray | None
@@ -210,10 +161,13 @@ def _pick(rows, sel):
     return None if rows is None else rows[sel]
 
 
-def local_train(shards, layout: Layout, start_row: np.ndarray, frame, algo: AlgoKind,
-                hp: Hyperparams, ds: Dataset, seed_parts, phi=None, mask=None):
-    """Run `hp.epochs` epochs of mini-batch SGD on each shard's train split,
-    every client starting from the (global) model `start_row` of `layout`.
+def local_train(shards, layout: Layout, start_row: np.ndarray, frame, config, ds: Dataset,
+                seed_parts, phi=None, mask=None):
+    """Run `config.epochs` epochs of mini-batch SGD on each shard's train
+    split, every client starting from the (global) model `start_row` of
+    `layout`, with the algorithm and optimizer settings of the run's
+    `config` (algo, lambda_prox, lr, momentum, weight_decay, batch_size and
+    the squared feature norm e_h of the sphere projection).
 
     A fixed-classifier algorithm takes a layout without a classifier and the
     (d, C) `frame` matrix, the others a layout holding a learnable
@@ -235,32 +189,33 @@ def local_train(shards, layout: Layout, start_row: np.ndarray, frame, algo: Algo
     training them one after another raises first; a numeric failure is
     re-raised naming the client.
     """
-    if not algo.adapts_phi and (phi is not None or mask is not None):
-        raise ValueError(f"algo={algo.kind} does not adapt phi, so it takes no phi or mask")
-    fixed = algo.fixed_classifier
+    algo = config.algo
+    if algo not in ADAPTS_PHI and (phi is not None or mask is not None):
+        raise ValueError(f"algo={algo} does not adapt phi, so it takes no phi or mask")
+    fixed = algo in FIXED_FRAME
     if (frame is not None) != fixed or (layout.n_classes is None) != fixed:
-        raise ValueError(f"algo={algo.kind} needs a start model " + (
+        raise ValueError(f"algo={algo} needs a start model " + (
             "without a classifier, and a frame" if fixed else "with its classifier, no frame"))
     shards, seeds = list(shards), [tuple(s) for s in seed_parts]
     if len(seeds) != len(shards):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
                          f"for {len(shards)} clients")
     try:
-        return _train_clients(shards, seeds, layout, start_row, frame, algo, hp, ds, phi, mask)
+        return _train_clients(shards, seeds, layout, start_row, frame, config, ds, phi, mask)
     except (ValueError, FloatingPointError):
         # trajectories are independent, so the first client that fails alone
         # is the one the sequential loop fails on
         for k, (s, seed) in enumerate(zip(shards, seeds)):
             one = slice(k, k + 1)
             try:
-                _train_clients([s], [seed], layout, start_row, frame, algo, hp, ds,
+                _train_clients([s], [seed], layout, start_row, frame, config, ds,
                                _pick(phi, one), _pick(mask, one))
             except FloatingPointError as exc:
                 raise FloatingPointError(f"client {s.client_id}: {exc}") from exc
         raise
 
 
-def _train_clients(shards, seeds, layout, start_row, frame, algo, hp, ds, phi, mask) -> tuple:
+def _train_clients(shards, seeds, layout, start_row, frame, config, ds, phi, mask) -> tuple:
     """local_train's row and loss matrices. Stacks hold clients sorted by
     train-split size (descending, stable), so the clients that still have a
     full batch at an offset are a prefix of the stack."""
@@ -277,16 +232,16 @@ def _train_clients(shards, seeds, layout, start_row, frame, algo, hp, ds, phi, m
     cap = max(1, STACK_ELEMENTS // layout.size)
     order = sorted(range(len(shards)), key=lambda p: -shards[p].train_indices.size)
     rows = np.empty((len(shards), layout.size))
-    losses = np.empty((len(shards), hp.epochs))
+    losses = np.empty((len(shards), config.epochs))
     for g in range(0, len(order), cap):
         group = order[g:g + cap]
         rows[group], losses[group] = _train_stack(group, shards, seeds, layout, start_row,
-                                                  frame, algo, hp, ds, _pick(phi, group),
+                                                  frame, config, ds, _pick(phi, group),
                                                   _pick(mask, group))
     return rows, losses
 
 
-def _train_stack(positions, shards, seeds, layout, start_row, frame, algo, hp, ds,
+def _train_stack(positions, shards, seeds, layout, start_row, frame, config, ds,
                  phi, mask) -> tuple:
     """Train shards[p] for p in `positions` (train splits of non-increasing
     size) as one stack of models, each starting from the model `start_row`
@@ -294,15 +249,15 @@ def _train_stack(positions, shards, seeds, layout, start_row, frame, algo, hp, d
     `frame`), with the (k, C) `phi` and `mask` rows of those clients.
     Returns the (k, P) trained rows and (k, epochs) losses."""
     k_rows = len(positions)
-    model = flatten(layout, start_row, k_rows, frame, phi, mask, algo.lambda_prox)
-    hyper = dict(e_h=float(hp.e_h), lr=float(hp.lr), momentum=float(hp.momentum),
-                 weight_decay=float(hp.weight_decay))
+    model = flatten(layout, start_row, k_rows, frame, phi, mask, config.lambda_prox)
+    hyper = dict(e_h=float(config.e_h), lr=float(config.lr), momentum=float(config.momentum),
+                 weight_decay=float(config.weight_decay))
 
     # one epoch's steps: (batch number, first row, row stop, batch start, batch
     # stop); the rows with a full batch at offset i form a prefix, and each
     # partial last batch is a one-row stack of its own
     n = [shards[p].train_indices.size for p in positions]
-    size = hp.batch_size
+    size = config.batch_size
     steps = []
     for j, i in enumerate(range(0, n[0], size)):
         full = sum(nk >= i + size for nk in n)
@@ -311,13 +266,13 @@ def _train_stack(positions, shards, seeds, layout, start_row, frame, algo, hp, d
         steps += [(j, k, k + 1, i, n[k]) for k in range(full, k_rows) if n[k] > i]
     stacks = {rows: model.rows(*rows) for rows in {(a, b) for _, a, b, _, _ in steps}}
     n_batches = [-(-nk // size) for nk in n]
-    losses = np.empty((k_rows, hp.epochs, n_batches[0]))
+    losses = np.empty((k_rows, config.epochs, n_batches[0]))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
     classes = np.arange(model.w_eff.shape[-1])
     # each client's shuffle seed seed_parts + (epoch,) as the words numpy reads
     # from it, built once: each epoch writes its index into the last word
     words = [_seed_words(seeds[p] + (0,)) for p in positions]
-    for epoch in range(hp.epochs):
+    for epoch in range(config.epochs):
         for k, p in enumerate(positions):
             words[k][-1] = epoch
             rng = np.random.default_rng(words[k])
@@ -329,7 +284,7 @@ def _train_stack(positions, shards, seeds, layout, start_row, frame, algo, hp, d
                                                       hot[start:stop, i:end], **hyper)
     # each epoch's mean batch loss, per run of clients with one batch count (a
     # contiguous run, as the sizes do not increase)
-    epoch_losses = np.empty((k_rows, hp.epochs))
+    epoch_losses = np.empty((k_rows, config.epochs))
     runs = [k for k in range(k_rows) if k == 0 or n_batches[k] != n_batches[k - 1]]
     for a, b in zip(runs, runs[1:] + [k_rows]):
         epoch_losses[a:b] = losses[a:b, :, :n_batches[a]].mean(axis=-1)
@@ -366,17 +321,17 @@ def aggregate(rows, weights) -> np.ndarray:
     return acc
 
 
-def finetune_personalize(shards, layout: Layout, start_row: np.ndarray, frame,
-                         algo: AlgoKind, hp: Hyperparams, epochs: int, ds: Dataset, seed_parts):
-    """Continue the algorithm's local training on each shard from the
-    (global) model `start_row` of `layout` (against `frame`, as local_train)
-    for `epochs` epochs, with no phi and every class; epochs=0 returns it
-    unchanged. Otherwise as local_train: the (m, P) rows and the (m, epochs)
-    losses."""
+def finetune_personalize(shards, layout: Layout, start_row: np.ndarray, frame, config,
+                         epochs: int, ds: Dataset, seed_parts):
+    """Continue the algorithm's local training (that of the run's `config`)
+    on each shard from the (global) model `start_row` of `layout` (against
+    `frame`, as local_train) for `epochs` epochs, with no phi and every
+    class; epochs=0 returns it unchanged. Otherwise as local_train: the
+    (m, P) rows and the (m, epochs) losses."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    return local_train(shards, layout, start_row, frame, algo,
-                       replace(hp, epochs=int(epochs)), ds, seed_parts)
+    return local_train(shards, layout, start_row, frame, config._replace(epochs=int(epochs)),
+                       ds, seed_parts)
 
 
 def build_dataset(config) -> Dataset:
@@ -417,10 +372,6 @@ def init_state(config, dataset: Dataset | None = None,
     given ones), the initial models and the clients' phi and masks. A
     partition that cannot be evaluated, or a loaded csv whose class count
     is not `classes`, is rejected here."""
-    algo = AlgoKind(kind=config.algo, lambda_prox=config.lambda_prox)
-    hp = Hyperparams(lr=config.lr, momentum=config.momentum,
-                     weight_decay=config.weight_decay, epochs=config.epochs,
-                     batch_size=config.batch_size, e_h=config.e_h)
     ds = dataset if dataset is not None else build_dataset(config)
     n_classes = ds.n_classes
     # parse_config checks the class-count rules against `classes`, which a
@@ -428,28 +379,27 @@ def init_state(config, dataset: Dataset | None = None,
     if dataset is None and config.dataset == "csv" and config.classes != n_classes:
         raise ValueError(f"config key 'classes' is {config.classes}, but csv_path "
                          f"{config.csv_path} has {n_classes} classes")
-    feat_dim = feature_width(algo, getattr(config, "feature_dim", None), n_classes, "the dataset")
+    feat_dim = feature_width(config.algo, config.feature_dim, n_classes, "the dataset")
     shards = tuple(shards if shards is not None else build_partition(ds, config))
     layer_sizes = (ds.input_dim,) + tuple(config.hidden) + (feat_dim,)
     seed = config.seed
 
-    fixed = algo.fixed_classifier
+    fixed = config.algo in FIXED_FRAME
     layout = Layout(layer_sizes, None if fixed else n_classes)
     server = init_backbone(layout, (seed, _SEED_INIT), None if fixed else (seed, _SEED_INIT, 1))
     frame = None
     if fixed:
         frame = make_etf(feat_dim, n_classes, (seed, _SEED_ETF), e_w=config.e_w)
     phi = mask = None
-    if algo.adapts_phi:
+    if config.algo in ADAPTS_PHI:
         gamma = config.gamma if config.gamma is not None else 1.0 / n_classes
         phi = np.stack([compute_phi(s.counts, s.n_k, gamma, config.q_kind) for s in shards])
         mask = np.stack([s.counts > 0 for s in shards])
     global_test = np.sort(np.concatenate([s.test_indices for s in shards]))
-    if config.rounds >= 1 and config.eval_every:
+    if config.rounds >= 1:
         _check_evaluable(shards, ds, global_test)
-    inputs = RunInputs(config=config, algo=algo, hp=hp, dataset=ds, shards=shards,
-                       phi=phi, mask=mask, layout=layout, frame=frame,
-                       global_test=global_test)
+    inputs = RunInputs(config=config, dataset=ds, shards=shards, phi=phi, mask=mask,
+                       layout=layout, frame=frame, global_test=global_test)
     return RunState(inputs=inputs, round=0, server_theta=server,
                     client_theta=np.zeros((len(shards), layout.size)),
                     trained=np.zeros(len(shards), dtype=bool), logs=[])
@@ -461,13 +411,13 @@ def step(state: RunState) -> RoundLog:
     ascending client-id order. Appends the round's log (not evaluated) to
     state.logs and returns it."""
     inp, t = state.inputs, state.round + 1
-    algo, seed = inp.algo, inp.config.seed
+    seed = inp.config.seed
     ids = sample_clients(len(inp.shards), inp.config.clients_per_round, (seed, _SEED_SAMPLE, t))
     sampled = [inp.shards[i] for i in ids]
     try:
         rows, losses = local_train(
-            sampled, inp.layout, state.server_theta, inp.frame, algo, inp.hp,
-            inp.dataset, [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
+            sampled, inp.layout, state.server_theta, inp.frame, inp.config, inp.dataset,
+            [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
             _pick(inp.phi, ids), _pick(inp.mask, ids))
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {t}: {exc}") from exc
@@ -480,7 +430,7 @@ def step(state: RunState) -> RoundLog:
     client_losses = {s.client_id: float(np.mean(row))
                      for s, row in zip(sampled, losses) if row.size}
     mean_loss = float(np.mean(list(client_losses.values()))) if client_losses else None
-    log = RoundLog(round=t, algo=algo.kind, participants=tuple(int(i) for i in ids),
+    log = RoundLog(round=t, algo=inp.config.algo, participants=tuple(int(i) for i in ids),
                    client_losses=client_losses, mean_train_loss=mean_loss)
     state.logs.append(log)
     return log
@@ -494,19 +444,19 @@ def evaluate(state: RunState) -> metrics.EvalReport:
     fine-tune of the server row, seeded by state.round."""
     inp, t = state.inputs, state.round
     try:
-        if inp.algo.adapts_phi:
+        if inp.config.algo in ADAPTS_PHI:
             personal = np.where(state.trained[:, None], state.client_theta, state.server_theta)
             local = None   # a participant's local row is its personal row
         else:
             personal, _ = finetune_personalize(
-                inp.shards, inp.layout, state.server_theta, inp.frame, inp.algo, inp.hp,
+                inp.shards, inp.layout, state.server_theta, inp.frame, inp.config,
                 inp.config.finetune_epochs, inp.dataset,
                 [(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in inp.shards])
             local = state.client_theta
         participants = state.logs[-1].participants if state.logs else ()
         return metrics.evaluate(inp.layout, inp.frame, state.server_theta, personal, inp.phi,
                                 inp.mask, local, participants, inp.shards, inp.dataset,
-                                inp.global_test, inp.hp.e_h)
+                                inp.global_test, inp.config.e_h)
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {t}: {exc}") from exc
 
@@ -523,7 +473,7 @@ def run_federation(config, dataset: Dataset | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.rounds + 1):
             log = step(state)
-            if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
+            if t % config.eval_every == 0 or t == config.rounds:
                 log.report = evaluate(state)
     return state
 

@@ -170,23 +170,31 @@ def evaluate(layout: Layout, frame, global_row, personal, phi, mask, local,
     (N, C) `phi` and boolean `mask` rows (None: unscaled, every class). The
     angles read the `participants`' rows of the (N, P) `local` matrix on
     their test splits -- with `local` None, their personal rows, whose
-    features are reused."""
+    features are reused. A forward's numeric failure is re-raised naming
+    its model: the server row, or client <id>'s personal or local row."""
     def classifier(row):
         return frame if layout.n_classes is None else layout.views(row).classifier
 
-    features = forward(layout, global_row, ds.features[global_test], e_h)
-    ga = generic_accuracy(features, classifier(global_row), ds.labels[global_test])
+    def features(row, split, model):
+        try:
+            return forward(layout, row, ds.features[split], e_h)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{model}: {exc}") from exc
+
+    global_features = features(global_row, global_test, "server row")
+    ga = generic_accuracy(global_features, classifier(global_row), ds.labels[global_test])
     scored = []
     for i, shard in enumerate(shards):
-        scored.append((forward(layout, personal[i], ds.features[shard.test_indices], e_h),
+        scored.append((features(personal[i], shard.test_indices,
+                                f"client {shard.client_id}'s personal row"),
                        classifier(personal[i]),
                        None if phi is None else phi[i], None if mask is None else mask[i]))
     pa, per_client = personal_accuracy(scored, shards, ds)
     local_rows = personal if local is None else local
     entries = []
     for i in participants:
-        f = scored[i][0] if local is None else forward(
-            layout, local[i], ds.features[shards[i].test_indices], e_h)
+        f = scored[i][0] if local is None else features(
+            local[i], shards[i].test_indices, f"client {shards[i].client_id}'s local row")
         entries.append((shards[i], f, layout.views(local_rows[i]).classifier))
-    angles = angle_report(features, ds, global_test, entries)
+    angles = angle_report(global_features, ds, global_test, entries)
     return EvalReport(ga=ga, pa=pa, per_client_acc=tuple(per_client), angles=angles)

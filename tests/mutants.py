@@ -15,7 +15,7 @@ replaced, and the kill set runs against the copy in a subprocess:
      rounds.csv row, predict's mask, the sampled clients' order, the CSV
      digits, the rows scored for untrained clients, the angle report's
      class split, the frame's sqrt(e_w) scale, the layout's row-length
-     check and the output files' temporary names)
+     check, the output files' temporary names and the lambda_prox rule)
      and, last, the golden pins (tests/test_golden.py), in one pytest
      call that stops at the first failure, so a mutant is reported by the
      rule it breaks.
@@ -87,8 +87,8 @@ MUTANTS = (
      "z = np.where(mask[None, :], z, -np.inf)",
      "pass"),
     ("skip the last round's evaluation", "fedsim.py",
-     "if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):",
-     "if config.eval_every and t % config.eval_every == 0:"),
+     "if t % config.eval_every == 0 or t == config.rounds:",
+     "if t % config.eval_every == 0:"),
     ("never write the epoch word", "fedsim.py",
      "words[k][-1] = epoch",
      "pass"),
@@ -141,7 +141,7 @@ MUTANTS = (
      "if False:"),
     ("the PA fine-tune trains the rounds' epochs", "fedsim.py",
      "inp.config.finetune_epochs, inp.dataset,",
-     "inp.hp.epochs, inp.dataset,"),
+     "inp.config.epochs, inp.dataset,"),
     ("make_etf drops sqrt(e_w)", "etfgeom.py",
      "return math.sqrt(float(e_w)) * m",
      "return m"),
@@ -154,6 +154,9 @@ MUTANTS = (
     ("_write writes under the final name", "cli.py",
      'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
      "tmp = path"),
+    ("parse_config lets lambda_prox reach an algorithm other than fedprox", "cli.py",
+     '(lambda given, c: c["lambda_prox"] > 0 and c["algo"] != "fedprox",',
+     "(lambda given, c: False,"),
 )
 
 GRADCHECK = [sys.executable, "-c",
@@ -185,6 +188,7 @@ KILL_TESTS = [
     "tests/test_etfgeom.py::TestMakeEtf::test_classifier_scaling",
     "tests/test_neuralnet.py::TestLayout::test_wrong_length_row_rejected_naming_both_sizes",
     "tests/test_cli.py::TestOutputsArriveWhole",
+    "tests/test_cli.py::TestParseConfig::test_lambda_prox_requires_fedprox",
     "tests/test_golden.py",
 ]
 

@@ -20,8 +20,6 @@ from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_
 from fedgela.diagnostics import gradcheck_battery, lpm_feature_fit, nc1_variability, verify_etf
 from fedgela.etfgeom import make_etf
 from fedgela.fedsim import (
-    AlgoKind,
-    Hyperparams,
     compute_phi,
     evaluate,
     init_state,
@@ -176,14 +174,10 @@ def test_criterion_5_reductions():
                                    "classes_per_client": 4, "rounds": 2})
     result = run_federation(single)
     ds, shards = result.inputs.dataset, result.inputs.shards
-    algo = AlgoKind("fedavg")
-    hp = Hyperparams(lr=single.lr, momentum=single.momentum,
-                     weight_decay=single.weight_decay, epochs=single.epochs,
-                     batch_size=single.batch_size, e_h=single.e_h)
     layout = Layout((single.input_dim,) + single.hidden + (ds.n_classes,), ds.n_classes)
     row = init_backbone(layout, (single.seed, 1), (single.seed, 1, 1))
     for t in (1, 2):
-        rows, _ = local_train([shards[0]], layout, row, None, algo, hp, ds,
+        rows, _ = local_train([shards[0]], layout, row, None, single, ds,
                               [(single.seed, 3, t, 0)])
         row = rows[0]
     same_c = result.server_theta.tobytes() == row.tobytes()

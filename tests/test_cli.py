@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedgela import cli
 from fedgela.cli import ConfigError, RunConfig, main, parse_config, read_round_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,6 +191,9 @@ RULE_CASES = [
     ({"clients": 5, "clients_per_round": 6}, "clients_per_round", "6"),
     ({"classes_per_client": 11}, "classes_per_client", "11"),
     ({"classes_per_client": 2, "clients": 4}, "clients", "clients=4"),
+    ({"lr": 0.0}, "lr", "0.0"),
+    # min_size follows batch_size, but the key given is the one named
+    ({"batch_size": 0}, "batch_size", "0"),
 ]
 
 
@@ -201,6 +205,12 @@ def test_every_config_rule_names_key_and_value(settings, key, shown):
     message = str(info.value)
     assert re.search(rf"\b{key}\b", message), message
     assert shown is None or shown in message, message
+
+
+def test_every_single_key_rule_has_a_case():
+    keys = {key for keys, _, _ in cli._RULES for key in keys}
+    covered = {key for settings, key, _ in RULE_CASES if key in settings}
+    assert not keys - covered
 
 
 class TestCmdRun:
@@ -316,7 +326,10 @@ class TestModuleEntryPoint:
         proc = self._run(tmp_path, "run", "--config", str(cfg_path))
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: round 1: "), proc.stderr
+        # round 1 trains without tripping a guard, then the server row
+        # overflows in evaluation, and the line names that model
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: round 1: server row: "), proc.stderr
         assert "numeric overflow" in lines[0]
 
 

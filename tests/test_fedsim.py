@@ -13,8 +13,8 @@ from fedgela.cli import parse_config, read_round_csv, write_round_csv
 from fedgela.datagen import dirichlet_partition, pcdd_partition, synth_gaussian_mixture
 from fedgela.etfgeom import make_etf
 from fedgela.fedsim import (
-    AlgoKind,
-    Hyperparams,
+    ADAPTS_PHI,
+    FIXED_FRAME,
     aggregate,
     compute_phi,
     evaluate,
@@ -44,22 +44,22 @@ def small_config(**kw):
     return parse_config(base)
 
 
-def clients_of(shards, n_classes, algo):
+def clients_of(shards, n_classes, config):
     """One namespace per shard with its shard, (C,) phi and mask, as
     init_state computes them: phi None and every class for the algorithms
     that do not adapt phi."""
-    adapts = algo.adapts_phi
+    adapts = config.algo in ADAPTS_PHI
     return [types.SimpleNamespace(
         client_id=s.client_id, shard=s, mask=s.counts > 0 if adapts else np.ones(n_classes, bool),
         phi=compute_phi(s.counts, s.n_k, 1.0 / n_classes) if adapts else None) for s in shards]
 
 
-def start_of(backbone, classifier, algo):
+def start_of(backbone, classifier, config):
     """local_train's layout, start row and frame for a backbone (a
     reference_ops.Model without a classifier) and a d x C classifier matrix:
     the backbone with the classifier in its row, if the algorithm learns it,
     else the backbone alone and the classifier as the fixed frame."""
-    if algo.fixed_classifier:
+    if config.algo in FIXED_FRAME:
         return Layout(backbone.layer_sizes), backbone.row(), classifier
     learnable = Model(backbone.weights, backbone.biases, classifier)
     return Layout(backbone.layer_sizes, classifier.shape[1]), learnable.row(), None
@@ -72,19 +72,19 @@ def split(layout, row):
     return Model(model.weights, model.biases), model.classifier
 
 
-def train(clients, backbone, classifier, algo, hp, ds, seed_parts):
+def train(clients, backbone, classifier, config, ds, seed_parts):
     """local_train on the clients' shards, with their phi and mask rows when
     the algorithm adapts phi, as one namespace per client: its row, its
     model (backbone, and classifier; the classifier None for a fixed frame)
     and its epoch losses."""
     phi = mask = None
-    if algo.adapts_phi:
+    if config.algo in ADAPTS_PHI:
         phi = np.stack([c.phi for c in clients])
         mask = np.stack([c.mask for c in clients])
-    layout, row, frame = start_of(backbone, classifier, algo)
-    out = local_train([c.shard for c in clients], layout, row, frame, algo, hp, ds,
+    layout, row, frame = start_of(backbone, classifier, config)
+    out = local_train([c.shard for c in clients], layout, row, frame, config, ds,
                       seed_parts, phi, mask)
-    return as_results(out, layout, hp.epochs)
+    return as_results(out, layout, config.epochs)
 
 
 def as_results(out, layout, epochs):
@@ -96,10 +96,10 @@ def as_results(out, layout, epochs):
             for row, (bb, clf), loss in zip(rows, (split(layout, r) for r in rows), losses)]
 
 
-def finetune(backbone, classifier, shards, algo, hp, epochs, ds, seed_parts):
+def finetune(backbone, classifier, shards, config, epochs, ds, seed_parts):
     """finetune_personalize's output, as train's."""
-    layout, row, frame = start_of(backbone, classifier, algo)
-    return as_results(finetune_personalize(shards, layout, row, frame, algo, hp, epochs,
+    layout, row, frame = start_of(backbone, classifier, config)
+    return as_results(finetune_personalize(shards, layout, row, frame, config, epochs,
                                            ds, seed_parts), layout, epochs)
 
 
@@ -115,29 +115,6 @@ def features_of(backbone, inputs, e_h):
     """neuralnet.forward's features of a backbone (a reference_ops.Model
     without a classifier)."""
     return forward(Layout(backbone.layer_sizes), backbone.row(), inputs, e_h)
-
-
-class TestAlgoKind:
-    def test_valid_kinds(self):
-        for kind in ("fedavg", "fedprox", "fedge", "fedgela", "laonly"):
-            AlgoKind(kind)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            AlgoKind("fedsgd")
-
-    def test_prox_weight_only_for_fedprox(self):
-        AlgoKind("fedprox", lambda_prox=0.5)
-        with pytest.raises(ValueError, match="only meaningful"):
-            AlgoKind("fedavg", lambda_prox=0.5)
-
-
-class TestHyperparams:
-    @pytest.mark.parametrize("field, value", [("lr", 0.0), ("epochs", -1),
-                                              ("batch_size", 0), ("e_h", -2.0)])
-    def test_bad_field_named(self, field, value):
-        with pytest.raises(ValueError, match=rf"hyperparameter {field} = "):
-            Hyperparams(**{field: value})
 
 
 class TestComputePhi:
@@ -238,31 +215,24 @@ class TestLocalTrain:
                                     cfg.class_sep, cfg.noise_sigma, cfg.data_seed)
         shards = pcdd_partition(ds, cfg.clients, cfg.classes_per_client,
                                 seed=cfg.partition_seed)
-        algo = AlgoKind(algo_kind, lambda_prox=cfg.lambda_prox)
-        clients = clients_of(shards, ds.n_classes, algo)
-        hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                         epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
+        clients = clients_of(shards, ds.n_classes, cfg)
         backbone = init_model((cfg.input_dim, 16, ds.n_classes), seed=0)
         frame = make_etf(ds.n_classes, ds.n_classes, 1, e_w=cfg.e_w)
-        return ds, clients, algo, hp, backbone, frame
+        return ds, clients, cfg, backbone, frame
 
     def test_zero_epochs_unchanged(self):
-        ds, clients, algo, hp, backbone, frame = self._setup()
-        hp0 = Hyperparams(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay,
-                          epochs=0, batch_size=hp.batch_size, e_h=hp.e_h)
-        res = train([clients[0]], backbone, frame, algo, hp0, ds, [(0, 3, 1, 0)])[0]
+        ds, clients, cfg, backbone, frame = self._setup(epochs=0)
+        res = train([clients[0]], backbone, frame, cfg, ds, [(0, 3, 1, 0)])[0]
         for a, b in zip(res.backbone.tensors(), backbone.tensors()):
             np.testing.assert_array_equal(a, b)
         assert res.epoch_losses == []
 
     def test_fedprox_zero_lambda_identical_to_fedavg(self):
-        ds, clients, _, hp, backbone, _ = self._setup("fedavg")
+        ds, clients, cfg, backbone, _ = self._setup("fedavg")
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
-                        hp, ds, [(0, 3, 1, 1)])[0]
-        res_prox = train([clients[1]], backbone, clf,
-                         AlgoKind("fedprox", lambda_prox=0.0),
-                         hp, ds, [(0, 3, 1, 1)])[0]
+        res_avg = train([clients[1]], backbone, clf, cfg, ds, [(0, 3, 1, 1)])[0]
+        prox = small_config(algo="fedprox", lambda_prox=0.0)
+        res_prox = train([clients[1]], backbone, clf, prox, ds, [(0, 3, 1, 1)])[0]
         for a, b in zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()):
             assert a.tobytes() == b.tobytes()
         assert res_avg.classifier.tobytes() == res_prox.classifier.tobytes()
@@ -270,48 +240,49 @@ class TestLocalTrain:
     @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "fedge"])
     @pytest.mark.parametrize("given", ["phi", "mask"])
     def test_phi_or_mask_rejected_unless_the_algorithm_adapts_phi(self, kind, given):
-        ds, clients, _, hp, backbone, frame = self._setup("fedgela")
+        ds, clients, _, backbone, frame = self._setup("fedgela")
         rows = {"phi": np.ones((1, ds.n_classes)), "mask": np.ones((1, ds.n_classes), bool)}
+        cfg = small_config(algo=kind)
         with pytest.raises(ValueError, match=f"algo={kind} does not adapt phi"):
-            local_train([clients[0].shard], *start_of(backbone, frame, AlgoKind(kind)),
-                        AlgoKind(kind), hp, ds, [(0, 3, 1, 0)], **{given: rows[given]})
+            local_train([clients[0].shard], *start_of(backbone, frame, cfg), cfg, ds,
+                        [(0, 3, 1, 0)], **{given: rows[given]})
 
     def test_start_model_and_frame_must_match_the_algorithm(self):
-        ds, clients, _, hp, backbone, frame = self._setup("fedgela")
-        fixed = start_of(backbone, frame, AlgoKind("fedge"))[:2]
-        learnable = start_of(backbone, frame, AlgoKind("fedavg"))[:2]
+        ds, clients, _, backbone, frame = self._setup("fedgela")
+        configs = {kind: small_config(algo=kind) for kind in ("fedge", "fedavg")}
+        fixed = start_of(backbone, frame, configs["fedge"])[:2]
+        learnable = start_of(backbone, frame, configs["fedavg"])[:2]
         for kind, start, given in (("fedavg", fixed, frame), ("fedavg", learnable, frame),
                                    ("fedge", learnable, None), ("fedge", fixed, None)):
             with pytest.raises(ValueError, match=f"algo={kind} needs a start model"):
-                local_train([clients[0].shard], *start, given, AlgoKind(kind), hp, ds,
+                local_train([clients[0].shard], *start, given, configs[kind], ds,
                             [(0, 3, 1, 0)])
 
     @pytest.mark.parametrize("kind,plain_kind", [("fedgela", "fedge"), ("laonly", "fedavg")])
     def test_adapting_algorithm_without_phi_trains_unscaled_on_every_class(self, kind,
                                                                            plain_kind):
-        ds, clients, _, hp, backbone, frame = self._setup("fedgela")
+        ds, clients, _, backbone, frame = self._setup("fedgela")
         clf = frame if kind == "fedgela" else init_classifier(ds.n_classes, ds.n_classes, seed=5)
         shards, seeds = [c.shard for c in clients], [(0, 3, 1, c.client_id) for c in clients]
-        start = start_of(backbone, clf, AlgoKind(kind))
-        unscaled, _ = local_train(shards, *start, AlgoKind(kind), hp, ds, seeds)
-        plain, _ = local_train(shards, *start, AlgoKind(plain_kind), hp, ds, seeds)
+        cfg = small_config(algo=kind)
+        start = start_of(backbone, clf, cfg)
+        unscaled, _ = local_train(shards, *start, cfg, ds, seeds)
+        plain, _ = local_train(shards, *start, small_config(algo=plain_kind), ds, seeds)
         assert unscaled.tobytes() == plain.tobytes()
 
     def test_fedprox_positive_lambda_changes_trajectory(self):
-        ds, clients, _, hp, backbone, _ = self._setup("fedavg")
+        ds, clients, cfg, backbone, _ = self._setup("fedavg")
         clf = init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        res_avg = train([clients[1]], backbone, clf, AlgoKind("fedavg"),
-                        hp, ds, [(0, 3, 1, 1)])[0]
-        res_prox = train([clients[1]], backbone, clf,
-                         AlgoKind("fedprox", lambda_prox=1.0),
-                         hp, ds, [(0, 3, 1, 1)])[0]
+        res_avg = train([clients[1]], backbone, clf, cfg, ds, [(0, 3, 1, 1)])[0]
+        prox = small_config(algo="fedprox", lambda_prox=1.0)
+        res_prox = train([clients[1]], backbone, clf, prox, ds, [(0, 3, 1, 1)])[0]
         assert any(a.tobytes() != b.tobytes() for a, b in
                    zip(res_avg.backbone.tensors(), res_prox.backbone.tensors()))
 
     @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.0), ("fedprox", 0.1),
                                           ("fedge", 0.0), ("fedgela", 0.0), ("laonly", 0.0)])
     def test_only_a_proximal_stack_owns_a_prox_buffer(self, kind, lam, monkeypatch):
-        ds, clients, algo, hp, backbone, frame = self._setup(kind, lambda_prox=lam)
+        ds, clients, cfg, backbone, frame = self._setup(kind, lambda_prox=lam)
         real, stacks = fedsim.flatten, []
 
         def recording(*args):
@@ -319,8 +290,8 @@ class TestLocalTrain:
             return stacks[-1]
 
         monkeypatch.setattr(fedsim, "flatten", recording)
-        clf = frame if algo.fixed_classifier else init_classifier(ds.n_classes, ds.n_classes, 5)
-        train(clients, backbone, clf, algo, hp, ds, [(0, 3, 1, k) for k in range(4)])
+        clf = frame if kind in FIXED_FRAME else init_classifier(ds.n_classes, ds.n_classes, 5)
+        train(clients, backbone, clf, cfg, ds, [(0, 3, 1, k) for k in range(4)])
         assert len(stacks) == 1 and len(stacks[0].theta) == 4
         if lam:
             assert stacks[0].prox.shape == stacks[0].theta.shape
@@ -334,13 +305,10 @@ class TestLocalTrain:
                            epochs=10, class_sep=4.0)
         ds = synth_gaussian_mixture(10, 12, 40, 4.0, 1.0, cfg.data_seed)
         shards = pcdd_partition(ds, 10, classes_per_client=2, seed=0)
-        algo = AlgoKind("fedgela")
-        clients = clients_of(shards, 10, algo)
-        hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-4, epochs=10,
-                         batch_size=10, e_h=1.0)
+        clients = clients_of(shards, 10, cfg)
         backbone = init_model((12, 16, 10), seed=0)
         frame = make_etf(10, 10, 1, e_w=25.0)
-        res = train([clients[0]], backbone, frame, algo, hp, ds, [(0, 3, 1, 0)])[0]
+        res = train([clients[0]], backbone, frame, cfg, ds, [(0, 3, 1, 0)])[0]
         from fedgela.metrics import predict
         idx = clients[0].shard.train_indices
         pred = predict(features_of(res.backbone, ds.features[idx], 1.0), frame,
@@ -348,7 +316,7 @@ class TestLocalTrain:
         assert np.mean(pred == ds.labels[idx]) > 0.95
 
     def test_empty_train_split_rejected(self):
-        ds, clients, algo, hp, backbone, frame = self._setup()
+        ds, clients, cfg, backbone, frame = self._setup()
         import dataclasses
         bad_shard = dataclasses.replace(
             clients[0].shard,
@@ -357,7 +325,7 @@ class TestLocalTrain:
         )
         clients[0].shard = bad_shard
         with pytest.raises(ValueError, match="empty train split"):
-            train([clients[0]], backbone, frame, algo, hp, ds, [(0, 3, 1, 0)])
+            train([clients[0]], backbone, frame, cfg, ds, [(0, 3, 1, 0)])
 
 
 def init_row(layer_sizes, seed, n_classes=None):
@@ -443,13 +411,12 @@ class TestAggregate:
         rng = np.random.default_rng(0)
         shard_a = make_client_shard(ds, 0, np.arange(0, 4), 0.0, rng)
         shard_b = make_client_shard(ds, 1, np.arange(4, 8), 0.0, rng)
-        algo = AlgoKind("fedge")
-        clients = clients_of([shard_a, shard_b], 2, algo)
-        hp = Hyperparams(lr=0.1, momentum=0.0, weight_decay=0.0, epochs=1,
-                         batch_size=100, e_h=1.0)
+        cfg = small_config(algo="fedge", lr=0.1, momentum=0.0, weight_decay=0.0, epochs=1,
+                           batch_size=100)
+        clients = clients_of([shard_a, shard_b], 2, cfg)
         backbone = init_model((4, 6, 2), seed=3)
         frame = make_etf(2, 2, 0, e_w=1.0)
-        res = [train([c], backbone, frame, algo, hp, ds, [(9, 9, 9, c.client_id)])[0]
+        res = [train([c], backbone, frame, cfg, ds, [(9, 9, 9, c.client_id)])[0]
                for c in clients]
         weights = np.array([4.0, 4.0]) / 8.0
         agg = aggregate([r.row for r in res], weights)
@@ -505,6 +472,29 @@ class TestRunState:
         assert not state.trained.any()
         assert inputs.phi is None and inputs.mask is None and inputs.frame is None
 
+    # the paper's five arms: (fixed simplex frame, phi adapts it locally)
+    ARMS = {"fedavg": (False, False), "fedprox": (False, False), "fedge": (True, False),
+            "fedgela": (True, True), "laonly": (False, True)}
+
+    def test_arms_are_the_valid_algorithms(self):
+        assert tuple(self.ARMS) == fedsim.VALID_ALGOS
+
+    @pytest.mark.parametrize("algo", list(ARMS))
+    def test_each_arm_builds_its_classifier_and_phi(self, algo):
+        fixed, adapts = self.ARMS[algo]
+        cfg = small_config(algo=algo, lambda_prox=0.1 if algo == "fedprox" else 0.0)
+        inputs = init_state(cfg).inputs
+        assert (algo in FIXED_FRAME, algo in ADAPTS_PHI) == (fixed, adapts)
+        assert inputs.layout.n_classes == (None if fixed else cfg.classes)
+        if fixed:
+            assert inputs.frame.shape == (cfg.classes, cfg.classes)
+        else:
+            assert inputs.frame is None
+        assert (inputs.phi is not None, inputs.mask is not None) == (adapts, adapts)
+        if adapts:
+            assert inputs.phi.shape == inputs.mask.shape == (cfg.clients, cfg.classes)
+            np.testing.assert_array_equal(inputs.phi > 0, inputs.mask)
+
     def test_step_weights_the_server_row_by_n_k(self):
         # the FedAvg weighting: sum over participants of n_k / n * row_k, on
         # shards of unequal size
@@ -553,16 +543,12 @@ class TestRunFederation:
         server = server_of(result)
         # replay: same init, same shard, sequential local training
         ds, shards = result.inputs.dataset, result.inputs.shards
-        algo = AlgoKind("fedavg")
-        clients = clients_of(shards, ds.n_classes, algo)
-        hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                         epochs=cfg.epochs, batch_size=cfg.batch_size, e_h=cfg.e_h)
+        clients = clients_of(shards, ds.n_classes, cfg)
         backbone = init_model((cfg.input_dim,) + cfg.hidden + (ds.n_classes,),
                               (cfg.seed, 1))
         clf = init_classifier(ds.n_classes, ds.n_classes, (cfg.seed, 1, 1))
         for t in (1, 2):
-            res = train([clients[0]], backbone, clf, algo, hp, ds,
-                        [(cfg.seed, 3, t, 0)])[0]
+            res = train([clients[0]], backbone, clf, cfg, ds, [(cfg.seed, 3, t, 0)])[0]
             backbone, clf = res.backbone, res.classifier
         for a, b in zip(server.backbone.tensors(), backbone.tensors()):
             assert a.tobytes() == b.tobytes()
@@ -790,9 +776,7 @@ class TestFinetunePersonalize:
     def test_zero_epochs_unchanged(self):
         cfg, result = self._run()
         server = server_of(result)
-        res = finetune(server.backbone, server.classifier,
-                       [result.inputs.shards[0]], AlgoKind("fedavg"),
-                       Hyperparams(lr=cfg.lr, epochs=2, batch_size=10),
+        res = finetune(server.backbone, server.classifier, [result.inputs.shards[0]], cfg,
                        0, result.inputs.dataset, [(0, 4, 1, 0)])[0]
         for a, b in zip(res.backbone.tensors(), server.backbone.tensors()):
             np.testing.assert_array_equal(a, b)
@@ -805,7 +789,7 @@ class TestFinetunePersonalize:
         real, seeds = fedsim.local_train, []
 
         def recording(*args):
-            seeds.append({tuple(s) for s in args[7]})   # seed_parts
+            seeds.append({tuple(s) for s in args[6]})   # seed_parts
             return real(*args)
 
         monkeypatch.setattr(fedsim, "local_train", recording)
@@ -824,7 +808,7 @@ class TestFinetunePersonalize:
         real, epochs = fedsim.local_train, []
 
         def recording(*args):
-            epochs.append(args[5].epochs)   # hp
+            epochs.append(args[4].epochs)   # config
             return real(*args)
 
         monkeypatch.setattr(fedsim, "local_train", recording)
@@ -841,15 +825,11 @@ class TestFinetunePersonalize:
                                n_per_class=30, input_dim=12)
             result = run_federation(cfg)
             ds, server = result.inputs.dataset, server_of(result)
-            hp = Hyperparams(lr=cfg.lr, momentum=cfg.momentum,
-                             weight_decay=cfg.weight_decay, epochs=cfg.epochs,
-                             batch_size=cfg.batch_size, e_h=cfg.e_h)
             for shard in result.inputs.shards:
                 idx = shard.test_indices
                 before = np.mean(predict(features_of(server.backbone, ds.features[idx], cfg.e_h),
                                          server.classifier) == ds.labels[idx])
-                res = finetune(server.backbone, server.classifier,
-                               [shard], AlgoKind("fedavg"), hp, 10,
+                res = finetune(server.backbone, server.classifier, [shard], cfg, 10,
                                ds, [(seed, 4, 99, shard.client_id)])[0]
                 after = np.mean(predict(features_of(res.backbone, ds.features[idx], cfg.e_h),
                                         res.classifier) == ds.labels[idx])
@@ -902,34 +882,34 @@ class TestRoundCsv:
             read_round_csv(path)
 
 
-def reference_local_train(client, backbone, classifier, algo, hp, ds, seed_parts):
+def reference_local_train(client, backbone, classifier, config, ds, seed_parts):
     """local_train's loop written with the public per-batch ops:
     forward -> logits -> ce_loss -> backward -> (+ prox) -> sgd_step.
     Returns the trained backbone, classifier (None for a fixed frame) and
     epoch losses."""
     from reference_ops import (OptimizerState, backward, ce_loss, forward,
                                logits, sgd_step)
-    learnable = not algo.fixed_classifier
+    learnable = config.algo not in FIXED_FRAME
     model = clone(Model(backbone.weights, backbone.biases, classifier if learnable else None))
     frame = None if learnable else classifier
     eff = model.classifier if learnable else frame
-    refs = [t.copy() for t in model.tensors()] if algo.lambda_prox > 0 else None
-    state = OptimizerState.for_params(model, hp.lr, hp.momentum, hp.weight_decay)
-    phi = client.phi if algo.adapts_phi else None
-    mask = client.mask if algo.adapts_phi else None
+    refs = [t.copy() for t in model.tensors()] if config.lambda_prox > 0 else None
+    state = OptimizerState.for_params(model, config.lr, config.momentum, config.weight_decay)
+    phi = client.phi if config.algo in ADAPTS_PHI else None
+    mask = client.mask if config.algo in ADAPTS_PHI else None
     idx = client.shard.train_indices
     epoch_losses = []
-    for epoch in range(hp.epochs):
+    for epoch in range(config.epochs):
         shuffled = idx[np.random.default_rng(tuple(seed_parts) + (epoch,)).permutation(idx.size)]
         losses = []
-        for start in range(0, idx.size, hp.batch_size):
-            batch = shuffled[start:start + hp.batch_size]
-            fb, cache = forward(model, ds.features[batch], hp.e_h)
+        for start in range(0, idx.size, config.batch_size):
+            batch = shuffled[start:start + config.batch_size]
+            fb, cache = forward(model, ds.features[batch], config.e_h)
             losses.append(ce_loss(logits(fb, eff, phi), ds.labels[batch], mask))
             grads = backward(cache, ds.labels[batch], phi, mask, frame=frame)
             if refs is not None:
                 for g, t, r in zip(grads.tensors(), model.tensors(), refs):
-                    g += algo.lambda_prox * (t - r)
+                    g += config.lambda_prox * (t - r)
             sgd_step(model, grads, state)
         epoch_losses.append(float(np.mean(losses)))
     return Model(model.weights, model.biases), model.classifier, epoch_losses
@@ -944,16 +924,15 @@ class TestFusedStepMatchesPublicOps:
     def _setup(self, kind, lam, hidden):
         ds = synth_gaussian_mixture(5, 6, 23, 3.0, 1.0, seed=3)
         shards = pcdd_partition(ds, 3, classes_per_client=3, seed=4)
-        algo = AlgoKind(kind, lambda_prox=lam)
-        clients = clients_of(shards, ds.n_classes, algo)
-        hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=3,
-                         batch_size=7, e_h=4.0)
+        cfg = small_config(algo=kind, lambda_prox=lam, lr=0.05, momentum=0.9,
+                           weight_decay=1e-3, epochs=3, batch_size=7, e_h=4.0)
+        clients = clients_of(shards, ds.n_classes, cfg)
         backbone = init_model((6,) + hidden + (8,), seed=5)
-        if algo.fixed_classifier:
+        if kind in FIXED_FRAME:
             classifier = make_etf(8, 5, 6, e_w=2.0)
         else:
             classifier = init_classifier(8, 5, seed=7)
-        return ds, clients, algo, hp, backbone, classifier
+        return ds, clients, cfg, backbone, classifier
 
     def _assert_same(self, res, ref):
         bb, clf, losses = ref
@@ -969,42 +948,38 @@ class TestFusedStepMatchesPublicOps:
     @pytest.mark.parametrize("hidden", [(16,), (12, 9)])
     @pytest.mark.parametrize("kind,lam", ALGOS)
     def test_local_train_bitwise(self, kind, lam, hidden):
-        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        ds, clients, cfg, backbone, classifier = self._setup(kind, lam, hidden)
         client = clients[1]
-        assert client.shard.train_indices.size % hp.batch_size != 0  # partial last batch
-        res = train([client], backbone, classifier, algo, hp, ds, [(2, 3, 1, 1)])[0]
-        ref = reference_local_train(client, backbone, classifier, algo, hp, ds,
-                                    (2, 3, 1, 1))
+        assert client.shard.train_indices.size % cfg.batch_size != 0  # partial last batch
+        res = train([client], backbone, classifier, cfg, ds, [(2, 3, 1, 1)])[0]
+        ref = reference_local_train(client, backbone, classifier, cfg, ds, (2, 3, 1, 1))
         self._assert_same(res, ref)
 
     @pytest.mark.parametrize("kind,lam", ALGOS)
     def test_multi_word_master_seed_bitwise(self, kind, lam):
         # a master seed of two 32-bit words, with the reference seeding from the tuple
-        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, (16,))
+        ds, clients, cfg, backbone, classifier = self._setup(kind, lam, (16,))
         seed_parts = (2**32 + 2, 3, 1, 1)
-        res = train([clients[1]], backbone, classifier, algo, hp, ds, [seed_parts])[0]
-        self._assert_same(res, reference_local_train(clients[1], backbone, classifier, algo,
-                                                     hp, ds, seed_parts))
+        res = train([clients[1]], backbone, classifier, cfg, ds, [seed_parts])[0]
+        self._assert_same(res, reference_local_train(clients[1], backbone, classifier, cfg,
+                                                     ds, seed_parts))
 
     @pytest.mark.parametrize("hidden", [(16,), (12, 9)])
     @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0)])
     def test_finetune_personalize_bitwise(self, kind, lam, hidden):
-        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        ds, clients, cfg, backbone, classifier = self._setup(kind, lam, hidden)
         shard = clients[2].shard
-        res = finetune(backbone, classifier, [shard], algo, hp, 2, ds, [(2, 4, 1, 2)])[0]
+        res = finetune(backbone, classifier, [shard], cfg, 2, ds, [(2, 4, 1, 2)])[0]
         plain = types.SimpleNamespace(client_id=shard.client_id, shard=shard, phi=None,
                                       mask=np.ones(ds.n_classes, dtype=bool))
-        ref = reference_local_train(plain, backbone, classifier, algo,
-                                    Hyperparams(lr=hp.lr, momentum=hp.momentum,
-                                                weight_decay=hp.weight_decay, epochs=2,
-                                                batch_size=hp.batch_size, e_h=hp.e_h),
+        ref = reference_local_train(plain, backbone, classifier, cfg._replace(epochs=2),
                                     ds, (2, 4, 1, 2))
         self._assert_same(res, ref)
 
     def test_rows_are_one_new_matrix(self):
-        ds, clients, algo, hp, backbone, classifier = self._setup("fedavg", 0.0, (16,))
-        layout, start, _ = start_of(backbone, classifier, algo)
-        rows, _ = local_train([c.shard for c in clients], layout, start, None, algo, hp, ds,
+        ds, clients, cfg, backbone, classifier = self._setup("fedavg", 0.0, (16,))
+        layout, start, _ = start_of(backbone, classifier, cfg)
+        rows, _ = local_train([c.shard for c in clients], layout, start, None, cfg, ds,
                               [(2, 3, 1, c.client_id) for c in clients])
         assert rows.shape == (len(clients), layout.size)
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
@@ -1107,7 +1082,7 @@ class TestNumericFailuresNameClient:
         # trained one after another, client 1 overflows first
         import dataclasses
         from fedgela.datagen import Dataset
-        ds, clients, algo, hp, backbone, frame = TestLocalTrain()._setup()
+        ds, clients, cfg, backbone, frame = TestLocalTrain()._setup()
         features = ds.features.copy()
         features[clients[1].shard.train_indices[0]] = np.inf
         bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
@@ -1117,7 +1092,7 @@ class TestNumericFailuresNameClient:
         with np.errstate(invalid="ignore"), pytest.raises(
                 FloatingPointError,
                 match=r"^client 1: numeric overflow: non-finite activation in layer 0$"):
-            train(clients[:3], backbone, frame, algo, hp, bad,
+            train(clients[:3], backbone, frame, cfg, bad,
                   [(0, 3, 1, c.client_id) for c in clients[:3]])
 
     def test_pa_finetune_failure_names_round(self):
@@ -1149,20 +1124,19 @@ class TestStackedMatchesSingle:
     def _setup(self, kind, lam, hidden):
         ds = synth_gaussian_mixture(5, 6, 30, 3.0, 1.0, seed=8)
         shards = dirichlet_partition(ds, 6, beta=0.5, seed=2, min_size=5)
-        algo = AlgoKind(kind, lambda_prox=lam)
-        clients = clients_of(shards, ds.n_classes, algo)
-        hp = Hyperparams(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=2,
-                         batch_size=7, e_h=4.0)
+        cfg = small_config(algo=kind, lambda_prox=lam, lr=0.05, momentum=0.9,
+                           weight_decay=1e-3, epochs=2, batch_size=7, e_h=4.0)
+        clients = clients_of(shards, ds.n_classes, cfg)
         backbone = init_model((6,) + hidden + (8,), seed=5)
-        if algo.fixed_classifier:
+        if kind in FIXED_FRAME:
             classifier = make_etf(8, 5, 6, e_w=2.0)
         else:
             classifier = init_classifier(8, 5, seed=7)
         sizes = [c.shard.train_indices.size for c in clients]
-        assert any(n % hp.batch_size for n in sizes)               # partial last batches
-        assert len({-(-n // hp.batch_size) for n in sizes}) > 1    # epochs end at different steps
+        assert any(n % cfg.batch_size for n in sizes)              # partial last batches
+        assert len({-(-n // cfg.batch_size) for n in sizes}) > 1   # epochs end at different steps
         assert sizes != sorted(sizes, reverse=True)                # stacking reorders them
-        return ds, clients, algo, hp, backbone, classifier
+        return ds, clients, cfg, backbone, classifier
 
     _assert_same_as_ref = TestFusedStepMatchesPublicOps._assert_same
 
@@ -1174,34 +1148,33 @@ class TestStackedMatchesSingle:
     @pytest.mark.parametrize("kind,lam", ALGOS)
     def test_local_train_list_equals_one_by_one(self, kind, lam, hidden):
         from fedgela import fedsim
-        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        ds, clients, cfg, backbone, classifier = self._setup(kind, lam, hidden)
         n_params = sum(t.size for t in backbone.tensors())
-        n_params += 0 if algo.fixed_classifier else classifier.size
+        n_params += 0 if kind in FIXED_FRAME else classifier.size
         if hidden == (120, 100):   # the row cap splits the clients into several stacks
             assert fedsim.STACK_ELEMENTS // n_params < len(clients)
         seeds = [(4, 3, 1, c.client_id) for c in clients]
-        stacked = train(clients, backbone, classifier, algo, hp, ds, seeds)
+        stacked = train(clients, backbone, classifier, cfg, ds, seeds)
         assert len(stacked) == len(clients)
         for c, s, res in zip(clients, seeds, stacked):
-            self._assert_same(res, train([c], backbone, classifier, algo, hp, ds, [s])[0])
+            self._assert_same(res, train([c], backbone, classifier, cfg, ds, [s])[0])
         self._assert_same_as_ref(stacked[0], reference_local_train(
-            clients[0], backbone, classifier, algo, hp, ds, seeds[0]))
+            clients[0], backbone, classifier, cfg, ds, seeds[0]))
 
     @pytest.mark.parametrize("hidden", [(16,), (120, 100)])
     @pytest.mark.parametrize("kind,lam", [("fedavg", 0.0), ("fedprox", 0.1), ("fedge", 0.0)])
     def test_finetune_personalize_list_equals_one_by_one(self, kind, lam, hidden):
-        ds, clients, algo, hp, backbone, classifier = self._setup(kind, lam, hidden)
+        ds, clients, cfg, backbone, classifier = self._setup(kind, lam, hidden)
         shards = [c.shard for c in clients]
         seeds = [(4, 4, 1, s.client_id) for s in shards]
-        tuned = finetune(backbone, classifier, shards, algo, hp, 2, ds, seeds)
+        tuned = finetune(backbone, classifier, shards, cfg, 2, ds, seeds)
         for shard, s, res in zip(shards, seeds, tuned):
-            self._assert_same(res, finetune(backbone, classifier, [shard], algo,
-                                            hp, 2, ds, [s])[0])
+            self._assert_same(res, finetune(backbone, classifier, [shard], cfg, 2, ds, [s])[0])
 
     def test_one_seed_per_client_required(self):
-        ds, clients, algo, hp, backbone, classifier = self._setup("fedgela", 0.0, (16,))
+        ds, clients, cfg, backbone, classifier = self._setup("fedgela", 0.0, (16,))
         with pytest.raises(ValueError, match="one seed_parts per client"):
-            train(clients, backbone, classifier, algo, hp, ds, [(0, 3, 1, 0)])
+            train(clients, backbone, classifier, cfg, ds, [(0, 3, 1, 0)])
 
 
 class TestPartitionCheckedBeforeTraining:
