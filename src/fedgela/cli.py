@@ -183,15 +183,10 @@ def _read_config_file(path) -> dict:
     return raw
 
 
-def parse_config(source, overrides=None) -> RunConfig:
-    """Build a validated RunConfig from a file path or a key/value mapping.
-
-    Unknown keys are rejected; `overrides` (an iterable of 'key=value'
-    strings or a mapping) wins over the file. Each rule is checked once:
-    the single-key rules of _RULES, the cross-key rules of _CROSS_RULES
-    and, from `classes` (which init_state holds a csv's class count to),
-    fedsim.feature_width's frame rule and datagen.check_pcdd's class cover.
-    """
+def _given_keys(source, overrides=None) -> dict:
+    """The keys a config file path or a key/value mapping gives, as given,
+    with `overrides` (an iterable of 'key=value' strings or a mapping)
+    winning over it; a mapping's None means unset."""
     if isinstance(source, (str, os.PathLike)):
         raw = _read_config_file(source)
     else:
@@ -205,7 +200,19 @@ def parse_config(source, overrides=None) -> RunConfig:
                 raise ConfigError(f"override '{ov}' is not of the form key=value")
             k, v = ov.split("=", 1)
             raw[k.strip()] = v.strip()
+    return raw
 
+
+def parse_config(source, overrides=None) -> RunConfig:
+    """Build a validated RunConfig from a file path or a key/value mapping
+    and its overrides (_given_keys).
+
+    Unknown keys are rejected. Each rule is checked once: the single-key
+    rules of _RULES, the cross-key rules of _CROSS_RULES and, from `classes`
+    (which init_state holds a csv's class count to), fedsim.feature_width's
+    frame rule and datagen.check_pcdd's class cover.
+    """
+    raw = _given_keys(source, overrides)
     unknown = set(raw) - set(_KEY_TYPES)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -407,18 +414,18 @@ def _parse_arm(spec: str) -> tuple:
     return name, overrides
 
 
-def _sweep_runs(base: RunConfig, arms, seeds, out: Path) -> list:
-    """(arm name, seed, RunConfig) of every run, all parsed before any runs;
-    a bad or duplicate arm raises a ConfigError naming it."""
-    base_dict = base.to_dict()
+def _sweep_runs(given: dict, arms, seeds, out: Path) -> list:
+    """(arm name, seed, RunConfig) of every run, all parsed before any runs:
+    each arm's overrides on the keys the base config was `given`, so the
+    defaults that follow another key (clients_per_round, min_size) follow
+    the arm's. A bad or duplicate arm raises a ConfigError naming it."""
     runs, names = [], set()
     for name, overrides in arms:
         if name in names:
             raise ConfigError(f"duplicate arm name '{name}'")
         names.add(name)
         for seed in seeds:
-            cfg_dict = dict(base_dict)
-            cfg_dict.update({"seed": seed, "data_seed": seed, "partition_seed": seed})
+            cfg_dict = dict(given, seed=seed, data_seed=seed, partition_seed=seed)
             if "scheme" in overrides:
                 for scheme, key in _SCHEME_KEYS.items():
                     if scheme != str(overrides["scheme"]).strip():
@@ -449,9 +456,10 @@ def _parse_seeds(text: str) -> list:
     return seeds
 
 
-def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
+def cmd_sweep(base: RunConfig, arm_specs, seeds, given: dict) -> int:
     """Run every arm for every seed on shared data/partition splits and
-    write a per-arm summary of final PA/GA mean and std.
+    write a per-arm summary of final PA/GA mean and std. `given` holds the
+    keys that the base config was parsed from.
 
     Every arm x seed config is parsed before the first run. The runs go to
     fedsim.run_many, and this process alone writes their outputs, in (arm,
@@ -462,7 +470,7 @@ def cmd_sweep(base: RunConfig, arm_specs, seeds) -> int:
         raise ConfigError("sweep needs at least 2 arms")
     arms = [_parse_arm(s) for s in arm_specs]
     out = _resolve_out_dir(base).absolute()
-    runs = _sweep_runs(base, arms, seeds, out)
+    runs = _sweep_runs(given, arms, seeds, out)
     status, summary = out / "sweep_status.json", out / "summary.csv"
     status.unlink(missing_ok=True)
     summary.unlink(missing_ok=True)
@@ -525,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("run", "run one federated experiment", lambda config, args: cmd_run(config))
 
     p = command("sweep", "compare arms over a seed list",
-                lambda config, args: cmd_sweep(config, args.arms, _parse_seeds(args.seeds)))
+                lambda config, args: cmd_sweep(config, args.arms, _parse_seeds(args.seeds),
+                                               _given_keys(args.config or {}, args.overrides)))
     p.add_argument("--arm", dest="arms", action="append", required=True,
                    metavar="NAME:KEY=VAL[,KEY=VAL...]",
                    help="one arm (config overrides); repeatable")

@@ -156,107 +156,66 @@ def sample_clients(n_clients: int, k: int, round_seed) -> np.ndarray:
 STACK_ELEMENTS = 2 ** 16
 
 
-def _pick(rows, sel):
-    """rows[sel], or None for no rows."""
-    return None if rows is None else rows[sel]
-
-
-def local_train(shards, layout: Layout, start_row: np.ndarray, frame, config, ds: Dataset,
-                seed_parts, phi=None, mask=None):
-    """Run `config.epochs` epochs of mini-batch SGD on each shard's train
-    split, every client starting from the (global) model `start_row` of
-    `layout`, with the algorithm and optimizer settings of the run's
-    `config` (algo, lambda_prox, lr, momentum, weight_decay, batch_size and
-    the squared feature norm e_h of the sphere projection).
-
-    A fixed-classifier algorithm takes a layout without a classifier and the
-    (d, C) `frame` matrix, the others a layout holding a learnable
-    classifier and no frame. `seed_parts` is one shuffle seed tuple per
-    shard. Only an algorithm that adapts phi takes `phi` and `mask`, (m, C)
-    arrays of the clients' class weights and existing classes, and rejects a
-    train label outside its client's mask; given neither, it trains unscaled
-    on every class, as the fine-tune does. Returns the (m, P) matrix of the
-    trained model rows, in input order, and the (m, epochs) matrix of each
-    client's mean batch loss per epoch. Batches are a seeded shuffle each
-    epoch (seed derived from the client's seed_parts and the epoch index);
-    the last partial batch is kept. Learnable-classifier variants update the
-    classifier jointly, as part of the model's row; fedprox adds
-    lambda_prox * (theta - theta_global) to every gradient. The clients
-    train as one stack of models (neuralnet.flatten, neuralnet.train_step),
-    at most STACK_ELEMENTS parameters per step, each bit-identical to
-    training that client alone. If the stack fails, the clients train again
-    one at a time in input order, so the error raised is the one that
-    training them one after another raises first; a numeric failure is
-    re-raised naming the client.
+def local_train(inputs: RunInputs, ids, start_row: np.ndarray, seed_parts, epochs: int):
+    """Run `epochs` epochs of mini-batch SGD on the train split of each
+    client inputs.shards[i], i in `ids`, from the (global) model `start_row`
+    of inputs.layout (against inputs.frame, for a fixed classifier), with
+    the settings of the run's config (algo, lambda_prox, lr, momentum,
+    weight_decay, batch_size, e_h) and the clients' phi and mask rows where
+    the inputs hold them (without them: unscaled, on every class).
+    `seed_parts` is one shuffle seed tuple per client. Returns the (m, P)
+    trained rows in the order of `ids` and the (m, epochs) mean batch loss
+    per epoch. Each epoch shuffles by seed_parts + (epoch,) and keeps the
+    last partial batch; a learnable classifier trains as part of the row,
+    and fedprox adds lambda_prox * (theta - theta_global) to every gradient.
+    The clients train as stacks of models (neuralnet.flatten,
+    neuralnet.train_step) of at most STACK_ELEMENTS parameters, sorted by
+    train-split size (descending, stable) so the clients with a full batch
+    left are a prefix; each is bit-identical to training that client alone.
+    If a step fails numerically, the clients train again one at a time in
+    the order of `ids`, and the first failure is re-raised naming its client.
     """
-    algo = config.algo
-    if algo not in ADAPTS_PHI and (phi is not None or mask is not None):
-        raise ValueError(f"algo={algo} does not adapt phi, so it takes no phi or mask")
-    fixed = algo in FIXED_FRAME
-    if (frame is not None) != fixed or (layout.n_classes is None) != fixed:
-        raise ValueError(f"algo={algo} needs a start model " + (
-            "without a classifier, and a frame" if fixed else "with its classifier, no frame"))
-    shards, seeds = list(shards), [tuple(s) for s in seed_parts]
-    if len(seeds) != len(shards):
+    ids, seeds = list(ids), [tuple(s) for s in seed_parts]
+    if len(seeds) != len(ids):
         raise ValueError(f"need one seed_parts per client, got {len(seeds)} "
-                         f"for {len(shards)} clients")
+                         f"for {len(ids)} clients")
+    shards, size = inputs.shards, inputs.layout.size
+    cap = max(1, STACK_ELEMENTS // size)
+    order = sorted(range(len(ids)), key=lambda p: -shards[ids[p]].train_indices.size)
+    rows, losses = np.empty((len(ids), size)), np.empty((len(ids), epochs))
     try:
-        return _train_clients(shards, seeds, layout, start_row, frame, config, ds, phi, mask)
-    except (ValueError, FloatingPointError):
+        for g in range(0, len(order), cap):
+            group = order[g:g + cap]
+            rows[group], losses[group] = _train_stack(inputs, [ids[p] for p in group],
+                                                      [seeds[p] for p in group], start_row, epochs)
+    except FloatingPointError:
         # trajectories are independent, so the first client that fails alone
         # is the one the sequential loop fails on
-        for k, (s, seed) in enumerate(zip(shards, seeds)):
-            one = slice(k, k + 1)
+        for i, seed in zip(ids, seeds):
             try:
-                _train_clients([s], [seed], layout, start_row, frame, config, ds,
-                               _pick(phi, one), _pick(mask, one))
+                _train_stack(inputs, [i], [seed], start_row, epochs)
             except FloatingPointError as exc:
-                raise FloatingPointError(f"client {s.client_id}: {exc}") from exc
+                raise FloatingPointError(f"client {shards[i].client_id}: {exc}") from exc
         raise
-
-
-def _train_clients(shards, seeds, layout, start_row, frame, config, ds, phi, mask) -> tuple:
-    """local_train's row and loss matrices. Stacks hold clients sorted by
-    train-split size (descending, stable), so the clients that still have a
-    full batch at an offset are a prefix of the stack."""
-    n_classes = layout.n_classes or frame.shape[1]
-    for name, rows in (("phi", phi), ("mask", mask)):
-        if rows is not None and np.shape(rows) != (len(shards), n_classes):
-            raise ValueError(f"{name} must hold one row of {n_classes} classes per "
-                             f"client, got shape {np.shape(rows)} for {len(shards)} clients")
-    for k, s in enumerate(shards):
-        if s.train_indices.size == 0:
-            raise ValueError(f"client {s.client_id} has an empty train split")
-        if mask is not None:
-            _check_labels(ds.labels[s.train_indices], mask[k])  # once, not per batch
-    cap = max(1, STACK_ELEMENTS // layout.size)
-    order = sorted(range(len(shards)), key=lambda p: -shards[p].train_indices.size)
-    rows = np.empty((len(shards), layout.size))
-    losses = np.empty((len(shards), config.epochs))
-    for g in range(0, len(order), cap):
-        group = order[g:g + cap]
-        rows[group], losses[group] = _train_stack(group, shards, seeds, layout, start_row,
-                                                  frame, config, ds, _pick(phi, group),
-                                                  _pick(mask, group))
     return rows, losses
 
 
-def _train_stack(positions, shards, seeds, layout, start_row, frame, config, ds,
-                 phi, mask) -> tuple:
-    """Train shards[p] for p in `positions` (train splits of non-increasing
-    size) as one stack of models, each starting from the model `start_row`
-    of `layout` (with its learnable classifier, else against the fixed
-    `frame`), with the (k, C) `phi` and `mask` rows of those clients.
-    Returns the (k, P) trained rows and (k, epochs) losses."""
-    k_rows = len(positions)
-    model = flatten(layout, start_row, k_rows, frame, phi, mask, config.lambda_prox)
+def _train_stack(inputs: RunInputs, ids, seeds, start_row, epochs) -> tuple:
+    """Train the clients inputs.shards[i], i in `ids` (train splits of
+    non-increasing size), as one stack of models from the model `start_row`,
+    each shuffled by its tuple of `seeds`, as local_train. Returns the (k, P)
+    trained rows and (k, epochs) losses."""
+    config, shards, ds = inputs.config, inputs.shards, inputs.dataset
+    k_rows = len(ids)
+    phi, mask = (None if rows is None else rows[ids] for rows in (inputs.phi, inputs.mask))
+    model = flatten(inputs.layout, start_row, k_rows, inputs.frame, phi, mask, config.lambda_prox)
     hyper = dict(e_h=float(config.e_h), lr=float(config.lr), momentum=float(config.momentum),
                  weight_decay=float(config.weight_decay))
 
     # one epoch's steps: (batch number, first row, row stop, batch start, batch
     # stop); the rows with a full batch at offset i form a prefix, and each
     # partial last batch is a one-row stack of its own
-    n = [shards[p].train_indices.size for p in positions]
+    n = [shards[i].train_indices.size for i in ids]
     size = config.batch_size
     steps = []
     for j, i in enumerate(range(0, n[0], size)):
@@ -266,25 +225,24 @@ def _train_stack(positions, shards, seeds, layout, start_row, frame, config, ds,
         steps += [(j, k, k + 1, i, n[k]) for k in range(full, k_rows) if n[k] > i]
     stacks = {rows: model.rows(*rows) for rows in {(a, b) for _, a, b, _, _ in steps}}
     n_batches = [-(-nk // size) for nk in n]
-    losses = np.empty((k_rows, config.epochs, n_batches[0]))
+    losses = np.empty((k_rows, epochs, n_batches[0]))
     shuffled = np.zeros((k_rows, n[0]), dtype=np.int64)   # padding is never stepped on
     classes = np.arange(model.w_eff.shape[-1])
     # each client's shuffle seed seed_parts + (epoch,) as the words numpy reads
     # from it, built once: each epoch writes its index into the last word
-    words = [_seed_words(seeds[p] + (0,)) for p in positions]
-    for epoch in range(config.epochs):
-        for k, p in enumerate(positions):
+    words = [_seed_words(seed + (0,)) for seed in seeds]
+    for epoch in range(epochs):
+        for k, i in enumerate(ids):
             words[k][-1] = epoch
             rng = np.random.default_rng(words[k])
-            train_idx = shards[p].train_indices
-            shuffled[k, :n[k]] = train_idx[rng.permutation(n[k])]
+            shuffled[k, :n[k]] = shards[i].train_indices[rng.permutation(n[k])]
         xs, hot = ds.features[shuffled], ds.labels[shuffled][..., None] == classes
         for j, start, stop, i, end in steps:
             losses[start:stop, epoch, j] = train_step(stacks[start, stop], xs[start:stop, i:end],
                                                       hot[start:stop, i:end], **hyper)
     # each epoch's mean batch loss, per run of clients with one batch count (a
     # contiguous run, as the sizes do not increase)
-    epoch_losses = np.empty((k_rows, config.epochs))
+    epoch_losses = np.empty((k_rows, epochs))
     runs = [k for k in range(k_rows) if k == 0 or n_batches[k] != n_batches[k - 1]]
     for a, b in zip(runs, runs[1:] + [k_rows]):
         epoch_losses[a:b] = losses[a:b, :, :n_batches[a]].mean(axis=-1)
@@ -321,17 +279,14 @@ def aggregate(rows, weights) -> np.ndarray:
     return acc
 
 
-def finetune_personalize(shards, layout: Layout, start_row: np.ndarray, frame, config,
-                         epochs: int, ds: Dataset, seed_parts):
-    """Continue the algorithm's local training (that of the run's `config`)
-    on each shard from the (global) model `start_row` of `layout` (against
-    `frame`, as local_train) for `epochs` epochs, with no phi and every
-    class; epochs=0 returns it unchanged. Otherwise as local_train: the
-    (m, P) rows and the (m, epochs) losses."""
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    return local_train(shards, layout, start_row, frame, config._replace(epochs=int(epochs)),
-                       ds, seed_parts)
+def finetune_personalize(inputs: RunInputs, start_row: np.ndarray, seed_parts):
+    """Continue the algorithm's local training on every client's shard from
+    the (global) model `start_row`, for the config's finetune_epochs epochs,
+    with no phi and every class: local_train over all clients on the inputs
+    without phi and mask, returning its (N, P) rows and (N, finetune_epochs)
+    losses; 0 epochs returns start_row for each client unchanged."""
+    return local_train(inputs._replace(phi=None, mask=None), range(len(inputs.shards)),
+                       start_row, seed_parts, inputs.config.finetune_epochs)
 
 
 def build_dataset(config) -> Dataset:
@@ -366,12 +321,26 @@ def _check_evaluable(shards, ds: Dataset, global_test: np.ndarray) -> None:
         raise ValueError(f"class {absent[0]} is absent from the global test set")
 
 
+def _check_trainable(shards, ds: Dataset, mask) -> None:
+    """Each client trains on its train split, inside its class mask where
+    the algorithm adapts phi."""
+    for k, s in enumerate(shards):
+        if s.train_indices.size == 0:
+            raise ValueError(f"client {s.client_id} has an empty train split")
+        if mask is not None:
+            try:
+                _check_labels(ds.labels[s.train_indices], mask[k])
+            except ValueError as exc:
+                raise ValueError(f"client {s.client_id}: {exc}") from None
+
+
 def init_state(config, dataset: Dataset | None = None,
                shards: list | None = None) -> RunState:
     """A run before round 1: the data set and partition of `config` (or the
     given ones), the initial models and the clients' phi and masks. A
-    partition that cannot be evaluated, or a loaded csv whose class count
-    is not `classes`, is rejected here."""
+    partition that cannot be evaluated or trained (a client with an empty
+    train split, or a train label outside its class mask), or a loaded csv
+    whose class count is not `classes`, is rejected here."""
     ds = dataset if dataset is not None else build_dataset(config)
     n_classes = ds.n_classes
     # parse_config checks the class-count rules against `classes`, which a
@@ -398,6 +367,7 @@ def init_state(config, dataset: Dataset | None = None,
     global_test = np.sort(np.concatenate([s.test_indices for s in shards]))
     if config.rounds >= 1:
         _check_evaluable(shards, ds, global_test)
+        _check_trainable(shards, ds, mask)
     inputs = RunInputs(config=config, dataset=ds, shards=shards, phi=phi, mask=mask,
                        layout=layout, frame=frame, global_test=global_test)
     return RunState(inputs=inputs, round=0, server_theta=server,
@@ -415,10 +385,9 @@ def step(state: RunState) -> RoundLog:
     ids = sample_clients(len(inp.shards), inp.config.clients_per_round, (seed, _SEED_SAMPLE, t))
     sampled = [inp.shards[i] for i in ids]
     try:
-        rows, losses = local_train(
-            sampled, inp.layout, state.server_theta, inp.frame, inp.config, inp.dataset,
-            [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
-            _pick(inp.phi, ids), _pick(inp.mask, ids))
+        rows, losses = local_train(inp, ids, state.server_theta,
+                                   [(seed, _SEED_SHUFFLE, t, s.client_id) for s in sampled],
+                                   inp.config.epochs)
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {t}: {exc}") from exc
     state.client_theta[ids] = rows
@@ -449,8 +418,7 @@ def evaluate(state: RunState) -> metrics.EvalReport:
             local = None   # a participant's local row is its personal row
         else:
             personal, _ = finetune_personalize(
-                inp.shards, inp.layout, state.server_theta, inp.frame, inp.config,
-                inp.config.finetune_epochs, inp.dataset,
+                inp, state.server_theta,
                 [(inp.config.seed, _SEED_FINETUNE, t, s.client_id) for s in inp.shards])
             local = state.client_theta
         participants = state.logs[-1].participants if state.logs else ()

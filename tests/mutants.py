@@ -11,12 +11,13 @@ replaced, and the kill set runs against the copy in a subprocess:
      the rules a digest alone would catch (compute_phi, the n_k weighting,
      the evaluation schedule, the fine-tune's epochs, the seed streams, the
      allocation, the pcdd class deal, the CSV, checkpoint and partition
-     parameter checks, the evaluability check, the report's cells of a
-     rounds.csv row, predict's mask, the sampled clients' order, the CSV
-     digits, the rows scored for untrained clients, the angle report's
-     class split, the frame's sqrt(e_w) scale, the layout's row-length
-     check, the output files' temporary names and the lambda_prox rule)
-     and, last, the golden pins (tests/test_golden.py), in one pytest
+     parameter checks, the evaluability and train-split checks, the
+     report's cells of a rounds.csv row, predict's mask, the sampled
+     clients' order, the CSV digits, the rows scored for untrained
+     clients, the angle report's class split, the frame's sqrt(e_w) scale,
+     the layout's row-length check, the output files' temporary names, the
+     lambda_prox rule and the fixed frame's e_h * e_w relation) and, last,
+     the golden pins (tests/test_golden.py), in one pytest
      call that stops at the first failure, so a mutant is reported by the
      rule it breaks.
 
@@ -71,9 +72,8 @@ MUTANTS = (
      "acc = weights[0] * rows[0]",
      "rows, weights = rows[::-1], weights[::-1]; acc = weights[0] * rows[0]"),
     ("write the stack's rows back in sorted order", "fedsim.py",
-     "rows[group], losses[group] = _train_stack(group, shards, seeds, layout, start_row,",
-     "rows[g:g + len(group)], losses[group] = _train_stack(group, shards, seeds, layout, "
-     "start_row,"),
+     "rows[group], losses[group] = _train_stack(inputs, [ids[p] for p in group],",
+     "rows[g:g + len(group)], losses[group] = _train_stack(inputs, [ids[p] for p in group],"),
     ("compute_phi drops gamma", "fedsim.py",
      "return _as_phi(counts / (n_k * gamma), counts.size)",
      "return _as_phi(counts / n_k, counts.size)"),
@@ -126,6 +126,9 @@ MUTANTS = (
     ("skip the evaluability check", "fedsim.py",
      "_check_evaluable(shards, ds, global_test)",
      "pass"),
+    ("skip the train-split checks", "fedsim.py",
+     "_check_trainable(shards, ds, mask)",
+     "pass"),
     ("pcdd deals each class's slots to clients round-robin", "datagen.py",
      "holders[cls].append(slot // cpc)",
      "holders[cls].append(slot % n_clients)"),
@@ -140,8 +143,8 @@ MUTANTS = (
      "if beta is None or not beta > 0:",
      "if False:"),
     ("the PA fine-tune trains the rounds' epochs", "fedsim.py",
-     "inp.config.finetune_epochs, inp.dataset,",
-     "inp.config.epochs, inp.dataset,"),
+     "start_row, seed_parts, inputs.config.finetune_epochs)",
+     "start_row, seed_parts, inputs.config.epochs)"),
     ("make_etf drops sqrt(e_w)", "etfgeom.py",
      "return math.sqrt(float(e_w)) * m",
      "return m"),
@@ -164,6 +167,7 @@ GRADCHECK = [sys.executable, "-c",
 KILL_TESTS = [
     "tests/test_neuralnet.py::TestShippedForward",
     "tests/test_neuralnet.py::TestCheckpoint",
+    "tests/test_fedsim.py::TestFinetunePersonalize::test_finetune_trains_finetune_epochs",
     "tests/test_fedsim.py::TestFusedStepMatchesPublicOps",
     "tests/test_fedsim.py::TestStackedMatchesSingle",
     "tests/test_fedsim.py::TestComputePhi",
@@ -172,7 +176,6 @@ KILL_TESTS = [
     "tests/test_fedsim.py::TestRunFederation::test_last_round_evaluated_off_the_schedule",
     "tests/test_fedsim.py::TestFinetunePersonalize"
     "::test_finetune_shuffles_apart_from_the_rounds_training",
-    "tests/test_fedsim.py::TestFinetunePersonalize::test_finetune_trains_finetune_epochs",
     "tests/test_datagen.py::TestLargestRemainderAlloc",
     "tests/test_datagen.py::TestPcddPartition::test_two_classes_per_client",
     "tests/test_datagen.py::TestCsv::test_non_finite_feature_names_line",
@@ -189,6 +192,7 @@ KILL_TESTS = [
     "tests/test_neuralnet.py::TestLayout::test_wrong_length_row_rejected_naming_both_sizes",
     "tests/test_cli.py::TestOutputsArriveWhole",
     "tests/test_cli.py::TestParseConfig::test_lambda_prox_requires_fedprox",
+    "tests/test_metamorphic.py::test_fixed_frame_sees_only_the_product_of_e_h_and_e_w",
     "tests/test_golden.py",
 ]
 

@@ -173,14 +173,14 @@ def test_criterion_5_reductions():
     single = parse_config(small | {"algo": "fedavg", "clients": 1,
                                    "classes_per_client": 4, "rounds": 2})
     result = run_federation(single)
-    ds, shards = result.inputs.dataset, result.inputs.shards
-    layout = Layout((single.input_dim,) + single.hidden + (ds.n_classes,), ds.n_classes)
+    n_classes = result.inputs.dataset.n_classes
+    layout = Layout((single.input_dim,) + single.hidden + (n_classes,), n_classes)
     row = init_backbone(layout, (single.seed, 1), (single.seed, 1, 1))
     for t in (1, 2):
-        rows, _ = local_train([shards[0]], layout, row, None, single, ds,
-                              [(single.seed, 3, t, 0)])
+        rows, _ = local_train(result.inputs, [0], row, [(single.seed, 3, t, 0)], single.epochs)
         row = rows[0]
-    same_c = result.server_theta.tobytes() == row.tobytes()
+    same_c = layout == result.inputs.layout
+    same_c = same_c and result.server_theta.tobytes() == row.tobytes()
 
     elapsed = time.time() - start
     _report(5, same_a and same_b and same_c and elapsed < 120.0,

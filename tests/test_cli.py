@@ -345,6 +345,39 @@ class TestCmdSweep:
         assert len(lines) == 3
         assert lines[1].startswith("avg,3,") and lines[2].startswith("gela,3,")
 
+    def test_arms_follow_their_own_keys_with_the_chained_defaults(self, tmp_path):
+        # clients_per_round follows clients and min_size follows batch_size
+        # per arm, unless the base config gives them
+        from fedgela.cli import _sweep_runs
+        base = {k: v for k, v in SMALL.items() if k != "min_size"}
+        arms = [("a", {"clients": "20"}), ("b", {"batch_size": "7"}),
+                ("c", {"clients": "8", "batch_size": "7"})]
+        runs = {name: cfg for name, _, cfg in _sweep_runs(base, arms, [0], tmp_path)}
+        assert (runs["a"].clients, runs["a"].clients_per_round, runs["a"].min_size) == (20, 20, 10)
+        assert (runs["b"].clients, runs["b"].clients_per_round, runs["b"].min_size) == (4, 4, 7)
+        assert (runs["c"].clients, runs["c"].clients_per_round, runs["c"].min_size) == (8, 8, 7)
+        given = base | {"clients_per_round": 2, "min_size": 3}
+        (_, _, cfg), = _sweep_runs(given, arms[2:], [0], tmp_path)
+        assert (cfg.clients, cfg.clients_per_round, cfg.min_size) == (8, 2, 3)
+
+    def test_each_arm_runs_the_config_run_parses(self, tmp_path, capsys):
+        sets = ["scheme=pcdd", "classes_per_client=2", "classes=4", "rounds=1", "n_per_class=30",
+                "input_dim=6", "hidden=16", "epochs=1", "finetune_epochs=1"]
+        argv = sum((["--set", kv] for kv in sets), [])
+        out = tmp_path / "sweep"
+        assert main(["sweep", *argv, "--set", f"out_dir={out}", "--arm", "a:clients=2",
+                     "--arm", "b:clients=4", "--seeds", "0"]) == 0
+        for arm, clients in (("a", 2), ("b", 4)):
+            alone = tmp_path / f"run_{arm}"
+            assert main(["run", *argv, "--set", f"clients={clients}", "--set", "seed=0",
+                         "--set", f"out_dir={alone}"]) == 0
+            swept = json.loads((out / f"{arm}_seed0" / "manifest.json").read_text())["config"]
+            ran = json.loads((alone / "manifest.json").read_text())["config"]
+            assert swept["clients_per_round"] == clients
+            assert swept | {"out_dir": None} == ran | {"out_dir": None}
+            assert ((out / f"{arm}_seed0" / "rounds.csv").read_bytes()
+                    == (alone / "rounds.csv").read_bytes())
+
     def test_ge_equals_gela_on_uniform_split(self, tmp_path):
         # exact-uniform clients: phi == 1, so the GA trajectories coincide
         base = SMALL | {"classes_per_client": 4, "out_dir": str(tmp_path / "sweep")}
@@ -757,7 +790,7 @@ class TestSweepFailsBeforeCompute:
                                                                arm, scheme):
         from fedgela.cli import _sweep_runs
         base = {k: v for k, v in SMALL.items() if k != "classes_per_client"} | base_settings
-        (_, _, cfg), = _sweep_runs(parse_config(base), [("b", arm)], [0], tmp_path)
+        (_, _, cfg), = _sweep_runs(base, [("b", arm)], [0], tmp_path)
         assert cfg.scheme == scheme
         assert (cfg.beta is None) == (scheme == "pcdd")
         assert (cfg.classes_per_client is None) == (scheme == "dirichlet")

@@ -50,3 +50,37 @@ def test_cli_import_leaves_the_diagnostics_out():
     loaded = done.stdout.strip()
     assert "'fedgela.cli'" in loaded
     assert "fedgela.diagnostics" not in loaded
+
+
+def _perfbench_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "perfbench").glob("*.py"))}
+
+
+def test_every_name_perfbench_reaches_exists():
+    # perfbench finds fedgela's functions by name (worker.SetupProbe wraps
+    # fedsim.local_train, the workloads parse configs, spans sums the
+    # writers), so a rename fails here, not only as a broken benchmark metric
+    modules = {name: importlib.import_module(f"fedgela.{name}")
+               for name in ("fedsim", "cli", "metrics", "neuralnet")}
+    trees = _perfbench_trees()
+    reached = {(file, node.value.id, node.attr) for file, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules}
+    assert ("worker.py", "fedsim", "local_train") in reached
+    assert ("workloads.py", "cli", "parse_config") in reached
+    missing = [r for r in sorted(reached) if not hasattr(modules[r[1]], r[2])]
+    assert not missing, f"perfbench reaches names fedgela lacks: {missing}"
+
+    constants = {target.id: node.value for node in trees["spans.py"].body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name)}
+    traced = [importlib.import_module(f"fedgela.{m}")
+              for m in ast.literal_eval(constants["MODULES"])]
+    writers = ast.literal_eval(constants["WRITERS"])
+    assert writers
+    for name in writers:
+        # spans wraps a function under the module that defines it
+        assert any(getattr(getattr(mod, name, None), "__module__", None) == mod.__name__
+                   for mod in traced), f"spans.WRITERS names {name}, which no module defines"

@@ -15,6 +15,7 @@ from fedgela.etfgeom import make_etf
 from fedgela.fedsim import (
     ADAPTS_PHI,
     FIXED_FRAME,
+    RunInputs,
     aggregate,
     compute_phi,
     evaluate,
@@ -54,15 +55,28 @@ def clients_of(shards, n_classes, config):
         phi=compute_phi(s.counts, s.n_k, 1.0 / n_classes) if adapts else None) for s in shards]
 
 
-def start_of(backbone, classifier, config):
-    """local_train's layout, start row and frame for a backbone (a
-    reference_ops.Model without a classifier) and a d x C classifier matrix:
-    the backbone with the classifier in its row, if the algorithm learns it,
-    else the backbone alone and the classifier as the fixed frame."""
+def inputs_of(clients, backbone, classifier, config, ds):
+    """The RunInputs that local_train reads for the clients (their shards,
+    and their phi and mask rows where the algorithm adapts phi, as
+    init_state builds them) and the start row, for a backbone (a
+    reference_ops.Model without a classifier) and a d x C classifier
+    matrix: the backbone with the classifier in its row, if the algorithm
+    learns it, else the backbone alone and the classifier as the fixed
+    frame."""
     if config.algo in FIXED_FRAME:
-        return Layout(backbone.layer_sizes), backbone.row(), classifier
-    learnable = Model(backbone.weights, backbone.biases, classifier)
-    return Layout(backbone.layer_sizes, classifier.shape[1]), learnable.row(), None
+        layout, row, frame = Layout(backbone.layer_sizes), backbone.row(), classifier
+    else:
+        learnable = Model(backbone.weights, backbone.biases, classifier)
+        layout = Layout(backbone.layer_sizes, classifier.shape[1])
+        row, frame = learnable.row(), None
+    adapts = config.algo in ADAPTS_PHI
+    shards = tuple(c.shard for c in clients)
+    inputs = RunInputs(config=config, dataset=ds, shards=shards,
+                       phi=np.stack([c.phi for c in clients]) if adapts else None,
+                       mask=np.stack([c.mask for c in clients]) if adapts else None,
+                       layout=layout, frame=frame,
+                       global_test=np.sort(np.concatenate([s.test_indices for s in shards])))
+    return inputs, row
 
 
 def split(layout, row):
@@ -73,18 +87,13 @@ def split(layout, row):
 
 
 def train(clients, backbone, classifier, config, ds, seed_parts):
-    """local_train on the clients' shards, with their phi and mask rows when
-    the algorithm adapts phi, as one namespace per client: its row, its
-    model (backbone, and classifier; the classifier None for a fixed frame)
-    and its epoch losses."""
-    phi = mask = None
-    if config.algo in ADAPTS_PHI:
-        phi = np.stack([c.phi for c in clients])
-        mask = np.stack([c.mask for c in clients])
-    layout, row, frame = start_of(backbone, classifier, config)
-    out = local_train([c.shard for c in clients], layout, row, frame, config, ds,
-                      seed_parts, phi, mask)
-    return as_results(out, layout, config.epochs)
+    """local_train of every client of inputs_of(clients, ...), for the
+    config's epochs, as one namespace per client: its row, its model
+    (backbone, and classifier; the classifier None for a fixed frame) and
+    its epoch losses."""
+    inputs, row = inputs_of(clients, backbone, classifier, config, ds)
+    out = local_train(inputs, range(len(clients)), row, seed_parts, config.epochs)
+    return as_results(out, inputs.layout, config.epochs)
 
 
 def as_results(out, layout, epochs):
@@ -97,10 +106,12 @@ def as_results(out, layout, epochs):
 
 
 def finetune(backbone, classifier, shards, config, epochs, ds, seed_parts):
-    """finetune_personalize's output, as train's."""
-    layout, row, frame = start_of(backbone, classifier, config)
-    return as_results(finetune_personalize(shards, layout, row, frame, config, epochs,
-                                           ds, seed_parts), layout, epochs)
+    """finetune_personalize's output for the shards, with `epochs` as the
+    config's finetune_epochs, as train's."""
+    config = config._replace(finetune_epochs=epochs)
+    inputs, row = inputs_of(clients_of(shards, ds.n_classes, config), backbone, classifier,
+                            config, ds)
+    return as_results(finetune_personalize(inputs, row, seed_parts), inputs.layout, epochs)
 
 
 def server_of(state):
@@ -237,37 +248,19 @@ class TestLocalTrain:
             assert a.tobytes() == b.tobytes()
         assert res_avg.classifier.tobytes() == res_prox.classifier.tobytes()
 
-    @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "fedge"])
-    @pytest.mark.parametrize("given", ["phi", "mask"])
-    def test_phi_or_mask_rejected_unless_the_algorithm_adapts_phi(self, kind, given):
-        ds, clients, _, backbone, frame = self._setup("fedgela")
-        rows = {"phi": np.ones((1, ds.n_classes)), "mask": np.ones((1, ds.n_classes), bool)}
-        cfg = small_config(algo=kind)
-        with pytest.raises(ValueError, match=f"algo={kind} does not adapt phi"):
-            local_train([clients[0].shard], *start_of(backbone, frame, cfg), cfg, ds,
-                        [(0, 3, 1, 0)], **{given: rows[given]})
-
-    def test_start_model_and_frame_must_match_the_algorithm(self):
-        ds, clients, _, backbone, frame = self._setup("fedgela")
-        configs = {kind: small_config(algo=kind) for kind in ("fedge", "fedavg")}
-        fixed = start_of(backbone, frame, configs["fedge"])[:2]
-        learnable = start_of(backbone, frame, configs["fedavg"])[:2]
-        for kind, start, given in (("fedavg", fixed, frame), ("fedavg", learnable, frame),
-                                   ("fedge", learnable, None), ("fedge", fixed, None)):
-            with pytest.raises(ValueError, match=f"algo={kind} needs a start model"):
-                local_train([clients[0].shard], *start, given, configs[kind], ds,
-                            [(0, 3, 1, 0)])
-
     @pytest.mark.parametrize("kind,plain_kind", [("fedgela", "fedge"), ("laonly", "fedavg")])
     def test_adapting_algorithm_without_phi_trains_unscaled_on_every_class(self, kind,
                                                                            plain_kind):
         ds, clients, _, backbone, frame = self._setup("fedgela")
         clf = frame if kind == "fedgela" else init_classifier(ds.n_classes, ds.n_classes, seed=5)
-        shards, seeds = [c.shard for c in clients], [(0, 3, 1, c.client_id) for c in clients]
+        seeds = [(0, 3, 1, c.client_id) for c in clients]
         cfg = small_config(algo=kind)
-        start = start_of(backbone, clf, cfg)
-        unscaled, _ = local_train(shards, *start, cfg, ds, seeds)
-        plain, _ = local_train(shards, *start, small_config(algo=plain_kind), ds, seeds)
+        inputs, start = inputs_of(clients, backbone, clf, cfg, ds)
+        assert inputs.phi is not None and inputs.mask is not None
+        bare = inputs._replace(phi=None, mask=None)
+        unscaled, _ = local_train(bare, range(len(clients)), start, seeds, cfg.epochs)
+        plain, _ = local_train(bare._replace(config=small_config(algo=plain_kind)),
+                               range(len(clients)), start, seeds, cfg.epochs)
         assert unscaled.tobytes() == plain.tobytes()
 
     def test_fedprox_positive_lambda_changes_trajectory(self):
@@ -314,18 +307,6 @@ class TestLocalTrain:
         pred = predict(features_of(res.backbone, ds.features[idx], 1.0), frame,
                        class_mask=clients[0].mask, phi=clients[0].phi)
         assert np.mean(pred == ds.labels[idx]) > 0.95
-
-    def test_empty_train_split_rejected(self):
-        ds, clients, cfg, backbone, frame = self._setup()
-        import dataclasses
-        bad_shard = dataclasses.replace(
-            clients[0].shard,
-            train_indices=np.empty(0, dtype=np.int64),
-            test_indices=clients[0].shard.indices,
-        )
-        clients[0].shard = bad_shard
-        with pytest.raises(ValueError, match="empty train split"):
-            train([clients[0]], backbone, frame, cfg, ds, [(0, 3, 1, 0)])
 
 
 def init_row(layer_sizes, seed, n_classes=None):
@@ -789,7 +770,7 @@ class TestFinetunePersonalize:
         real, seeds = fedsim.local_train, []
 
         def recording(*args):
-            seeds.append({tuple(s) for s in args[6]})   # seed_parts
+            seeds.append({tuple(s) for s in args[3]})   # seed_parts
             return real(*args)
 
         monkeypatch.setattr(fedsim, "local_train", recording)
@@ -808,7 +789,7 @@ class TestFinetunePersonalize:
         real, epochs = fedsim.local_train, []
 
         def recording(*args):
-            epochs.append(args[4].epochs)   # config
+            epochs.append(args[4])   # epochs
             return real(*args)
 
         monkeypatch.setattr(fedsim, "local_train", recording)
@@ -978,10 +959,10 @@ class TestFusedStepMatchesPublicOps:
 
     def test_rows_are_one_new_matrix(self):
         ds, clients, cfg, backbone, classifier = self._setup("fedavg", 0.0, (16,))
-        layout, start, _ = start_of(backbone, classifier, cfg)
-        rows, _ = local_train([c.shard for c in clients], layout, start, None, cfg, ds,
-                              [(2, 3, 1, c.client_id) for c in clients])
-        assert rows.shape == (len(clients), layout.size)
+        inputs, start = inputs_of(clients, backbone, classifier, cfg, ds)
+        rows, _ = local_train(inputs, range(len(clients)), start,
+                              [(2, 3, 1, c.client_id) for c in clients], cfg.epochs)
+        assert rows.shape == (len(clients), inputs.layout.size)
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
         for given in (start, classifier, *backbone.tensors()):
             assert not np.shares_memory(rows, given)
@@ -1076,25 +1057,6 @@ class TestNumericFailuresNameClient:
                 match=r"^round 1: client 3: degenerate feature: row 4 has norm 0 < 1e-12$"):
             run_federation(cfg, dataset=bad, shards=shards)
 
-
-    def test_numeric_failure_before_a_later_empty_split(self):
-        # the stack rejects client 2's empty train split before any step, but
-        # trained one after another, client 1 overflows first
-        import dataclasses
-        from fedgela.datagen import Dataset
-        ds, clients, cfg, backbone, frame = TestLocalTrain()._setup()
-        features = ds.features.copy()
-        features[clients[1].shard.train_indices[0]] = np.inf
-        bad = Dataset(features=features, labels=ds.labels, n_classes=ds.n_classes)
-        clients[2].shard = dataclasses.replace(
-            clients[2].shard, train_indices=np.empty(0, dtype=np.int64),
-            test_indices=clients[2].shard.indices)
-        with np.errstate(invalid="ignore"), pytest.raises(
-                FloatingPointError,
-                match=r"^client 1: numeric overflow: non-finite activation in layer 0$"):
-            train(clients[:3], backbone, frame, cfg, bad,
-                  [(0, 3, 1, c.client_id) for c in clients[:3]])
-
     def test_pa_finetune_failure_names_round(self):
         # a client that round 1 does not sample fails only in the PA fine-tune
         from fedgela.datagen import Dataset
@@ -1171,6 +1133,20 @@ class TestStackedMatchesSingle:
         for shard, s, res in zip(shards, seeds, tuned):
             self._assert_same(res, finetune(backbone, classifier, [shard], cfg, 2, ds, [s])[0])
 
+    @pytest.mark.parametrize("kind,lam", ALGOS)
+    def test_ids_train_their_own_shards_and_rows(self, kind, lam):
+        # a subset of the inputs' clients, out of order: each trains its own
+        # shard with its own phi and mask rows, as it does alone
+        ds, clients, cfg, backbone, classifier = self._setup(kind, lam, (16,))
+        inputs, start = inputs_of(clients, backbone, classifier, cfg, ds)
+        ids = [4, 1, 3]
+        seeds = [(4, 3, 1, clients[i].client_id) for i in ids]
+        rows, losses = local_train(inputs, ids, start, seeds, cfg.epochs)
+        for i, s, row, loss in zip(ids, seeds, rows, losses):
+            alone = train([clients[i]], backbone, classifier, cfg, ds, [s])[0]
+            assert row.tobytes() == alone.row.tobytes()
+            assert list(loss) == alone.epoch_losses
+
     def test_one_seed_per_client_required(self):
         ds, clients, cfg, backbone, classifier = self._setup("fedgela", 0.0, (16,))
         with pytest.raises(ValueError, match="one seed_parts per client"):
@@ -1231,6 +1207,37 @@ class TestPartitionCheckedBeforeTraining:
         err = capsys.readouterr().err
         assert "'feature_dim'" in err and "10 classes of config key 'classes'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["fedavg", "fedgela"])
+    def test_empty_train_split_named_before_round_1(self, monkeypatch, algo):
+        import dataclasses
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config(algo=algo)
+        ds = build_dataset(cfg)
+        shards = build_partition(ds, cfg)
+        shards[2] = dataclasses.replace(shards[2], train_indices=np.empty(0, dtype=np.int64),
+                                        test_indices=shards[2].indices)
+        self._no_training(monkeypatch)
+        with pytest.raises(ValueError, match=r"^client 2 has an empty train split$"):
+            run_federation(cfg, dataset=ds, shards=shards)
+
+    def test_train_label_outside_the_mask_named_before_round_1(self, monkeypatch):
+        # the shards' counts, and so the masks, come from the data set they
+        # were dealt from; one of client 1's train labels moves to a class it
+        # does not hold
+        from fedgela.datagen import Dataset
+        from fedgela.fedsim import build_dataset, build_partition
+        cfg = small_config(algo="fedgela")
+        ds = build_dataset(cfg)
+        shards = build_partition(ds, cfg)
+        absent = int(np.flatnonzero(shards[1].counts == 0)[0])
+        labels = ds.labels.copy()
+        labels[shards[1].train_indices[0]] = absent
+        relabelled = Dataset(features=ds.features, labels=labels, n_classes=ds.n_classes)
+        self._no_training(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^client 1: invalid label: class {absent} "
+                                             rf"is outside the class mask$"):
+            run_federation(cfg, dataset=relabelled, shards=shards)
 
     def test_no_check_without_rounds(self):
         cfg = parse_config({"classes": 10, "n_per_class": 6, "clients": 10, "beta": 0.1,
